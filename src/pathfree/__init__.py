@@ -20,7 +20,6 @@ from .bins import (
     UnifiedBound,
     binomial_tail,
     compute_bins_stats,
-    enumerated_max_load_expectation,
     exact_max_load_expectation,
     max_load_expectation_lower_bound,
     max_load_fraction,
@@ -87,7 +86,6 @@ from .rng import subseed, substream
 from .verify import (
     VerificationReport,
     greedy_vertex_cover,
-    longest_path_brute,
     longest_path_exact,
     monochromatic_components,
     verify_colouring,
@@ -127,13 +125,11 @@ __all__ = [
     "crossing_edge_count",
     "default_density_scale",
     "degree_class_decompose",
-    "enumerated_max_load_expectation",
     "exact_max_load_expectation",
     "extract_from_densest_band",
     "extract_path_free_subgraph",
     "greedy_bin_assignment",
     "greedy_vertex_cover",
-    "longest_path_brute",
     "longest_path_exact",
     "low_degree_refinement",
     "max_load_expectation_lower_bound",

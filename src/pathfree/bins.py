@@ -27,7 +27,6 @@ from .rng import substream
 __all__ = [
     "exact_max_load_expectation",
     "max_load_fraction",
-    "enumerated_max_load_expectation",
     "monte_carlo_max_load",
     "MonteCarloEstimate",
     "solve_x_log_x",
@@ -121,28 +120,6 @@ def exact_max_load_expectation(q: int, n: int, max_cells: int = 4096) -> Fractio
 def max_load_fraction(q: int, n: int, max_cells: int = 4096) -> Fraction:
     """``E[M]/n``, the expected maximum load as a fraction of all balls."""
     return exact_max_load_expectation(q, n, max_cells) / n
-
-
-def enumerated_max_load_expectation(q: int, n: int, limit: int = 10**6) -> Fraction:
-    """``E[M]`` by full enumeration of all ``q^n`` assignments (reference oracle).
-
-    Every assignment is decoded from a base-``q`` index, so nothing is shared
-    with the polynomial method above.  Only feasible while ``q^n <= limit``.
-    """
-    _require_counts(q, n)
-    total = q**n
-    if total > limit:
-        raise SizeCapError(f"q^n = {total} exceeds the enumeration cap {limit}")
-    if q == 1:
-        return Fraction(n)
-    remaining = np.arange(total, dtype=np.int64)
-    loads = np.zeros((total, q), dtype=np.int8)
-    rows = np.arange(total)
-    for _ in range(n):
-        loads[rows, remaining % q] += 1
-        remaining //= q
-    max_sum = int(loads.max(axis=1).astype(np.int64).sum())
-    return Fraction(max_sum, total)
 
 
 @dataclass(frozen=True)

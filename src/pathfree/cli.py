@@ -103,7 +103,6 @@ def _build_parser() -> argparse.ArgumentParser:
     col.add_argument("--k", type=int, required=True, help="forbidden path length in vertices")
     col.add_argument("--seed", type=int, default=0)
     col.add_argument("--trials", type=int, default=200, help="resamples per extraction")
-    col.add_argument("--threads", type=int, default=1)
     col.add_argument("--beta0", type=float, default=None, help="override density scale seed")
     col.add_argument("--strict", action="store_true", help="enforce the analytic preconditions")
     col.add_argument("--exact-cap", type=int, default=24, dest="exact_cap")
@@ -118,7 +117,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ext.add_argument("--beta", type=float, required=True, help="density scale for this round")
     ext.add_argument("--seed", type=int, default=0)
     ext.add_argument("--trials", type=int, default=200)
-    ext.add_argument("--threads", type=int, default=1)
     ext.add_argument("--output", default=None, help="write the extracted subgraph here")
     ext.add_argument("--format", choices=["json", "text"], default="json")
 
@@ -173,7 +171,6 @@ def _cmd_colour(args: argparse.Namespace) -> int:
         k=args.k,
         seed=args.seed,
         trials_per_extraction=args.trials,
-        threads=args.threads,
         strict=args.strict,
         **({"beta0": args.beta0} if args.beta0 is not None else {}),
     )
@@ -208,7 +205,6 @@ def _cmd_extract(args: argparse.Namespace) -> int:
         k=args.k,
         trials=args.trials,
         seed=args.seed,
-        threads=args.threads,
     )
     extraction = banded.extraction
     record = {

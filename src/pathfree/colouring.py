@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ContractViolation, InternalInvariantError, UsageError
-from .graph import Edge, Graph
+from .graph import Edge, Graph, read_edge_rows, read_header_fields
 
 __all__ = [
     "EdgeColouring",
@@ -55,16 +55,6 @@ class EdgeColouring:
         for edge, colour in self.assignments.items():
             classes.setdefault(colour, []).append(edge)
         return {c: sorted(es) for c, es in sorted(classes.items())}
-
-    def merged_with(self, other: "EdgeColouring") -> "EdgeColouring":
-        overlap = self.assignments.keys() & other.assignments.keys()
-        if overlap:
-            raise ContractViolation(
-                f"colourings overlap on {len(overlap)} edges, e.g. {min(overlap)}"
-            )
-        combined = dict(self.assignments)
-        combined.update(other.assignments)
-        return EdgeColouring(combined)
 
 
 def _compact(raw: dict[Edge, int], colour_base: int) -> EdgeColouring:
@@ -344,40 +334,10 @@ def serialize_colouring(
 
 def parse_colouring(text: str) -> tuple[Graph, EdgeColouring, dict[str, int]]:
     """Inverse of :func:`serialize_colouring`; returns graph, colouring, header."""
-    from .graph import read_header_fields
-
     header = read_header_fields(text, ("n", "colours_used", "r", "k"))
-    edges: list[Edge] = []
-    assignments: dict[Edge, int] = {}
-    top = -1
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        fields = line.split()
-        if len(fields) != 3:
-            raise UsageError(f"line {lineno}: expected 'u v colour'")
-        try:
-            u, v, c = (int(f) for f in fields)
-        except ValueError:
-            raise UsageError(f"line {lineno}: expected integers") from None
-        if c < 0:
-            raise UsageError(f"line {lineno}: negative colour")
-        if u == v:
-            raise UsageError(f"line {lineno}: loop at {u}")
-        if u < 0 or v < 0:
-            raise UsageError(f"line {lineno}: negative vertex id")
-        e = (u, v) if u < v else (v, u)
-        if e in assignments:
-            raise UsageError(f"line {lineno}: duplicate edge {e}")
-        edges.append(e)
-        assignments[e] = c
-        top = max(top, e[1])
-    n = header.get("n", top + 1)
-    if any(v >= n for e in edges for v in e):
-        raise UsageError(f"endpoint outside 0..{n - 1}")
-    g = Graph.build(n, edges)
-    colouring = EdgeColouring(assignments)
+    n, rows = read_edge_rows(text, header.get("n"), ("colour",))
+    g = Graph(n, frozenset(rows))
+    colouring = EdgeColouring({e: c for e, (c,) in rows.items()})
     if "colours_used" in header and colouring.colours_used != header["colours_used"]:
         raise UsageError(
             f"header declares {header['colours_used']} colours but rows use "

@@ -18,7 +18,6 @@ fewer than ``k`` vertices).  Uncertified attempts are never promoted.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -168,14 +167,13 @@ def extract_path_free_subgraph(
     k: int,
     trials: int = 200,
     seed: int = 0,
-    threads: int = 1,
 ) -> ExtractionResult:
     """Run the block-split extraction and return the best certified attempt.
 
     Preconditions: ``core`` and ``independent`` are disjoint, every edge of
     ``g`` has at least one endpoint in ``core``, ``independent`` spans no
     edge, and ``k >= 4``.  Each trial draws its own substream of ``seed``,
-    so results do not depend on execution order or thread count.
+    so results do not depend on execution order.
     """
     core_set = frozenset(core)
     indep_set = frozenset(independent)
@@ -215,11 +213,7 @@ def extract_path_free_subgraph(
                 certificate = "component-order"
         return split, bp.crossing_edges, certificate
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(run_trial, range(trials)))
-    else:
-        outcomes = [run_trial(t) for t in range(trials)]
+    outcomes = [run_trial(t) for t in range(trials)]
 
     mean_edges = float(np.mean([len(split.kept_edges) for split, _, _ in outcomes]))
     best_t: int | None = None
@@ -362,7 +356,6 @@ def extract_from_densest_band(
     k: int,
     trials: int = 200,
     seed: int = 0,
-    threads: int = 1,
     band_ratio: Fraction = DEFAULT_BAND_RATIO,
     select_ratio: Fraction = DEFAULT_SELECT_RATIO,
 ) -> BandExtraction:
@@ -416,7 +409,6 @@ def extract_from_densest_band(
             k=k,
             trials=trials,
             seed=seed,
-            threads=threads,
         )
         selection, level, selected = "band", chosen_band.level, band_graph.edge_count
     else:
@@ -432,7 +424,6 @@ def extract_from_densest_band(
             k=k,
             trials=trials,
             seed=seed,
-            threads=threads,
         )
         selection, level, selected = "residual", None, residual.edge_count
 

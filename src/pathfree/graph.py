@@ -2,8 +2,8 @@
 
 Edges are canonical ``(u, v)`` tuples with ``u < v``; loops and parallel
 edges are rejected at construction.  Instances are immutable, so derived
-graphs (edge removal, induced bipartite subgraphs) are new objects sharing
-nothing mutable with their parent.
+graphs (such as the result of edge removal) are new objects sharing nothing
+mutable with their parent.
 """
 
 from __future__ import annotations
@@ -19,11 +19,9 @@ from .errors import ContractViolation, InternalInvariantError, UsageError
 __all__ = [
     "Graph",
     "Bipartition",
-    "VertexPartition",
     "parse_edge_list",
     "serialize_edge_list",
     "subtract",
-    "induced_bipartite",
     "random_balanced_bipartition",
 ]
 
@@ -106,30 +104,6 @@ class Bipartition:
     tries: int
 
 
-@dataclass(frozen=True)
-class VertexPartition:
-    """Pairwise disjoint parts covering ``universe`` exactly."""
-
-    universe: frozenset[int]
-    parts: tuple[frozenset[int], ...]
-
-    def __post_init__(self) -> None:
-        seen: set[int] = set()
-        for part in self.parts:
-            if part & seen:
-                raise ContractViolation("partition parts overlap")
-            seen.update(part)
-        if seen != set(self.universe):
-            raise ContractViolation("partition parts do not cover the universe")
-
-    def part_of(self) -> dict[int, int]:
-        owner: dict[int, int] = {}
-        for i, part in enumerate(self.parts):
-            for v in part:
-                owner[v] = i
-        return owner
-
-
 def read_header_fields(text: str, keys: tuple[str, ...]) -> dict[str, int]:
     """Collect ``key=<int>`` tokens from ``#`` comment lines; first one wins."""
     found: dict[str, int] = {}
@@ -149,24 +123,55 @@ def read_header_fields(text: str, keys: tuple[str, ...]) -> dict[str, int]:
     return found
 
 
-def _parse_rows(text: str, width: int) -> list[tuple[int, ...]]:
-    rows: list[tuple[int, ...]] = []
+def read_edge_rows(
+    text: str, vertex_count: int | None, extra: tuple[str, ...] = ()
+) -> tuple[int, dict[Edge, tuple[int, ...]]]:
+    """Read the data rows shared by the edge-list and colouring formats.
+
+    Each line, once a ``#`` comment is stripped, is blank or holds ``u v``
+    followed by one non-negative integer per name in ``extra``.  Returns the
+    vertex count (``vertex_count`` when given, endpoints then lying in
+    ``0..vertex_count-1``; otherwise one past the largest endpoint) and a map
+    from each canonical edge to its extra values, in file order.  A negative
+    ``vertex_count`` or a malformed, looped, negative, out-of-range or
+    duplicate row raises :class:`UsageError`; row errors name the 1-based
+    line number.
+    """
+    if vertex_count is not None and vertex_count < 0:
+        raise UsageError("header vertex count must be non-negative")
+    names = ("vertex id", "vertex id") + extra
+    shape = f"'u v {' '.join(extra)}'" if extra else "two integers"
+    rows: dict[Edge, tuple[int, ...]] = {}
+    top = -1
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        fields = raw.split("#", 1)[0].split()
+        if not fields:
             continue
-        fields = line.split()
-        if len(fields) != width:
-            raise UsageError(
-                f"line {lineno}: expected {width} integers, got {raw!r}"
-            )
+        if len(fields) != len(names):
+            raise UsageError(f"line {lineno}: expected {shape}, got {raw!r}")
         try:
-            rows.append(tuple(int(f) for f in fields))
+            values = tuple(map(int, fields))
         except ValueError:
             raise UsageError(
-                f"line {lineno}: expected {width} integers, got {raw!r}"
+                f"line {lineno}: expected {shape}, got {raw!r}"
             ) from None
-    return rows
+        u, v = values[0], values[1]
+        if u == v:
+            raise UsageError(f"line {lineno}: loop at vertex {u}")
+        if min(values) < 0:
+            first = next(i for i, x in enumerate(values) if x < 0)
+            raise UsageError(f"line {lineno}: negative {names[first]}")
+        if vertex_count is not None and (u >= vertex_count or v >= vertex_count):
+            raise UsageError(
+                f"line {lineno}: endpoint outside 0..{vertex_count - 1}"
+            )
+        e = (u, v) if u < v else (v, u)
+        if e in rows:
+            raise UsageError(f"line {lineno}: duplicate edge {e}")
+        rows[e] = values[2:]
+        if e[1] > top:
+            top = e[1]
+    return (vertex_count if vertex_count is not None else top + 1), rows
 
 
 def parse_edge_list(text: str) -> Graph:
@@ -178,39 +183,8 @@ def parse_edge_list(text: str) -> Graph:
     ``#`` comments are ignored.  Loops and duplicate edges raise
     :class:`UsageError`.
     """
-    declared = read_header_fields(text, ("n",)).get("n")
-    if declared is not None and declared < 0:
-        raise UsageError("header vertex count must be non-negative")
-    edges: list[Edge] = []
-    seen: set[Edge] = set()
-    top = -1
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        fields = line.split()
-        if len(fields) != 2:
-            raise UsageError(f"line {lineno}: expected two integers, got {raw!r}")
-        try:
-            x, y = int(fields[0]), int(fields[1])
-        except ValueError:
-            raise UsageError(
-                f"line {lineno}: expected two integers, got {raw!r}"
-            ) from None
-        if x == y:
-            raise UsageError(f"line {lineno}: loop at vertex {x}")
-        if x < 0 or y < 0:
-            raise UsageError(f"line {lineno}: negative vertex id")
-        if declared is not None and (x >= declared or y >= declared):
-            raise UsageError(f"line {lineno}: endpoint outside 0..{declared - 1}")
-        e = canonical_edge(x, y)
-        if e in seen:
-            raise UsageError(f"line {lineno}: duplicate edge {e}")
-        seen.add(e)
-        edges.append(e)
-        top = max(top, y if y > x else x)
-    n = declared if declared is not None else top + 1
-    return Graph(n, frozenset(edges))
+    n, rows = read_edge_rows(text, read_header_fields(text, ("n",)).get("n"))
+    return Graph(n, frozenset(rows))
 
 
 def serialize_edge_list(g: Graph, comments: Iterable[str] = ()) -> str:
@@ -227,17 +201,6 @@ def subtract(g: Graph, edges: Iterable[tuple[int, int]]) -> Graph:
     if missing:
         raise ContractViolation(f"cannot remove absent edges, e.g. {min(missing)}")
     return Graph(g.vertex_count, g.edges - to_remove)
-
-
-def induced_bipartite(g: Graph, a: Iterable[int], b: Iterable[int]) -> Graph:
-    """Subgraph of ``g`` keeping exactly the edges with one endpoint in each set."""
-    sa, sb = frozenset(a), frozenset(b)
-    if sa & sb:
-        raise ContractViolation("sides of a bipartite restriction must be disjoint")
-    kept = frozenset(
-        e for e in g.edges if (e[0] in sa and e[1] in sb) or (e[0] in sb and e[1] in sa)
-    )
-    return Graph(g.vertex_count, kept)
 
 
 def crossing_edge_count(g: Graph, a: frozenset[int]) -> int:

@@ -103,7 +103,6 @@ class PipelineParams:
     c0: Fraction | None = None
     trials_per_extraction: int = 200
     seed: int = 0
-    threads: int = 1
     strict: bool = False
 
     def __post_init__(self) -> None:
@@ -125,8 +124,6 @@ class PipelineParams:
             raise UsageError("beta0 must be positive")
         if self.trials_per_extraction < 1:
             raise UsageError("need at least one extraction trial")
-        if self.threads < 1:
-            raise UsageError("need at least one thread")
         if self.strict and not self.k >= 100 * math.log(self.r):
             raise UsageError("strict mode requires k >= 100 log r")
 
@@ -146,7 +143,6 @@ class PipelineParams:
             "c0": str(self.density_scale),
             "trials_per_extraction": self.trials_per_extraction,
             "seed": self.seed,
-            "threads": self.threads,
             "strict": self.strict,
         }
 
@@ -268,7 +264,6 @@ def run_round(
             k=k,
             trials=params.trials_per_extraction,
             seed=subseed(params.seed, "round", round_index, "extract", j),
-            threads=params.threads,
         )
         result = band.extraction
         if not result.certified:

@@ -7,8 +7,8 @@ identified by a label path (stage name, trial index, ...) hashed into
 
 * the same ``(seed, path)`` always yields the same generator,
 * distinct paths yield statistically independent generators, and
-* trial loops can run in any order (or in parallel) without changing
-  which generator trial ``t`` sees.
+* trial loops can run in any order without changing which generator
+  trial ``t`` sees.
 """
 
 from __future__ import annotations

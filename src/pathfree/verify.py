@@ -30,7 +30,6 @@ __all__ = [
     "MonochromaticComponent",
     "monochromatic_components",
     "longest_path_exact",
-    "longest_path_brute",
     "greedy_vertex_cover",
     "VerificationReport",
     "verify_colouring",
@@ -189,28 +188,6 @@ def greedy_vertex_cover(g: Graph, vertices: tuple[int, ...]) -> tuple[int, ...]:
         cover.append(best)
         for w in local.pop(best):
             local[w].discard(best)
-
-
-def longest_path_brute(g: Graph) -> int:
-    """Reference implementation: enumerate every simple path by DFS."""
-    active = sorted(g.non_isolated())
-    if not active:
-        return 1 if g.vertex_count >= 1 else 0
-    adj = g.adjacency
-    best = 1
-
-    def extend(v: int, visited: set[int], length: int) -> None:
-        nonlocal best
-        best = max(best, length)
-        for w in adj[v]:
-            if w not in visited:
-                visited.add(w)
-                extend(w, visited, length + 1)
-                visited.remove(w)
-
-    for v in active:
-        extend(v, {v}, 1)
-    return best
 
 
 @dataclass(frozen=True)

@@ -6,11 +6,15 @@ plugin state.
 """
 
 import random
+from fractions import Fraction
 from itertools import combinations
+from typing import Iterable
 
+import numpy as np
 import pytest
 
-from pathfree import Graph
+from pathfree import ContractViolation, Graph, SizeCapError
+from pathfree.bins import _require_counts
 
 
 def random_graph(rnd: random.Random, n_max: int = 10, density: float = 0.4) -> Graph:
@@ -65,6 +69,61 @@ def edge_adjacency(edges) -> dict[int, set[int]]:
         adj.setdefault(u, set()).add(v)
         adj.setdefault(v, set()).add(u)
     return adj
+
+
+def induced_bipartite(g: Graph, a: Iterable[int], b: Iterable[int]) -> Graph:
+    """Subgraph of ``g`` keeping exactly the edges with one endpoint in each set."""
+    sa, sb = frozenset(a), frozenset(b)
+    if sa & sb:
+        raise ContractViolation("sides of a bipartite restriction must be disjoint")
+    kept = frozenset(
+        e for e in g.edges if (e[0] in sa and e[1] in sb) or (e[0] in sb and e[1] in sa)
+    )
+    return Graph(g.vertex_count, kept)
+
+
+def longest_path_brute(g: Graph) -> int:
+    """Reference implementation: enumerate every simple path by DFS."""
+    active = sorted(g.non_isolated())
+    if not active:
+        return 1 if g.vertex_count >= 1 else 0
+    adj = g.adjacency
+    best = 1
+
+    def extend(v: int, visited: set[int], length: int) -> None:
+        nonlocal best
+        best = max(best, length)
+        for w in adj[v]:
+            if w not in visited:
+                visited.add(w)
+                extend(w, visited, length + 1)
+                visited.remove(w)
+
+    for v in active:
+        extend(v, {v}, 1)
+    return best
+
+
+def enumerated_max_load_expectation(q: int, n: int, limit: int = 10**6) -> Fraction:
+    """``E[M]`` by full enumeration of all ``q^n`` assignments (reference oracle).
+
+    Every assignment is decoded from a base-``q`` index, so nothing is shared
+    with the package's polynomial method.  Only feasible while ``q^n <= limit``.
+    """
+    _require_counts(q, n)
+    total = q**n
+    if total > limit:
+        raise SizeCapError(f"q^n = {total} exceeds the enumeration cap {limit}")
+    if q == 1:
+        return Fraction(n)
+    remaining = np.arange(total, dtype=np.int64)
+    loads = np.zeros((total, q), dtype=np.int8)
+    rows = np.arange(total)
+    for _ in range(n):
+        loads[rows, remaining % q] += 1
+        remaining //= q
+    max_sum = int(loads.max(axis=1).astype(np.int64).sum())
+    return Fraction(max_sum, total)
 
 
 @pytest.fixture

@@ -18,7 +18,6 @@ from pathfree import (
     UsageError,
     binomial_tail,
     compute_bins_stats,
-    enumerated_max_load_expectation,
     exact_max_load_expectation,
     max_load_expectation_lower_bound,
     max_load_fraction,
@@ -29,6 +28,8 @@ from pathfree import (
     t_transform,
     top_two_bins_joint_tail,
 )
+
+from conftest import enumerated_max_load_expectation
 
 
 def brute_max_load_expectation(q: int, n: int) -> Fraction:

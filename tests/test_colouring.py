@@ -214,6 +214,8 @@ def test_parse_colouring_rejects_bad_rows():
         ("0 1 0\n1 0 2\n", "duplicate"),
         ("# n=2 colours_used=5\n0 1 0\n", "header declares"),
         ("# n=2\n0 3 1\n", "outside"),
+        ("# n=2\n0 3 1\n", "line 2"),
+        ("# n=-1\n", "header vertex count must be non-negative"),
     ]:
         with pytest.raises(UsageError) as err:
             parse_colouring(text)
@@ -224,11 +226,3 @@ def test_parse_colouring_empty_text():
     g, col, header = parse_colouring("# n=5\n")
     assert g.vertex_count == 5 and col.assignments == {}
     assert header == {"n": 5}
-
-
-def test_merged_with_rejects_overlap():
-    a = EdgeColouring({(0, 1): 0})
-    b = EdgeColouring({(1, 2): 1})
-    assert a.merged_with(b).assignments == {(0, 1): 0, (1, 2): 1}
-    with pytest.raises(ContractViolation):
-        a.merged_with(EdgeColouring({(0, 1): 3}))

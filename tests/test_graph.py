@@ -16,9 +16,9 @@ from pathfree import (
     serialize_edge_list,
     substream,
 )
-from pathfree.graph import induced_bipartite, read_header_fields, subtract
+from pathfree.graph import read_header_fields, subtract
 
-from conftest import complete_graph, random_graph
+from conftest import complete_graph, induced_bipartite, random_graph
 
 
 def test_build_canonicalizes_orientation():

@@ -61,8 +61,6 @@ def test_params_validation():
         PipelineParams(r=8, k=6, beta0=0.0)
     with pytest.raises(UsageError):
         PipelineParams(r=8, k=6, trials_per_extraction=0)
-    with pytest.raises(UsageError):
-        PipelineParams(r=8, k=6, threads=0)
 
 
 def test_strict_mode_wants_asymptotic_k():

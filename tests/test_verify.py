@@ -12,7 +12,6 @@ from pathfree import (
     SizeCapError,
     UsageError,
     greedy_vertex_cover,
-    longest_path_brute,
     longest_path_exact,
     monochromatic_components,
     verify_colouring,
@@ -23,6 +22,7 @@ from conftest import (
     cycle_graph,
     edge_adjacency,
     has_path_on,
+    longest_path_brute,
     path_graph,
     random_graph,
     star_graph,
