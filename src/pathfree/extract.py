@@ -25,7 +25,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import ContractViolation, InternalInvariantError, UsageError
-from .graph import Edge, Graph, random_balanced_bipartition
+from .graph import Edge, Graph, components, random_balanced_bipartition
 from .rng import substream
 
 __all__ = [
@@ -142,24 +142,6 @@ class ExtractionResult:
     mean_edges: float
 
 
-def _component_orders_below(g: Graph, limit: int) -> bool:
-    seen: set[int] = set()
-    for start in g.non_isolated():
-        if start in seen:
-            continue
-        stack, comp = [start], {start}
-        while stack:
-            x = stack.pop()
-            for y in g.neighbours(x):
-                if y not in comp:
-                    comp.add(y)
-                    stack.append(y)
-        if len(comp) >= limit:
-            return False
-        seen |= comp
-    return True
-
-
 def extract_path_free_subgraph(
     g: Graph,
     core: Iterable[int],
@@ -207,10 +189,8 @@ def extract_path_free_subgraph(
             certificate = "part-size"
         elif 2 * widest + 1 < k:
             certificate = "block-path"
-        else:
-            kept = Graph(g.vertex_count, split.kept_edges)
-            if _component_orders_below(kept, k):
-                certificate = "component-order"
+        elif all(len(vs) < k for vs, _ in components(split.kept_edges)):
+            certificate = "component-order"
         return split, bp.crossing_edges, certificate
 
     outcomes = [run_trial(t) for t in range(trials)]

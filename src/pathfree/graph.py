@@ -22,6 +22,7 @@ __all__ = [
     "parse_edge_list",
     "serialize_edge_list",
     "subtract",
+    "components",
     "random_balanced_bipartition",
 ]
 
@@ -201,6 +202,35 @@ def subtract(g: Graph, edges: Iterable[tuple[int, int]]) -> Graph:
     if missing:
         raise ContractViolation(f"cannot remove absent edges, e.g. {min(missing)}")
     return Graph(g.vertex_count, g.edges - to_remove)
+
+
+def components(
+    edges: Iterable[Edge],
+) -> Iterator[tuple[tuple[int, ...], tuple[Edge, ...]]]:
+    """Connected components of a loop-free edge set, in order of least vertex.
+
+    Yields each component's sorted vertices and its own edges (the input
+    tuples, each once).  Lazy, so a caller that stops early skips the rest.
+    """
+    incident: dict[int, list[Edge]] = {}
+    for e in edges:
+        incident.setdefault(e[0], []).append(e)
+        incident.setdefault(e[1], []).append(e)
+    seen: set[int] = set()
+    for start in sorted(incident):
+        if start in seen:
+            continue
+        seen.add(start)
+        comp, own = [start], []
+        for x in comp:  # grows while it is walked
+            for e in incident[x]:
+                if e[0] == x:  # each edge is taken at its first endpoint
+                    own.append(e)
+                y = e[1] if e[0] == x else e[0]
+                if y not in seen:
+                    seen.add(y)
+                    comp.append(y)
+        yield tuple(sorted(comp)), tuple(own)
 
 
 def crossing_edge_count(g: Graph, a: frozenset[int]) -> int:

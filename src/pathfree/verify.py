@@ -21,10 +21,11 @@ cap and cover-uncertifiable make the verdict ``indeterminate``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterable
 
 from .colouring import EdgeColouring
 from .errors import ContractViolation, SizeCapError, UsageError
-from .graph import Edge, Graph
+from .graph import Edge, Graph, components
 
 __all__ = [
     "MonochromaticComponent",
@@ -38,11 +39,15 @@ __all__ = [
 DEFAULT_COMPONENT_CAP = 24
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MonochromaticComponent:
     colour: int
     vertices: tuple[int, ...]
-    edge_count: int
+    edges: tuple[Edge, ...]
+
+    @property
+    def edge_count(self) -> int:
+        return len(self.edges)
 
 
 def monochromatic_components(
@@ -54,31 +59,10 @@ def monochromatic_components(
         raise ContractViolation(
             f"colouring assigns edges absent from the graph, e.g. {min(stray)}"
         )
-    by_colour: dict[int, list[MonochromaticComponent]] = {}
-    for colour, edges in colouring.colour_classes().items():
-        adj: dict[int, list[int]] = {}
-        for u, v in edges:
-            adj.setdefault(u, []).append(v)
-            adj.setdefault(v, []).append(u)
-        seen: set[int] = set()
-        comps: list[MonochromaticComponent] = []
-        for start in sorted(adj):
-            if start in seen:
-                continue
-            stack, comp = [start], {start}
-            while stack:
-                x = stack.pop()
-                for y in adj[x]:
-                    if y not in comp:
-                        comp.add(y)
-                        stack.append(y)
-            seen |= comp
-            inside = sum(1 for u, v in edges if u in comp)
-            comps.append(
-                MonochromaticComponent(colour, tuple(sorted(comp)), inside)
-            )
-        by_colour[colour] = comps
-    return by_colour
+    return {
+        colour: [MonochromaticComponent(colour, vs, es) for vs, es in components(edges)]
+        for colour, edges in colouring.colour_classes().items()
+    }
 
 
 def _mask_path_search(
@@ -141,13 +125,14 @@ def _reconstruct(
     return path
 
 
-def _subgraph_adjacency(g: Graph, vertices: tuple[int, ...]) -> list[list[int]]:
+def _local_adjacency(
+    vertices: tuple[int, ...], edges: Iterable[Edge]
+) -> list[list[int]]:
     index = {v: i for i, v in enumerate(vertices)}
     adj: list[list[int]] = [[] for _ in vertices]
-    for u, v in g.edges:
-        if u in index and v in index:
-            adj[index[u]].append(index[v])
-            adj[index[v]].append(index[u])
+    for u, v in edges:
+        adj[index[u]].append(index[v])
+        adj[index[v]].append(index[u])
     return adj
 
 
@@ -164,30 +149,38 @@ def longest_path_exact(g: Graph, cap: int = DEFAULT_COMPONENT_CAP) -> int:
         raise SizeCapError(
             f"{len(active)} non-isolated vertices exceed the exact-path cap {cap}"
         )
-    best, _ = _mask_path_search(_subgraph_adjacency(g, active), None)
+    best, _ = _mask_path_search(_local_adjacency(active, g.edges), None)
     return best
 
 
-def greedy_vertex_cover(g: Graph, vertices: tuple[int, ...]) -> tuple[int, ...]:
-    """Max-degree-first vertex cover of the edges induced on ``vertices``.
+def greedy_vertex_cover(
+    vertices: tuple[int, ...], edges: Iterable[Edge]
+) -> tuple[int, ...]:
+    """Max-degree-first vertex cover of ``edges``, whose ends lie in ``vertices``.
 
     Any cover works for the path-length certificate; greedy keeps star
     forests at one cover vertex per star.  Ties break toward the lowest id.
+    Picks come off a heap of ``(-degree, vertex)``, stale entries re-pushed.
     """
-    inside = set(vertices)
+    import heapq  # here, not at start-up: most verifications need no cover
     local: dict[int, set[int]] = {v: set() for v in vertices}
-    for v in vertices:
-        for w in g.neighbours(v):
-            if w in inside:
-                local[v].add(w)
+    for u, v in edges:
+        local[u].add(v)
+        local[v].add(u)
+    heap = [(-len(ns), v) for v, ns in local.items() if ns]
+    heapq.heapify(heap)
     cover: list[int] = []
-    while True:
-        best = min(local, key=lambda v: (-len(local[v]), v), default=None)
-        if best is None or not local[best]:
-            return tuple(cover)
-        cover.append(best)
-        for w in local.pop(best):
-            local[w].discard(best)
+    while heap:
+        neg_degree, best = heapq.heappop(heap)
+        degree = len(local[best])
+        if degree != -neg_degree:  # degrees only fall
+            if degree:
+                heapq.heappush(heap, (-degree, best))
+        else:
+            cover.append(best)
+            for w in local.pop(best):
+                local[w].discard(best)
+    return tuple(cover)
 
 
 @dataclass(frozen=True)
@@ -270,16 +263,12 @@ def verify_colouring(
     covered: list[tuple[int, int, int]] = []
     worst: tuple[int, tuple[int, ...]] | None = None
     stats: list[tuple[int, int, int, int | None]] = []
-    classes = colouring.colour_classes()
-    class_sizes = {c: len(es) for c, es in classes.items()}
+    class_sizes = {c: sum(comp.edge_count for comp in cs) for c, cs in comps.items()}
 
-    for colour in sorted(comps):
-        # the search graph must carry only this colour's edges; other
-        # colours may run between the same vertices
-        class_graph = Graph(g.vertex_count, frozenset(classes[colour]))
+    for colour, class_comps in comps.items():
         max_order = 0
         max_found: int | None = None
-        for comp in comps[colour]:
+        for comp in class_comps:
             order = len(comp.vertices)
             max_order = max(max_order, order)
             if worst is None or order > len(worst[1]):
@@ -287,19 +276,19 @@ def verify_colouring(
             if order < k:
                 continue
             if order > cap:
-                size = len(greedy_vertex_cover(class_graph, comp.vertices))
+                size = len(greedy_vertex_cover(comp.vertices, comp.edges))
                 if 2 * size + 1 < k:
                     covered.append((colour, order, size))
                 else:
                     indeterminate.append((colour, order))
                 continue
-            adj = _subgraph_adjacency(class_graph, comp.vertices)
+            adj = _local_adjacency(comp.vertices, comp.edges)
             length, path = _mask_path_search(adj, stop_at=k)
             max_found = length if max_found is None else max(max_found, length)
             if length >= k and path is not None:
                 failures.append((colour, tuple(comp.vertices[i] for i in path)))
                 break  # one witness per colour is plenty
-        stats.append((colour, len(comps[colour]), max_order, max_found))
+        stats.append((colour, len(class_comps), max_order, max_found))
 
     if failures:
         verdict = "fail"

@@ -157,7 +157,7 @@ def test_star_refinement_postconditions(rnd):
             assert result.degree_bound_ok
 
 
-def test_star_refinement_packing_overflow_at_k5():
+def test_star_overflow_when_capacity_is_one():
     # K_8 plus a 7-leaf star at vertex 8: nine vertices of degree exactly
     # 8e/(ks), but k=5 gives capacity one centre per colour, so one heavy
     # vertex stays out and its star survives in the residual at threshold
@@ -166,9 +166,11 @@ def test_star_refinement_packing_overflow_at_k5():
     g = Graph.build(16, edges)
     assert g.edge_count == 35
     tight = star_refinement(g, s=8, k=5)
-    assert len(tight.vertices_removed) == 8  # capacity 8*1, nine heavy
-    assert 8 not in tight.vertices_removed
-    assert tight.residual.degree(8) == 7
+    assert tight.threshold == 7
+    assert tight.vertices_removed == frozenset(range(8))  # capacity 8*1, nine heavy
+    # every edge at centre 7 is claimed by a lower centre first
+    assert tight.parts == tuple(frozenset({v}) for v in range(7))
+    assert tight.residual.max_degree == tight.residual.degree(8) == 7
     assert not tight.degree_bound_ok
     relaxed = star_refinement(g, s=8, k=6)
     assert 8 in relaxed.vertices_removed

@@ -1,6 +1,5 @@
 """Block extraction: greedy assignment, certificates, degree bands."""
 
-import random
 from fractions import Fraction
 
 import pytest

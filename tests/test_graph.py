@@ -2,7 +2,7 @@
 
 import random
 
-import numpy as np
+import networkx as nx
 import pytest
 
 from pathfree import (
@@ -16,7 +16,7 @@ from pathfree import (
     serialize_edge_list,
     substream,
 )
-from pathfree.graph import read_header_fields, subtract
+from pathfree.graph import components, read_header_fields, subtract
 
 from conftest import complete_graph, induced_bipartite, random_graph
 
@@ -125,6 +125,20 @@ def test_crossing_edge_count_matches_direct_count(rnd):
         a = frozenset(v for v in range(g.vertex_count) if rnd.random() < 0.5)
         direct = sum(1 for u, v in g.edges if (u in a) != (v in a))
         assert crossing_edge_count(g, a) == direct
+
+
+def test_components_match_networkx(rnd):
+    for trial in range(200):
+        g = random_graph(rnd, n_max=16, density=rnd.choice([0.05, 0.15, 0.3]))
+        found = list(components(g.sorted_edges()))
+        gx = nx.Graph(list(g.edges))
+        expected = sorted(tuple(sorted(c)) for c in nx.connected_components(gx))
+        assert [vs for vs, _ in found] == expected  # ordered by least vertex
+        owned = [e for _, es in found for e in es]
+        assert sorted(owned) == g.sorted_edges()  # each edge exactly once
+        for vs, es in found:
+            assert all(u in vs and v in vs for u, v in es)
+    assert list(components([])) == []
 
 
 def test_random_balanced_bipartition_properties():

@@ -1,7 +1,5 @@
 """The independent verifier: path search, certificates, verdict logic."""
 
-import random
-
 import networkx as nx
 import pytest
 
@@ -69,19 +67,39 @@ def test_monochromatic_components_by_colour():
     assert {c.vertices for c in comps[0]} == {(0, 1, 2), (3, 4)}
     assert [c.vertices for c in comps[1]] == [(0, 2)]
     assert {c.edge_count for c in comps[0]} == {2, 1}
+    for colour, edges in col.colour_classes().items():
+        own = [e for c in comps[colour] for e in c.edges]
+        assert sorted(own) == edges
     with pytest.raises(ContractViolation):
         monochromatic_components(path_graph(3), EdgeColouring({(4, 5): 0}))
+
+
+def min_scan_cover(vertices, edges) -> tuple[int, ...]:
+    """Greedy cover by a full rescan per pick: most neighbours, then lowest id."""
+    local = {v: set() for v in vertices}
+    for u, v in edges:
+        local[u].add(v)
+        local[v].add(u)
+    cover = []
+    while local and max(len(ns) for ns in local.values()):
+        best = min(local, key=lambda v: (-len(local[v]), v))
+        cover.append(best)
+        for w in local.pop(best):
+            local[w].discard(best)
+    return tuple(cover)
 
 
 def test_greedy_cover_covers_and_is_deterministic(rnd):
     for trial in range(80):
         g = random_graph(rnd, n_max=12, density=0.4)
         vertices = tuple(sorted(g.non_isolated()))
-        cover = set(greedy_vertex_cover(g, vertices))
+        cover = greedy_vertex_cover(vertices, g.edges)
         for u, v in g.edges:
             assert u in cover or v in cover
+        assert cover == min_scan_cover(vertices, g.edges)
     star = star_graph(9)
-    assert greedy_vertex_cover(star, tuple(range(10))) == (0,)
+    assert greedy_vertex_cover(tuple(range(10)), star.edges) == (0,)
+    assert greedy_vertex_cover(tuple(range(7)), path_graph(7).edges) == (1, 3, 5)
 
 
 def test_single_colour_path_fails_with_witness():
@@ -102,6 +120,10 @@ def test_triangle_and_small_stars():
     star = star_graph(4)
     assert verify_colouring(star, monochrome(star), r=1, k=3).verdict == "fail"
     assert verify_colouring(star, monochrome(star), r=1, k=4).verdict == "pass"
+    # 3-0-1-2 is a path on 4 vertices only if the colours are mixed
+    mixed = Graph.build(4, [(0, 1), (0, 2), (0, 3), (1, 2)])
+    col = EdgeColouring({(0, 1): 0, (0, 2): 0, (0, 3): 0, (1, 2): 1})
+    assert verify_colouring(mixed, col, r=2, k=4).verdict == "pass"
 
 
 def test_witness_paths_are_real_and_monochromatic(rnd):
