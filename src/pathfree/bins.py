@@ -382,7 +382,12 @@ class BinsStats:
 def compute_bins_stats(
     q: int, n: int, trials: int = 0, seed: int = 0, max_cells: int = 4096
 ) -> BinsStats:
-    """Assemble :class:`BinsStats`, sanity-checking the bounds it reports."""
+    """Assemble :class:`BinsStats`, sanity-checking the bounds it reports.
+
+    ``trials=0`` skips the Monte Carlo estimate.
+    """
+    if trials < 0:
+        raise UsageError("need a non-negative trial count")
     expected = exact_max_load_expectation(q, n, max_cells)
     fraction = expected / n
     unified = max_load_expectation_lower_bound(q, n)

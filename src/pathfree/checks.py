@@ -31,6 +31,7 @@ from .bins import (
     t_transform,
     top_two_bins_joint_tail,
 )
+from .errors import UsageError
 from .rng import substream
 
 __all__ = [
@@ -219,6 +220,8 @@ def check_schur_transforms(samples: int = 500, seed: int = 0) -> CheckResult:
     mixing weight, and at most 6 balls; the transformed vector is majorized
     by the original, so its expected maximum must not exceed the original's.
     """
+    if samples < 1:
+        raise UsageError("the Schur check needs at least one sample")
     tally = _Tally("schur-transform")
     rng = substream(seed, "schur-check")
     for _ in range(samples):
@@ -371,6 +374,8 @@ def check_mc_within_error(
     The check fails only if fewer than ``tolerance_fraction`` of all
     (case, seed) runs fall inside the 5-sigma window.
     """
+    if seeds < 1:
+        raise UsageError("the Monte Carlo check needs at least one seed")
     tally = _Tally("mc-within-error")
     hits = 0
     total = 0

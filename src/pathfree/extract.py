@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -53,30 +53,33 @@ DEFAULT_SELECT_RATIO = Fraction(math.exp(-1))
 
 
 def greedy_bin_assignment(
-    g: Graph, a_parts: Sequence[frozenset[int]], b: Iterable[int]
-) -> tuple[frozenset[int], ...]:
+    g: Graph, part_of: Mapping[int, int], b: Iterable[int]
+) -> dict[int, int]:
     """Send each vertex of ``b`` to the part with most of its neighbours.
 
-    Ties break to the lowest part index, so the outcome does not depend on
-    iteration order; a vertex with no neighbour in any part lands in part 0.
+    ``part_of`` maps each A-vertex to its part; the result maps each vertex
+    of ``b`` the same way.  Ties break to the lowest part index, so the
+    outcome does not depend on iteration order; a vertex with no neighbour
+    in any part lands in part 0.
     """
-    owner: dict[int, int] = {}
-    for i, part in enumerate(a_parts):
-        for v in part:
-            if v in owner:
-                raise ContractViolation(f"vertex {v} appears in two parts")
-            owner[v] = i
-    out: list[set[int]] = [set() for _ in a_parts]
+    out: dict[int, int] = {}
     for x in b:
-        if x in owner:
+        if x in part_of:
             raise ContractViolation(f"vertex {x} is on both sides of the split")
-        counts = [0] * len(a_parts)
+        counts: dict[int, int] = {}
         for w in g.neighbours(x):
-            i = owner.get(w)
+            i = part_of.get(w)
             if i is not None:
-                counts[i] += 1
-        out[max(range(len(a_parts)), key=lambda i: (counts[i], -i))].add(x)
-    return tuple(frozenset(part) for part in out)
+                counts[i] = counts.get(i, 0) + 1
+        out[x] = min(counts, key=lambda i: (-counts[i], i), default=0)
+    return out
+
+
+def _group(part_of: Mapping[int, int], q: int) -> tuple[frozenset[int], ...]:
+    parts: list[list[int]] = [[] for _ in range(q)]
+    for v, i in part_of.items():
+        parts[i].append(v)
+    return tuple(frozenset(part) for part in parts)
 
 
 @dataclass(frozen=True)
@@ -100,23 +103,16 @@ def block_partition(
         raise UsageError("need at least one block")
     if a & b:
         raise ContractViolation("split sides overlap")
-    ordered = sorted(a)
-    labels = rng.integers(0, q, size=len(ordered))
-    a_parts = tuple(
-        frozenset(v for v, lab in zip(ordered, labels) if lab == i) for i in range(q)
-    )
-    b_parts = greedy_bin_assignment(g, a_parts, sorted(b))
-    owner_a: dict[int, int] = {v: i for i, part in enumerate(a_parts) for v in part}
-    owner_b: dict[int, int] = {v: i for i, part in enumerate(b_parts) for v in part}
+    part_of = dict(zip(sorted(a), rng.integers(0, q, size=len(a)).tolist()))
+    b_part = greedy_bin_assignment(g, part_of, sorted(b))
+    # each kept edge has exactly one endpoint in b, so it is reached once
     kept = frozenset(
-        e
-        for e in g.edges
-        if (
-            owner_a.get(e[0], -1) == owner_b.get(e[1], -2)
-            or owner_a.get(e[1], -1) == owner_b.get(e[0], -2)
-        )
+        (x, w) if x < w else (w, x)
+        for x, i in b_part.items()
+        for w in g.neighbours(x)
+        if part_of.get(w) == i
     )
-    return BlockSplit(a_parts, b_parts, kept)
+    return BlockSplit(_group(part_of, q), _group(b_part, q), kept)
 
 
 @dataclass(frozen=True)
@@ -129,8 +125,6 @@ class ExtractionResult:
     """
 
     subgraph: Graph
-    a_parts: tuple[frozenset[int], ...]
-    b_parts: tuple[frozenset[int], ...]
     q: int
     q_clamped: bool
     k: int
@@ -177,10 +171,15 @@ def extract_path_free_subgraph(
     q_raw = (6 * half) // k
     q = max(1, q_raw)
 
-    def run_trial(t: int) -> tuple[BlockSplit, int, str | None]:
+    kept_total = 0
+    # best trial so far, keyed by whether it is certified; on equal kept
+    # edges the earlier trial stays
+    best: dict[bool, tuple[int, BlockSplit, int, str | None]] = {}
+    for t in range(trials):
         rng = substream(seed, "extract-trial", t)
         bp = random_balanced_bipartition(g, core_set, rng)
         split = block_partition(g, bp.a, bp.rest | indep_set, q, rng)
+        kept_total += len(split.kept_edges)
         certificate = None
         # a path inside block (A_i, B_i) alternates sides, so it has at
         # most 2|A_i| + 1 vertices; blocks are vertex-disjoint
@@ -191,40 +190,23 @@ def extract_path_free_subgraph(
             certificate = "block-path"
         elif all(len(vs) < k for vs, _ in components(split.kept_edges)):
             certificate = "component-order"
-        return split, bp.crossing_edges, certificate
+        certified = certificate is not None
+        held = best.get(certified)
+        if held is None or len(split.kept_edges) > len(held[1].kept_edges):
+            best[certified] = (t, split, bp.crossing_edges, certificate)
 
-    outcomes = [run_trial(t) for t in range(trials)]
-
-    mean_edges = float(np.mean([len(split.kept_edges) for split, _, _ in outcomes]))
-    best_t: int | None = None
-    best_uncert: int | None = None
-    for t, (split, _, certificate) in enumerate(outcomes):
-        if certificate is not None:
-            if best_t is None or len(split.kept_edges) > len(
-                outcomes[best_t][0].kept_edges
-            ):
-                best_t = t
-        elif best_uncert is None or len(split.kept_edges) > len(
-            outcomes[best_uncert][0].kept_edges
-        ):
-            best_uncert = t
-
-    chosen = best_t if best_t is not None else best_uncert
-    assert chosen is not None
-    split, crossing, certificate = outcomes[chosen]
+    chosen, split, crossing, certificate = best.get(True) or best[False]
     return ExtractionResult(
         subgraph=Graph(g.vertex_count, split.kept_edges),
-        a_parts=split.a_parts,
-        b_parts=split.b_parts,
         q=q,
         q_clamped=q_raw < 1,
         k=k,
-        certified=best_t is not None,
-        certificate=certificate if best_t is not None else None,
+        certified=certificate is not None,
+        certificate=certificate,
         crossing_edges=crossing,
         trials_run=trials,
         chosen_trial=chosen,
-        mean_edges=mean_edges,
+        mean_edges=kept_total / trials,
     )
 
 
@@ -356,8 +338,6 @@ def extract_from_densest_band(
     if g.edge_count == 0:
         empty = ExtractionResult(
             subgraph=Graph(g.vertex_count, frozenset()),
-            a_parts=(),
-            b_parts=(),
             q=1,
             q_clamped=False,
             k=k,

@@ -106,6 +106,9 @@ def test_input_validation():
         exact_max_load_expectation(100, 100, max_cells=500)
     with pytest.raises(SizeCapError):
         enumerated_max_load_expectation(10, 10, limit=10**6)
+    with pytest.raises(UsageError):
+        compute_bins_stats(3, 4, trials=-5)  # would skip Monte Carlo silently
+    assert compute_bins_stats(3, 4, trials=0).mc is None
 
 
 def test_multinomial_reduces_to_uniform_case():

@@ -2,7 +2,9 @@
 
 from fractions import Fraction
 
-from pathfree import exact_max_load_expectation
+import pytest
+
+from pathfree import UsageError, exact_max_load_expectation
 from pathfree.checks import (
     check_closed_form_floor,
     check_expectation_monotone,
@@ -47,6 +49,9 @@ def test_expectation_monotone_small():
 def test_schur_transforms_sampled():
     result = check_schur_transforms(samples=60, seed=1)
     assert result.ok and result.cells == 60
+    for samples in (0, -3):  # no sample would pass vacuously
+        with pytest.raises(UsageError):
+            check_schur_transforms(samples=samples)
 
 
 def test_two_bin_monotone():
@@ -71,6 +76,9 @@ def test_gamma_brackets():
 def test_mc_within_error_small():
     result = check_mc_within_error(cases=((2, 2), (3, 3)), seeds=5, trials=800)
     assert result.ok and result.cells == 10
+    for seeds in (0, -1):  # no seed would pass vacuously
+        with pytest.raises(UsageError):
+            check_mc_within_error(cases=((2, 2),), seeds=seeds)
 
 
 def test_corrupted_oracle_is_caught():

@@ -206,6 +206,8 @@ def test_bins_usage(capsys):
     assert main(["bins"]) == 2
     assert main(["bins", "--q", "4"]) == 2
     assert main(["bins", "--grid", "4..2", "1..3"]) == 2  # argparse rejects bad range
+    assert main(["bins", "--q", "3", "--n", "4", "--trials", "-5"]) == 2
+    assert "non-negative trial count" in capsys.readouterr().err
 
 
 def test_check_inequalities_small_grid(capsys):
@@ -225,6 +227,15 @@ def test_check_inequalities_small_grid(capsys):
     assert code == 0
     records = json.loads(capsys.readouterr().out)
     assert [r["violations"] for r in records] == [0] * 11
+
+
+def test_check_inequalities_rejects_vacuous_audits(capsys):
+    # zero samples or seeds would report "ok cells=0" for a check never run
+    small = ["check-inequalities", "--grid", "2..3", "1..3", "--mc-trials", "100"]
+    assert main(small + ["--samples", "-3", "--mc-seeds", "1"]) == 2
+    assert "at least one sample" in capsys.readouterr().err
+    assert main(small + ["--samples", "5", "--mc-seeds", "0"]) == 2
+    assert "at least one seed" in capsys.readouterr().err
 
 
 def test_help_and_bad_usage(capsys):

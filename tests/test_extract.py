@@ -14,6 +14,7 @@ from pathfree import (
     extract_path_free_subgraph,
     greedy_bin_assignment,
     substream,
+    uniform_edges,
 )
 
 from conftest import edge_adjacency, has_path_on, random_graph, star_graph
@@ -25,29 +26,38 @@ def matching_graph(pairs: int) -> Graph:
 
 def test_greedy_assignment_follows_neighbour_counts():
     g = star_graph(5)
-    parts = greedy_bin_assignment(g, (frozenset({0}),), range(1, 6))
-    assert parts == (frozenset({1, 2, 3, 4, 5}),)
+    owner = greedy_bin_assignment(g, {0: 0}, range(1, 6))
+    assert owner == {1: 0, 2: 0, 3: 0, 4: 0, 5: 0}
 
 
 def test_greedy_assignment_ties_go_low():
     square = Graph.build(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
-    parts = greedy_bin_assignment(square, (frozenset({0}), frozenset({2})), [1, 3])
+    owner = greedy_bin_assignment(square, {0: 0, 2: 1}, [1, 3])
     # 1 and 3 each see one neighbour per part; the tie lands in part 0
-    assert parts == (frozenset({1, 3}), frozenset())
+    assert owner == {1: 0, 3: 0}
+    # the lowest index wins even when the A-side numbering runs the other way
+    assert greedy_bin_assignment(square, {0: 1, 2: 0}, [1, 3]) == {1: 0, 3: 0}
 
 
 def test_greedy_assignment_isolated_lands_in_part_zero():
     g = Graph.build(5, [(0, 1)])
-    parts = greedy_bin_assignment(g, (frozenset({0}), frozenset({2})), [4])
-    assert parts == (frozenset({4}), frozenset())
+    owner = greedy_bin_assignment(g, {0: 1, 2: 1}, [4])
+    assert owner == {4: 0}
 
 
 def test_greedy_assignment_contract_errors():
     g = star_graph(3)
     with pytest.raises(ContractViolation):
-        greedy_bin_assignment(g, (frozenset({0}), frozenset({0})), [1])
-    with pytest.raises(ContractViolation):
-        greedy_bin_assignment(g, (frozenset({0}),), [0, 1])
+        greedy_bin_assignment(g, {0: 0}, [0, 1])
+
+
+def reference_part(g: Graph, a_owner: dict, x: int, q: int) -> int:
+    """Most neighbours in A, ties to the lowest index, part 0 with none."""
+    counts = [0] * q
+    for w in g.neighbours(x):
+        if w in a_owner:
+            counts[a_owner[w]] += 1
+    return counts.index(max(counts))
 
 
 def test_block_partition_keeps_only_matched_blocks(rnd):
@@ -59,9 +69,15 @@ def test_block_partition_keeps_only_matched_blocks(rnd):
         b = frozenset(vertices[cut:])
         q = rnd.randint(1, 4)
         split = block_partition(g, a, b, q, substream(trial, "block"))
+        assert len(split.a_parts) == len(split.b_parts) == q
         owner_a = {v: i for i, part in enumerate(split.a_parts) for v in part}
         owner_b = {v: i for i, part in enumerate(split.b_parts) for v in part}
         assert set(owner_a) == set(a) and set(owner_b) == set(b)
+        assert sum(map(len, split.a_parts)) == len(a)
+        assert sum(map(len, split.b_parts)) == len(b)
+        for x in b:
+            assert owner_b[x] == reference_part(g, owner_a, x, q)
+        assert split.kept_edges <= g.edges
         for u, v in g.edges:
             in_block = (
                 owner_a.get(u) == owner_b.get(v) and u in owner_a and v in owner_b
@@ -94,6 +110,16 @@ def test_matching_extraction_is_lossless():
     assert matched <= {frozenset((i, 6 + i)) for i in range(6)}
 
 
+def selection(result):
+    return (
+        result.chosen_trial,
+        result.certified,
+        result.certificate,
+        result.subgraph.edge_count,
+        result.mean_edges,
+    )
+
+
 def test_extraction_deterministic():
     g = Graph.build(
         14, [(i, j) for i in range(7) for j in range(7, 14) if (i + j) % 3]
@@ -104,10 +130,21 @@ def test_extraction_deterministic():
     assert two.chosen_trial == one.chosen_trial
     assert two.certificate == one.certificate
     assert two.mean_edges == one.mean_edges
+    assert selection(one) == (15, True, "component-order", 9, 322 / 30)
     different = extract_path_free_subgraph(
         g, range(7), range(7, 14), k=5, trials=30, seed=9
     )
     assert different.chosen_trial is not None
+
+
+def test_extraction_selection_is_pinned():
+    # the most kept edges among certified trials, the earliest on a tie;
+    # the best uncertified trial only when no trial certifies
+    g = uniform_edges(60, 600, 2)
+    uncertified = extract_path_free_subgraph(g, range(60), (), k=4, trials=40, seed=5)
+    assert selection(uncertified) == (29, False, None, 60, 49.9)
+    certified = extract_path_free_subgraph(g, range(60), (), k=6, trials=40, seed=5)
+    assert selection(certified) == (22, True, "block-path", 44, 55.65)
 
 
 def test_certified_extractions_have_no_long_path(rnd):
