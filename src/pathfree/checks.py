@@ -117,6 +117,11 @@ class _Tally:
         )
 
 
+def _need_one(count: int, check: str, unit: str) -> None:
+    if count < 1:
+        raise UsageError(f"the {check} check needs at least one {unit}")
+
+
 def _span(bounds: tuple[int, int]) -> range:
     lo, hi = bounds
     return range(lo, hi + 1)
@@ -220,8 +225,7 @@ def check_schur_transforms(samples: int = 500, seed: int = 0) -> CheckResult:
     mixing weight, and at most 6 balls; the transformed vector is majorized
     by the original, so its expected maximum must not exceed the original's.
     """
-    if samples < 1:
-        raise UsageError("the Schur check needs at least one sample")
+    _need_one(samples, "Schur", "sample")
     tally = _Tally("schur-transform")
     rng = substream(seed, "schur-check")
     for _ in range(samples):
@@ -374,8 +378,7 @@ def check_mc_within_error(
     The check fails only if fewer than ``tolerance_fraction`` of all
     (case, seed) runs fall inside the 5-sigma window.
     """
-    if seeds < 1:
-        raise UsageError("the Monte Carlo check needs at least one seed")
+    _need_one(seeds, "Monte Carlo", "seed")
     tally = _Tally("mc-within-error")
     hits = 0
     total = 0
@@ -411,6 +414,9 @@ def run_all_checks(
     expectation: ExpectationFn = exact_max_load_expectation,
 ) -> list[CheckResult]:
     """Run the whole suite; the (q, n) grid override applies to the floors."""
+    _need_one(schur_samples, "Schur", "sample")
+    _need_one(mc_seeds, "Monte Carlo", "seed")
+    _need_one(mc_trials, "Monte Carlo", "trial")
     closed_q = (2, min(q_range[1], 16))
     closed_n = (1, min(n_range[1], 16))
     return [

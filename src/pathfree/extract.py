@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -53,33 +53,41 @@ DEFAULT_SELECT_RATIO = Fraction(math.exp(-1))
 
 
 def greedy_bin_assignment(
-    g: Graph, part_of: Mapping[int, int], b: Iterable[int]
-) -> dict[int, int]:
+    g: Graph, owner: np.ndarray, b: Sequence[int] | np.ndarray
+) -> np.ndarray:
     """Send each vertex of ``b`` to the part with most of its neighbours.
 
-    ``part_of`` maps each A-vertex to its part; the result maps each vertex
-    of ``b`` the same way.  Ties break to the lowest part index, so the
-    outcome does not depend on iteration order; a vertex with no neighbour
-    in any part lands in part 0.
+    ``owner`` holds each A-vertex's part and -1 off A; the result holds the
+    part of each vertex of ``b``, in order.  Ties break to the lowest part
+    index, so the outcome does not depend on iteration order; a vertex with
+    no neighbour in any part lands in part 0.
     """
-    out: dict[int, int] = {}
-    for x in b:
-        if x in part_of:
-            raise ContractViolation(f"vertex {x} is on both sides of the split")
-        counts: dict[int, int] = {}
-        for w in g.neighbours(x):
-            i = part_of.get(w)
-            if i is not None:
-                counts[i] = counts.get(i, 0) + 1
-        out[x] = min(counts, key=lambda i: (-counts[i], i), default=0)
-    return out
+    b = np.asarray(b, dtype=np.int64)
+    in_b = g.vertex_mask(b)
+    both = b[owner[b] >= 0]
+    if both.size:
+        raise ContractViolation(f"vertex {both[0]} is on both sides of the split")
+    u, v = g.edge_array.T
+    x = np.where(in_b[u], u, v)  # the B-end of each A-B edge
+    a_part = owner[u + v - x]
+    ab = in_b[x] & (a_part >= 0)
+    stride = int(owner.max(initial=0)) + 1
+    pairs, counts = np.unique(x[ab] * stride + a_part[ab], return_counts=True)
+    x, part = np.divmod(pairs, stride)
+    # per vertex, most neighbours first; np.unique leaves each vertex's parts
+    # ascending and lexsort is stable, so a tie keeps the lowest part
+    order = np.lexsort((-counts, x))
+    x, part = x[order], part[order]
+    lead = np.diff(x, prepend=-1) != 0
+    best = np.zeros(owner.size, dtype=np.int64)
+    best[x[lead]] = part[lead]
+    return best[b]
 
 
-def _group(part_of: Mapping[int, int], q: int) -> tuple[frozenset[int], ...]:
-    parts: list[list[int]] = [[] for _ in range(q)]
-    for v, i in part_of.items():
-        parts[i].append(v)
-    return tuple(frozenset(part) for part in parts)
+def _group(ids: np.ndarray, part: np.ndarray, q: int) -> tuple[frozenset[int], ...]:
+    flat = ids[np.argsort(part[ids], kind="stable")].tolist()
+    cuts = [0, *np.cumsum(np.bincount(part[ids], minlength=q)).tolist()]
+    return tuple(frozenset(flat[i:j]) for i, j in zip(cuts, cuts[1:]))
 
 
 @dataclass(frozen=True)
@@ -101,18 +109,18 @@ def block_partition(
     """
     if q < 1:
         raise UsageError("need at least one block")
-    if a & b:
+    in_a, in_b = g.vertex_mask(a), g.vertex_mask(b)
+    if (in_a & in_b).any():
         raise ContractViolation("split sides overlap")
-    part_of = dict(zip(sorted(a), rng.integers(0, q, size=len(a)).tolist()))
-    b_part = greedy_bin_assignment(g, part_of, sorted(b))
-    # each kept edge has exactly one endpoint in b, so it is reached once
-    kept = frozenset(
-        (x, w) if x < w else (w, x)
-        for x, i in b_part.items()
-        for w in g.neighbours(x)
-        if part_of.get(w) == i
-    )
-    return BlockSplit(_group(part_of, q), _group(b_part, q), kept)
+    a_ids, b_ids = np.flatnonzero(in_a), np.flatnonzero(in_b)
+    owner = np.full(g.vertex_count, -1, dtype=np.int64)
+    owner[a_ids] = rng.integers(0, q, size=a_ids.size)  # one draw, over sorted a
+    part = owner.copy()
+    part[b_ids] = greedy_bin_assignment(g, owner, b_ids)
+    u, v = g.edge_array.T
+    keep = ((in_a[u] & in_b[v]) | (in_b[u] & in_a[v])) & (part[u] == part[v])
+    kept = frozenset(map(tuple, g.edge_array[keep].tolist()))
+    return BlockSplit(_group(a_ids, part, q), _group(b_ids, part, q), kept)
 
 
 @dataclass(frozen=True)
@@ -161,11 +169,13 @@ def extract_path_free_subgraph(
         raise UsageError("extraction certificates need k >= 4")
     if trials < 1:
         raise UsageError("need at least one trial")
-    for u, v in g.edges:
-        if u not in core_set and v not in core_set:
-            raise ContractViolation(f"edge ({u}, {v}) avoids the core")
-        if u in indep_set and v in indep_set:
-            raise ContractViolation(f"edge ({u}, {v}) inside the independent set")
+    # an edge inside ``independent`` also avoids the core: the sets are disjoint
+    in_core = g.vertex_mask(core_set)
+    u, v = g.edge_array.T
+    stray = ~(in_core[u] | in_core[v])
+    if stray.any():
+        edge = tuple(g.edge_array[stray.argmax()].tolist())
+        raise ContractViolation(f"edge {edge} avoids the core")
 
     half = (len(core_set) + 1) // 2
     q_raw = (6 * half) // k

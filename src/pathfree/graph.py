@@ -66,6 +66,22 @@ class Graph:
             adj[v].append(u)
         return {v: tuple(sorted(ns)) for v, ns in adj.items()}
 
+    @cached_property
+    def edge_array(self) -> np.ndarray:
+        """The sorted edges as a read-only ``(m, 2)`` integer array."""
+        arr = np.array(sorted(self.edges), dtype=np.int64).reshape(-1, 2)
+        arr.flags.writeable = False
+        return arr
+
+    def vertex_mask(self, vertices: Iterable[int]) -> np.ndarray:
+        """Boolean membership array over ``0..n-1``; other ids are an error."""
+        ids = np.fromiter(vertices, dtype=np.int64)
+        if ids.size and not (0 <= ids.min() and ids.max() < self.vertex_count):
+            raise ContractViolation(f"vertex outside 0..{self.vertex_count - 1}")
+        mask = np.zeros(self.vertex_count, dtype=bool)
+        mask[ids] = True
+        return mask
+
     @property
     def edge_count(self) -> int:
         return len(self.edges)
@@ -234,7 +250,9 @@ def components(
 
 
 def crossing_edge_count(g: Graph, a: frozenset[int]) -> int:
-    return sum(1 for u, v in g.edges if (u in a) != (v in a))
+    inside = g.vertex_mask(a)
+    u, v = g.edge_array.T
+    return int(np.count_nonzero(inside[u] != inside[v]))
 
 
 def random_balanced_bipartition(
@@ -259,7 +277,7 @@ def random_balanced_bipartition(
     arr = np.array(pool)
     for attempt in range(1, max_tries + 1):
         chosen = rng.choice(arr, size=half, replace=False)
-        a = frozenset(int(v) for v in chosen)
+        a = frozenset(chosen.tolist())
         crossing = crossing_edge_count(g, a)
         if crossing >= target:
             return Bipartition(a, frozenset(pool) - a, crossing, attempt)

@@ -15,6 +15,7 @@ import pytest
 
 from pathfree import ContractViolation, Graph, SizeCapError
 from pathfree.bins import _require_counts
+from pathfree.extract import BlockSplit
 
 
 def random_graph(rnd: random.Random, n_max: int = 10, density: float = 0.4) -> Graph:
@@ -80,6 +81,53 @@ def induced_bipartite(g: Graph, a: Iterable[int], b: Iterable[int]) -> Graph:
         e for e in g.edges if (e[0] in sa and e[1] in sb) or (e[0] in sb and e[1] in sa)
     )
     return Graph(g.vertex_count, kept)
+
+
+def greedy_bin_assignment_reference(
+    g: Graph, part_of: dict[int, int], b: Iterable[int]
+) -> dict[int, int]:
+    """Reference oracle: count each B-vertex's neighbours per part in a loop.
+
+    Most neighbours wins, ties go to the lowest part, no neighbour in A
+    means part 0.
+    """
+    out: dict[int, int] = {}
+    for x in b:
+        if x in part_of:
+            raise ContractViolation(f"vertex {x} is on both sides of the split")
+        counts: dict[int, int] = {}
+        for w in g.neighbours(x):
+            i = part_of.get(w)
+            if i is not None:
+                counts[i] = counts.get(i, 0) + 1
+        out[x] = min(counts, key=lambda i: (-counts[i], i), default=0)
+    return out
+
+
+def block_partition_reference(
+    g: Graph, a: frozenset[int], b: frozenset[int], q: int, rng: np.random.Generator
+) -> BlockSplit:
+    """Reference oracle for ``block_partition`` with dicts and adjacency scans.
+
+    Makes the same single draw over ``sorted(a)``; input checks are left to
+    the package.
+    """
+    part_of = dict(zip(sorted(a), rng.integers(0, q, size=len(a)).tolist()))
+    b_part = greedy_bin_assignment_reference(g, part_of, sorted(b))
+    kept = frozenset(
+        (x, w) if x < w else (w, x)
+        for x, i in b_part.items()
+        for w in g.neighbours(x)
+        if part_of.get(w) == i
+    )
+
+    def group(owner: dict[int, int]) -> tuple[frozenset[int], ...]:
+        parts: list[list[int]] = [[] for _ in range(q)]
+        for v, i in owner.items():
+            parts[i].append(v)
+        return tuple(frozenset(part) for part in parts)
+
+    return BlockSplit(group(part_of), group(b_part), kept)
 
 
 def longest_path_brute(g: Graph) -> int:

@@ -92,6 +92,21 @@ def test_corrupted_oracle_is_caught():
     assert "FAIL" in result.summary_line()
 
 
+@pytest.mark.parametrize(
+    "bad", [{"schur_samples": -3}, {"mc_seeds": 0}, {"mc_trials": 0}]
+)
+def test_run_all_checks_rejects_bad_counts_before_any_check(bad):
+    calls = []
+
+    def counting(q: int, n: int) -> Fraction:
+        calls.append((q, n))
+        return exact_max_load_expectation(q, n)
+
+    with pytest.raises(UsageError):
+        run_all_checks(q_range=(2, 3), n_range=(1, 3), expectation=counting, **bad)
+    assert calls == []
+
+
 def test_run_all_checks_order_and_records():
     results = run_all_checks(
         q_range=(2, 5),

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import pathfree.checks as checks
 import pathfree.cli as cli
 from pathfree import (
     Graph,
@@ -236,6 +237,25 @@ def test_check_inequalities_rejects_vacuous_audits(capsys):
     assert "at least one sample" in capsys.readouterr().err
     assert main(small + ["--samples", "5", "--mc-seeds", "0"]) == 2
     assert "at least one seed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flag,value,unit",
+    [
+        ("--samples", "-3", "sample"),
+        ("--mc-seeds", "0", "seed"),
+        ("--mc-trials", "0", "trial"),
+    ],
+)
+def test_check_inequalities_rejects_bad_counts_up_front(
+    monkeypatch, capsys, flag, value, unit
+):
+    def floor_ran(*args, **kwargs):
+        raise AssertionError("a floor check ran before the counts were checked")
+
+    monkeypatch.setattr(checks, "check_solver_floor", floor_ran)
+    assert main(["check-inequalities", flag, value]) == 2
+    assert f"at least one {unit}" in capsys.readouterr().err
 
 
 def test_help_and_bad_usage(capsys):

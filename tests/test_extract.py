@@ -1,7 +1,10 @@
 """Block extraction: greedy assignment, certificates, degree bands."""
 
+import random
+from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from pathfree import (
@@ -17,38 +20,60 @@ from pathfree import (
     uniform_edges,
 )
 
-from conftest import edge_adjacency, has_path_on, random_graph, star_graph
+from conftest import (
+    block_partition_reference,
+    edge_adjacency,
+    greedy_bin_assignment_reference,
+    has_path_on,
+    random_graph,
+    star_graph,
+)
 
 
 def matching_graph(pairs: int) -> Graph:
     return Graph.build(2 * pairs, [(i, pairs + i) for i in range(pairs)])
 
 
+def owners(n: int, part_of: dict[int, int]) -> np.ndarray:
+    """The owner array of a partial assignment: each vertex's part, else -1."""
+    owner = np.full(n, -1)
+    owner[list(part_of)] = list(part_of.values())
+    return owner
+
+
 def test_greedy_assignment_follows_neighbour_counts():
     g = star_graph(5)
-    owner = greedy_bin_assignment(g, {0: 0}, range(1, 6))
-    assert owner == {1: 0, 2: 0, 3: 0, 4: 0, 5: 0}
+    parts = greedy_bin_assignment(g, owners(6, {0: 0}), range(1, 6))
+    assert parts.tolist() == [0, 0, 0, 0, 0]
+    # vertex 0 sees parts 3, 3, 1, 1, 0: the most neighbours, then the lowest
+    parts = greedy_bin_assignment(g, owners(6, {1: 3, 2: 3, 3: 1, 4: 1, 5: 0}), [0])
+    assert parts.tolist() == [1]
 
 
 def test_greedy_assignment_ties_go_low():
     square = Graph.build(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
-    owner = greedy_bin_assignment(square, {0: 0, 2: 1}, [1, 3])
+    parts = greedy_bin_assignment(square, owners(4, {0: 0, 2: 1}), [1, 3])
     # 1 and 3 each see one neighbour per part; the tie lands in part 0
-    assert owner == {1: 0, 3: 0}
+    assert parts.tolist() == [0, 0]
     # the lowest index wins even when the A-side numbering runs the other way
-    assert greedy_bin_assignment(square, {0: 1, 2: 0}, [1, 3]) == {1: 0, 3: 0}
+    parts = greedy_bin_assignment(square, owners(4, {0: 1, 2: 0}), [3, 1])
+    assert parts.tolist() == [0, 0]
 
 
 def test_greedy_assignment_isolated_lands_in_part_zero():
     g = Graph.build(5, [(0, 1)])
-    owner = greedy_bin_assignment(g, {0: 1, 2: 1}, [4])
-    assert owner == {4: 0}
+    parts = greedy_bin_assignment(g, owners(5, {0: 1, 2: 1}), [4, 1])
+    assert parts.tolist() == [0, 1]
+    empty = greedy_bin_assignment(Graph.build(3, []), owners(3, {0: 2}), [1, 2])
+    assert empty.tolist() == [0, 0]
 
 
 def test_greedy_assignment_contract_errors():
     g = star_graph(3)
-    with pytest.raises(ContractViolation):
-        greedy_bin_assignment(g, {0: 0}, [0, 1])
+    with pytest.raises(ContractViolation, match="both sides"):
+        greedy_bin_assignment(g, owners(4, {0: 0}), [0, 1])
+    with pytest.raises(ContractViolation, match="outside"):
+        greedy_bin_assignment(g, owners(4, {0: 0}), [1, 4])
 
 
 def reference_part(g: Graph, a_owner: dict, x: int, q: int) -> int:
@@ -91,6 +116,44 @@ def test_block_partition_validation():
         block_partition(g, frozenset({0}), frozenset({1}), 0, substream(0, "x"))
     with pytest.raises(ContractViolation):
         block_partition(g, frozenset({0, 1}), frozenset({1}), 2, substream(0, "x"))
+
+
+def role_split(rnd: random.Random, n: int) -> tuple[frozenset[int], frozenset[int]]:
+    """Disjoint A and B, with some vertices in neither."""
+    roles = [rnd.choice("aab.") for _ in range(n)]
+    a, b = ([v for v, role in enumerate(roles) if role == r] for r in "ab")
+    return frozenset(a), frozenset(b)
+
+
+def test_block_partition_matches_reference_oracle():
+    rnd = random.Random(5)
+    seen = Counter()
+    for trial in range(150):
+        n = rnd.randint(1, 200)
+        m = rnd.randint(0, 4 * n) if n > 1 else 0
+        pairs = {tuple(sorted(rnd.sample(range(n), 2))) for _ in range(m)}
+        g = Graph.build(n, pairs)
+        a, b = role_split(rnd, n)
+        q = rnd.choice([1, 2, rnd.randint(1, 40)])
+        split = block_partition(g, a, b, q, substream(trial, "oracle"))
+        assert split == block_partition_reference(g, a, b, q, substream(trial, "oracle"))
+        # the assignment alone, with B in no particular order
+        part_of = {v: rnd.randrange(q) for v in sorted(a)}
+        order = list(b)
+        rnd.shuffle(order)
+        parts = greedy_bin_assignment(g, owners(n, part_of), order).tolist()
+        expected = greedy_bin_assignment_reference(g, part_of, order)
+        assert parts == [expected[x] for x in order]
+        # tally the cases the oracle comparison must have covered
+        for x in order:
+            counts = Counter(part_of[w] for w in g.neighbours(x) if w in part_of)
+            top = max(counts.values(), default=0)
+            seen["tie"] += sum(1 for c in counts.values() if c == top) > 1
+            seen["no A-neighbour"] += not counts
+        seen["neither side"] += len(a | b) < n
+        seen["edge inside b"] += any(u in b and v in b for u, v in g.edges)
+        seen["q=1"] += q == 1
+    assert min(seen.values()) > 0 and len(seen) == 5, seen
 
 
 def test_matching_extraction_is_lossless():
@@ -183,11 +246,17 @@ def test_extraction_validation():
         extract_path_free_subgraph(
             Graph.build(3, [(0, 1), (1, 2)]), core=[0], independent=[], k=4
         )
-    with pytest.raises(ContractViolation):
+    with pytest.raises(ContractViolation, match=r"edge \(0, 1\) avoids the core"):
         # an edge inside the "independent" set also avoids the core
         extract_path_free_subgraph(
             Graph.build(3, [(0, 1), (1, 2)]), core=[2], independent=[0, 1], k=4
         )
+    # the first offending edge in sorted order is named
+    strays = Graph.build(6, [(4, 5), (0, 1), (2, 3), (1, 2)])
+    with pytest.raises(ContractViolation, match=r"edge \(2, 3\) avoids the core"):
+        extract_path_free_subgraph(strays, core=[0, 1], independent=[], k=4)
+    with pytest.raises(ContractViolation, match="outside"):
+        extract_path_free_subgraph(strays, core=[0, 6], independent=[], k=4)
 
 
 def test_decompose_high_floor_leaves_everything_residual():

@@ -10,6 +10,7 @@ from pathfree import (
     Graph,
     InternalInvariantError,
     UsageError,
+    block_partition,
     crossing_edge_count,
     parse_edge_list,
     random_balanced_bipartition,
@@ -125,6 +126,38 @@ def test_crossing_edge_count_matches_direct_count(rnd):
         a = frozenset(v for v in range(g.vertex_count) if rnd.random() < 0.5)
         direct = sum(1 for u, v in g.edges if (u in a) != (v in a))
         assert crossing_edge_count(g, a) == direct
+
+
+def test_edge_array_is_sorted_read_only_and_cached(rnd):
+    g = Graph.build(5, [(3, 1), (0, 4), (0, 2)])
+    assert g.edge_array.tolist() == [[0, 2], [0, 4], [1, 3]]
+    assert g.edge_array.dtype.kind == "i"
+    assert g.edge_array is g.edge_array
+    with pytest.raises(ValueError):
+        g.edge_array[0, 0] = 9
+    assert Graph.build(3, []).edge_array.shape == (0, 2)
+    assert Graph.build(0, []).edge_array.shape == (0, 2)
+    for trial in range(30):
+        g = random_graph(rnd, n_max=12)
+        assert list(map(tuple, g.edge_array.tolist())) == g.sorted_edges()
+
+
+def test_crossing_edge_count_edge_cases():
+    assert crossing_edge_count(complete_graph(4), frozenset()) == 0
+    assert crossing_edge_count(Graph.build(4, []), frozenset({0, 1})) == 0
+    assert crossing_edge_count(Graph.build(0, []), frozenset()) == 0
+    for outside in (3, -1):
+        with pytest.raises(ContractViolation):
+            crossing_edge_count(complete_graph(3), frozenset({0, outside}))
+
+
+def test_block_partition_on_edgeless_graph():
+    g = Graph.build(6, [])
+    a, b = frozenset({0, 1, 2}), frozenset({3, 4})
+    split = block_partition(g, a, b, 2, substream(0, "edgeless"))
+    assert split.kept_edges == frozenset()
+    assert split.b_parts == (frozenset({3, 4}), frozenset())  # no neighbours: part 0
+    assert len(split.a_parts) == 2 and frozenset().union(*split.a_parts) == {0, 1, 2}
 
 
 def test_components_match_networkx(rnd):
