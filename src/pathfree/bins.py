@@ -26,6 +26,7 @@ from .rng import substream
 
 __all__ = [
     "exact_max_load_expectation",
+    "fill_exact_expectations",
     "max_load_fraction",
     "monte_carlo_max_load",
     "MonteCarloEstimate",
@@ -93,11 +94,61 @@ def _count_all_loads_at_most(q: int, n: int, t: int) -> int:
     return result[n] if n < len(result) else 0
 
 
-@lru_cache(maxsize=None)
-def _exact_expectation(q: int, n: int) -> Fraction:
+# Exact E[M] by (q, n), written by the per-cell path and by the grid sweep.
+_EXPECTATIONS: dict[tuple[int, int], Fraction] = {}
+
+
+def _expectation_from_counts(q: int, n: int, below: int) -> Fraction:
+    # ``below`` counts the throws with M <= t, summed over t = 1..n-1.
     total = q**n
-    below = sum(_count_all_loads_at_most(q, n, t) for t in range(1, n))
     return Fraction(n * total - below, total)
+
+
+def _exact_expectation(q: int, n: int) -> Fraction:
+    value = _EXPECTATIONS.get((q, n))
+    if value is None:
+        below = sum(_count_all_loads_at_most(q, n, t) for t in range(1, n))
+        value = _EXPECTATIONS[(q, n)] = _expectation_from_counts(q, n, below)
+    return value
+
+
+def fill_exact_expectations(q_max: int, n_max: int, max_cells: int = 4096) -> None:
+    """Cache exact ``E[M]`` for every ``q <= q_max``, ``n <= n_max`` in one sweep.
+
+    For each threshold ``t`` the count of throws with every load ``<= t``
+    follows one recurrence over the number of bins ``j``:
+    ``N_t(j, m) = sum_{i <= min(t, m)} C(m, i) N_t(j-1, m-i)``, so one pass
+    over ``j = 1..q_max`` yields the counts of all cells at once.  Does
+    nothing when ``q_max * n_max`` exceeds ``max_cells`` (the sweep fills no
+    cell the cap refuses) or when every cell is cached already.
+    """
+    if q_max < 1 or n_max < 1 or q_max * n_max > max_cells:
+        return
+    if all(
+        (q, n) in _EXPECTATIONS
+        for q in range(1, q_max + 1)
+        for n in range(1, n_max + 1)
+    ):
+        return
+    below = [[0] * (n_max + 1) for _ in range(q_max + 1)]
+    for t in range(1, n_max):
+        counts = [1] + [0] * n_max  # N_t(0, m): only the empty throw
+        for j in range(1, q_max + 1):
+            top = min(j * t, n_max)  # more than j*t balls cannot fit
+            prev = counts
+            counts = [0] * (n_max + 1)
+            for m in range(top + 1):
+                row = _binomial_row(m)
+                acc = 0
+                for i in range(min(t, m) + 1):
+                    acc += row[i] * prev[m - i]
+                counts[m] = acc
+            below_j = below[j]
+            for m in range(t + 1, top + 1):
+                below_j[m] += counts[m]
+    for q in range(1, q_max + 1):
+        for n in range(1, n_max + 1):
+            _EXPECTATIONS[(q, n)] = _expectation_from_counts(q, n, below[q][n])
 
 
 def exact_max_load_expectation(q: int, n: int, max_cells: int = 4096) -> Fraction:
@@ -106,7 +157,10 @@ def exact_max_load_expectation(q: int, n: int, max_cells: int = 4096) -> Fractio
     Computed from ``P(M <= t) = n! [x^n] (sum_{j<=t} x^j/j!)^q / q^n`` with
     integer polynomial arithmetic (coefficients scaled by factorials so
     products are binomial convolutions), then ``E[M] = n - sum_t P(M <= t)``.
-    Refuses instances with ``q * n`` beyond ``max_cells``; use
+    A lone cell raises the truncated series to the ``q``-th power by repeated
+    squaring; a grid is filled ahead of time by
+    :func:`fill_exact_expectations`, and both write one cache.  Refuses
+    instances with ``q * n`` beyond ``max_cells`` whether cached or not; use
     :func:`monte_carlo_max_load` for those.
     """
     _require_counts(q, n)

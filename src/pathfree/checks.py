@@ -24,6 +24,7 @@ import mpmath
 from .bins import (
     binomial_tail,
     exact_max_load_expectation,
+    fill_exact_expectations,
     max_load_expectation_lower_bound,
     max_load_fraction_lower_bound,
     monte_carlo_max_load,
@@ -98,13 +99,14 @@ class _Tally:
         self.examples: list[str] = []
         self.start = time.perf_counter()
 
-    def record(self, ok: bool, margin: float, describe: str) -> None:
+    def record(self, ok: bool, margin: float, describe: Callable[[], str]) -> None:
+        """Count one cell; ``describe`` is called, at once, only for an example."""
         self.cells += 1
         self.min_margin = min(self.min_margin, margin)
         if not ok:
             self.violations += 1
             if len(self.examples) < 5:
-                self.examples.append(describe)
+                self.examples.append(describe())
 
     def done(self) -> CheckResult:
         return CheckResult(
@@ -134,12 +136,15 @@ def check_solver_floor(
 ) -> CheckResult:
     """Exact E[M] dominates the solver bound x*n/(10q) on the whole grid."""
     tally = _Tally("solver-floor")
+    fill_exact_expectations(q_range[1], n_range[1])
     for q in _span(q_range):
         for n in _span(n_range):
             exact = expectation(q, n)
             bound = max_load_expectation_lower_bound(q, n).value
             ok = exact >= Fraction(bound) * (1 + GUARD)
-            tally.record(ok, float(exact) - bound, f"q={q} n={n}: {exact} < {bound}")
+            tally.record(
+                ok, float(exact) - bound, lambda: f"q={q} n={n}: {exact} < {bound}"
+            )
     return tally.done()
 
 
@@ -150,11 +155,14 @@ def check_fraction_floor(
 ) -> CheckResult:
     """E[M]/n never drops below max(1/q, 1/n); exact comparison."""
     tally = _Tally("fraction-floor")
+    fill_exact_expectations(q_range[1], n_range[1])
     for q in _span(q_range):
         for n in _span(n_range):
             w = expectation(q, n) / n
             floor = max(Fraction(1, q), Fraction(1, n))
-            tally.record(w >= floor, float(w - floor), f"q={q} n={n}: {w} < {floor}")
+            tally.record(
+                w >= floor, float(w - floor), lambda: f"q={q} n={n}: {w} < {floor}"
+            )
     return tally.done()
 
 
@@ -169,21 +177,26 @@ def check_closed_form_floor(
     the closed form is stated for real arguments.
     """
     tally = _Tally("closed-form-floor")
-    q_lo, q_hi = q_range
+    q_lo, q_hi = max(q_range[0], 2), q_range[1]
     n_lo, n_hi = n_range
-    for q in range(max(q_lo, 2), q_hi + 1):
+    fill_exact_expectations(q_hi, n_hi)
+    # Each corner's bound, and its guarded exact form, serves every cell at or
+    # below it in both coordinates, so both are computed once per corner.
+    q0s = [twice_q0 / 2 for twice_q0 in range(2 * q_lo, 2 * q_hi + 1)]
+    n0s = [twice_n0 / 2 for twice_n0 in range(2 * n_lo, 2 * n_hi + 1)]
+    bounds = [[max_load_fraction_lower_bound(q0, n0) for n0 in n0s] for q0 in q0s]
+    floors = [[Fraction(bound) * (1 + GUARD) for bound in row] for row in bounds]
+    for q in range(q_lo, q_hi + 1):
         for n in range(n_lo, n_hi + 1):
             w = expectation(q, n) / n
-            for twice_q0 in range(2 * q, 2 * q_hi + 1):
-                q0 = twice_q0 / 2
-                for twice_n0 in range(2 * n, 2 * n_hi + 1):
-                    n0 = twice_n0 / 2
-                    bound = max_load_fraction_lower_bound(q0, n0)
-                    ok = w >= Fraction(bound) * (1 + GUARD)
+            w_float = float(w)
+            a, b = 2 * (q - q_lo), 2 * (n - n_lo)
+            for q0, bound_row, floor_row in zip(q0s[a:], bounds[a:], floors[a:]):
+                for n0, bound, floor in zip(n0s[b:], bound_row[b:], floor_row[b:]):
                     tally.record(
-                        ok,
-                        float(w) - bound,
-                        f"q={q} n={n} q0={q0} n0={n0}: {float(w)} < {bound}",
+                        w >= floor,
+                        w_float - bound,
+                        lambda: f"q={q} n={n} q0={q0} n0={n0}: {w_float} < {bound}",
                     )
     return tally.done()
 
@@ -195,6 +208,7 @@ def check_expectation_monotone(
 ) -> CheckResult:
     """W(q, n) is non-increasing in each of q and n; exhaustive and exact."""
     tally = _Tally("fraction-monotone")
+    fill_exact_expectations(q_max + 1, n_max + 1)
     values = {
         (q, n): expectation(q, n) / n
         for q in range(1, q_max + 2)
@@ -208,12 +222,12 @@ def check_expectation_monotone(
             tally.record(
                 more_bins <= here,
                 float(here - more_bins),
-                f"q={q}->{q + 1} n={n}: {more_bins} > {here}",
+                lambda: f"q={q}->{q + 1} n={n}: {more_bins} > {here}",
             )
             tally.record(
                 more_balls <= here,
                 float(here - more_balls),
-                f"q={q} n={n}->{n + 1}: {more_balls} > {here}",
+                lambda: f"q={q} n={n}->{n + 1}: {more_balls} > {here}",
             )
     return tally.done()
 
@@ -241,7 +255,7 @@ def check_schur_transforms(samples: int = 500, seed: int = 0) -> CheckResult:
         tally.record(
             after <= before,
             float(before - after),
-            f"p={p} n={n} i={i} j={j} lam={lam}: {after} > {before}",
+            lambda: f"p={p} n={n} i={i} j={j} lam={lam}: {after} > {before}",
         )
     return tally.done()
 
@@ -271,7 +285,7 @@ def check_two_bin_monotone(n_max: int = 10, grid_steps: int = 10) -> CheckResult
                 tally.record(
                     va >= vb,
                     float(va - vb),
-                    f"n={n} p={pa}<{pb}: {va} < {vb}",
+                    lambda: f"n={n} p={pa}<{pb}: {va} < {vb}",
                 )
     return tally.done()
 
@@ -290,7 +304,7 @@ def check_joint_vs_single(
                 tally.record(
                     tails.joint <= rhs,
                     float(rhs - tails.joint),
-                    f"q={q} n={n} t={t}: joint {tails.joint} > {rhs}",
+                    lambda: f"q={q} n={n} t={t}: joint {tails.joint} > {rhs}",
                 )
     return tally.done()
 
@@ -314,7 +328,7 @@ def check_shifted_binomial(n_max: int = 16, grid_steps: int = 20) -> CheckResult
                 tally.record(
                     lhs <= rhs,
                     float(rhs - lhs),
-                    f"p={p} n={n} t={t}: {lhs} > {rhs}",
+                    lambda: f"p={p} n={n} t={t}: {lhs} > {rhs}",
                 )
     return tally.done()
 
@@ -337,7 +351,9 @@ def check_gamma_bracket(xs: Iterable[float] | None = None) -> CheckResult:
             gamma = mpmath.gamma(mx + 1)
             ok = lower < gamma <= upper
             margin = float(mpmath.mpf(min(gamma - lower, upper - gamma)) / gamma)
-            tally.record(ok, margin, f"x={x}: bracket [{lower}, {upper}] misses {gamma}")
+            tally.record(
+                ok, margin, lambda: f"x={x}: bracket [{lower}, {upper}] misses {gamma}"
+            )
     return tally.done()
 
 
@@ -362,7 +378,9 @@ def check_gamma_ratio_bracket(
                 ok = lower <= ratio <= upper
                 margin = float(min(ratio - lower, upper - ratio) / ratio)
                 tally.record(
-                    ok, margin, f"x={x} y={float(my)}: {ratio} outside [{lower}, {upper}]"
+                    ok,
+                    margin,
+                    lambda: f"x={x} y={float(my)}: {ratio} outside [{lower}, {upper}]",
                 )
     return tally.done()
 
@@ -417,6 +435,8 @@ def run_all_checks(
     _need_one(schur_samples, "Schur", "sample")
     _need_one(mc_seeds, "Monte Carlo", "seed")
     _need_one(mc_trials, "Monte Carlo", "trial")
+    if q_range[1] < 2:
+        raise UsageError("the closed-form check needs a grid reaching two bins")
     closed_q = (2, min(q_range[1], 16))
     closed_n = (1, min(n_range[1], 16))
     return [

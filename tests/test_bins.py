@@ -12,6 +12,7 @@ from itertools import product
 
 import pytest
 
+import pathfree.bins as bins
 from pathfree import (
     ContractViolation,
     SizeCapError,
@@ -19,6 +20,7 @@ from pathfree import (
     binomial_tail,
     compute_bins_stats,
     exact_max_load_expectation,
+    fill_exact_expectations,
     max_load_expectation_lower_bound,
     max_load_fraction,
     max_load_fraction_lower_bound,
@@ -28,6 +30,7 @@ from pathfree import (
     t_transform,
     top_two_bins_joint_tail,
 )
+from pathfree.checks import check_solver_floor
 
 from conftest import enumerated_max_load_expectation
 
@@ -80,6 +83,47 @@ def test_enumerated_path_agrees_with_dp():
             assert enumerated_max_load_expectation(q, n) == exact_max_load_expectation(
                 q, n
             )
+
+
+@pytest.fixture
+def fresh_cache(monkeypatch):
+    """An empty exact-expectation cache for one test; the shared one returns after."""
+    cache = {}
+    monkeypatch.setattr(bins, "_EXPECTATIONS", cache)
+    return cache
+
+
+def test_grid_sweep_matches_squaring_path(fresh_cache):
+    fill_exact_expectations(12, 12)
+    swept = dict(fresh_cache)
+    assert set(swept) == {(q, n) for q in range(1, 13) for n in range(1, 13)}
+    fresh_cache.clear()
+    for (q, n), value in swept.items():  # q = 1 and n = 1 included
+        assert exact_max_load_expectation(q, n) == value, (q, n)
+    assert swept[(3, 4)] == HAND_VALUES[(3, 4)]
+
+
+def test_grid_sweep_never_lifts_the_cap(fresh_cache):
+    fill_exact_expectations(10, 10, max_cells=99)
+    assert fresh_cache == {}  # a grid over the cap is not swept at all
+    fill_exact_expectations(8, 8)
+    assert len(fresh_cache) == 64
+    with pytest.raises(SizeCapError):
+        exact_max_load_expectation(8, 8, max_cells=63)  # cached, still refused
+    assert exact_max_load_expectation(8, 8, max_cells=64) == fresh_cache[(8, 8)]
+
+
+def test_grid_check_calls_its_expectation_once_per_cell(fresh_cache):
+    calls = []
+
+    def counting(q: int, n: int) -> Fraction:
+        calls.append((q, n))
+        return exact_max_load_expectation(q, n)
+
+    result = check_solver_floor((2, 6), (1, 6), expectation=counting)
+    assert result.ok and result.cells == 30
+    assert calls == [(q, n) for q in range(2, 7) for n in range(1, 7)]
+    assert len(fresh_cache) == 6 * 6  # filled by one sweep before the loop
 
 
 def test_fraction_is_expectation_over_n():

@@ -92,6 +92,22 @@ def test_corrupted_oracle_is_caught():
     assert "FAIL" in result.summary_line()
 
 
+def test_corrupted_oracle_trips_closed_form_floor():
+    # negative control with the failure report pinned: an expectation that
+    # under-reports by 100x falls under the closed form at small q and n
+    lying = lambda q, n: exact_max_load_expectation(q, n) * Fraction(1, 100)
+    result = check_closed_form_floor((2, 6), (1, 6), expectation=lying)
+    assert (result.cells, result.violations) == (900, 85)
+    assert result.min_margin == -0.0022434166723525216
+    assert result.examples == (
+        "q=2 n=1 q0=2.0 n0=1.0: 0.01 < 0.010969135569087853",
+        "q=2 n=1 q0=2.0 n0=1.5: 0.01 < 0.010137132708362744",
+        "q=2 n=1 q0=2.5 n0=1.0: 0.01 < 0.010003493312798876",
+        "q=2 n=2 q0=2.0 n0=2.0: 0.0075 < 0.009705879051559629",
+        "q=2 n=2 q0=2.0 n0=2.5: 0.0075 < 0.009441507707819312",
+    )
+
+
 @pytest.mark.parametrize(
     "bad", [{"schur_samples": -3}, {"mc_seeds": 0}, {"mc_trials": 0}]
 )

@@ -4,11 +4,13 @@ import json
 
 import pytest
 
+import pathfree.bins as bins
 import pathfree.checks as checks
 import pathfree.cli as cli
 from pathfree import (
     Graph,
     InternalInvariantError,
+    compute_bins_stats,
     parse_colouring,
     parse_edge_list,
     serialize_colouring,
@@ -203,6 +205,15 @@ def test_bins_grid_and_text(capsys):
     assert len(lines) == 8 and all(line.startswith("q=") for line in lines)
 
 
+def test_bins_grid_matches_cell_by_cell(monkeypatch, capsys):
+    monkeypatch.setattr(bins, "_EXPECTATIONS", {})
+    assert main(["bins", "--grid", "2..5", "1..7"]) == 0
+    records = json.loads(capsys.readouterr().out)
+    monkeypatch.setattr(bins, "_EXPECTATIONS", {})  # each cell on its own below
+    cells = [(q, n) for q in range(2, 6) for n in range(1, 8)]
+    assert records == [compute_bins_stats(q, n).to_record() for q, n in cells]
+
+
 def test_bins_usage(capsys):
     assert main(["bins"]) == 2
     assert main(["bins", "--q", "4"]) == 2
@@ -256,6 +267,17 @@ def test_check_inequalities_rejects_bad_counts_up_front(
     monkeypatch.setattr(checks, "check_solver_floor", floor_ran)
     assert main(["check-inequalities", flag, value]) == 2
     assert f"at least one {unit}" in capsys.readouterr().err
+
+
+def test_check_inequalities_rejects_a_grid_without_two_bins(monkeypatch, capsys):
+    # the closed-form floor is stated for q >= 2, so --grid 1..1 would leave
+    # it with no cell and report "ok cells=0"
+    def floor_ran(*args, **kwargs):
+        raise AssertionError("a floor check ran on a grid without two bins")
+
+    monkeypatch.setattr(checks, "check_solver_floor", floor_ran)
+    assert main(["check-inequalities", "--grid", "1..1", "1..1"]) == 2
+    assert "two bins" in capsys.readouterr().err
 
 
 def test_help_and_bad_usage(capsys):
