@@ -21,7 +21,6 @@ from .bins import (
     binomial_tail,
     compute_bins_stats,
     exact_max_load_expectation,
-    fill_exact_expectations,
     max_load_expectation_lower_bound,
     max_load_fraction,
     max_load_fraction_lower_bound,
@@ -129,7 +128,6 @@ __all__ = [
     "exact_max_load_expectation",
     "extract_from_densest_band",
     "extract_path_free_subgraph",
-    "fill_exact_expectations",
     "greedy_bin_assignment",
     "greedy_vertex_cover",
     "longest_path_exact",

@@ -26,7 +26,6 @@ from .rng import substream
 
 __all__ = [
     "exact_max_load_expectation",
-    "fill_exact_expectations",
     "max_load_fraction",
     "monte_carlo_max_load",
     "MonteCarloEstimate",
@@ -94,6 +93,10 @@ def _count_all_loads_at_most(q: int, n: int, t: int) -> int:
     return result[n] if n < len(result) else 0
 
 
+# The default cap on q * n for exact E[M]; the grid sweep fills no grid whose
+# corner lies above it.
+_EXACT_CAP = 4096
+
 # Exact E[M] by (q, n), written by the per-cell path and by the grid sweep.
 _EXPECTATIONS: dict[tuple[int, int], Fraction] = {}
 
@@ -112,31 +115,44 @@ def _exact_expectation(q: int, n: int) -> Fraction:
     return value
 
 
-def fill_exact_expectations(q_max: int, n_max: int, max_cells: int = 4096) -> None:
-    """Cache exact ``E[M]`` for every ``q <= q_max``, ``n <= n_max`` in one sweep.
+def _fill_exact_expectations(
+    q_range: tuple[int, int], n_range: tuple[int, int]
+) -> None:
+    """Cache exact ``E[M]`` on the grid ``q_range x n_range`` when one sweep pays.
 
     For each threshold ``t`` the count of throws with every load ``<= t``
     follows one recurrence over the number of bins ``j``:
     ``N_t(j, m) = sum_{i <= min(t, m)} C(m, i) N_t(j-1, m-i)``, so one pass
-    over ``j = 1..q_max`` yields the counts of all cells at once.  Does
-    nothing when ``q_max * n_max`` exceeds ``max_cells`` (the sweep fills no
-    cell the cap refuses) or when every cell is cached already.
+    over ``j = 1..q_hi`` yields the counts of every cell ``q <= q_hi``,
+    ``n <= n_hi`` at once.  The sweep runs only when ``q_hi * n_hi`` is within
+    the exact cap, so it fills no cell the cap refuses, and only when it is
+    cheaper than squaring the uncached cells of the grid one by one.
+    Otherwise nothing happens and each cell takes the per-cell path.
     """
-    if q_max < 1 or n_max < 1 or q_max * n_max > max_cells:
+    (q_lo, q_hi), (n_lo, n_hi) = q_range, n_range
+    if min(q_lo, n_lo) < 1 or q_lo > q_hi or n_lo > n_hi:
         return
-    if all(
-        (q, n) in _EXPECTATIONS
-        for q in range(1, q_max + 1)
-        for n in range(1, n_max + 1)
-    ):
+    if q_hi * n_hi > _EXACT_CAP:
         return
-    below = [[0] * (n_max + 1) for _ in range(q_max + 1)]
-    for t in range(1, n_max):
-        counts = [1] + [0] * n_max  # N_t(0, m): only the empty throw
-        for j in range(1, q_max + 1):
-            top = min(j * t, n_max)  # more than j*t balls cannot fit
+    # Work in inner-loop steps: the sweep takes about q_hi * n_hi**3 / 2, a
+    # lone cell about n**3 * log2(q), and a sweep step costs about 2/3 of a
+    # squaring step (0.066 s for the 32 x 32 sweep, 6.5 s for the cells of
+    # 2..32 x 1..32 one by one).  So the lone cell (64, 64) keeps squaring.
+    cell_work = sum(
+        n**3 * math.log2(q)
+        for q in range(q_lo, q_hi + 1)
+        for n in range(n_lo, n_hi + 1)
+        if (q, n) not in _EXPECTATIONS
+    )
+    if q_hi * n_hi**3 >= 3 * cell_work:
+        return
+    below = [[0] * (n_hi + 1) for _ in range(q_hi + 1)]
+    for t in range(1, n_hi):
+        counts = [1] + [0] * n_hi  # N_t(0, m): only the empty throw
+        for j in range(1, q_hi + 1):
+            top = min(j * t, n_hi)  # more than j*t balls cannot fit
             prev = counts
-            counts = [0] * (n_max + 1)
+            counts = [0] * (n_hi + 1)
             for m in range(top + 1):
                 row = _binomial_row(m)
                 acc = 0
@@ -146,20 +162,23 @@ def fill_exact_expectations(q_max: int, n_max: int, max_cells: int = 4096) -> No
             below_j = below[j]
             for m in range(t + 1, top + 1):
                 below_j[m] += counts[m]
-    for q in range(1, q_max + 1):
-        for n in range(1, n_max + 1):
+    for q in range(1, q_hi + 1):
+        for n in range(1, n_hi + 1):
             _EXPECTATIONS[(q, n)] = _expectation_from_counts(q, n, below[q][n])
 
 
-def exact_max_load_expectation(q: int, n: int, max_cells: int = 4096) -> Fraction:
+def exact_max_load_expectation(
+    q: int, n: int, max_cells: int = _EXACT_CAP
+) -> Fraction:
     """``E[M]`` for ``n`` uniform balls in ``q`` bins, exact.
 
     Computed from ``P(M <= t) = n! [x^n] (sum_{j<=t} x^j/j!)^q / q^n`` with
     integer polynomial arithmetic (coefficients scaled by factorials so
     products are binomial convolutions), then ``E[M] = n - sum_t P(M <= t)``.
     A lone cell raises the truncated series to the ``q``-th power by repeated
-    squaring; a grid is filled ahead of time by
-    :func:`fill_exact_expectations`, and both write one cache.  Refuses
+    squaring; the grid callers (the grid checks and ``bins --grid``) fill a
+    whole grid ahead of time by one recurrence over the number of bins, and
+    both write one cache.  Refuses
     instances with ``q * n`` beyond ``max_cells`` whether cached or not; use
     :func:`monte_carlo_max_load` for those.
     """
@@ -171,7 +190,7 @@ def exact_max_load_expectation(q: int, n: int, max_cells: int = 4096) -> Fractio
     return _exact_expectation(q, n)
 
 
-def max_load_fraction(q: int, n: int, max_cells: int = 4096) -> Fraction:
+def max_load_fraction(q: int, n: int, max_cells: int = _EXACT_CAP) -> Fraction:
     """``E[M]/n``, the expected maximum load as a fraction of all balls."""
     return exact_max_load_expectation(q, n, max_cells) / n
 
@@ -434,7 +453,7 @@ class BinsStats:
 
 
 def compute_bins_stats(
-    q: int, n: int, trials: int = 0, seed: int = 0, max_cells: int = 4096
+    q: int, n: int, trials: int = 0, seed: int = 0, max_cells: int = _EXACT_CAP
 ) -> BinsStats:
     """Assemble :class:`BinsStats`, sanity-checking the bounds it reports.
 

@@ -22,9 +22,9 @@ from typing import Callable, Iterable, Sequence
 import mpmath
 
 from .bins import (
+    _fill_exact_expectations,
     binomial_tail,
     exact_max_load_expectation,
-    fill_exact_expectations,
     max_load_expectation_lower_bound,
     max_load_fraction_lower_bound,
     monte_carlo_max_load,
@@ -136,7 +136,7 @@ def check_solver_floor(
 ) -> CheckResult:
     """Exact E[M] dominates the solver bound x*n/(10q) on the whole grid."""
     tally = _Tally("solver-floor")
-    fill_exact_expectations(q_range[1], n_range[1])
+    _fill_exact_expectations(q_range, n_range)
     for q in _span(q_range):
         for n in _span(n_range):
             exact = expectation(q, n)
@@ -155,7 +155,7 @@ def check_fraction_floor(
 ) -> CheckResult:
     """E[M]/n never drops below max(1/q, 1/n); exact comparison."""
     tally = _Tally("fraction-floor")
-    fill_exact_expectations(q_range[1], n_range[1])
+    _fill_exact_expectations(q_range, n_range)
     for q in _span(q_range):
         for n in _span(n_range):
             w = expectation(q, n) / n
@@ -179,7 +179,7 @@ def check_closed_form_floor(
     tally = _Tally("closed-form-floor")
     q_lo, q_hi = max(q_range[0], 2), q_range[1]
     n_lo, n_hi = n_range
-    fill_exact_expectations(q_hi, n_hi)
+    _fill_exact_expectations((q_lo, q_hi), n_range)
     # Each corner's bound, and its guarded exact form, serves every cell at or
     # below it in both coordinates, so both are computed once per corner.
     q0s = [twice_q0 / 2 for twice_q0 in range(2 * q_lo, 2 * q_hi + 1)]
@@ -208,7 +208,7 @@ def check_expectation_monotone(
 ) -> CheckResult:
     """W(q, n) is non-increasing in each of q and n; exhaustive and exact."""
     tally = _Tally("fraction-monotone")
-    fill_exact_expectations(q_max + 1, n_max + 1)
+    _fill_exact_expectations((1, q_max + 1), (1, n_max + 1))
     values = {
         (q, n): expectation(q, n) / n
         for q in range(1, q_max + 2)

@@ -20,7 +20,6 @@ from pathfree import (
     binomial_tail,
     compute_bins_stats,
     exact_max_load_expectation,
-    fill_exact_expectations,
     max_load_expectation_lower_bound,
     max_load_fraction,
     max_load_fraction_lower_bound,
@@ -94,7 +93,7 @@ def fresh_cache(monkeypatch):
 
 
 def test_grid_sweep_matches_squaring_path(fresh_cache):
-    fill_exact_expectations(12, 12)
+    bins._fill_exact_expectations((1, 12), (1, 12))
     swept = dict(fresh_cache)
     assert set(swept) == {(q, n) for q in range(1, 13) for n in range(1, 13)}
     fresh_cache.clear()
@@ -104,13 +103,22 @@ def test_grid_sweep_matches_squaring_path(fresh_cache):
 
 
 def test_grid_sweep_never_lifts_the_cap(fresh_cache):
-    fill_exact_expectations(10, 10, max_cells=99)
-    assert fresh_cache == {}  # a grid over the cap is not swept at all
-    fill_exact_expectations(8, 8)
+    cap = bins._EXACT_CAP
+    bins._fill_exact_expectations((1, cap // 64 + 1), (1, 64))  # corner over the cap
+    assert fresh_cache == {}  # not swept at all
+    bins._fill_exact_expectations((1, 8), (1, 8))
     assert len(fresh_cache) == 64
     with pytest.raises(SizeCapError):
         exact_max_load_expectation(8, 8, max_cells=63)  # cached, still refused
     assert exact_max_load_expectation(8, 8, max_cells=64) == fresh_cache[(8, 8)]
+
+
+def test_lone_far_cell_keeps_the_squaring_path(fresh_cache):
+    # one cell costs far less by squaring than the 64 x 64 sweep to reach it
+    bins._fill_exact_expectations((64, 64), (64, 64))
+    assert fresh_cache == {}
+    bins._fill_exact_expectations((8, 8), (1, 8))  # one row: the sweep pays
+    assert len(fresh_cache) == 64
 
 
 def test_grid_check_calls_its_expectation_once_per_cell(fresh_cache):
