@@ -58,113 +58,81 @@ def _binomial_row(m: int) -> tuple[int, ...]:
 
 def _egf_mul(a: list[int], b: list[int], degree_cap: int) -> list[int]:
     # Coefficients are scaled by m!, so products convolve binomially:
-    # (a*b)[m] = sum_i C(m,i) a[i] b[m-i].
-    out = [0] * (min(degree_cap, len(a) + len(b) - 2) + 1)
-    top = len(out)
-    for i, ai in enumerate(a):
-        if not ai:
-            continue
-        for j, bj in enumerate(b):
-            m = i + j
-            if m >= top:
-                break
-            if bj:
-                out[m] += _binomial_row(m)[i] * ai * bj
+    # (a*b)[m] = sum_i C(m,i) a[i] b[m-i].  Pass the all-ones series as ``a``
+    # so that ``row[i] * a[i]`` stays a small-int product.
+    top = min(degree_cap, len(a) + len(b) - 2)
+    out = [0] * (top + 1)
+    for m in range(top + 1):
+        row = _binomial_row(m)
+        acc = 0
+        for i in range(max(0, m - len(b) + 1), min(m, len(a) - 1) + 1):
+            acc += row[i] * a[i] * b[m - i]
+        out[m] = acc
     return out
 
 
-def _count_all_loads_at_most(q: int, n: int, t: int) -> int:
-    """Number of ways to drop ``n`` labelled balls into ``q`` bins, every load <= t."""
-    if t < 0:
-        return 0
-    if t == 0:
-        return 1 if n == 0 else 0
-    if t >= n:
-        return q**n
-    base = [1] * (min(t, n) + 1)
-    result = [1]
-    e = q
-    while e:
-        if e & 1:
-            result = _egf_mul(result, base, n)
-        e >>= 1
-        if e:
-            base = _egf_mul(base, base, n)
-    return result[n] if n < len(result) else 0
-
-
-# The default cap on q * n for exact E[M]; the grid sweep fills no grid whose
-# corner lies above it.
+# The default cap on q * n for exact E[M]; a grid whose corner lies above it
+# is not filled ahead of time.
 _EXACT_CAP = 4096
 
-# Exact E[M] by (q, n), written by the per-cell path and by the grid sweep.
+# Exact E[M] by (q, n), written by one count per lone cell or grid.
 _EXPECTATIONS: dict[tuple[int, int], Fraction] = {}
 
 
-def _expectation_from_counts(q: int, n: int, below: int) -> Fraction:
-    # ``below`` counts the throws with M <= t, summed over t = 1..n-1.
-    total = q**n
-    return Fraction(n * total - below, total)
+def _count_expectations(q_range: tuple[int, int], n_range: tuple[int, int]) -> None:
+    """Cache exact ``E[M]`` for every cell of the grid ``q_range x n_range``.
+
+    For a threshold ``t``, ``n! [x^n] (sum_{i<=t} x^i/i!)^q`` counts the throws
+    of ``n`` balls into ``q`` bins with every load ``<= t``.  The series is
+    raised to ``q_lo`` by repeated squaring and then multiplied by itself once
+    per bin up to ``q_hi``, so a lone cell takes ``O(log q)`` products per
+    threshold and a grid never recomputes the rows below ``q_lo``.  Then
+    ``E[M] = n - sum_{t<n} P(M <= t)``.
+    """
+    (q_lo, q_hi), (n_lo, n_hi) = q_range, n_range
+    below = {q: [0] * (n_hi + 1) for q in range(q_lo, q_hi + 1)}
+    for t in range(1, n_hi):
+        base = [1] * (t + 1)
+        counts, power, e = [1], base, q_lo
+        while True:
+            if e & 1:
+                counts = _egf_mul(power, counts, n_hi)
+            e >>= 1
+            if not e:
+                break
+            power = _egf_mul(power, power, n_hi)
+        for q in range(q_lo, q_hi + 1):
+            if q > q_lo:
+                counts = _egf_mul(base, counts, n_hi)
+            row = below[q]
+            for m in range(t + 1, len(counts)):  # more than q*t balls cannot fit
+                row[m] += counts[m]
+    for q in range(q_lo, q_hi + 1):
+        for n in range(n_lo, n_hi + 1):
+            total = q**n
+            _EXPECTATIONS[(q, n)] = Fraction(n * total - below[q][n], total)
 
 
-def _exact_expectation(q: int, n: int) -> Fraction:
-    value = _EXPECTATIONS.get((q, n))
-    if value is None:
-        below = sum(_count_all_loads_at_most(q, n, t) for t in range(1, n))
-        value = _EXPECTATIONS[(q, n)] = _expectation_from_counts(q, n, below)
-    return value
-
-
-def _fill_exact_expectations(
+def _exact_grid(
     q_range: tuple[int, int], n_range: tuple[int, int]
-) -> None:
-    """Cache exact ``E[M]`` on the grid ``q_range x n_range`` when one sweep pays.
+) -> list[tuple[int, int]]:
+    """The cells of the grid ``q_range x n_range``, in q-major order.
 
-    For each threshold ``t`` the count of throws with every load ``<= t``
-    follows one recurrence over the number of bins ``j``:
-    ``N_t(j, m) = sum_{i <= min(t, m)} C(m, i) N_t(j-1, m-i)``, so one pass
-    over ``j = 1..q_hi`` yields the counts of every cell ``q <= q_hi``,
-    ``n <= n_hi`` at once.  The sweep runs only when ``q_hi * n_hi`` is within
-    the exact cap, so it fills no cell the cap refuses, and only when it is
-    cheaper than squaring the uncached cells of the grid one by one.
-    Otherwise nothing happens and each cell takes the per-cell path.
+    Rejects an empty or non-positive range.  When the grid's corner
+    ``q_hi * n_hi`` is within the exact cap and some cell is not cached yet,
+    the whole grid is counted in one pass first, so it fills no cell the cap
+    refuses.
     """
     (q_lo, q_hi), (n_lo, n_hi) = q_range, n_range
     if min(q_lo, n_lo) < 1 or q_lo > q_hi or n_lo > n_hi:
-        return
-    if q_hi * n_hi > _EXACT_CAP:
-        return
-    # Work in inner-loop steps: the sweep takes about q_hi * n_hi**3 / 2, a
-    # lone cell about n**3 * log2(q), and a sweep step costs about 2/3 of a
-    # squaring step (0.066 s for the 32 x 32 sweep, 6.5 s for the cells of
-    # 2..32 x 1..32 one by one).  So the lone cell (64, 64) keeps squaring.
-    cell_work = sum(
-        n**3 * math.log2(q)
-        for q in range(q_lo, q_hi + 1)
-        for n in range(n_lo, n_hi + 1)
-        if (q, n) not in _EXPECTATIONS
-    )
-    if q_hi * n_hi**3 >= 3 * cell_work:
-        return
-    below = [[0] * (n_hi + 1) for _ in range(q_hi + 1)]
-    for t in range(1, n_hi):
-        counts = [1] + [0] * n_hi  # N_t(0, m): only the empty throw
-        for j in range(1, q_hi + 1):
-            top = min(j * t, n_hi)  # more than j*t balls cannot fit
-            prev = counts
-            counts = [0] * (n_hi + 1)
-            for m in range(top + 1):
-                row = _binomial_row(m)
-                acc = 0
-                for i in range(min(t, m) + 1):
-                    acc += row[i] * prev[m - i]
-                counts[m] = acc
-            below_j = below[j]
-            for m in range(t + 1, top + 1):
-                below_j[m] += counts[m]
-    for q in range(1, q_hi + 1):
-        for n in range(1, n_hi + 1):
-            _EXPECTATIONS[(q, n)] = _expectation_from_counts(q, n, below[q][n])
+        raise UsageError(
+            f"need a non-empty grid of bins {q_range} and balls {n_range}, "
+            "each from 1 up"
+        )
+    cells = [(q, n) for q in range(q_lo, q_hi + 1) for n in range(n_lo, n_hi + 1)]
+    if q_hi * n_hi <= _EXACT_CAP and any(c not in _EXPECTATIONS for c in cells):
+        _count_expectations(q_range, n_range)
+    return cells
 
 
 def exact_max_load_expectation(
@@ -176,9 +144,9 @@ def exact_max_load_expectation(
     integer polynomial arithmetic (coefficients scaled by factorials so
     products are binomial convolutions), then ``E[M] = n - sum_t P(M <= t)``.
     A lone cell raises the truncated series to the ``q``-th power by repeated
-    squaring; the grid callers (the grid checks and ``bins --grid``) fill a
-    whole grid ahead of time by one recurrence over the number of bins, and
-    both write one cache.  Refuses
+    squaring.  The grid callers (the grid checks and ``bins --grid``) count a
+    whole grid ahead of time the same way, squaring up to its least ``q`` and
+    then stepping one bin at a time, and both write one cache.  Refuses
     instances with ``q * n`` beyond ``max_cells`` whether cached or not; use
     :func:`monte_carlo_max_load` for those.
     """
@@ -187,7 +155,9 @@ def exact_max_load_expectation(
         raise SizeCapError(
             f"q*n = {q * n} exceeds the exact-computation cap {max_cells}"
         )
-    return _exact_expectation(q, n)
+    if (q, n) not in _EXPECTATIONS:
+        _count_expectations((q, q), (n, n))
+    return _EXPECTATIONS[(q, n)]
 
 
 def max_load_fraction(q: int, n: int, max_cells: int = _EXACT_CAP) -> Fraction:

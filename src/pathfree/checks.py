@@ -22,7 +22,7 @@ from typing import Callable, Iterable, Sequence
 import mpmath
 
 from .bins import (
-    _fill_exact_expectations,
+    _exact_grid,
     binomial_tail,
     exact_max_load_expectation,
     max_load_expectation_lower_bound,
@@ -124,11 +124,6 @@ def _need_one(count: int, check: str, unit: str) -> None:
         raise UsageError(f"the {check} check needs at least one {unit}")
 
 
-def _span(bounds: tuple[int, int]) -> range:
-    lo, hi = bounds
-    return range(lo, hi + 1)
-
-
 def check_solver_floor(
     q_range: tuple[int, int] = (2, 24),
     n_range: tuple[int, int] = (1, 24),
@@ -136,15 +131,13 @@ def check_solver_floor(
 ) -> CheckResult:
     """Exact E[M] dominates the solver bound x*n/(10q) on the whole grid."""
     tally = _Tally("solver-floor")
-    _fill_exact_expectations(q_range, n_range)
-    for q in _span(q_range):
-        for n in _span(n_range):
-            exact = expectation(q, n)
-            bound = max_load_expectation_lower_bound(q, n).value
-            ok = exact >= Fraction(bound) * (1 + GUARD)
-            tally.record(
-                ok, float(exact) - bound, lambda: f"q={q} n={n}: {exact} < {bound}"
-            )
+    for q, n in _exact_grid(q_range, n_range):
+        exact = expectation(q, n)
+        bound = max_load_expectation_lower_bound(q, n).value
+        ok = exact >= Fraction(bound) * (1 + GUARD)
+        tally.record(
+            ok, float(exact) - bound, lambda: f"q={q} n={n}: {exact} < {bound}"
+        )
     return tally.done()
 
 
@@ -155,14 +148,12 @@ def check_fraction_floor(
 ) -> CheckResult:
     """E[M]/n never drops below max(1/q, 1/n); exact comparison."""
     tally = _Tally("fraction-floor")
-    _fill_exact_expectations(q_range, n_range)
-    for q in _span(q_range):
-        for n in _span(n_range):
-            w = expectation(q, n) / n
-            floor = max(Fraction(1, q), Fraction(1, n))
-            tally.record(
-                w >= floor, float(w - floor), lambda: f"q={q} n={n}: {w} < {floor}"
-            )
+    for q, n in _exact_grid(q_range, n_range):
+        w = expectation(q, n) / n
+        floor = max(Fraction(1, q), Fraction(1, n))
+        tally.record(
+            w >= floor, float(w - floor), lambda: f"q={q} n={n}: {w} < {floor}"
+        )
     return tally.done()
 
 
@@ -179,25 +170,24 @@ def check_closed_form_floor(
     tally = _Tally("closed-form-floor")
     q_lo, q_hi = max(q_range[0], 2), q_range[1]
     n_lo, n_hi = n_range
-    _fill_exact_expectations((q_lo, q_hi), n_range)
+    cells = _exact_grid((q_lo, q_hi), n_range)
     # Each corner's bound, and its guarded exact form, serves every cell at or
     # below it in both coordinates, so both are computed once per corner.
     q0s = [twice_q0 / 2 for twice_q0 in range(2 * q_lo, 2 * q_hi + 1)]
     n0s = [twice_n0 / 2 for twice_n0 in range(2 * n_lo, 2 * n_hi + 1)]
     bounds = [[max_load_fraction_lower_bound(q0, n0) for n0 in n0s] for q0 in q0s]
     floors = [[Fraction(bound) * (1 + GUARD) for bound in row] for row in bounds]
-    for q in range(q_lo, q_hi + 1):
-        for n in range(n_lo, n_hi + 1):
-            w = expectation(q, n) / n
-            w_float = float(w)
-            a, b = 2 * (q - q_lo), 2 * (n - n_lo)
-            for q0, bound_row, floor_row in zip(q0s[a:], bounds[a:], floors[a:]):
-                for n0, bound, floor in zip(n0s[b:], bound_row[b:], floor_row[b:]):
-                    tally.record(
-                        w >= floor,
-                        w_float - bound,
-                        lambda: f"q={q} n={n} q0={q0} n0={n0}: {w_float} < {bound}",
-                    )
+    for q, n in cells:
+        w = expectation(q, n) / n
+        w_float = float(w)
+        a, b = 2 * (q - q_lo), 2 * (n - n_lo)
+        for q0, bound_row, floor_row in zip(q0s[a:], bounds[a:], floors[a:]):
+            for n0, bound, floor in zip(n0s[b:], bound_row[b:], floor_row[b:]):
+                tally.record(
+                    w >= floor,
+                    w_float - bound,
+                    lambda: f"q={q} n={n} q0={q0} n0={n0}: {w_float} < {bound}",
+                )
     return tally.done()
 
 
@@ -207,28 +197,27 @@ def check_expectation_monotone(
     expectation: ExpectationFn = exact_max_load_expectation,
 ) -> CheckResult:
     """W(q, n) is non-increasing in each of q and n; exhaustive and exact."""
+    _need_one(q_max, "monotonicity", "bin")
+    _need_one(n_max, "monotonicity", "ball")
     tally = _Tally("fraction-monotone")
-    _fill_exact_expectations((1, q_max + 1), (1, n_max + 1))
     values = {
         (q, n): expectation(q, n) / n
-        for q in range(1, q_max + 2)
-        for n in range(1, n_max + 2)
+        for q, n in _exact_grid((1, q_max + 1), (1, n_max + 1))
     }
-    for q in range(1, q_max + 1):
-        for n in range(1, n_max + 1):
-            here = values[(q, n)]
-            more_bins = values[(q + 1, n)]
-            more_balls = values[(q, n + 1)]
-            tally.record(
-                more_bins <= here,
-                float(here - more_bins),
-                lambda: f"q={q}->{q + 1} n={n}: {more_bins} > {here}",
-            )
-            tally.record(
-                more_balls <= here,
-                float(here - more_balls),
-                lambda: f"q={q} n={n}->{n + 1}: {more_balls} > {here}",
-            )
+    for q, n in _exact_grid((1, q_max), (1, n_max)):
+        here = values[(q, n)]
+        more_bins = values[(q + 1, n)]
+        more_balls = values[(q, n + 1)]
+        tally.record(
+            more_bins <= here,
+            float(here - more_bins),
+            lambda: f"q={q}->{q + 1} n={n}: {more_bins} > {here}",
+        )
+        tally.record(
+            more_balls <= here,
+            float(here - more_balls),
+            lambda: f"q={q} n={n}->{n + 1}: {more_balls} > {here}",
+        )
     return tally.done()
 
 
@@ -295,7 +284,7 @@ def check_joint_vs_single(
 ) -> CheckResult:
     """Joint two-bin tail is at most exp(n/q^2 + 1/q) times the single squared."""
     tally = _Tally("joint-tail-factor")
-    for q in _span(q_range):
+    for q in range(q_range[0], q_range[1] + 1):
         for n in range(q, n_max + 1):
             for t in range(math.ceil(n / q), n + 1):
                 tails = top_two_bins_joint_tail(q, n, t)

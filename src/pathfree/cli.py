@@ -19,7 +19,7 @@ import argparse
 import json
 import sys
 
-from .bins import _fill_exact_expectations, compute_bins_stats
+from .bins import _exact_grid, compute_bins_stats
 from .checks import run_all_checks
 from .colouring import parse_colouring, serialize_colouring
 from .errors import InternalInvariantError, UsageError
@@ -242,12 +242,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_bins(args: argparse.Namespace) -> int:
     if args.grid is not None:
-        (q_lo, q_hi), (n_lo, n_hi) = args.grid
-        _fill_exact_expectations((q_lo, q_hi), (n_lo, n_hi))
         records = [
             compute_bins_stats(q, n, trials=args.trials, seed=args.seed).to_record()
-            for q in range(q_lo, q_hi + 1)
-            for n in range(n_lo, n_hi + 1)
+            for q, n in _exact_grid(*args.grid)
         ]
         if args.format == "json":
             print(json.dumps(records, indent=2, sort_keys=True))

@@ -92,33 +92,79 @@ def fresh_cache(monkeypatch):
     return cache
 
 
-def test_grid_sweep_matches_squaring_path(fresh_cache):
-    bins._fill_exact_expectations((1, 12), (1, 12))
+@pytest.mark.parametrize(
+    "q_range, n_range",
+    [((1, 12), (1, 12)), ((5, 9), (3, 8)), ((7, 7), (12, 12))],
+    ids=["1..12x1..12", "5..9x3..8", "7..7x12..12"],
+)
+def test_grid_sweep_matches_squaring_path(fresh_cache, q_range, n_range):
+    cells = bins._exact_grid(q_range, n_range)
+    (q_lo, q_hi), (n_lo, n_hi) = q_range, n_range
+    assert cells == [
+        (q, n) for q in range(q_lo, q_hi + 1) for n in range(n_lo, n_hi + 1)
+    ]
     swept = dict(fresh_cache)
-    assert set(swept) == {(q, n) for q in range(1, 13) for n in range(1, 13)}
-    fresh_cache.clear()
-    for (q, n), value in swept.items():  # q = 1 and n = 1 included
-        assert exact_max_load_expectation(q, n) == value, (q, n)
-    assert swept[(3, 4)] == HAND_VALUES[(3, 4)]
+    assert set(swept) == set(cells)
+    for q, n in cells:  # q = 1 and n = 1 included on the first grid
+        if q**n <= 10**6:
+            assert swept[(q, n)] == enumerated_max_load_expectation(q, n), (q, n)
+        else:
+            fresh_cache.clear()  # the lone cell counts on its own
+            assert exact_max_load_expectation(q, n) == swept[(q, n)], (q, n)
+            assert set(fresh_cache) == {(q, n)}
 
 
 def test_grid_sweep_never_lifts_the_cap(fresh_cache):
     cap = bins._EXACT_CAP
-    bins._fill_exact_expectations((1, cap // 64 + 1), (1, 64))  # corner over the cap
-    assert fresh_cache == {}  # not swept at all
-    bins._fill_exact_expectations((1, 8), (1, 8))
+    cells = bins._exact_grid((1, cap // 64 + 1), (1, 64))  # corner over the cap
+    assert len(cells) == (cap // 64 + 1) * 64
+    assert fresh_cache == {}  # not counted at all
+    bins._exact_grid((1, 8), (1, 8))
     assert len(fresh_cache) == 64
     with pytest.raises(SizeCapError):
         exact_max_load_expectation(8, 8, max_cells=63)  # cached, still refused
     assert exact_max_load_expectation(8, 8, max_cells=64) == fresh_cache[(8, 8)]
 
 
-def test_lone_far_cell_keeps_the_squaring_path(fresh_cache):
-    # one cell costs far less by squaring than the 64 x 64 sweep to reach it
-    bins._fill_exact_expectations((64, 64), (64, 64))
+def counted_products(monkeypatch) -> list:
+    """Record one entry per series product ``bins`` makes from here on."""
+    calls = []
+    product = bins._egf_mul
+
+    def counting(a, b, degree_cap):
+        calls.append(degree_cap)
+        return product(a, b, degree_cap)
+
+    monkeypatch.setattr(bins, "_egf_mul", counting)
+    return calls
+
+
+def test_far_cells_never_pay_for_the_rectangle_below(fresh_cache, monkeypatch):
+    calls = counted_products(monkeypatch)
+    value = exact_max_load_expectation(64, 64)
+    # 63 thresholds, each at most two products per bit of 64
+    assert len(calls) <= 63 * 2 * 7
+    assert set(fresh_cache) == {(64, 64)}
+
+    calls.clear()
+    fresh_cache.clear()
+    cells = bins._exact_grid((60, 64), (60, 64))
+    assert set(fresh_cache) == set(cells) and len(cells) == 25
+    assert fresh_cache[(64, 64)] == value
+    # one step per bin from j = 1 would take 63 * 64 products
+    assert len(calls) <= 63 * 64 // 4
+
+
+@pytest.mark.parametrize(
+    "q_range, n_range",
+    [((3, 2), (1, 4)), ((2, 3), (5, 1)), ((0, 3), (1, 4)), ((2, 3), (0, 4))],
+)
+def test_exact_grid_rejects_empty_or_non_positive_ranges(
+    fresh_cache, q_range, n_range
+):
+    with pytest.raises(UsageError):
+        bins._exact_grid(q_range, n_range)
     assert fresh_cache == {}
-    bins._fill_exact_expectations((8, 8), (1, 8))  # one row: the sweep pays
-    assert len(fresh_cache) == 64
 
 
 def test_grid_check_calls_its_expectation_once_per_cell(fresh_cache):
@@ -131,7 +177,7 @@ def test_grid_check_calls_its_expectation_once_per_cell(fresh_cache):
     result = check_solver_floor((2, 6), (1, 6), expectation=counting)
     assert result.ok and result.cells == 30
     assert calls == [(q, n) for q in range(2, 7) for n in range(1, 7)]
-    assert len(fresh_cache) == 6 * 6  # filled by one sweep before the loop
+    assert len(fresh_cache) == 5 * 6  # the checked grid only, filled before the loop
 
 
 def test_fraction_is_expectation_over_n():

@@ -123,6 +123,41 @@ def test_run_all_checks_rejects_bad_counts_before_any_check(bad):
     assert calls == []
 
 
+def counting_expectation(calls: list):
+    def counting(q: int, n: int) -> Fraction:
+        calls.append((q, n))
+        return exact_max_load_expectation(q, n)
+
+    return counting
+
+
+def test_run_all_checks_refuses_an_empty_grid_before_any_expectation():
+    calls = []
+    with pytest.raises(UsageError):
+        run_all_checks(
+            q_range=(2, 3), n_range=(5, 1), expectation=counting_expectation(calls)
+        )
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "check, args",
+    [
+        (check_solver_floor, ((3, 2), (1, 4))),
+        (check_fraction_floor, ((2, 3), (0, 4))),
+        (check_closed_form_floor, ((2, 5), (4, 1))),
+        (check_expectation_monotone, (0, 0)),
+        (check_expectation_monotone, (0, 3)),
+        (check_expectation_monotone, (3, 0)),
+    ],
+)
+def test_grid_checks_refuse_empty_grids(check, args):
+    calls = []
+    with pytest.raises(UsageError):
+        check(*args, expectation=counting_expectation(calls))
+    assert calls == []
+
+
 def test_run_all_checks_order_and_records():
     results = run_all_checks(
         q_range=(2, 5),
