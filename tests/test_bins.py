@@ -155,18 +155,6 @@ def test_far_cells_never_pay_for_the_rectangle_below(fresh_cache, monkeypatch):
     assert len(calls) <= 63 * 64 // 4
 
 
-@pytest.mark.parametrize(
-    "q_range, n_range",
-    [((3, 2), (1, 4)), ((2, 3), (5, 1)), ((0, 3), (1, 4)), ((2, 3), (0, 4))],
-)
-def test_exact_grid_rejects_empty_or_non_positive_ranges(
-    fresh_cache, q_range, n_range
-):
-    with pytest.raises(UsageError):
-        bins._exact_grid(q_range, n_range)
-    assert fresh_cache == {}
-
-
 def test_grid_check_calls_its_expectation_once_per_cell(fresh_cache):
     calls = []
 

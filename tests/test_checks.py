@@ -108,21 +108,6 @@ def test_corrupted_oracle_trips_closed_form_floor():
     )
 
 
-@pytest.mark.parametrize(
-    "bad", [{"schur_samples": -3}, {"mc_seeds": 0}, {"mc_trials": 0}]
-)
-def test_run_all_checks_rejects_bad_counts_before_any_check(bad):
-    calls = []
-
-    def counting(q: int, n: int) -> Fraction:
-        calls.append((q, n))
-        return exact_max_load_expectation(q, n)
-
-    with pytest.raises(UsageError):
-        run_all_checks(q_range=(2, 3), n_range=(1, 3), expectation=counting, **bad)
-    assert calls == []
-
-
 def counting_expectation(calls: list):
     def counting(q: int, n: int) -> Fraction:
         calls.append((q, n))
@@ -131,12 +116,15 @@ def counting_expectation(calls: list):
     return counting
 
 
-def test_run_all_checks_refuses_an_empty_grid_before_any_expectation():
+@pytest.mark.parametrize(
+    "bad",
+    [{"schur_samples": -3}, {"mc_seeds": 0}, {"mc_trials": 0}, {"n_range": (5, 1)}],
+)
+def test_run_all_checks_rejects_bad_counts_before_any_check(bad):
     calls = []
+    kwargs = {"q_range": (2, 3), "n_range": (1, 3), **bad}
     with pytest.raises(UsageError):
-        run_all_checks(
-            q_range=(2, 3), n_range=(5, 1), expectation=counting_expectation(calls)
-        )
+        run_all_checks(expectation=counting_expectation(calls), **kwargs)
     assert calls == []
 
 
@@ -144,6 +132,7 @@ def test_run_all_checks_refuses_an_empty_grid_before_any_expectation():
     "check, args",
     [
         (check_solver_floor, ((3, 2), (1, 4))),
+        (check_solver_floor, ((0, 3), (1, 4))),
         (check_fraction_floor, ((2, 3), (0, 4))),
         (check_closed_form_floor, ((2, 5), (4, 1))),
         (check_expectation_monotone, (0, 0)),
