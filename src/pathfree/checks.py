@@ -420,14 +420,20 @@ def run_all_checks(
     mc_trials: int = 2000,
     expectation: ExpectationFn = exact_max_load_expectation,
 ) -> list[CheckResult]:
-    """Run the whole suite; the (q, n) grid override applies to the floors."""
+    """Run the whole suite; the (q, n) grid override applies to the floors.
+
+    The closed-form floor pairs every cell with every worse corner, so it
+    runs on the grid's first 15 bin counts (from at least 2) and first 16
+    ball counts, starting at the grid's lower corner.
+    """
     _need_one(schur_samples, "Schur", "sample")
     _need_one(mc_seeds, "Monte Carlo", "seed")
     _need_one(mc_trials, "Monte Carlo", "trial")
     if q_range[1] < 2:
         raise UsageError("the closed-form check needs a grid reaching two bins")
-    closed_q = (2, min(q_range[1], 16))
-    closed_n = (1, min(n_range[1], 16))
+    closed_q_lo = max(q_range[0], 2)
+    closed_q = (closed_q_lo, min(q_range[1], closed_q_lo + 14))
+    closed_n = (n_range[0], min(n_range[1], n_range[0] + 15))
     return [
         check_solver_floor(q_range, n_range, expectation),
         check_fraction_floor(q_range, n_range, expectation),

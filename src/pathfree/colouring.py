@@ -71,28 +71,44 @@ def proper_edge_colouring(g: Graph, colour_base: int = 0) -> EdgeColouring:
     rotate a fan prefix.  With palette size max_degree+1 every vertex always
     has a free colour, and the fan lemma guarantees a rotatable prefix, so
     each edge is coloured in one pass.
+
+    Each vertex keeps its used colours as one int bitmask (bit ``c`` set when
+    colour ``c`` is at the vertex) beside its colour -> neighbour dict.  The
+    next fan edge is the lowest colour that is used at u, free at the last
+    fan vertex and not yet on a fan edge: the lowest set bit of
+    ``mask[u] & ~mask[last] & ~fan_used``.  Since colours at u map one-to-one
+    to u's coloured neighbours, this is the ascending scan over u's colours
+    that skips fan vertices, in a constant number of big-int operations.  A
+    free colour is the lowest zero bit of a mask.
     """
     palette = g.max_degree + 1
-    # at[v] maps colour -> neighbour reached through the edge of that colour.
+    # at[v] maps colour -> neighbour reached through the edge of that colour;
+    # mask[v] has bit c set exactly when c is a key of at[v].
     at: list[dict[int, int]] = [dict() for _ in range(g.vertex_count)]
+    mask = [0] * g.vertex_count
     colour_of: dict[Edge, int] = {}
 
     def set_colour(x: int, y: int, c: int) -> None:
         colour_of[(x, y) if x < y else (y, x)] = c
         at[x][c] = y
         at[y][c] = x
+        mask[x] |= 1 << c
+        mask[y] |= 1 << c
 
     def unset_colour(x: int, y: int) -> int:
         c = colour_of.pop((x, y) if x < y else (y, x))
         del at[x][c]
         del at[y][c]
+        mask[x] ^= 1 << c
+        mask[y] ^= 1 << c
         return c
 
     def free_colour(v: int) -> int:
-        for c in range(palette):
-            if c not in at[v]:
-                return c
-        raise InternalInvariantError(f"no free colour at vertex {v}")
+        m = mask[v]
+        c = ((m + 1) & ~m).bit_length() - 1
+        if c >= palette:
+            raise InternalInvariantError(f"no free colour at vertex {v}")
+        return c
 
     def invert_path(u: int, c: int, d: int) -> None:
         # Maximal path from u alternating d, c (u has no c-edge). Proper
@@ -110,36 +126,34 @@ def proper_edge_colouring(g: Graph, colour_base: int = 0) -> EdgeColouring:
 
     for u, v in g.sorted_edges():
         # Maximal fan of u starting at v: each next fan edge's colour is
-        # free at the previous fan vertex.
+        # free at the previous fan vertex.  No colour at u reaches v, whose
+        # edge is the uncoloured one.
         fan = [v]
-        in_fan = {v}
+        fan_used = 0
+        at_u, mask_u = at[u], mask[u]
         while True:
-            last = fan[-1]
-            step = None
-            for c in sorted(at[u]):
-                w = at[u][c]
-                if w not in in_fan and c not in at[last]:
-                    step = w
-                    break
-            if step is None:
+            step = mask_u & ~mask[fan[-1]] & ~fan_used
+            if not step:
                 break
-            fan.append(step)
-            in_fan.add(step)
+            step &= -step
+            fan.append(at_u[step.bit_length() - 1])
+            fan_used |= step
 
         c = free_colour(u)
         d = free_colour(fan[-1])
-        if c != d and d in at[u]:
+        if c != d and mask_u >> d & 1:
             invert_path(u, c, d)
 
         # First fan vertex with d free whose prefix is still a fan. The fan
-        # lemma guarantees one exists after the inversion.
+        # lemma guarantees one exists after the inversion, which may have
+        # recoloured one fan edge, so each edge's colour is read afresh.
         target = None
         for j, w in enumerate(fan):
             if j > 0:
-                edge = (u, fan[j]) if u < fan[j] else (fan[j], u)
-                if colour_of[edge] in at[fan[j - 1]]:
+                edge = (u, w) if u < w else (w, u)
+                if mask[fan[j - 1]] >> colour_of[edge] & 1:
                     break  # prefix stopped being a fan; later vertices unusable
-            if d not in at[w]:
+            if not mask[w] >> d & 1:
                 target = j
                 break
         if target is None:

@@ -13,8 +13,15 @@ from typing import Iterable
 import numpy as np
 import pytest
 
-from pathfree import ContractViolation, Graph, SizeCapError
+from pathfree import (
+    ContractViolation,
+    EdgeColouring,
+    Graph,
+    InternalInvariantError,
+    SizeCapError,
+)
 from pathfree.bins import _require_counts
+from pathfree.colouring import _compact
 from pathfree.extract import BlockSplit
 
 
@@ -128,6 +135,96 @@ def block_partition_reference(
         return tuple(frozenset(part) for part in parts)
 
     return BlockSplit(group(part_of), group(b_part), kept)
+
+
+def proper_edge_colouring_reference(g: Graph, colour_base: int = 0) -> EdgeColouring:
+    """Reference oracle: Misra-Gries with a sorted scan of u's colours per fan step.
+
+    The package's form picks each fan step from per-vertex colour bitmasks;
+    this one keeps only the colour -> neighbour dicts and a set of fan
+    vertices, so both must give the same assignment.
+    """
+    palette = g.max_degree + 1
+    # at[v] maps colour -> neighbour reached through the edge of that colour.
+    at: list[dict[int, int]] = [dict() for _ in range(g.vertex_count)]
+    colour_of: dict[tuple[int, int], int] = {}
+
+    def set_colour(x: int, y: int, c: int) -> None:
+        colour_of[(x, y) if x < y else (y, x)] = c
+        at[x][c] = y
+        at[y][c] = x
+
+    def unset_colour(x: int, y: int) -> int:
+        c = colour_of.pop((x, y) if x < y else (y, x))
+        del at[x][c]
+        del at[y][c]
+        return c
+
+    def free_colour(v: int) -> int:
+        for c in range(palette):
+            if c not in at[v]:
+                return c
+        raise InternalInvariantError(f"no free colour at vertex {v}")
+
+    def invert_path(u: int, c: int, d: int) -> None:
+        # Maximal path from u alternating d, c (u has no c-edge). Proper
+        # colourings make it simple, and it cannot return to u.
+        hops: list[tuple[int, int, int]] = []
+        prev, want = u, d
+        while want in at[prev]:
+            nxt = at[prev][want]
+            hops.append((prev, nxt, want))
+            prev, want = nxt, c if want == d else d
+        for x, y, _ in hops:
+            unset_colour(x, y)
+        for x, y, col in hops:
+            set_colour(x, y, c if col == d else d)
+
+    for u, v in g.sorted_edges():
+        # Maximal fan of u starting at v: each next fan edge's colour is
+        # free at the previous fan vertex.
+        fan = [v]
+        in_fan = {v}
+        while True:
+            last = fan[-1]
+            step = None
+            for c in sorted(at[u]):
+                w = at[u][c]
+                if w not in in_fan and c not in at[last]:
+                    step = w
+                    break
+            if step is None:
+                break
+            fan.append(step)
+            in_fan.add(step)
+
+        c = free_colour(u)
+        d = free_colour(fan[-1])
+        if c != d and d in at[u]:
+            invert_path(u, c, d)
+
+        # First fan vertex with d free whose prefix is still a fan. The fan
+        # lemma guarantees one exists after the inversion.
+        target = None
+        for j, w in enumerate(fan):
+            if j > 0:
+                edge = (u, fan[j]) if u < fan[j] else (fan[j], u)
+                if colour_of[edge] in at[fan[j - 1]]:
+                    break  # prefix stopped being a fan; later vertices unusable
+            if d not in at[w]:
+                target = j
+                break
+        if target is None:
+            raise InternalInvariantError("fan rotation found no target vertex")
+
+        shifted = [unset_colour(u, fan[i]) for i in range(1, target + 1)]
+        for i in range(target):
+            set_colour(u, fan[i], shifted[i])
+        set_colour(u, fan[target], d)
+
+    if len(colour_of) != g.edge_count:
+        raise InternalInvariantError("proper colouring missed edges")
+    return _compact(colour_of, colour_base)
 
 
 def longest_path_brute(g: Graph) -> int:

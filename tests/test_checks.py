@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from pathfree import UsageError, exact_max_load_expectation
+from pathfree import UsageError, checks, exact_max_load_expectation
 from pathfree.checks import (
     check_closed_form_floor,
     check_expectation_monotone,
@@ -145,6 +145,24 @@ def test_grid_checks_refuse_empty_grids(check, args):
     with pytest.raises(UsageError):
         check(*args, expectation=counting_expectation(calls))
     assert calls == []
+
+
+def test_run_all_checks_closed_form_window_lies_in_the_grid(monkeypatch):
+    # A grid starting above 16 once got the closed form checked on 2..16 x
+    # 1..16 instead, none of it in the grid.
+    cells = []
+    real = checks.check_closed_form_floor
+
+    def recording(q_range, n_range, expectation):
+        return real(q_range, n_range, counting_expectation(cells))
+
+    monkeypatch.setattr(checks, "check_closed_form_floor", recording)
+    results = run_all_checks(
+        (20, 24), (20, 24), schur_samples=10, mc_seeds=2, mc_trials=200
+    )
+    assert cells and all(20 <= q <= 24 and 20 <= n <= 24 for q, n in cells)
+    closed = next(r for r in results if r.name == "closed-form-floor")
+    assert closed.ok
 
 
 def test_run_all_checks_order_and_records():

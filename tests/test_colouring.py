@@ -1,5 +1,6 @@
 """Colouring primitives: properness, class shapes, budgets, serialization."""
 
+import hashlib
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -16,9 +17,17 @@ from pathfree import (
     proper_edge_colouring,
     serialize_colouring,
     star_refinement,
+    uniform_edges,
 )
 
-from conftest import complete_graph, cycle_graph, path_graph, random_graph
+from conftest import (
+    complete_graph,
+    cycle_graph,
+    path_graph,
+    proper_edge_colouring_reference,
+    random_graph,
+    star_graph,
+)
 
 
 def assert_proper(g: Graph, colouring: EdgeColouring) -> None:
@@ -61,6 +70,59 @@ def test_proper_colouring_base_offset_and_empty():
     col = proper_edge_colouring(g, colour_base=10)
     assert min(col.assignments.values()) == 10
     assert proper_edge_colouring(Graph.build(3, [])).assignments == {}
+
+
+def test_proper_colouring_matches_sorted_scan_reference():
+    # The bitmask fan step must pick the same colours as the sorted scan, so
+    # the assignments are equal, not merely both proper.
+    rnd = random.Random(808)
+    graphs = [
+        random_graph(rnd, n_max=30, density=rnd.choice([0.05, 0.15, 0.4, 0.8, 1.0]))
+        for _ in range(200)
+    ]
+    # max degree 70-80: masks wider than one 64-bit machine word
+    graphs += [uniform_edges(80, 2600, seed) for seed in range(6)]
+    graphs += [star_graph(100), complete_graph(9), complete_graph(70)]
+    graphs += [Graph.build(5, []), Graph.build(0, [])]
+    assert sum(g.max_degree > 64 for g in graphs) >= 8
+    for i, g in enumerate(graphs):
+        base = (0, 3, 17)[i % 3]
+        assert (
+            proper_edge_colouring(g, base).assignments
+            == proper_edge_colouring_reference(g, base).assignments
+        ), f"graph {i}"
+
+
+def test_proper_colouring_is_pinned_above_one_word():
+    # max degree 152, so every mask spans three machine words; the digest was
+    # taken from the sorted-scan form that the bitmask form replaced
+    g = uniform_edges(300, 20000, 1)
+    assert g.max_degree == 152
+    colouring = proper_edge_colouring(g)
+    assert colouring.colours_used == 153
+    text = repr(sorted(colouring.assignments.items()))
+    assert (
+        hashlib.sha256(text.encode("utf-8")).hexdigest()
+        == "ceee40a7dd973efdd970d9975ea74b1af6aef0afaf31ab80233f0eee3c2aa527"
+    )
+
+
+def test_low_degree_refinement_large_low_set_matches_reference():
+    # 575 of 600 vertices are low, so Misra-Gries colours nearly every edge
+    g = uniform_edges(600, 3000, 5)
+    result = low_degree_refinement(g, r=105, colour_base=4)
+    low = result.vertices_removed
+    assert len(low) == 575 and result.residual.edge_count > 0
+    inner = Graph.build(
+        g.vertex_count, [e for e in g.edges if e[0] in low and e[1] in low]
+    )
+    expected = proper_edge_colouring_reference(inner, 4).assignments
+    coloured = result.colouring.assignments
+    assert {e: coloured[e] for e in inner.edges} == expected
+    first_range = len(set(expected.values()))
+    assert all(
+        coloured[e] >= 4 + first_range for e in coloured.keys() - inner.edges
+    )
 
 
 def test_low_degree_refinement_split(rnd):
