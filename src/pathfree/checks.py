@@ -124,6 +124,14 @@ def _need_one(count: int, check: str, unit: str) -> None:
         raise UsageError(f"the {check} check needs at least one {unit}")
 
 
+def _need_two_rows(q_range: tuple[int, int], n_range: tuple[int, int]) -> None:
+    if q_range[1] <= q_range[0] or n_range[1] <= n_range[0]:
+        raise UsageError(
+            "the monotonicity check needs at least two bin counts and two "
+            "ball counts"
+        )
+
+
 def check_solver_floor(
     q_range: tuple[int, int] = (2, 24),
     n_range: tuple[int, int] = (1, 24),
@@ -192,19 +200,21 @@ def check_closed_form_floor(
 
 
 def check_expectation_monotone(
-    q_max: int = 11,
-    n_max: int = 12,
+    q_range: tuple[int, int] = (1, 12),
+    n_range: tuple[int, int] = (1, 13),
     expectation: ExpectationFn = exact_max_load_expectation,
 ) -> CheckResult:
-    """W(q, n) is non-increasing in each of q and n; exhaustive and exact."""
-    _need_one(q_max, "monotonicity", "bin")
-    _need_one(n_max, "monotonicity", "ball")
+    """W(q, n) is non-increasing in each of q and n; exhaustive and exact.
+
+    Each cell off the grid's last bin count and last ball count is compared
+    with the cells one bin and one ball up, so every value read lies in the
+    grid.
+    """
+    _need_two_rows(q_range, n_range)
     tally = _Tally("fraction-monotone")
-    values = {
-        (q, n): expectation(q, n) / n
-        for q, n in _exact_grid((1, q_max + 1), (1, n_max + 1))
-    }
-    for q, n in _exact_grid((1, q_max), (1, n_max)):
+    values = {(q, n): expectation(q, n) / n for q, n in _exact_grid(q_range, n_range)}
+    (q_lo, q_hi), (n_lo, n_hi) = q_range, n_range
+    for q, n in _exact_grid((q_lo, q_hi - 1), (n_lo, n_hi - 1)):
         here = values[(q, n)]
         more_bins = values[(q + 1, n)]
         more_balls = values[(q, n + 1)]
@@ -420,25 +430,30 @@ def run_all_checks(
     mc_trials: int = 2000,
     expectation: ExpectationFn = exact_max_load_expectation,
 ) -> list[CheckResult]:
-    """Run the whole suite; the (q, n) grid override applies to the floors.
+    """Run the whole suite; the (q, n) grid override applies to the grid checks.
 
     The closed-form floor pairs every cell with every worse corner, so it
     runs on the grid's first 15 bin counts (from at least 2) and first 16
-    ball counts, starting at the grid's lower corner.
+    ball counts, starting at the grid's lower corner.  The monotonicity check
+    runs on the grid's first 12 bin counts and first 13 ball counts, also
+    from the lower corner.
     """
     _need_one(schur_samples, "Schur", "sample")
     _need_one(mc_seeds, "Monte Carlo", "seed")
     _need_one(mc_trials, "Monte Carlo", "trial")
     if q_range[1] < 2:
         raise UsageError("the closed-form check needs a grid reaching two bins")
+    _need_two_rows(q_range, n_range)
     closed_q_lo = max(q_range[0], 2)
     closed_q = (closed_q_lo, min(q_range[1], closed_q_lo + 14))
     closed_n = (n_range[0], min(n_range[1], n_range[0] + 15))
+    monotone_q = (q_range[0], min(q_range[1], q_range[0] + 11))
+    monotone_n = (n_range[0], min(n_range[1], n_range[0] + 12))
     return [
         check_solver_floor(q_range, n_range, expectation),
         check_fraction_floor(q_range, n_range, expectation),
         check_closed_form_floor(closed_q, closed_n, expectation),
-        check_expectation_monotone(expectation=expectation),
+        check_expectation_monotone(monotone_q, monotone_n, expectation),
         check_schur_transforms(schur_samples, seed),
         check_two_bin_monotone(),
         check_joint_vs_single(),

@@ -39,17 +39,17 @@ __all__ = [
     "degree_class_decompose",
     "BandExtraction",
     "extract_from_densest_band",
-    "DEFAULT_BAND_RATIO",
-    "DEFAULT_SELECT_RATIO",
+    "BAND_RATIO",
+    "SELECT_RATIO",
 ]
 
 # Band geometry and selection thresholds: each degree band spans a factor
 # e^-2, and band j is picked when it holds at least an e^-j share of the
 # edges.  Stored as the exact rationals of the IEEE doubles so that all
-# threshold comparisons are exact; any constants in a small neighbourhood
-# would do (the selection argument only needs 1/3 + c/(1-c) < 1).
-DEFAULT_BAND_RATIO = Fraction(math.exp(-2))
-DEFAULT_SELECT_RATIO = Fraction(math.exp(-1))
+# threshold comparisons are exact.  The selection argument needs
+# 1/3 + c/(1-c) < 1, that is c < 2/5, for c = SELECT_RATIO.
+BAND_RATIO = Fraction(math.exp(-2))
+SELECT_RATIO = Fraction(math.exp(-1))
 
 
 def greedy_bin_assignment(
@@ -236,27 +236,22 @@ class Decomposition:
     classes: tuple[DegreeClass, ...]
     residual: Graph
     residual_vertices: frozenset[int]
-    band_ratio: Fraction
     degree_floor: Fraction
 
 
 def degree_class_decompose(
-    g: Graph,
-    band_ratio: Fraction = DEFAULT_BAND_RATIO,
-    degree_floor: Fraction | int = Fraction(1),
+    g: Graph, degree_floor: Fraction | int = Fraction(1)
 ) -> Decomposition:
     """Peel vertices band by band in geometrically shrinking degree ranges.
 
     Band ``j`` collects the so-far-unclassified vertices whose remaining
-    degree lies in ``[ratio^j * D, ratio^(j-1) * D]`` (``D`` the original max
-    degree) together with all their remaining edges.  Peeling stops at the
-    first ``T`` with ``ratio^T * D <= degree_floor``; whatever is left is the
-    residual, whose degrees are all at or below the floor.
+    degree lies in ``[BAND_RATIO^j * D, BAND_RATIO^(j-1) * D]`` (``D`` the
+    original max degree) together with all their remaining edges.  Peeling
+    stops at the first ``T`` with ``BAND_RATIO^T * D <= degree_floor``;
+    whatever is left is the residual, whose degrees are all at or below the
+    floor.
     """
-    ratio = Fraction(band_ratio)
     floor = Fraction(degree_floor)
-    if not 0 < ratio < 1:
-        raise UsageError("band ratio must lie strictly between 0 and 1")
     if floor <= 0:
         raise UsageError("degree floor must be positive")
 
@@ -264,15 +259,15 @@ def degree_class_decompose(
     bands = 0
     bound = Fraction(delta)
     while bound > floor:
-        bound *= ratio
+        bound *= BAND_RATIO
         bands += 1
 
     remaining = g
     classified: set[int] = set()
     classes: list[DegreeClass] = []
     for j in range(1, bands + 1):
-        upper = ratio ** (j - 1) * delta
-        lower = ratio**j * delta
+        upper = BAND_RATIO ** (j - 1) * delta
+        lower = BAND_RATIO**j * delta
         members = frozenset(
             v
             for v in range(g.vertex_count)
@@ -302,7 +297,6 @@ def degree_class_decompose(
         classes=tuple(classes),
         residual=remaining,
         residual_vertices=leftovers,
-        band_ratio=ratio,
         degree_floor=floor,
     )
 
@@ -328,20 +322,18 @@ def extract_from_densest_band(
     k: int,
     trials: int = 200,
     seed: int = 0,
-    band_ratio: Fraction = DEFAULT_BAND_RATIO,
-    select_ratio: Fraction = DEFAULT_SELECT_RATIO,
 ) -> BandExtraction:
     """Decompose by degree bands, pick a dense piece, extract path-free edges.
 
-    Band ``j`` is selected if it holds at least a ``select_ratio^j`` share of
+    Band ``j`` is selected if it holds at least a ``SELECT_RATIO^j`` share of
     the edges (first such ``j``); otherwise the residual, which then holds at
     least a third of the edges.  One of the two always fires because the
     geometric shares plus a third sum below 1.  ``reference_ratio`` records
     the asymptotic yardstick ``60 / (beta^0.9 * r)`` for e(H)/e(G); it is
     informational and not a promise at small scale.
     """
-    if beta <= 0:
-        raise UsageError("density parameter beta must be positive")
+    if not (math.isfinite(beta) and beta > 0):
+        raise UsageError("density parameter beta must be positive and finite")
     if r < 1:
         raise UsageError("colour budget r must be positive")
     reference = 60.0 / (beta**0.9 * r)
@@ -360,48 +352,29 @@ def extract_from_densest_band(
         )
         return BandExtraction(empty, "empty", None, 0, 0, Fraction(0), reference, 0)
 
-    decomp = degree_class_decompose(g, band_ratio, Fraction(r))
+    decomp = degree_class_decompose(g, Fraction(r))
     total = g.edge_count
-
-    chosen_band: DegreeClass | None = None
-    for cls in decomp.classes:
-        if cls.graph.edge_count >= Fraction(select_ratio) ** cls.level * total:
-            chosen_band = cls
+    for band in decomp.classes:
+        if band.graph.edge_count >= SELECT_RATIO**band.level * total:
+            piece, core, level = band.graph, band.vertices, band.level
+            independent = frozenset(v for e in piece.edges for v in e) - core
+            selection = "band"
             break
-
-    if chosen_band is not None:
-        band_graph = chosen_band.graph
-        touched = frozenset(v for e in band_graph.edges for v in e)
-        result = extract_path_free_subgraph(
-            band_graph,
-            core=chosen_band.vertices,
-            independent=touched - chosen_band.vertices,
-            k=k,
-            trials=trials,
-            seed=seed,
-        )
-        selection, level, selected = "band", chosen_band.level, band_graph.edge_count
     else:
-        residual = decomp.residual
-        if 3 * residual.edge_count < total:
+        piece, core, level = decomp.residual, decomp.residual_vertices, None
+        independent, selection = frozenset(), "residual"
+        if 3 * piece.edge_count < total:
             raise InternalInvariantError(
                 "neither a dense band nor a dense residual exists"
             )
-        result = extract_path_free_subgraph(
-            residual,
-            core=decomp.residual_vertices,
-            independent=frozenset(),
-            k=k,
-            trials=trials,
-            seed=seed,
-        )
-        selection, level, selected = "residual", None, residual.edge_count
-
+    result = extract_path_free_subgraph(
+        piece, core=core, independent=independent, k=k, trials=trials, seed=seed
+    )
     return BandExtraction(
         extraction=result,
         selection=selection,
         band_level=level,
-        selected_edges=selected,
+        selected_edges=piece.edge_count,
         total_edges=total,
         achieved_ratio=Fraction(result.subgraph.edge_count, total),
         reference_ratio=reference,

@@ -255,19 +255,20 @@ def crossing_edge_count(g: Graph, a: frozenset[int]) -> int:
     return int(np.count_nonzero(inside[u] != inside[v]))
 
 
+_BIPARTITION_TRIES = 64
+
+
 def random_balanced_bipartition(
-    g: Graph,
-    vertices: Iterable[int],
-    rng: np.random.Generator,
-    max_tries: int = 64,
+    g: Graph, vertices: Iterable[int], rng: np.random.Generator
 ) -> Bipartition:
     """Sample ``a`` of size ``ceil(|vertices|/2)`` cutting at least half of g's edges.
 
     Each try draws a uniform subset of the given size; the expected number of
     cut edges is at least ``e(g)/2`` (each edge crosses with probability at
     least 1/2 whether it has one or both endpoints among ``vertices``), so a
-    qualifying draw appears within a few tries.  Exhausting ``max_tries`` is
-    treated as an internal failure rather than a user error.
+    qualifying draw appears within a few tries.  Exhausting
+    ``_BIPARTITION_TRIES`` tries is treated as an internal failure rather
+    than a user error.
     """
     pool = sorted(set(vertices))
     if not pool:
@@ -275,12 +276,13 @@ def random_balanced_bipartition(
     half = (len(pool) + 1) // 2
     target = g.edge_count / 2
     arr = np.array(pool)
-    for attempt in range(1, max_tries + 1):
+    for attempt in range(1, _BIPARTITION_TRIES + 1):
         chosen = rng.choice(arr, size=half, replace=False)
         a = frozenset(chosen.tolist())
         crossing = crossing_edge_count(g, a)
         if crossing >= target:
             return Bipartition(a, frozenset(pool) - a, crossing, attempt)
     raise InternalInvariantError(
-        f"no balanced split reached {target} crossing edges in {max_tries} tries"
+        f"no balanced split reached {target} crossing edges in "
+        f"{_BIPARTITION_TRIES} tries"
     )

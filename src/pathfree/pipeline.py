@@ -8,10 +8,10 @@ residual for the next:
    within ``r/3`` colours (matchings and star forests);
 2. an initial star refinement with ``floor(r/6)`` colours, aiming the
    residual's maximum degree at ``beta0 * r * log r``;
-3. shrinking rounds ``i = 0, 1, ...``: up to ``floor(r * rho^i / 12)``
+3. shrinking rounds ``i = 0, 1, ...``: up to ``floor(r * RHO^i / 12)``
    certified path-free extractions, then a star refinement with the same
-   number of colours, spending at most ``r * rho^i / 6`` per round while the
-   tracked degree bound decays by ``zeta`` per round;
+   number of colours, spending at most ``r * RHO^i / 6`` per round while the
+   tracked degree bound decays by ``ZETA`` per round;
 4. an endgame on what is left: a proper colouring directly when the maximum
    degree is at most ``r/7``, otherwise a wide star refinement followed by a
    proper colouring.
@@ -22,10 +22,13 @@ colours; soundness is re-checked independently by :mod:`pathfree.verify`.
 ``k = 3`` is special: only matchings avoid 3-vertex paths, so the pipeline
 reduces to one proper colouring.
 
-All thresholds and budgets are tracked as exact rationals.  Defaults for the
-shrink parameters are ``eta = 1/10``, ``zeta = 1/3``, ``rho = 2/5``; the
-density scale ``beta0`` defaults to the value dictated by the asymptotic
-analysis (about 8e-153), which desk-scale experiments will usually override.
+All thresholds and budgets are tracked as exact rationals.  The shrink
+constants are fixed by the round analysis: ``ETA = 1/10`` (a round stops
+extracting at ``ETA`` times its starting edge count), ``ZETA = 1/3`` and
+``RHO = 2/5``, which satisfy ``RHO < 1/2``, ``ZETA^0.9 < RHO`` and
+``ETA < RHO * ZETA``.  The density scale ``beta0`` defaults to the value
+dictated by the asymptotic analysis (about 8e-153), which desk-scale
+experiments will usually override.
 """
 
 from __future__ import annotations
@@ -46,6 +49,9 @@ from .graph import Graph, subtract
 from .rng import subseed
 
 __all__ = [
+    "ETA",
+    "ZETA",
+    "RHO",
     "default_density_scale",
     "PipelineParams",
     "StageRecord",
@@ -56,6 +62,11 @@ __all__ = [
     "colour_graph",
     "audit_round_budgets",
 ]
+
+
+ETA = Fraction(1, 10)
+ZETA = Fraction(1, 3)
+RHO = Fraction(2, 5)
 
 
 def default_density_scale() -> float:
@@ -88,19 +99,17 @@ DEFAULT_DENSITY_SCALE = default_density_scale()
 
 @dataclass(frozen=True)
 class PipelineParams:
-    """All knobs of one pipeline run.
+    """The settings of one pipeline run.
 
     ``strict`` raises on violated analytic preconditions instead of merely
-    reporting them; ``c0`` defaults to ``beta0 / 576``.
+    reporting them.  The shrink constants are the module's ``ETA``, ``ZETA``
+    and ``RHO``, and the density scale ``c0`` is ``beta0 / 576``; the record
+    still lists all four.
     """
 
     r: int
     k: int
-    eta: Fraction = Fraction(1, 10)
-    zeta: Fraction = Fraction(1, 3)
-    rho: Fraction = Fraction(2, 5)
     beta0: float = DEFAULT_DENSITY_SCALE
-    c0: Fraction | None = None
     trials_per_extraction: int = 200
     seed: int = 0
     strict: bool = False
@@ -110,18 +119,8 @@ class PipelineParams:
             raise UsageError("colour budget r must be at least 1")
         if self.k < 3:
             raise UsageError("no colouring avoids 2-vertex paths; k must be >= 3")
-        for name in ("eta", "zeta", "rho"):
-            value = getattr(self, name)
-            if not (0 < value < 1):
-                raise UsageError(f"{name} must lie strictly between 0 and 1")
-        if not self.rho < Fraction(1, 2):
-            raise UsageError("rho must be below 1/2")
-        if not float(self.zeta) ** 0.9 < float(self.rho):
-            raise UsageError("need zeta^0.9 < rho")
-        if not self.eta < self.rho * self.zeta:
-            raise UsageError("need eta < rho * zeta")
-        if self.beta0 <= 0:
-            raise UsageError("beta0 must be positive")
+        if not (math.isfinite(self.beta0) and self.beta0 > 0):
+            raise UsageError("beta0 must be positive and finite")
         if self.trials_per_extraction < 1:
             raise UsageError("need at least one extraction trial")
         if self.strict and not self.k >= 100 * math.log(self.r):
@@ -129,15 +128,15 @@ class PipelineParams:
 
     @property
     def density_scale(self) -> Fraction:
-        return self.c0 if self.c0 is not None else Fraction(self.beta0) / 576
+        return Fraction(self.beta0) / 576
 
     def to_record(self) -> dict:
         return {
             "r": self.r,
             "k": self.k,
-            "eta": str(self.eta),
-            "zeta": str(self.zeta),
-            "rho": str(self.rho),
+            "eta": str(ETA),
+            "zeta": str(ZETA),
+            "rho": str(RHO),
             "beta0": self.beta0,
             "beta0_is_default": self.beta0 == DEFAULT_DENSITY_SCALE,
             "c0": str(self.density_scale),
@@ -232,20 +231,20 @@ def run_round(
     """One shrinking round: certified extractions, then a star refinement.
 
     Each extraction becomes one colour class; the loop stops once the edge
-    count drops to ``eta`` times the starting count or the extraction budget
-    ``floor(r * rho^i / 12)`` runs out.  The star step gets the same number
-    of colours.  Total spending is at most ``r * rho^i / 6`` by construction;
+    count drops to ``ETA`` times the starting count or the extraction budget
+    ``floor(r * RHO^i / 12)`` runs out.  The star step gets the same number
+    of colours.  Total spending is at most ``r * RHO^i / 6`` by construction;
     exceeding it would be a bug and raises.
     """
     if params.k < 4:
         raise UsageError("rounds need k >= 4 (star classes contain P_3)")
     r, k = params.r, params.k
-    extraction_budget = math.floor(Fraction(r) * params.rho**round_index / 12)
-    budget = Fraction(r) * params.rho**round_index / 6
+    extraction_budget = math.floor(Fraction(r) * RHO**round_index / 12)
+    budget = Fraction(r) * RHO**round_index / 6
     edges_before = g.edge_count
     degree_before = g.max_degree
-    edge_target = params.eta * edges_before
-    beta_round = params.beta0 * float(params.zeta) ** round_index
+    edge_target = ETA * edges_before
+    beta_round = params.beta0 * float(ZETA) ** round_index
 
     work = g
     assignments: dict = {}
@@ -293,7 +292,7 @@ def run_round(
         raise InternalInvariantError(
             f"round {round_index} spent {spent} colours over budget {budget}"
         )
-    degree_target = params.beta0 * float(params.zeta) ** (round_index + 1) * r * (
+    degree_target = params.beta0 * float(ZETA) ** (round_index + 1) * r * (
         math.log(r) if r > 1 else 1.0
     )
     trace = RoundTrace(
@@ -452,14 +451,14 @@ def colour_graph(g: Graph, params: PipelineParams) -> PipelineResult:
     termination: str | None = None
     i = 0
     while True:
-        tracked_degree = params.beta0 * float(params.zeta) ** i * r * log_r
+        tracked_degree = params.beta0 * float(ZETA) ** i * r * log_r
         if tracked_degree < r / 7:
             termination = "degree-floor"
             break
         if current.edge_count**4 <= r**7 * k**4:
             termination = "edge-floor"
             break
-        if math.floor(Fraction(r) * params.rho**i / 12) < 1:
+        if math.floor(Fraction(r) * RHO**i / 12) < 1:
             termination = "round-budget-exhausted"
             break
         outcome = run_round(current, i, params, base)
@@ -566,15 +565,15 @@ def _finish(
 
 
 def audit_round_budgets(result: PipelineResult) -> list[str]:
-    """Re-check every round's spending against ``r * rho^i / 6``, exactly.
+    """Re-check every round's spending against ``r * RHO^i / 6``, exactly.
 
     Returns human-readable violation strings; any entry means an internal
     invariant was broken (the command line maps that to exit code 3).
     """
     violations: list[str] = []
-    r, rho = result.params.r, result.params.rho
+    r = result.params.r
     for trace in result.rounds:
-        cap = Fraction(r) * rho**trace.round_index / 6
+        cap = Fraction(r) * RHO**trace.round_index / 6
         if Fraction(trace.colours_spent) > cap:
             violations.append(
                 f"round {trace.round_index} spent {trace.colours_spent} "

@@ -47,6 +47,7 @@ from pathfree.checks import (
 )
 from pathfree.extract import block_partition
 from pathfree.graph import serialize_edge_list
+from pathfree.pipeline import RHO
 from pathfree.rng import substream
 
 from conftest import edge_adjacency, has_path_on, random_graph
@@ -102,7 +103,7 @@ def test_criterion_03_usable_bound_at_worse_corners():
 
 
 def test_criterion_04_fraction_monotone_both_directions():
-    result = check_expectation_monotone(q_max=11, n_max=12)
+    result = check_expectation_monotone((1, 12), (1, 13))
     assert result.cells == 2 * 11 * 12
     assert result.violations == 0
     _verdict(4, "q<=11, n<=12 exhaustive, both directions")
@@ -362,11 +363,11 @@ def test_criterion_12_round_budgets_hold_exactly(colour_corpus, tmp_path, capsys
         result = colour_graph(dense, params)
         assert audit_round_budgets(result) == []
         for trace in result.rounds:
-            cap = Fraction(r) * params.rho ** trace.round_index / 6
+            cap = Fraction(r) * RHO ** trace.round_index / 6
             assert Fraction(trace.colours_spent) <= cap
             assert trace.colours_spent == trace.extractions + trace.star_colours
             assert trace.extraction_budget == math.floor(
-                Fraction(r) * params.rho ** trace.round_index / 12
+                Fraction(r) * RHO ** trace.round_index / 12
             )
             rounds_seen += 1
     assert rounds_seen >= 6

@@ -41,7 +41,7 @@ def test_closed_form_floor_small_grid():
 
 
 def test_expectation_monotone_small():
-    result = check_expectation_monotone(q_max=5, n_max=6)
+    result = check_expectation_monotone((1, 6), (1, 7))
     assert result.ok
     assert result.cells == 2 * 5 * 6
 
@@ -118,7 +118,14 @@ def counting_expectation(calls: list):
 
 @pytest.mark.parametrize(
     "bad",
-    [{"schur_samples": -3}, {"mc_seeds": 0}, {"mc_trials": 0}, {"n_range": (5, 1)}],
+    [
+        {"schur_samples": -3},
+        {"mc_seeds": 0},
+        {"mc_trials": 0},
+        {"n_range": (5, 1)},
+        {"q_range": (3, 3)},  # one bin count leaves no monotonicity step
+        {"n_range": (2, 2)},
+    ],
 )
 def test_run_all_checks_rejects_bad_counts_before_any_check(bad):
     calls = []
@@ -135,9 +142,9 @@ def test_run_all_checks_rejects_bad_counts_before_any_check(bad):
         (check_solver_floor, ((0, 3), (1, 4))),
         (check_fraction_floor, ((2, 3), (0, 4))),
         (check_closed_form_floor, ((2, 5), (4, 1))),
-        (check_expectation_monotone, (0, 0)),
-        (check_expectation_monotone, (0, 3)),
-        (check_expectation_monotone, (3, 0)),
+        (check_expectation_monotone, ((1, 1), (1, 4))),
+        (check_expectation_monotone, ((0, 3), (1, 4))),
+        (check_expectation_monotone, ((1, 4), (2, 2))),
     ],
 )
 def test_grid_checks_refuse_empty_grids(check, args):
@@ -163,6 +170,31 @@ def test_run_all_checks_closed_form_window_lies_in_the_grid(monkeypatch):
     assert cells and all(20 <= q <= 24 and 20 <= n <= 24 for q, n in cells)
     closed = next(r for r in results if r.name == "closed-form-floor")
     assert closed.ok
+
+
+@pytest.mark.parametrize(
+    "q_range, n_range, cells",
+    [((20, 24), (20, 24), 2 * 4 * 4), ((2, 24), (1, 24), 264), ((2, 32), (1, 32), 264)],
+)
+def test_run_all_checks_monotone_window_lies_in_the_grid(
+    monkeypatch, q_range, n_range, cells
+):
+    # The monotonicity check once ran on its default grid, q 1..12 and n
+    # 1..13, whatever grid was requested.
+    seen = []
+    real = checks.check_expectation_monotone
+
+    def recording(q_range, n_range, expectation):
+        return real(q_range, n_range, counting_expectation(seen))
+
+    monkeypatch.setattr(checks, "check_expectation_monotone", recording)
+    results = run_all_checks(
+        q_range, n_range, schur_samples=10, mc_seeds=2, mc_trials=200
+    )
+    (q_lo, q_hi), (n_lo, n_hi) = q_range, n_range
+    assert seen and all(q_lo <= q <= q_hi and n_lo <= n <= n_hi for q, n in seen)
+    monotone = next(r for r in results if r.name == "fraction-monotone")
+    assert monotone.ok and monotone.cells == cells
 
 
 def test_run_all_checks_order_and_records():

@@ -1,5 +1,6 @@
 """End-to-end command line tests, run in process through ``main(argv)``."""
 
+import hashlib
 import json
 
 import pytest
@@ -121,6 +122,42 @@ def test_colour_text_format(desk_graph_file, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "total_colours:" in out and "success: True" in out
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_colour_and_extract_reject_a_non_finite_density(desk_graph_file, capsys, value):
+    # nan once crashed inside Fraction() with exit 1, and extract printed
+    # "reference_ratio": NaN, which is not JSON
+    for argv in (
+        ["colour", "--input", desk_graph_file, "--r", "48", "--k", "8", "--beta0", value],
+        ["extract", "--input", desk_graph_file, "--r", "16", "--k", "8", "--beta", value],
+    ):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and "finite" in captured.err
+
+
+def test_colour_report_bytes_are_pinned(tmp_path, capsys):
+    # The digests in the benchmark skip ``params``; these pin every byte of
+    # one report and of its text form, the fixed constants' entries included.
+    # Hashes recorded before the constants stopped being settable.
+    graph_path = tmp_path / "graph.txt"
+    graph_path.write_text(serialize_edge_list(uniform_edges(200, 3000, seed=1)))
+    report_path = tmp_path / "report.json"
+    argv = ["colour", "--input", str(graph_path), "--r", "24", "--k", "8",
+            "--seed", "1", "--beta0", "0.5"]
+    assert main(argv + ["--report", str(report_path)]) == 1  # over budget
+    capsys.readouterr()
+    record = json.loads(report_path.read_text())
+    assert record["rounds"] and record["rounds"][0]["extractions"] == 2
+    assert hashlib.sha256(report_path.read_bytes()).hexdigest() == (
+        "485646c3e1434da86049efc4a85cf873b54252b9876e025e435d1fae18ed1b56"
+    )
+    assert main(argv + ["--format", "text"]) == 1
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == (
+        "ab793c970ba29e3d04feb57802e4a75b4d08d574a7da874442d2bc94ab8a27c7"
+    )
 
 
 def test_colour_internal_error_exit_3(desk_graph_file, capsys, monkeypatch):

@@ -190,6 +190,6 @@ def test_random_balanced_bipartition_failure_is_internal():
     # pool = an isolated vertex: no draw can ever cut half of the edges
     g = Graph.build(4, [(1, 2), (1, 3), (2, 3)])
     with pytest.raises(InternalInvariantError):
-        random_balanced_bipartition(g, {0}, substream(0, "hopeless"), max_tries=4)
+        random_balanced_bipartition(g, {0}, substream(0, "hopeless"))
     with pytest.raises(ContractViolation):
         random_balanced_bipartition(g, set(), substream(0, "empty"))

@@ -19,6 +19,8 @@ from pathfree import (
     uniform_edges,
     verify_colouring,
 )
+from pathfree.extract import BAND_RATIO, SELECT_RATIO
+from pathfree.pipeline import ETA, RHO, ZETA
 
 from conftest import complete_graph, path_graph
 
@@ -53,14 +55,9 @@ def test_params_validation():
         PipelineParams(r=0, k=6)
     with pytest.raises(UsageError):
         PipelineParams(r=8, k=2)
-    with pytest.raises(UsageError):
-        PipelineParams(r=8, k=6, rho=Fraction(1, 2))
-    with pytest.raises(UsageError):
-        PipelineParams(r=8, k=6, zeta=Fraction(2, 5), rho=Fraction(2, 5))
-    with pytest.raises(UsageError):
-        PipelineParams(r=8, k=6, eta=Fraction(1, 7))  # eta >= rho * zeta
-    with pytest.raises(UsageError):
-        PipelineParams(r=8, k=6, beta0=0.0)
+    for beta0 in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(UsageError):
+            PipelineParams(r=8, k=6, beta0=beta0)
     with pytest.raises(UsageError):
         PipelineParams(r=8, k=6, trials_per_extraction=0)
 
@@ -74,10 +71,30 @@ def test_strict_mode_wants_asymptotic_k():
 def test_density_scale_defaults_to_beta0_over_576():
     params = PipelineParams(r=8, k=6, beta0=0.5)
     assert params.density_scale == Fraction(0.5) / 576
-    pinned = PipelineParams(r=8, k=6, c0=Fraction(1, 100))
-    assert pinned.density_scale == Fraction(1, 100)
     record = params.to_record()
     assert record["r"] == 8 and not record["beta0_is_default"]
+
+
+def test_fixed_constants_satisfy_the_round_analysis():
+    assert 0 < ETA < 1 and 0 < ZETA < 1 and 0 < RHO < 1
+    assert RHO < Fraction(1, 2)
+    assert float(ZETA) ** 0.9 < float(RHO)
+    assert ETA < RHO * ZETA
+    # a band or the residual is always dense enough to select
+    assert 0 < BAND_RATIO < 1
+    assert Fraction(1, 3) + SELECT_RATIO / (1 - SELECT_RATIO) < 1
+    # the constants are not settable, but the record still lists them
+    assert [f.name for f in dataclasses.fields(PipelineParams)] == [
+        "r", "k", "beta0", "trials_per_extraction", "seed", "strict"
+    ]
+    record = PipelineParams(r=8, k=6, beta0=0.5).to_record()
+    assert list(record) == [
+        "r", "k", "eta", "zeta", "rho", "beta0", "beta0_is_default", "c0",
+        "trials_per_extraction", "seed", "strict",
+    ]
+    assert (record["eta"], record["zeta"], record["rho"], record["c0"]) == (
+        "1/10", "1/3", "2/5", "1/1152"
+    )
 
 
 def test_single_edge_needs_one_colour():
