@@ -139,7 +139,6 @@ class ExtractionResult:
     certified: bool
     certificate: str | None
     crossing_edges: int
-    trials_run: int
     chosen_trial: int | None
     mean_edges: float
 
@@ -214,7 +213,6 @@ def extract_path_free_subgraph(
         certified=certificate is not None,
         certificate=certificate,
         crossing_edges=crossing,
-        trials_run=trials,
         chosen_trial=chosen,
         mean_edges=kept_total / trials,
     )
@@ -222,11 +220,9 @@ def extract_path_free_subgraph(
 
 @dataclass(frozen=True)
 class DegreeClass:
-    """One degree band: vertices with current degree in [lower, upper]."""
+    """One degree band: the vertices peeled at ``level`` and their edges."""
 
     level: int
-    lower: Fraction
-    upper: Fraction
     vertices: frozenset[int]
     graph: Graph  # every edge here touches ``vertices``
 
@@ -236,7 +232,6 @@ class Decomposition:
     classes: tuple[DegreeClass, ...]
     residual: Graph
     residual_vertices: frozenset[int]
-    degree_floor: Fraction
 
 
 def degree_class_decompose(
@@ -281,9 +276,7 @@ def degree_class_decompose(
         taken = frozenset(
             e for e in remaining.edges if e[0] in members or e[1] in members
         )
-        classes.append(
-            DegreeClass(j, lower, upper, members, Graph(g.vertex_count, taken))
-        )
+        classes.append(DegreeClass(j, members, Graph(g.vertex_count, taken)))
         remaining = Graph(g.vertex_count, remaining.edges - taken)
         classified |= members
 
@@ -297,7 +290,6 @@ def degree_class_decompose(
         classes=tuple(classes),
         residual=remaining,
         residual_vertices=leftovers,
-        degree_floor=floor,
     )
 
 
@@ -346,7 +338,6 @@ def extract_from_densest_band(
             certified=True,
             certificate="empty",
             crossing_edges=0,
-            trials_run=0,
             chosen_trial=None,
             mean_edges=0.0,
         )

@@ -4,11 +4,16 @@ Edges are canonical ``(u, v)`` tuples with ``u < v``; loops and parallel
 edges are rejected at construction.  Instances are immutable, so derived
 graphs (such as the result of edge removal) are new objects sharing nothing
 mutable with their parent.
+
+The module also holds the one row reader of the text formats
+(:func:`read_edge_rows`) and the one rule that turns a result dataclass into
+its JSON record (:func:`plain_record`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
+from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Iterator
 
@@ -107,9 +112,6 @@ class Graph:
     def sorted_edges(self) -> list[Edge]:
         return sorted(self.edges)
 
-    def __iter__(self) -> Iterator[Edge]:
-        return iter(self.sorted_edges())
-
 
 @dataclass(frozen=True)
 class Bipartition:
@@ -189,6 +191,32 @@ def read_edge_rows(
         if e[1] > top:
             top = e[1]
     return (vertex_count if vertex_count is not None else top + 1), rows
+
+
+def plain_record(obj, skip: tuple[str, ...] = ()) -> dict:
+    """The JSON-ready record of a dataclass instance, built by one rule.
+
+    Fields come in declaration order, less those named in ``skip`` (which are
+    never read).  Values convert recursively: a ``Fraction`` becomes its
+    string (``"2/5"``), tuples and lists become lists, dict keys become
+    strings in insertion order, and a nested dataclass becomes its own
+    record.  Everything else is kept as it is.
+    """
+    return {
+        f.name: _plain(getattr(obj, f.name)) for f in fields(obj) if f.name not in skip
+    }
+
+
+def _plain(value):
+    if isinstance(value, Fraction):
+        return str(value)
+    if isinstance(value, (tuple, list)):
+        return [_plain(v) for v in value]
+    if isinstance(value, dict):
+        return {str(k): _plain(v) for k, v in value.items()}
+    if is_dataclass(value):
+        return plain_record(value)
+    return value
 
 
 def parse_edge_list(text: str) -> Graph:

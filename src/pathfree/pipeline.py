@@ -45,7 +45,7 @@ from .colouring import (
 )
 from .errors import InternalInvariantError, UsageError
 from .extract import extract_from_densest_band
-from .graph import Graph, subtract
+from .graph import Graph, plain_record, subtract
 from .rng import subseed
 
 __all__ = [
@@ -104,7 +104,8 @@ class PipelineParams:
     ``strict`` raises on violated analytic preconditions instead of merely
     reporting them.  The shrink constants are the module's ``ETA``, ``ZETA``
     and ``RHO``, and the density scale ``c0`` is ``beta0 / 576``; the record
-    still lists all four.
+    still lists all four.  ``beta0`` must be positive, and with ``r`` leave
+    ``density_cap`` and ``degree_goal`` finite, so every record is strict JSON.
     """
 
     r: int
@@ -121,6 +122,15 @@ class PipelineParams:
             raise UsageError("no colouring avoids 2-vertex paths; k must be >= 3")
         if not (math.isfinite(self.beta0) and self.beta0 > 0):
             raise UsageError("beta0 must be positive and finite")
+        try:
+            bounded = math.isfinite(self.density_cap) and math.isfinite(self.degree_goal)
+        except OverflowError:  # r itself is beyond float range
+            bounded = False
+        if not bounded:
+            raise UsageError(
+                "the density cap beta0/576 * r^2 * log r * k and the degree "
+                "goal beta0 * r * log r must be finite"
+            )
         if self.trials_per_extraction < 1:
             raise UsageError("need at least one extraction trial")
         if self.strict and not self.k >= 100 * math.log(self.r):
@@ -129,6 +139,20 @@ class PipelineParams:
     @property
     def density_scale(self) -> Fraction:
         return Fraction(self.beta0) / 576
+
+    @property
+    def log_r(self) -> float:
+        return math.log(self.r) if self.r > 1 else 1.0
+
+    @property
+    def density_cap(self) -> float:
+        """The edge count the analysis covers: ``beta0/576 · r² · log r · k``."""
+        return float(self.density_scale) * self.r * self.r * self.log_r * self.k
+
+    @property
+    def degree_goal(self) -> float:
+        """The initial star stage's maximum-degree aim: ``beta0 · r · log r``."""
+        return self.beta0 * self.r * self.log_r
 
     def to_record(self) -> dict:
         return {
@@ -160,16 +184,7 @@ class StageRecord:
     notes: dict = field(default_factory=dict)
 
     def to_record(self) -> dict:
-        return {
-            "name": self.name,
-            "colour_base": self.colour_base,
-            "colours_used": self.colours_used,
-            "budget": str(self.budget),
-            "budget_ok": self.budget_ok,
-            "edges_before": self.edges_before,
-            "edges_after": self.edges_after,
-            "notes": self.notes,
-        }
+        return plain_record(self)
 
 
 @dataclass(frozen=True)
@@ -196,26 +211,7 @@ class RoundTrace:
     abort_reason: str | None
 
     def to_record(self) -> dict:
-        return {
-            "round_index": self.round_index,
-            "colour_base": self.colour_base,
-            "edges_before": self.edges_before,
-            "edges_after": self.edges_after,
-            "max_degree_before": self.max_degree_before,
-            "max_degree_after": self.max_degree_after,
-            "extractions": self.extractions,
-            "star_colours": self.star_colours,
-            "colours_spent": self.colours_spent,
-            "extraction_budget": self.extraction_budget,
-            "budget": str(self.budget),
-            "edge_target": str(self.edge_target),
-            "edge_target_met": self.edge_target_met,
-            "degree_target": self.degree_target,
-            "degree_target_met": self.degree_target_met,
-            "extraction_ratios": [str(x) for x in self.extraction_ratios],
-            "aborted": self.aborted,
-            "abort_reason": self.abort_reason,
-        }
+        return plain_record(self)
 
 
 @dataclass(frozen=True)
@@ -292,9 +288,7 @@ def run_round(
         raise InternalInvariantError(
             f"round {round_index} spent {spent} colours over budget {budget}"
         )
-    degree_target = params.beta0 * float(ZETA) ** (round_index + 1) * r * (
-        math.log(r) if r > 1 else 1.0
-    )
+    degree_target = params.beta0 * float(ZETA) ** (round_index + 1) * r * params.log_r
     trace = RoundTrace(
         round_index=round_index,
         colour_base=colour_base,
@@ -331,27 +325,20 @@ class PipelineResult:
     endgame_case: str | None
 
     def to_record(self) -> dict:
+        """Every field but the colouring, plus ``params`` and ``colour_budget``."""
         return {
             "params": self.params.to_record(),
-            "stages": [s.to_record() for s in self.stages],
-            "rounds": [t.to_record() for t in self.rounds],
-            "total_colours": self.total_colours,
+            **plain_record(self, skip=("params", "colouring")),
             "colour_budget": self.params.r,
-            "success": self.success,
-            "preconditions": self.preconditions,
-            "termination_reason": self.termination_reason,
-            "endgame_case": self.endgame_case,
         }
 
 
 def _preconditions(g: Graph, params: PipelineParams) -> dict:
-    r, k = params.r, params.k
-    log_r = math.log(r) if r > 1 else 1.0
-    density_cap = float(params.density_scale) * r * r * log_r * k
+    k, log_r = params.k, params.log_r
     return {
         "edges": g.edge_count,
-        "density_cap": density_cap,
-        "density_ok": g.edge_count <= density_cap,
+        "density_cap": params.density_cap,
+        "density_ok": g.edge_count <= params.density_cap,
         "k": k,
         "k_floor": 100 * log_r,
         "k_ok": k >= 100 * log_r,
@@ -422,12 +409,10 @@ def colour_graph(g: Graph, params: PipelineParams) -> PipelineResult:
     base += low.colours_used
     current = low.residual
 
-    log_r = math.log(r) if r > 1 else 1.0
     initial_star_colours = r // 6
     if initial_star_colours >= 1 and current.edge_count > 0:
         star0 = star_refinement(current, initial_star_colours, k, base)
         merge(star0.colouring)
-        degree_goal = params.beta0 * r * log_r
         stages.append(
             StageRecord(
                 name="initial-star",
@@ -439,8 +424,8 @@ def colour_graph(g: Graph, params: PipelineParams) -> PipelineResult:
                 edges_after=star0.residual.edge_count,
                 notes={
                     "degree_threshold": str(star0.threshold),
-                    "degree_goal": degree_goal,
-                    "degree_goal_met": star0.residual.max_degree <= degree_goal,
+                    "degree_goal": params.degree_goal,
+                    "degree_goal_met": star0.residual.max_degree <= params.degree_goal,
                     "packing_ok": star0.degree_bound_ok,
                 },
             )
@@ -451,7 +436,7 @@ def colour_graph(g: Graph, params: PipelineParams) -> PipelineResult:
     termination: str | None = None
     i = 0
     while True:
-        tracked_degree = params.beta0 * float(ZETA) ** i * r * log_r
+        tracked_degree = params.beta0 * float(ZETA) ** i * r * params.log_r
         if tracked_degree < r / 7:
             termination = "degree-floor"
             break

@@ -25,7 +25,7 @@ from typing import Iterable
 
 from .colouring import EdgeColouring
 from .errors import ContractViolation, SizeCapError, UsageError
-from .graph import Edge, Graph, components
+from .graph import Edge, Graph, components, plain_record
 
 __all__ = [
     "MonochromaticComponent",
@@ -41,7 +41,6 @@ DEFAULT_COMPONENT_CAP = 24
 
 @dataclass(frozen=True, slots=True)
 class MonochromaticComponent:
-    colour: int
     vertices: tuple[int, ...]
     edges: tuple[Edge, ...]
 
@@ -60,7 +59,7 @@ def monochromatic_components(
             f"colouring assigns edges absent from the graph, e.g. {min(stray)}"
         )
     return {
-        colour: [MonochromaticComponent(colour, vs, es) for vs, es in components(edges)]
+        colour: [MonochromaticComponent(vs, es) for vs, es in components(edges)]
         for colour, edges in colouring.colour_classes().items()
     }
 
@@ -215,27 +214,7 @@ class VerificationReport:
         return (self.worst_component[0], len(self.worst_component[1]))
 
     def to_record(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "k": self.k,
-            "r": self.r,
-            "colours_used": self.colours_used,
-            "colours_within_budget": self.colours_within_budget,
-            "covers_all_edges": self.covers_all_edges,
-            "witness_colour": self.witness_colour,
-            "witness_path": list(self.witness_path) if self.witness_path else None,
-            "failures": [[c, list(p)] for c, p in self.failures],
-            "component_cap": self.component_cap,
-            "indeterminate_components": [
-                list(t) for t in self.indeterminate_components
-            ],
-            "cover_certified": [list(t) for t in self.cover_certified],
-            "worst_component": [self.worst_component[0], list(self.worst_component[1])]
-            if self.worst_component
-            else None,
-            "per_colour_stats": [list(t) for t in self.per_colour_stats],
-            "class_sizes": {str(c): m for c, m in sorted(self.class_sizes.items())},
-        }
+        return plain_record(self)
 
 
 def verify_colouring(
@@ -263,6 +242,7 @@ def verify_colouring(
     covered: list[tuple[int, int, int]] = []
     worst: tuple[int, tuple[int, ...]] | None = None
     stats: list[tuple[int, int, int, int | None]] = []
+    # in colour order, which the record keeps
     class_sizes = {c: sum(comp.edge_count for comp in cs) for c, cs in comps.items()}
 
     for colour, class_comps in comps.items():

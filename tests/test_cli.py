@@ -11,6 +11,8 @@ import pathfree.cli as cli
 from pathfree import (
     Graph,
     InternalInvariantError,
+    PipelineParams,
+    colour_graph,
     compute_bins_stats,
     parse_colouring,
     parse_edge_list,
@@ -138,6 +140,16 @@ def test_colour_and_extract_reject_a_non_finite_density(desk_graph_file, capsys,
         assert captured.err.startswith("error:") and "finite" in captured.err
 
 
+def test_colour_rejects_a_density_whose_cap_overflows(desk_graph_file, capsys):
+    # finite, but beta0 * r * log r is not: this once exited 0 and printed
+    # "degree_goal": Infinity, which strict JSON parsers reject
+    argv = ["colour", "--input", desk_graph_file, "--r", "48", "--k", "8", "--beta0", "1e308"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "finite" in captured.err
+
+
 def test_colour_report_bytes_are_pinned(tmp_path, capsys):
     # The digests in the benchmark skip ``params``; these pin every byte of
     # one report and of its text form, the fixed constants' entries included.
@@ -158,6 +170,89 @@ def test_colour_report_bytes_are_pinned(tmp_path, capsys):
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == (
         "ab793c970ba29e3d04feb57802e4a75b4d08d574a7da874442d2bc94ab8a27c7"
     )
+
+
+@pytest.mark.parametrize(
+    "k,report_digest,text_digest",
+    [
+        pytest.param(
+            "5",
+            "6ae5cbb81c096c84f5d2f03d1a45508977b61669eb309e1649dfb2f529cc9a98",
+            "68dda27a4149be1eb4427f9641bfa5cb6e01769ec665e2c032da69ff58f7360f",
+            id="aborted-round",
+        ),
+        pytest.param(
+            "3",
+            "0497f544b1b1c21a358c374c5ac94167dc0e74ff612cb8f09b19d67c87ef2766",
+            "be4e9939bab2fb7a18578986082e9a60571b9542a8b0933504fb42ce0e54f3eb",
+            id="proper-only",
+        ),
+    ],
+)
+def test_colour_report_bytes_are_pinned_on_other_paths(
+    tmp_path, capsys, k, report_digest, text_digest
+):
+    # The instance pinned above at k=5 (its one round aborts) and k=3 (one
+    # proper colouring, no rounds): abort reasons and stage notes, byte by byte.
+    graph_path = tmp_path / "graph.txt"
+    graph_path.write_text(serialize_edge_list(uniform_edges(200, 3000, seed=1)))
+    report_path = tmp_path / "report.json"
+    argv = ["colour", "--input", str(graph_path), "--r", "24", "--k", k,
+            "--seed", "1", "--beta0", "0.5"]
+    assert main(argv + ["--report", str(report_path)]) == 1  # over budget
+    capsys.readouterr()
+    assert hashlib.sha256(report_path.read_bytes()).hexdigest() == report_digest
+    assert main(argv + ["--format", "text"]) == 1
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == text_digest
+
+
+@pytest.fixture(scope="module")
+def pinned_colouring_file(tmp_path_factory):
+    # what ``colour --output`` writes for the report pinned above
+    g = uniform_edges(200, 3000, seed=1)
+    result = colour_graph(g, PipelineParams(r=24, k=8, beta0=0.5, seed=1))
+    path = tmp_path_factory.mktemp("pinned") / "colouring.txt"
+    path.write_text(serialize_colouring(g, result.colouring, r=24, k=8))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "extra,code,verdict,json_digest,text_digest",
+    [
+        pytest.param(
+            [], 0, "pass",
+            "00b1ab9565aac8a0e53b760e30a80213ab4bdd06ae6bea80bdd0c79e98f5d8e6",
+            "544049d9d2f0197efb3f4db175971f1d47c397e1c5d2e5d8d9b3b8167ec35aac",
+            id="pass",
+        ),
+        pytest.param(
+            ["--k", "3"], 1, "fail",
+            "026dc053163763b02c2fee44e3137b523ddaff088316fcc7c6b11b264862eb3e",
+            "d31148a467812611b3edef957fc6e5858324ad4f0f6d935e762d1af834600358",
+            id="fail-with-witness",
+        ),
+        pytest.param(
+            ["--exact-cap", "6"], 0, "pass",
+            "f52658fdf6366bac4a03ede72268640643fdc5eb5868023efa9cb56429df1be0",
+            "d2293aa1df41877d132c9771d81d8b7c2ef00507fb4f63ac82869024bdc8c71f",
+            id="cover-certified",
+        ),
+    ],
+)
+def test_verify_output_bytes_are_pinned(
+    pinned_colouring_file, capsys, extra, code, verdict, json_digest, text_digest
+):
+    # Every byte of the verifier's json and text output: witness path,
+    # failures, cover certificates, per-colour stats and class sizes.
+    argv = ["verify", "--input", pinned_colouring_file, *extra]
+    assert main(argv) == code
+    out = capsys.readouterr().out
+    record = json.loads(out)
+    assert record["verdict"] == verdict
+    assert (record["witness_path"] is not None) == (verdict == "fail")
+    assert hashlib.sha256(out.encode()).hexdigest() == json_digest
+    assert main(argv + ["--format", "text"]) == code
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == text_digest
 
 
 def test_colour_internal_error_exit_3(desk_graph_file, capsys, monkeypatch):

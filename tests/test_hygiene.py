@@ -1,4 +1,7 @@
-"""Source hygiene: every imported name is used (an AST scan, as no linter runs)."""
+"""Source hygiene: every imported name and every dataclass field is read.
+
+Both are AST scans, as no linter runs.
+"""
 
 import ast
 from pathlib import Path
@@ -49,3 +52,65 @@ def test_no_unused_imports():
         for line, name in unused_imports(ast.parse(path.read_text(), str(path)))
     ]
     assert found == []
+
+
+def _is_dataclass(decorator: ast.expr) -> bool:
+    target = decorator.func if isinstance(decorator, ast.Call) else decorator
+    name = getattr(target, "id", None) or getattr(target, "attr", None)
+    return name == "dataclass"
+
+
+def unread_fields(trees: dict[str, ast.Module]) -> list[str]:
+    """Dataclass fields that no module reads as an attribute, as ``path:line: Class.field``.
+
+    A read is any attribute load of that name anywhere in ``trees``, whatever
+    the object.  Classes that define ``to_record`` do not count (their record
+    reads every field), nor do ``ClassVar`` annotations.
+    """
+    read = {
+        node.attr
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    found = []
+    for path, tree in trees.items():
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            methods = {s.name for s in cls.body if isinstance(s, ast.FunctionDef)}
+            if "to_record" in methods or not any(map(_is_dataclass, cls.decorator_list)):
+                continue
+            found.extend(
+                f"{path}:{stmt.lineno}: {cls.name}.{stmt.target.id}"
+                for stmt in cls.body
+                if isinstance(stmt, ast.AnnAssign)
+                and isinstance(stmt.target, ast.Name)
+                and not ast.unparse(stmt.annotation).startswith("ClassVar")
+                and stmt.target.id not in read
+            )
+    return found
+
+
+def test_unread_fields_scan_flags_only_unread_fields():
+    source = (
+        "from dataclasses import dataclass\n"
+        "@dataclass(frozen=True)\n"
+        "class A:\n    x: int\n    y: int\n    z: ClassVar[int] = 0\n"
+        "@dataclass\n"
+        "class B:\n    w: int\n    def to_record(self):\n        return {}\n"
+        "class C:\n    v: int\n"
+        "print(A(1, 2).x)\n"
+    )
+    other = "a.y = 3\n"  # a store is not a read
+    trees = {"m.py": ast.parse(source), "n.py": ast.parse(other)}
+    assert unread_fields(trees) == ["m.py:5: A.y"]
+
+
+def test_no_unread_dataclass_fields():
+    trees = {
+        str(path.relative_to(ROOT)): ast.parse(path.read_text(), str(path))
+        for folder in SCANNED + ("perfbench",)
+        for path in sorted((ROOT / folder).rglob("*.py"))
+    }
+    assert unread_fields(trees) == []

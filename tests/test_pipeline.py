@@ -58,6 +58,11 @@ def test_params_validation():
     for beta0 in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(UsageError):
             PipelineParams(r=8, k=6, beta0=beta0)
+    # the degree goal (first), the density cap (second) or r itself (third)
+    # beyond float range
+    for r, k, beta0 in ((3, 3, 1.7e308), (100, 10**8, 1e300), (10**400, 8, 0.5)):
+        with pytest.raises(UsageError, match="finite"):
+            PipelineParams(r=r, k=k, beta0=beta0)
     with pytest.raises(UsageError):
         PipelineParams(r=8, k=6, trials_per_extraction=0)
 
@@ -270,7 +275,7 @@ def test_result_record_is_json_friendly():
     g = uniform_edges(30, 60, seed=9)
     result = colour_graph(g, PipelineParams(r=10, k=6, beta0=0.5, seed=9))
     record = result.to_record()
-    text = json.dumps(record)
+    text = json.dumps(record, allow_nan=False)
     assert json.loads(text)["total_colours"] == result.total_colours
 
 
