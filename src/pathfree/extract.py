@@ -13,6 +13,14 @@ Results carry a machine-checked certificate: ``part-size`` (every
 (``2 max|A_i| + 1 < k``, the exact alternation bound), or
 ``component-order`` (every connected component of the kept subgraph has
 fewer than ``k`` vertices).  Uncertified attempts are never promoted.
+
+Each trial works on numpy arrays over ``g.edge_array`` only: a side mask
+from the bipartition, a per-vertex part array, the A-part sizes and the kept
+edge rows.  ``component-order`` is checked by min-label propagation over the
+kept rows for at most ``k - 1`` rounds: a component on fewer than ``k``
+vertices has diameter at most ``k - 2``, so labels that have not settled by
+then rule the certificate out, and settled labels are the components, whose
+sizes one ``bincount`` gives.  Only the chosen trial becomes a ``Graph``.
 """
 
 from __future__ import annotations
@@ -25,7 +33,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import ContractViolation, InternalInvariantError, UsageError
-from .graph import Edge, Graph, components, random_balanced_bipartition
+from .graph import Graph, random_balanced_bipartition
 from .rng import substream
 
 __all__ = [
@@ -84,43 +92,76 @@ def greedy_bin_assignment(
     return best[b]
 
 
-def _group(ids: np.ndarray, part: np.ndarray, q: int) -> tuple[frozenset[int], ...]:
-    flat = ids[np.argsort(part[ids], kind="stable")].tolist()
-    cuts = [0, *np.cumsum(np.bincount(part[ids], minlength=q)).tolist()]
-    return tuple(frozenset(flat[i:j]) for i, j in zip(cuts, cuts[1:]))
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BlockSplit:
-    """One random block structure: A-parts, matched B-parts, and kept edges."""
+    """One random block structure over the vertices and edge rows of a graph.
 
-    a_parts: tuple[frozenset[int], ...]
-    b_parts: tuple[frozenset[int], ...]
-    kept_edges: frozenset[Edge]
+    ``part`` holds each vertex's block (-1 for a vertex on neither side),
+    ``in_a`` marks the A-side, ``sizes`` counts the A-vertices of each block
+    and ``kept_edges`` holds the kept rows of ``edge_array``, in order.
+    """
+
+    part: np.ndarray
+    in_a: np.ndarray
+    sizes: np.ndarray
+    kept_edges: np.ndarray
+
+    @property
+    def a_parts(self) -> tuple[np.ndarray, ...]:
+        """The A-vertices of each block, ascending, derived on every read."""
+        ids = np.flatnonzero(self.in_a)
+        ids = ids[np.argsort(self.part[ids], kind="stable")]
+        return tuple(np.split(ids, np.cumsum(self.sizes)[:-1]))
 
 
 def block_partition(
-    g: Graph, a: frozenset[int], b: frozenset[int], q: int, rng: np.random.Generator
+    g: Graph, in_a: np.ndarray, in_b: np.ndarray, q: int, rng: np.random.Generator
 ) -> BlockSplit:
-    """Scatter ``a`` into ``q`` uniform parts, assign ``b`` greedily, keep blocks.
+    """Scatter side A into ``q`` uniform parts, assign side B greedily, keep blocks.
 
-    The kept edges are exactly those running between ``A_i`` and ``B_i`` for
-    some shared ``i``; edges inside ``b`` or across blocks are dropped.
+    ``in_a`` and ``in_b`` are disjoint boolean masks over ``0..n-1``.  The
+    kept edges are exactly those running between ``A_i`` and ``B_i`` for some
+    shared ``i``; edges inside B or across blocks are dropped.
     """
     if q < 1:
         raise UsageError("need at least one block")
-    in_a, in_b = g.vertex_mask(a), g.vertex_mask(b)
+    in_a, in_b = np.asarray(in_a), np.asarray(in_b)
+    n = g.vertex_count
+    if any(mask.shape != (n,) or mask.dtype != bool for mask in (in_a, in_b)):
+        raise ContractViolation(f"split sides must be boolean masks over 0..{n - 1}")
     if (in_a & in_b).any():
         raise ContractViolation("split sides overlap")
     a_ids, b_ids = np.flatnonzero(in_a), np.flatnonzero(in_b)
-    owner = np.full(g.vertex_count, -1, dtype=np.int64)
+    owner = np.full(n, -1, dtype=np.int64)
     owner[a_ids] = rng.integers(0, q, size=a_ids.size)  # one draw, over sorted a
     part = owner.copy()
     part[b_ids] = greedy_bin_assignment(g, owner, b_ids)
     u, v = g.edge_array.T
     keep = ((in_a[u] & in_b[v]) | (in_b[u] & in_a[v])) & (part[u] == part[v])
-    kept = frozenset(map(tuple, g.edge_array[keep].tolist()))
-    return BlockSplit(_group(a_ids, part, q), _group(b_ids, part, q), kept)
+    sizes = np.bincount(owner[a_ids], minlength=q)
+    return BlockSplit(part, in_a, sizes, g.edge_array[keep])
+
+
+def _components_below(edges: np.ndarray, vertex_count: int, k: int) -> bool:
+    """Whether every component of the ``(m, 2)`` edge rows has fewer than ``k`` vertices.
+
+    Each round lowers every vertex's label to the least label on it and its
+    neighbours, so after ``t`` rounds it is the least id within distance
+    ``t``.  Labels that agree across every edge are settled: each component
+    then carries its least id.  A component on fewer than ``k`` vertices
+    settles within ``k - 2`` rounds, so labels still unsettled after that
+    mean a component on ``k`` or more.
+    """
+    u, v = edges.T
+    labels = np.arange(vertex_count)
+    for _ in range(k - 1):
+        lu, lv = labels[u], labels[v]
+        if np.array_equal(lu, lv):
+            return int(np.bincount(labels).max()) < k
+        low = np.minimum(lu, lv)
+        np.minimum.at(labels, u, low)
+        np.minimum.at(labels, v, low)
+    return False
 
 
 @dataclass(frozen=True)
@@ -175,8 +216,10 @@ def extract_path_free_subgraph(
     if stray.any():
         edge = tuple(g.edge_array[stray.argmax()].tolist())
         raise ContractViolation(f"edge {edge} avoids the core")
+    sides = in_core | g.vertex_mask(indep_set)
+    pool = np.flatnonzero(in_core)
 
-    half = (len(core_set) + 1) // 2
+    half = (pool.size + 1) // 2
     q_raw = (6 * half) // k
     q = max(1, q_raw)
 
@@ -186,27 +229,28 @@ def extract_path_free_subgraph(
     best: dict[bool, tuple[int, BlockSplit, int, str | None]] = {}
     for t in range(trials):
         rng = substream(seed, "extract-trial", t)
-        bp = random_balanced_bipartition(g, core_set, rng)
-        split = block_partition(g, bp.a, bp.rest | indep_set, q, rng)
-        kept_total += len(split.kept_edges)
+        bp = random_balanced_bipartition(g, pool, rng)
+        split = block_partition(g, bp.in_a, sides & ~bp.in_a, q, rng)
+        kept = len(split.kept_edges)
+        kept_total += kept
         certificate = None
         # a path inside block (A_i, B_i) alternates sides, so it has at
         # most 2|A_i| + 1 vertices; blocks are vertex-disjoint
-        widest = max((len(part) for part in split.a_parts), default=0)
+        widest = int(split.sizes.max())
         if 2 * widest < k - 2:
             certificate = "part-size"
         elif 2 * widest + 1 < k:
             certificate = "block-path"
-        elif all(len(vs) < k for vs, _ in components(split.kept_edges)):
+        elif _components_below(split.kept_edges, g.vertex_count, k):
             certificate = "component-order"
         certified = certificate is not None
         held = best.get(certified)
-        if held is None or len(split.kept_edges) > len(held[1].kept_edges):
+        if held is None or kept > len(held[1].kept_edges):
             best[certified] = (t, split, bp.crossing_edges, certificate)
 
     chosen, split, crossing, certificate = best.get(True) or best[False]
     return ExtractionResult(
-        subgraph=Graph(g.vertex_count, split.kept_edges),
+        subgraph=Graph(g.vertex_count, frozenset(map(tuple, split.kept_edges.tolist()))),
         q=q,
         q_clamped=q_raw < 1,
         k=k,

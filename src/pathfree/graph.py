@@ -80,7 +80,10 @@ class Graph:
 
     def vertex_mask(self, vertices: Iterable[int]) -> np.ndarray:
         """Boolean membership array over ``0..n-1``; other ids are an error."""
-        ids = np.fromiter(vertices, dtype=np.int64)
+        if isinstance(vertices, np.ndarray):
+            ids = vertices.astype(np.int64, copy=False)
+        else:
+            ids = np.fromiter(vertices, dtype=np.int64)
         if ids.size and not (0 <= ids.min() and ids.max() < self.vertex_count):
             raise ContractViolation(f"vertex outside 0..{self.vertex_count - 1}")
         mask = np.zeros(self.vertex_count, dtype=bool)
@@ -113,12 +116,15 @@ class Graph:
         return sorted(self.edges)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Bipartition:
-    """A split of a vertex set with the number of edges it cuts in the host graph."""
+    """One side of a split of a vertex pool, with the edges it cuts in the host graph.
 
-    a: frozenset[int]
-    rest: frozenset[int]
+    ``in_a`` is the boolean mask of the drawn side over ``0..n-1``; the rest
+    of the pool is the other side.
+    """
+
+    in_a: np.ndarray
     crossing_edges: int
     tries: int
 
@@ -277,8 +283,11 @@ def components(
         yield tuple(sorted(comp)), tuple(own)
 
 
-def crossing_edge_count(g: Graph, a: frozenset[int]) -> int:
-    inside = g.vertex_mask(a)
+def crossing_edge_count(g: Graph, a: Iterable[int]) -> int:
+    return _cut_size(g, g.vertex_mask(a))
+
+
+def _cut_size(g: Graph, inside: np.ndarray) -> int:
     u, v = g.edge_array.T
     return int(np.count_nonzero(inside[u] != inside[v]))
 
@@ -287,29 +296,33 @@ _BIPARTITION_TRIES = 64
 
 
 def random_balanced_bipartition(
-    g: Graph, vertices: Iterable[int], rng: np.random.Generator
+    g: Graph, pool: np.ndarray, rng: np.random.Generator
 ) -> Bipartition:
-    """Sample ``a`` of size ``ceil(|vertices|/2)`` cutting at least half of g's edges.
+    """Sample ``a`` of size ``ceil(|pool|/2)`` cutting at least half of g's edges.
 
-    Each try draws a uniform subset of the given size; the expected number of
-    cut edges is at least ``e(g)/2`` (each edge crosses with probability at
-    least 1/2 whether it has one or both endpoints among ``vertices``), so a
-    qualifying draw appears within a few tries.  Exhausting
-    ``_BIPARTITION_TRIES`` tries is treated as an internal failure rather
-    than a user error.
+    ``pool`` holds distinct vertex ids in increasing order; a caller that
+    splits the same pool many times builds it once.  Each try draws a uniform
+    subset of the given size; the expected number of cut edges is at least
+    ``e(g)/2`` (each edge crosses with probability at least 1/2 whether it
+    has one or both endpoints in the pool), so a qualifying draw appears
+    within a few tries.  Exhausting ``_BIPARTITION_TRIES`` tries is treated
+    as an internal failure rather than a user error.
     """
-    pool = sorted(set(vertices))
-    if not pool:
+    pool = np.asarray(pool, dtype=np.int64)
+    if not pool.size:
         raise ContractViolation("cannot bipartition an empty vertex set")
-    half = (len(pool) + 1) // 2
+    if pool[0] < 0 or pool[-1] >= g.vertex_count or (np.diff(pool) <= 0).any():
+        raise ContractViolation(
+            f"the pool must hold distinct ids of 0..{g.vertex_count - 1} in order"
+        )
+    half = (pool.size + 1) // 2
     target = g.edge_count / 2
-    arr = np.array(pool)
     for attempt in range(1, _BIPARTITION_TRIES + 1):
-        chosen = rng.choice(arr, size=half, replace=False)
-        a = frozenset(chosen.tolist())
-        crossing = crossing_edge_count(g, a)
+        in_a = np.zeros(g.vertex_count, dtype=bool)
+        in_a[rng.choice(pool, size=half, replace=False)] = True
+        crossing = _cut_size(g, in_a)
         if crossing >= target:
-            return Bipartition(a, frozenset(pool) - a, crossing, attempt)
+            return Bipartition(in_a, crossing, attempt)
     raise InternalInvariantError(
         f"no balanced split reached {target} crossing edges in "
         f"{_BIPARTITION_TRIES} tries"

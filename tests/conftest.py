@@ -116,25 +116,29 @@ def block_partition_reference(
 ) -> BlockSplit:
     """Reference oracle for ``block_partition`` with dicts and adjacency scans.
 
-    Makes the same single draw over ``sorted(a)``; input checks are left to
-    the package.
+    Takes the sides as vertex sets and makes the same single draw over
+    ``sorted(a)``; input checks are left to the package.
     """
     part_of = dict(zip(sorted(a), rng.integers(0, q, size=len(a)).tolist()))
     b_part = greedy_bin_assignment_reference(g, part_of, sorted(b))
-    kept = frozenset(
+    kept = sorted(
         (x, w) if x < w else (w, x)
         for x, i in b_part.items()
         for w in g.neighbours(x)
         if part_of.get(w) == i
     )
-
-    def group(owner: dict[int, int]) -> tuple[frozenset[int], ...]:
-        parts: list[list[int]] = [[] for _ in range(q)]
-        for v, i in owner.items():
-            parts[i].append(v)
-        return tuple(frozenset(part) for part in parts)
-
-    return BlockSplit(group(part_of), group(b_part), kept)
+    part = [-1] * g.vertex_count
+    for v, i in [*part_of.items(), *b_part.items()]:
+        part[v] = i
+    sizes = [0] * q
+    for i in part_of.values():
+        sizes[i] += 1
+    return BlockSplit(
+        part=np.array(part, dtype=np.int64),
+        in_a=np.array([v in a for v in range(g.vertex_count)], dtype=bool),
+        sizes=np.array(sizes, dtype=np.int64),
+        kept_edges=np.array(kept, dtype=np.int64).reshape(-1, 2),
+    )
 
 
 def proper_edge_colouring_reference(g: Graph, colour_base: int = 0) -> EdgeColouring:

@@ -162,8 +162,9 @@ def test_criterion_08_block_split_keeps_enough_edges():
         cross = sum(1 for u, v in g.edges if (u in a) != (v in a))
         delta = g.max_degree
         bound = cross * exact_max_load_expectation(q, delta) / delta
+        in_a, in_b = g.vertex_mask(a), g.vertex_mask(b)
         counts = [
-            len(block_partition(g, a, b, q, substream(5150, "obsH", tag, t)).kept_edges)
+            len(block_partition(g, in_a, in_b, q, substream(5150, "obsH", tag, t)).kept_edges)
             for t in range(trials)
         ]
         mean = statistics.fmean(counts)

@@ -19,12 +19,15 @@ from pathfree import (
     substream,
     uniform_edges,
 )
+from pathfree.extract import _components_below
+from pathfree.graph import components
 
 from conftest import (
     block_partition_reference,
     edge_adjacency,
     greedy_bin_assignment_reference,
     has_path_on,
+    path_graph,
     random_graph,
     star_graph,
 )
@@ -93,29 +96,38 @@ def test_block_partition_keeps_only_matched_blocks(rnd):
         a = frozenset(vertices[:cut])
         b = frozenset(vertices[cut:])
         q = rnd.randint(1, 4)
-        split = block_partition(g, a, b, q, substream(trial, "block"))
-        assert len(split.a_parts) == len(split.b_parts) == q
-        owner_a = {v: i for i, part in enumerate(split.a_parts) for v in part}
-        owner_b = {v: i for i, part in enumerate(split.b_parts) for v in part}
-        assert set(owner_a) == set(a) and set(owner_b) == set(b)
-        assert sum(map(len, split.a_parts)) == len(a)
-        assert sum(map(len, split.b_parts)) == len(b)
+        split = block_partition(
+            g, g.vertex_mask(a), g.vertex_mask(b), q, substream(trial, "block")
+        )
+        assert len(split.a_parts) == len(split.sizes) == q
+        assert [len(part) for part in split.a_parts] == split.sizes.tolist()
+        owner_a = {v: i for i, part in enumerate(split.a_parts) for v in part.tolist()}
+        owner_b = {v: int(split.part[v]) for v in b}
+        assert set(owner_a) == set(a)
+        assert all(split.part[v] == i for v, i in owner_a.items())
+        assert all(0 <= i < q for i in owner_b.values())
         for x in b:
             assert owner_b[x] == reference_part(g, owner_a, x, q)
-        assert split.kept_edges <= g.edges
+        kept = set(map(tuple, split.kept_edges.tolist()))
+        assert len(kept) == len(split.kept_edges) and kept <= g.edges
         for u, v in g.edges:
             in_block = (
                 owner_a.get(u) == owner_b.get(v) and u in owner_a and v in owner_b
             ) or (owner_a.get(v) == owner_b.get(u) and v in owner_a and u in owner_b)
-            assert ((u, v) in split.kept_edges) == in_block
+            assert ((u, v) in kept) == in_block
 
 
 def test_block_partition_validation():
     g = star_graph(3)
+    a, b = g.vertex_mask({0}), g.vertex_mask({1})
     with pytest.raises(UsageError):
-        block_partition(g, frozenset({0}), frozenset({1}), 0, substream(0, "x"))
-    with pytest.raises(ContractViolation):
-        block_partition(g, frozenset({0, 1}), frozenset({1}), 2, substream(0, "x"))
+        block_partition(g, a, b, 0, substream(0, "x"))
+    with pytest.raises(ContractViolation, match="overlap"):
+        block_partition(g, g.vertex_mask({0, 1}), b, 2, substream(0, "x"))
+    with pytest.raises(ContractViolation, match="boolean masks"):
+        block_partition(g, a, b[:3], 2, substream(0, "x"))
+    with pytest.raises(ContractViolation, match="boolean masks"):
+        block_partition(g, a.astype(int), b, 2, substream(0, "x"))
 
 
 def role_split(rnd: random.Random, n: int) -> tuple[frozenset[int], frozenset[int]]:
@@ -135,8 +147,18 @@ def test_block_partition_matches_reference_oracle():
         g = Graph.build(n, pairs)
         a, b = role_split(rnd, n)
         q = rnd.choice([1, 2, rnd.randint(1, 40)])
-        split = block_partition(g, a, b, q, substream(trial, "oracle"))
-        assert split == block_partition_reference(g, a, b, q, substream(trial, "oracle"))
+        split = block_partition(
+            g, g.vertex_mask(a), g.vertex_mask(b), q, substream(trial, "oracle")
+        )
+        oracle = block_partition_reference(g, a, b, q, substream(trial, "oracle"))
+        # the part of every A and B vertex (-1 elsewhere) and the kept rows
+        assert split.part.tolist() == oracle.part.tolist()
+        assert split.in_a.tolist() == oracle.in_a.tolist()
+        assert split.sizes.tolist() == oracle.sizes.tolist()
+        assert split.kept_edges.tolist() == oracle.kept_edges.tolist()
+        assert [p.tolist() for p in split.a_parts] == [
+            sorted(v for v in a if oracle.part[v] == i) for i in range(q)
+        ]
         # the assignment alone, with B in no particular order
         part_of = {v: rnd.randrange(q) for v in sorted(a)}
         order = list(b)
@@ -208,6 +230,51 @@ def test_extraction_selection_is_pinned():
     assert selection(uncertified) == (29, False, None, 60, 49.9)
     certified = extract_path_free_subgraph(g, range(60), (), k=6, trials=40, seed=5)
     assert selection(certified) == (22, True, "block-path", 44, 55.65)
+
+
+def component_oracle(edges, k: int) -> bool:
+    return all(len(vs) < k for vs, _ in components(edges))
+
+
+def relabelled(rnd: random.Random, n: int, edges) -> Graph:
+    ids = list(range(n))
+    rnd.shuffle(ids)
+    return Graph.build(n, [(ids[u], ids[v]) for u, v in edges])
+
+
+def test_propagation_certificate_matches_component_walk(rnd):
+    for k in (4, 5, 7, 10):
+        n = 3 * k
+        line = [(i, i + 1) for i in range(n - 1)]
+        cases = {
+            "path on k-1": path_graph(k - 1),  # least id at one end: k-2 rounds
+            "path on k": path_graph(k),
+            "long path": path_graph(n),  # still unsettled after k-1 rounds
+            "star on k": Graph.build(k, [(0, i) for i in range(1, k)]),
+            "empty": Graph.build(n, []),
+            "shuffled path on k-1": relabelled(rnd, n, line[: k - 2]),
+            "shuffled path on k": relabelled(rnd, n, line[: k - 1]),
+        }
+        expected = {
+            "path on k-1": True,
+            "path on k": False,
+            "long path": False,
+            "star on k": False,
+            "empty": True,
+            "shuffled path on k-1": True,
+            "shuffled path on k": False,
+        }
+        for name, g in cases.items():
+            got = _components_below(g.edge_array, g.vertex_count, k)
+            assert got == expected[name] == component_oracle(g.sorted_edges(), k), (k, name)
+    verdicts = Counter()
+    for trial in range(400):
+        g = random_graph(rnd, n_max=24, density=rnd.choice([0.03, 0.06, 0.1, 0.2]))
+        k = rnd.randint(4, 12)
+        got = _components_below(g.edge_array, g.vertex_count, k)
+        assert got == component_oracle(g.sorted_edges(), k), (trial, k)
+        verdicts[got] += 1
+    assert min(verdicts.values()) > 50, verdicts
 
 
 def test_certified_extractions_have_no_long_path(rnd):

@@ -3,6 +3,7 @@
 import random
 
 import networkx as nx
+import numpy as np
 import pytest
 
 from pathfree import (
@@ -153,11 +154,12 @@ def test_crossing_edge_count_edge_cases():
 
 def test_block_partition_on_edgeless_graph():
     g = Graph.build(6, [])
-    a, b = frozenset({0, 1, 2}), frozenset({3, 4})
+    a, b = g.vertex_mask({0, 1, 2}), g.vertex_mask({3, 4})
     split = block_partition(g, a, b, 2, substream(0, "edgeless"))
-    assert split.kept_edges == frozenset()
-    assert split.b_parts == (frozenset({3, 4}), frozenset())  # no neighbours: part 0
-    assert len(split.a_parts) == 2 and frozenset().union(*split.a_parts) == {0, 1, 2}
+    assert split.kept_edges.shape == (0, 2)
+    assert split.part[[3, 4, 5]].tolist() == [0, 0, -1]  # no neighbours: part 0
+    assert split.sizes.sum() == 3 and len(split.a_parts) == 2
+    assert sorted(v for part in split.a_parts for v in part.tolist()) == [0, 1, 2]
 
 
 def test_components_match_networkx(rnd):
@@ -178,18 +180,34 @@ def test_random_balanced_bipartition_properties():
     rnd = random.Random(31)
     for trial in range(40):
         g = random_graph(rnd, n_max=12, density=0.5)
-        pool = g.non_isolated() or frozenset(range(g.vertex_count))
-        bp = random_balanced_bipartition(g, pool, substream(trial, "split"))
-        assert len(bp.a) == (len(pool) + 1) // 2
-        assert bp.a | bp.rest == pool and not (bp.a & bp.rest)
-        assert bp.crossing_edges == crossing_edge_count(g, bp.a)
+        pool = sorted(g.non_isolated() or range(g.vertex_count))
+        bp = random_balanced_bipartition(g, np.array(pool), substream(trial, "split"))
+        a = np.flatnonzero(bp.in_a).tolist()
+        assert bp.in_a.shape == (g.vertex_count,)
+        assert len(a) == (len(pool) + 1) // 2 and set(a) <= set(pool)
+        assert bp.crossing_edges == crossing_edge_count(g, a)
         assert 2 * bp.crossing_edges >= g.edge_count
+
+
+def test_random_balanced_bipartition_draws_as_a_sorted_choice():
+    # the side is the draw that rng.choice makes over the sorted pool
+    g = complete_graph(9)
+    pool = np.array([1, 2, 4, 5, 7, 8])
+    bp = random_balanced_bipartition(g, pool, substream(4, "draw"))
+    rng = substream(4, "draw")
+    drawn = []
+    for _ in range(bp.tries):
+        drawn = sorted(rng.choice(pool, size=3, replace=False).tolist())
+    assert np.flatnonzero(bp.in_a).tolist() == drawn
 
 
 def test_random_balanced_bipartition_failure_is_internal():
     # pool = an isolated vertex: no draw can ever cut half of the edges
     g = Graph.build(4, [(1, 2), (1, 3), (2, 3)])
     with pytest.raises(InternalInvariantError):
-        random_balanced_bipartition(g, {0}, substream(0, "hopeless"))
-    with pytest.raises(ContractViolation):
-        random_balanced_bipartition(g, set(), substream(0, "empty"))
+        random_balanced_bipartition(g, np.array([0]), substream(0, "hopeless"))
+    with pytest.raises(ContractViolation, match="empty"):
+        random_balanced_bipartition(g, np.array([], dtype=int), substream(0, "empty"))
+    for pool in ([0, 4], [-1, 2], [2, 1], [1, 1]):
+        with pytest.raises(ContractViolation, match="in order"):
+            random_balanced_bipartition(g, np.array(pool), substream(0, "bad"))

@@ -114,3 +114,20 @@ def test_no_unread_dataclass_fields():
         for path in sorted((ROOT / folder).rglob("*.py"))
     }
     assert unread_fields(trees) == []
+
+
+def imported_names(tree: ast.Module) -> set[str]:
+    """Every name a module binds by an import."""
+    return {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    }
+
+
+def test_extract_keeps_its_certificate_apart_from_the_verifier_walk():
+    # the verifier re-checks what extraction certifies, so the two must not
+    # share the component walker
+    path = ROOT / "src" / "pathfree" / "extract.py"
+    assert "components" not in imported_names(ast.parse(path.read_text(), str(path)))
