@@ -246,27 +246,18 @@ def test_propagation_certificate_matches_component_walk(rnd):
     for k in (4, 5, 7, 10):
         n = 3 * k
         line = [(i, i + 1) for i in range(n - 1)]
-        cases = {
-            "path on k-1": path_graph(k - 1),  # least id at one end: k-2 rounds
-            "path on k": path_graph(k),
-            "long path": path_graph(n),  # still unsettled after k-1 rounds
-            "star on k": Graph.build(k, [(0, i) for i in range(1, k)]),
-            "empty": Graph.build(n, []),
-            "shuffled path on k-1": relabelled(rnd, n, line[: k - 2]),
-            "shuffled path on k": relabelled(rnd, n, line[: k - 1]),
-        }
-        expected = {
-            "path on k-1": True,
-            "path on k": False,
-            "long path": False,
-            "star on k": False,
-            "empty": True,
-            "shuffled path on k-1": True,
-            "shuffled path on k": False,
-        }
-        for name, g in cases.items():
+        cases = [
+            ("path on k-1", path_graph(k - 1), True),  # least id at one end: k-2 rounds
+            ("path on k", path_graph(k), False),
+            ("long path", path_graph(n), False),  # still unsettled after k-1 rounds
+            ("star on k", Graph.build(k, [(0, i) for i in range(1, k)]), False),
+            ("empty", Graph.build(n, []), True),
+            ("shuffled path on k-1", relabelled(rnd, n, line[: k - 2]), True),
+            ("shuffled path on k", relabelled(rnd, n, line[: k - 1]), False),
+        ]
+        for name, g, certified in cases:
             got = _components_below(g.edge_array, g.vertex_count, k)
-            assert got == expected[name] == component_oracle(g.sorted_edges(), k), (k, name)
+            assert got == certified == component_oracle(g.sorted_edges(), k), (k, name)
     verdicts = Counter()
     for trial in range(400):
         g = random_graph(rnd, n_max=24, density=rnd.choice([0.03, 0.06, 0.1, 0.2]))
