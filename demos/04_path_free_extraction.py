@@ -36,9 +36,13 @@ assert report.verdict == "pass"
 
 # the same machinery on an explicit core/independent split; the core must
 # cover every edge, so carve the independent side out greedily
+neighbours: dict[int, set[int]] = {v: set() for v in range(g.vertex_count)}
+for a, b in g.edge_array.tolist():
+    neighbours[a].add(b)
+    neighbours[b].add(a)
 chosen: set[int] = set()
 for v in sorted(range(g.vertex_count), key=g.degree):
-    if not (set(g.neighbours(v)) & chosen):
+    if not (neighbours[v] & chosen):
         chosen.add(v)
 independent = frozenset(chosen)
 core = frozenset(range(g.vertex_count)) - independent

@@ -19,12 +19,18 @@ leaves the rest as an explicitly returned residual graph:
 
 Colour indices in every result are compact: each primitive uses exactly
 ``colour_base .. colour_base + colours_used - 1``.
+
+The refinements split the edge rows by vertex masks over the degree array,
+each threshold taken as the exact integer floor or ceiling of its rational.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
 
 from .errors import ContractViolation, InternalInvariantError, UsageError
 from .graph import Edge, Graph, read_edge_rows, read_header_fields
@@ -124,7 +130,7 @@ def proper_edge_colouring(g: Graph, colour_base: int = 0) -> EdgeColouring:
         for x, y, col in hops:
             set_colour(x, y, c if col == d else d)
 
-    for u, v in g.sorted_edges():
+    for u, v in g.edge_array.tolist():
         # Maximal fan of u starting at v: each next fan edge's colour is
         # free at the previous fan vertex.  No colour at u reaches v, whose
         # edge is the uncoloured one.
@@ -199,45 +205,40 @@ def low_degree_refinement(g: Graph, r: int, colour_base: int = 0) -> RefinementR
     ``floor(r/7) + 1`` colours.  Edges from a low vertex to a high one get
     per-low-vertex distinct colours from a second range of at most
     ``floor(r/7)`` colours, whose classes are star forests centred at high
-    vertices.  Total is within ``r/3`` once ``r >= 42``; smaller ``r`` simply
-    reports ``budget_ok = False``.
+    vertices: each such edge's colour is the rank of its high end among the
+    low end's high neighbours.  Total is within ``r/3`` once ``r >= 42``;
+    smaller ``r`` simply reports ``budget_ok = False``.
     """
     if r < 1:
         raise UsageError("colour budget r must be positive")
     threshold = Fraction(r, 7)
-    low = frozenset(v for v in range(g.vertex_count) if 7 * g.degree(v) <= r)
+    low = g.degrees <= math.floor(threshold)
+    low_u, low_v = low[g.edge_array.T]
 
-    inner_edges = [e for e in g.edges if e[0] in low and e[1] in low]
-    inner = Graph(g.vertex_count, frozenset(inner_edges))
-    proper = proper_edge_colouring(inner, colour_base)
+    proper = proper_edge_colouring(g.keep(low_u & low_v), colour_base)
     first_range = proper.colours_used
 
-    raw: dict[Edge, int] = dict(proper.assignments)
-    star_width = 0
-    for v in sorted(low):
-        rank = 0
-        for w in g.neighbours(v):
-            if w in low:
-                continue
-            edge = (v, w) if v < w else (w, v)
-            raw[edge] = colour_base + first_range + rank
-            rank += 1
-        star_width = max(star_width, rank)
+    # edges leaving the low set, by (low end, high end); rank at low end = colour
+    leaving = low_u != low_v
+    rows = g.edge_array[leaving]
+    low_end = np.where(low_u[leaving], rows[:, 0], rows[:, 1])
+    order = np.lexsort((rows.sum(axis=1) - low_end, low_end))
+    rows, low_end = rows[order], low_end[order]
+    rank = np.arange(len(rows)) - np.searchsorted(low_end, low_end)
+    star = _assignments(rows, colour_base + first_range + rank)
+    star_width = int(rank.max(initial=-1)) + 1
 
-    residual_edges = frozenset(
-        e for e in g.edges if e[0] not in low and e[1] not in low
-    )
     used = first_range + star_width
     budget = Fraction(r, 3)
     return RefinementResult(
-        colouring=EdgeColouring(raw),
-        residual=Graph(g.vertex_count, residual_edges),
+        colouring=EdgeColouring({**proper.assignments, **star}),
+        residual=g.keep(~(low_u | low_v)),
         colour_base=colour_base,
         colours_used=used,
         budget=budget,
         budget_ok=used <= budget,
         threshold=threshold,
-        vertices_removed=low,
+        vertices_removed=frozenset(np.flatnonzero(low).tolist()),
         degree_bound_ok=True,
     )
 
@@ -275,51 +276,42 @@ def star_refinement(
         )
 
     threshold = Fraction(8 * edges_total, k * s)
-    heavy = sorted(
-        (v for v in range(g.vertex_count) if g.degree(v) * k * s >= 8 * edges_total),
-        key=lambda v: (-g.degree(v), v),
-    )
+    least = math.ceil(threshold)  # deg * k * s >= 8e exactly when deg >= least
+    heavy = np.flatnonzero(g.degrees >= least)
+    heavy = heavy[np.argsort(-g.degrees[heavy], kind="stable")]
     capacity = k // 3
     centres = heavy[: s * capacity]
-    owner = {v: i // capacity for i, v in enumerate(centres)}
+    unclaimed = len(centres)  # above every set index
+    owner = np.full(g.vertex_count, unclaimed, dtype=np.int64)
+    owner[centres] = [i // capacity for i in range(len(centres))]  # k may pass int64
+    first = owner[g.edge_array].min(axis=1)
+    claimed = first < unclaimed
+    used_ids, colours = np.unique(first[claimed], return_inverse=True)
+    star = _assignments(g.edge_array[claimed], colour_base + colours)
 
-    raw: dict[Edge, int] = {}
-    residual_edges: list[Edge] = []
-    for e in g.edges:
-        first = min(
-            (owner[x] for x in e if x in owner),
-            default=None,
-        )
-        if first is None:
-            residual_edges.append(e)
-        else:
-            raw[e] = first
-
-    colouring = _compact(raw, colour_base)
-    used_ids = sorted(set(raw.values()))
-    parts = tuple(
-        frozenset(v for v in centres if owner[v] == i) for i in used_ids
-    )
-    residual = Graph(g.vertex_count, frozenset(residual_edges))
-    degree_ok = all(
-        residual.degree(v) * k * s < 8 * edges_total
-        for v in residual.non_isolated()
-    )
+    residual = g.keep(~claimed)
     used = len(used_ids)
     if used > s:
         raise InternalInvariantError("star refinement exceeded its colour count")
     return RefinementResult(
-        colouring=colouring,
+        colouring=EdgeColouring(star),
         residual=residual,
         colour_base=colour_base,
         colours_used=used,
         budget=budget,
         budget_ok=True,
         threshold=threshold,
-        vertices_removed=frozenset(centres),
-        degree_bound_ok=degree_ok,
-        parts=parts,
+        vertices_removed=frozenset(centres.tolist()),
+        degree_bound_ok=residual.max_degree < least,
+        parts=tuple(
+            frozenset(centres[owner[centres] == i].tolist()) for i in used_ids
+        ),
     )
+
+
+def _assignments(rows: np.ndarray, colours: np.ndarray) -> dict[Edge, int]:
+    """Each row of an ``(s, 2)`` edge array, as a pair, mapped to its colour."""
+    return dict(zip(map(tuple, rows.tolist()), colours.tolist()))
 
 
 def serialize_colouring(
@@ -332,7 +324,7 @@ def serialize_colouring(
     be replayed from the file alone.  The colouring must cover exactly the
     edges of ``g``.
     """
-    if colouring.assignments.keys() != g.edges:
+    if Graph.of(g.vertex_count, colouring.assignments) != g:
         raise ContractViolation("colouring must cover exactly the graph's edges")
     head = [f"n={g.vertex_count}"]
     if r is not None:
@@ -341,7 +333,7 @@ def serialize_colouring(
         head.append(f"k={k}")
     head.append(f"colours_used={colouring.colours_used}")
     lines = ["# " + " ".join(head)]
-    for u, v in g.sorted_edges():
+    for u, v in g.edge_array.tolist():
         lines.append(f"{u} {v} {colouring.assignments[(u, v)]}")
     return "\n".join(lines) + "\n"
 
@@ -350,7 +342,7 @@ def parse_colouring(text: str) -> tuple[Graph, EdgeColouring, dict[str, int]]:
     """Inverse of :func:`serialize_colouring`; returns graph, colouring, header."""
     header = read_header_fields(text, ("n", "colours_used", "r", "k"))
     n, rows = read_edge_rows(text, header.get("n"), ("colour",))
-    g = Graph(n, frozenset(rows))
+    g = Graph.of(n, rows)
     colouring = EdgeColouring({e: c for e, (c,) in rows.items()})
     if "colours_used" in header and colouring.colours_used != header["colours_used"]:
         raise UsageError(

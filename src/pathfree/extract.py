@@ -199,24 +199,22 @@ def extract_path_free_subgraph(
     edge, and ``k >= 4``.  Each trial draws its own substream of ``seed``,
     so results do not depend on execution order.
     """
-    core_set = frozenset(core)
-    indep_set = frozenset(independent)
-    if not core_set:
+    in_core, in_indep = g.vertex_mask(core), g.vertex_mask(independent)
+    if not in_core.any():
         raise ContractViolation("core vertex set is empty")
-    if core_set & indep_set:
+    if (in_core & in_indep).any():
         raise ContractViolation("core and independent sets overlap")
     if k < 4:
         raise UsageError("extraction certificates need k >= 4")
     if trials < 1:
         raise UsageError("need at least one trial")
     # an edge inside ``independent`` also avoids the core: the sets are disjoint
-    in_core = g.vertex_mask(core_set)
     u, v = g.edge_array.T
     stray = ~(in_core[u] | in_core[v])
     if stray.any():
         edge = tuple(g.edge_array[stray.argmax()].tolist())
         raise ContractViolation(f"edge {edge} avoids the core")
-    sides = in_core | g.vertex_mask(indep_set)
+    sides = in_core | in_indep
     pool = np.flatnonzero(in_core)
 
     half = (pool.size + 1) // 2
@@ -250,7 +248,7 @@ def extract_path_free_subgraph(
 
     chosen, split, crossing, certificate = best.get(True) or best[False]
     return ExtractionResult(
-        subgraph=Graph(g.vertex_count, frozenset(map(tuple, split.kept_edges.tolist()))),
+        subgraph=Graph(g.vertex_count, split.kept_edges),
         q=q,
         q_clamped=q_raw < 1,
         k=k,
@@ -302,38 +300,32 @@ def degree_class_decompose(
         bands += 1
 
     remaining = g
-    classified: set[int] = set()
+    classified = np.zeros(g.vertex_count, dtype=bool)
     classes: list[DegreeClass] = []
     for j in range(1, bands + 1):
         upper = BAND_RATIO ** (j - 1) * delta
         lower = BAND_RATIO**j * delta
-        members = frozenset(
-            v
-            for v in range(g.vertex_count)
-            if v not in classified and remaining.degree(v) >= lower
-        )
-        for v in members:
-            if remaining.degree(v) > upper:
-                raise InternalInvariantError(
-                    f"band {j} saw degree {remaining.degree(v)} above {upper}"
-                )
-        taken = frozenset(
-            e for e in remaining.edges if e[0] in members or e[1] in members
-        )
-        classes.append(DegreeClass(j, members, Graph(g.vertex_count, taken)))
-        remaining = Graph(g.vertex_count, remaining.edges - taken)
+        deg = remaining.degrees
+        members = ~classified & (deg >= math.ceil(lower))
+        over = members & (deg > math.floor(upper))
+        if over.any():
+            raise InternalInvariantError(
+                f"band {j} saw degree {deg[over.argmax()]} above {upper}"
+            )
+        taken = members[remaining.edge_array].any(axis=1)
+        vertices = frozenset(np.flatnonzero(members).tolist())
+        classes.append(DegreeClass(j, vertices, remaining.keep(taken)))
+        remaining = remaining.keep(~taken)
         classified |= members
 
-    leftovers = frozenset(v for v in range(g.vertex_count) if v not in classified)
-    for v in leftovers:
-        if remaining.degree(v) > floor:
-            raise InternalInvariantError("residual degree above the floor")
+    if (remaining.degrees[~classified] > math.floor(floor)).any():
+        raise InternalInvariantError("residual degree above the floor")
     if sum(c.graph.edge_count for c in classes) + remaining.edge_count != g.edge_count:
         raise InternalInvariantError("decomposition lost or duplicated edges")
     return Decomposition(
         classes=tuple(classes),
         residual=remaining,
-        residual_vertices=leftovers,
+        residual_vertices=frozenset(np.flatnonzero(~classified).tolist()),
     )
 
 
@@ -372,10 +364,14 @@ def extract_from_densest_band(
         raise UsageError("density parameter beta must be positive and finite")
     if r < 1:
         raise UsageError("colour budget r must be positive")
+    if k < 4:
+        raise UsageError("extraction certificates need k >= 4")
+    if trials < 1:
+        raise UsageError("need at least one trial")
     reference = 60.0 / (beta**0.9 * r)
     if g.edge_count == 0:
         empty = ExtractionResult(
-            subgraph=Graph(g.vertex_count, frozenset()),
+            subgraph=g,
             q=1,
             q_clamped=False,
             k=k,
@@ -392,12 +388,12 @@ def extract_from_densest_band(
     for band in decomp.classes:
         if band.graph.edge_count >= SELECT_RATIO**band.level * total:
             piece, core, level = band.graph, band.vertices, band.level
-            independent = frozenset(v for e in piece.edges for v in e) - core
+            independent = np.flatnonzero((piece.degrees > 0) & ~piece.vertex_mask(core))
             selection = "band"
             break
     else:
         piece, core, level = decomp.residual, decomp.residual_vertices, None
-        independent, selection = frozenset(), "residual"
+        independent, selection = [], "residual"
         if 3 * piece.edge_count < total:
             raise InternalInvariantError(
                 "neither a dense band nor a dense residual exists"

@@ -28,25 +28,21 @@ def uniform_edges(n: int, m: int, seed: int) -> Graph:
     total = n * (n - 1) // 2
     if m > total:
         raise UsageError(f"{m} edges do not fit in {n} vertices")
-    if m == 0:
-        return Graph(n, frozenset())
     rng = substream(seed, "uniform-edges")
     if total <= 4_000_000:
+        # triu_indices lists the pairs in ascending order, so sorted picks do too
         rows, cols = np.triu_indices(n, k=1)
-        picked = rng.choice(total, size=m, replace=False)
-        edges = frozenset(
-            (int(rows[i]), int(cols[i])) for i in picked
-        )
-    else:
-        # Sparse regime: rejection sampling stays fast because m << total.
-        chosen: set[Edge] = set()
-        while len(chosen) < m:
-            u = int(rng.integers(0, n))
-            v = int(rng.integers(0, n))
-            if u != v:
-                chosen.add((u, v) if u < v else (v, u))
-        edges = frozenset(chosen)
-    return Graph(n, edges)
+        picked = np.sort(rng.choice(total, size=m, replace=False))
+        return Graph(n, np.column_stack((rows[picked], cols[picked])))
+    # Sparse regime: rejection sampling stays fast because m << total.
+    chosen: set[int] = set()  # u * n + v for u < v
+    while len(chosen) < m:
+        u = int(rng.integers(0, n))
+        v = int(rng.integers(0, n))
+        if u != v:
+            chosen.add(u * n + v if u < v else v * n + u)
+    keys = np.sort(np.fromiter(chosen, dtype=np.int64, count=m))
+    return Graph(n, np.column_stack(np.divmod(keys, n)))
 
 
 def regular_graph(n: int, d: int, seed: int) -> Graph:
@@ -63,7 +59,7 @@ def regular_graph(n: int, d: int, seed: int) -> Graph:
     if (n * d) % 2 != 0:
         raise UsageError("n * d must be even for a d-regular graph")
     if d == 0 or n == 0:
-        return Graph(n, frozenset())
+        return Graph.of(n, ())
 
     rng = substream(seed, "regular")
     stubs = np.repeat(np.arange(n), d)
@@ -120,8 +116,8 @@ def regular_graph(n: int, d: int, seed: int) -> Graph:
 
     if any(is_bad(p) for p in pairs):
         raise InternalInvariantError("edge-swap repair did not converge")
-    g = Graph(n, frozenset(canon(p) for p in pairs))
-    if any(g.degree(v) != d for v in range(n)):
+    g = Graph.of(n, map(canon, pairs))
+    if (g.degrees != d).any():
         raise InternalInvariantError("repair broke regularity")
     return g
 
@@ -134,12 +130,9 @@ def star_forest_graph(n: int, d: int, seed: int) -> Graph:
     del seed
     if n < 0 or d < 1:
         raise UsageError("need non-negative n and at least one leaf per star")
-    edges = set()
     block = d + 1
-    for start in range(0, n - block + 1, block):
-        for leaf in range(start + 1, start + block):
-            edges.add((start, leaf))
-    return Graph(n, frozenset(edges))
+    starts = range(0, n - block + 1, block)
+    return Graph.of(n, [(s, leaf) for s in starts for leaf in range(s + 1, s + block)])
 
 
 def path_union_graph(n: int, d: int, seed: int) -> Graph:
@@ -150,11 +143,8 @@ def path_union_graph(n: int, d: int, seed: int) -> Graph:
     del seed
     if n < 0 or d < 2:
         raise UsageError("need non-negative n and paths on at least 2 vertices")
-    edges = set()
-    for start in range(0, n - d + 1, d):
-        for v in range(start, start + d - 1):
-            edges.add((v, v + 1))
-    return Graph(n, frozenset(edges))
+    starts = range(0, n - d + 1, d)
+    return Graph.of(n, [(v, v + 1) for s in starts for v in range(s, s + d - 1)])
 
 
 GENERATOR_MODELS = {

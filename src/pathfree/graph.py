@@ -1,9 +1,9 @@
 """Simple undirected graphs on vertices ``0..n-1``.
 
-Edges are canonical ``(u, v)`` tuples with ``u < v``; loops and parallel
-edges are rejected at construction.  Instances are immutable, so derived
-graphs (such as the result of edge removal) are new objects sharing nothing
-mutable with their parent.
+A :class:`Graph` is one thing: its sorted, read-only ``(m, 2)`` edge array of
+canonical ``u < v`` rows.  A derived graph, such as a stage's residual, is
+``g.keep(row_mask)`` over its parent's rows, so it needs no sort.  The
+frozenset ``edges`` is built only when read; the colouring run path never does.
 
 The module also holds the one row reader of the text formats
 (:func:`read_edge_rows`) and the one rule that turns a result dataclass into
@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -34,26 +35,26 @@ __all__ = [
 Edge = tuple[int, int]
 
 
-def canonical_edge(u: int, v: int) -> Edge:
-    if u == v:
-        raise ContractViolation(f"loop at vertex {u}")
-    return (u, v) if u < v else (v, u)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Graph:
-    """Immutable simple graph; ``edges`` holds canonical ``u < v`` pairs."""
+    """Immutable graph: sorted, distinct ``u < v`` rows; equal by value, unhashable."""
 
     vertex_count: int
-    edges: frozenset[Edge]
+    edge_array: np.ndarray
+
+    def __post_init__(self) -> None:
+        self.edge_array.flags.writeable = False
 
     @staticmethod
     def build(vertex_count: int, edges: Iterable[tuple[int, int]]) -> "Graph":
+        """The graph of outside input: loops, duplicates and stray ids are errors."""
         if vertex_count < 0:
             raise ContractViolation("vertex_count must be non-negative")
         canon: set[Edge] = set()
         for u, v in edges:
-            e = canonical_edge(u, v)
+            if u == v:
+                raise ContractViolation(f"loop at vertex {u}")
+            e = (u, v) if u < v else (v, u)
             if not (0 <= e[0] and e[1] < vertex_count):
                 raise ContractViolation(
                     f"edge {e} has an endpoint outside 0..{vertex_count - 1}"
@@ -61,22 +62,38 @@ class Graph:
             if e in canon:
                 raise ContractViolation(f"duplicate edge {e}")
             canon.add(e)
-        return Graph(vertex_count, frozenset(canon))
+        return Graph.of(vertex_count, canon)
+
+    @staticmethod
+    def of(vertex_count: int, pairs: Iterable[Edge] | np.ndarray) -> "Graph":
+        """The graph of trusted pairs: canonical and distinct, in any order."""
+        if not isinstance(pairs, np.ndarray):
+            pairs = np.fromiter(chain.from_iterable(pairs), dtype=np.int64)
+        rows = pairs.reshape(-1, 2)
+        return Graph(vertex_count, rows[np.lexsort(rows.T[::-1])])
+
+    def keep(self, rows: np.ndarray) -> "Graph":
+        """The graph on the same vertices with the edges at ``rows`` (a row mask)."""
+        return Graph(self.vertex_count, self.edge_array[rows])
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Graph):
+            return NotImplemented
+        return self.vertex_count == other.vertex_count and np.array_equal(
+            self.edge_array, other.edge_array
+        )
 
     @cached_property
-    def adjacency(self) -> dict[int, tuple[int, ...]]:
-        adj: dict[int, list[int]] = {v: [] for v in range(self.vertex_count)}
-        for u, v in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        return {v: tuple(sorted(ns)) for v, ns in adj.items()}
+    def edges(self) -> frozenset[Edge]:
+        """The edges as a frozenset of pairs, built on first read."""
+        return frozenset(map(tuple, self.edge_array.tolist()))
 
     @cached_property
-    def edge_array(self) -> np.ndarray:
-        """The sorted edges as a read-only ``(m, 2)`` integer array."""
-        arr = np.array(sorted(self.edges), dtype=np.int64).reshape(-1, 2)
-        arr.flags.writeable = False
-        return arr
+    def degrees(self) -> np.ndarray:
+        """Each vertex's degree, as a read-only array over ``0..n-1``."""
+        deg = np.bincount(self.edge_array.ravel(), minlength=self.vertex_count)
+        deg.flags.writeable = False
+        return deg
 
     def vertex_mask(self, vertices: Iterable[int]) -> np.ndarray:
         """Boolean membership array over ``0..n-1``; other ids are an error."""
@@ -92,28 +109,32 @@ class Graph:
 
     @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        return len(self.edge_array)
 
     def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
+        return int(self.degrees[v])
 
-    def neighbours(self, v: int) -> tuple[int, ...]:
-        return self.adjacency[v]
-
-    @cached_property
+    @property
     def max_degree(self) -> int:
-        if self.vertex_count == 0:
-            return 0
-        return max(len(ns) for ns in self.adjacency.values())
+        return int(self.degrees.max(initial=0))
 
-    def non_isolated(self) -> frozenset[int]:
-        return frozenset(v for v, ns in self.adjacency.items() if ns)
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return canonical_edge(u, v) in self.edges
+def absent_edges(g: Graph, pairs: Iterable[Edge] | np.ndarray) -> list[Edge]:
+    """The pairs that are not edges of ``g``, in ascending order.
 
-    def sorted_edges(self) -> list[Edge]:
-        return sorted(self.edges)
+    Only pairs with ``0 <= u < v < n`` are keyed ``u * n + v``; the key is
+    one-to-one there, so no stray pair aliases an edge.
+    """
+    n = g.vertex_count
+    rows = Graph.of(n, pairs).edge_array
+    u, v = rows.T
+    inside = (0 <= u) & (u < v) & (v < n)
+    absent = rows[~(inside & np.isin(u * n + v, _keys(g.edge_array, n)))]
+    return list(map(tuple, absent.tolist()))
+
+
+def _keys(rows: np.ndarray, n: int) -> np.ndarray:
+    return rows[:, 0] * n + rows[:, 1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -162,8 +183,10 @@ def read_edge_rows(
     duplicate row raises :class:`UsageError`; row errors name the 1-based
     line number.
     """
-    if vertex_count is not None and vertex_count < 0:
-        raise UsageError("header vertex count must be non-negative")
+    top_id = int(np.iinfo(np.int64).max)  # ids become int64 array entries
+    limit = top_id if vertex_count is None else vertex_count
+    if not 0 <= limit <= top_id:
+        raise UsageError(f"header vertex count must be non-negative, at most {top_id}")
     names = ("vertex id", "vertex id") + extra
     shape = f"'u v {' '.join(extra)}'" if extra else "two integers"
     rows: dict[Edge, tuple[int, ...]] = {}
@@ -186,10 +209,8 @@ def read_edge_rows(
         if min(values) < 0:
             first = next(i for i, x in enumerate(values) if x < 0)
             raise UsageError(f"line {lineno}: negative {names[first]}")
-        if vertex_count is not None and (u >= vertex_count or v >= vertex_count):
-            raise UsageError(
-                f"line {lineno}: endpoint outside 0..{vertex_count - 1}"
-            )
+        if u >= limit or v >= limit:
+            raise UsageError(f"line {lineno}: endpoint outside 0..{limit - 1}")
         e = (u, v) if u < v else (v, u)
         if e in rows:
             raise UsageError(f"line {lineno}: duplicate edge {e}")
@@ -235,23 +256,23 @@ def parse_edge_list(text: str) -> Graph:
     :class:`UsageError`.
     """
     n, rows = read_edge_rows(text, read_header_fields(text, ("n",)).get("n"))
-    return Graph(n, frozenset(rows))
+    return Graph.of(n, rows)
 
 
 def serialize_edge_list(g: Graph, comments: Iterable[str] = ()) -> str:
     lines = [f"# n={g.vertex_count}"]
     lines.extend(f"# {c}" for c in comments)
-    lines.extend(f"{u} {v}" for u, v in g.sorted_edges())
+    lines.extend(f"{u} {v}" for u, v in g.edge_array.tolist())
     return "\n".join(lines) + "\n"
 
 
-def subtract(g: Graph, edges: Iterable[tuple[int, int]]) -> Graph:
-    """Remove ``edges`` from ``g``; removing an absent edge is a contract error."""
-    to_remove = {canonical_edge(u, v) for u, v in edges}
-    missing = to_remove - g.edges
-    if missing:
-        raise ContractViolation(f"cannot remove absent edges, e.g. {min(missing)}")
-    return Graph(g.vertex_count, g.edges - to_remove)
+def subtract(g: Graph, h: Graph) -> Graph:
+    """Remove ``h``'s edges from ``g``; removing an absent edge is a contract error."""
+    absent = absent_edges(g, h.edge_array)
+    if absent:
+        raise ContractViolation(f"cannot remove absent edges, e.g. {absent[0]}")
+    n = g.vertex_count
+    return g.keep(~np.isin(_keys(g.edge_array, n), _keys(h.edge_array, n)))
 
 
 def components(

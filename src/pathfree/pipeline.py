@@ -270,9 +270,9 @@ def run_round(
             abort_reason = "empty-extraction"
             break
         colour = colour_base + spent
-        for e in result.subgraph.edges:
-            assignments[e] = colour
-        work = subtract(work, result.subgraph.edges)
+        taken = map(tuple, result.subgraph.edge_array.tolist())
+        assignments.update(dict.fromkeys(taken, colour))
+        work = subtract(work, result.subgraph)
         spent += 1
         ratios.append(band.achieved_ratio)
 
@@ -402,7 +402,7 @@ def colour_graph(g: Graph, params: PipelineParams) -> PipelineResult:
                 "degree_threshold": str(low.threshold),
                 "low_vertices": len(low.vertices_removed),
                 "high_vertices": g.vertex_count - len(low.vertices_removed),
-                "residual_active_vertices": len(low.residual.non_isolated()),
+                "residual_active_vertices": int((low.residual.degrees > 0).sum()),
             },
         )
     )
@@ -526,7 +526,7 @@ def _finish(
     endgame: str | None,
 ) -> PipelineResult:
     colouring = EdgeColouring(dict(assignments))
-    if colouring.assignments.keys() != g.edges:
+    if Graph.of(g.vertex_count, colouring.assignments) != g:
         raise InternalInvariantError("pipeline left edges uncoloured")
     total = colouring.colours_used
     expected = sum(s.colours_used for s in stages) + sum(

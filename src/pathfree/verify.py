@@ -25,7 +25,7 @@ from typing import Iterable
 
 from .colouring import EdgeColouring
 from .errors import ContractViolation, SizeCapError, UsageError
-from .graph import Edge, Graph, components, plain_record
+from .graph import Edge, Graph, absent_edges, components, plain_record
 
 __all__ = [
     "MonochromaticComponent",
@@ -53,10 +53,10 @@ def monochromatic_components(
     g: Graph, colouring: EdgeColouring
 ) -> dict[int, list[MonochromaticComponent]]:
     """Connected components of each colour class, keyed by colour."""
-    stray = colouring.assignments.keys() - g.edges
+    stray = absent_edges(g, colouring.assignments)
     if stray:
         raise ContractViolation(
-            f"colouring assigns edges absent from the graph, e.g. {min(stray)}"
+            f"colouring assigns edges absent from the graph, e.g. {stray[0]}"
         )
     return {
         colour: [MonochromaticComponent(vs, es) for vs, es in components(edges)]
@@ -141,14 +141,14 @@ def longest_path_exact(g: Graph, cap: int = DEFAULT_COMPONENT_CAP) -> int:
     Refuses graphs whose non-isolated part exceeds ``cap`` vertices; the
     state space is exponential in that count.
     """
-    active = tuple(sorted(g.non_isolated()))
+    active = tuple(g.degrees.nonzero()[0].tolist())
     if not active:
         return 1 if g.vertex_count >= 1 else 0
     if len(active) > cap:
         raise SizeCapError(
             f"{len(active)} non-isolated vertices exceed the exact-path cap {cap}"
         )
-    best, _ = _mask_path_search(_local_adjacency(active, g.edges), None)
+    best, _ = _mask_path_search(_local_adjacency(active, g.edge_array.tolist()), None)
     return best
 
 
@@ -283,7 +283,7 @@ def verify_colouring(
         r=r,
         colours_used=colours_used,
         colours_within_budget=colours_used <= r,
-        covers_all_edges=colouring.assignments.keys() == g.edges,
+        covers_all_edges=len(colouring.assignments) == g.edge_count,  # strays refused
         witness_colour=failures[0][0] if failures else None,
         witness_path=failures[0][1] if failures else None,
         failures=tuple(failures),

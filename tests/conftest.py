@@ -84,10 +84,10 @@ def induced_bipartite(g: Graph, a: Iterable[int], b: Iterable[int]) -> Graph:
     sa, sb = frozenset(a), frozenset(b)
     if sa & sb:
         raise ContractViolation("sides of a bipartite restriction must be disjoint")
-    kept = frozenset(
+    kept = [
         e for e in g.edges if (e[0] in sa and e[1] in sb) or (e[0] in sb and e[1] in sa)
-    )
-    return Graph(g.vertex_count, kept)
+    ]
+    return Graph.build(g.vertex_count, kept)
 
 
 def greedy_bin_assignment_reference(
@@ -98,12 +98,13 @@ def greedy_bin_assignment_reference(
     Most neighbours wins, ties go to the lowest part, no neighbour in A
     means part 0.
     """
+    adj = edge_adjacency(g.edges)
     out: dict[int, int] = {}
     for x in b:
         if x in part_of:
             raise ContractViolation(f"vertex {x} is on both sides of the split")
         counts: dict[int, int] = {}
-        for w in g.neighbours(x):
+        for w in adj.get(x, ()):
             i = part_of.get(w)
             if i is not None:
                 counts[i] = counts.get(i, 0) + 1
@@ -121,10 +122,11 @@ def block_partition_reference(
     """
     part_of = dict(zip(sorted(a), rng.integers(0, q, size=len(a)).tolist()))
     b_part = greedy_bin_assignment_reference(g, part_of, sorted(b))
+    adj = edge_adjacency(g.edges)
     kept = sorted(
         (x, w) if x < w else (w, x)
         for x, i in b_part.items()
-        for w in g.neighbours(x)
+        for w in adj.get(x, ())
         if part_of.get(w) == i
     )
     part = [-1] * g.vertex_count
@@ -184,7 +186,7 @@ def proper_edge_colouring_reference(g: Graph, colour_base: int = 0) -> EdgeColou
         for x, y, col in hops:
             set_colour(x, y, c if col == d else d)
 
-    for u, v in g.sorted_edges():
+    for u, v in sorted(g.edges):
         # Maximal fan of u starting at v: each next fan edge's colour is
         # free at the previous fan vertex.
         fan = [v]
@@ -233,10 +235,10 @@ def proper_edge_colouring_reference(g: Graph, colour_base: int = 0) -> EdgeColou
 
 def longest_path_brute(g: Graph) -> int:
     """Reference implementation: enumerate every simple path by DFS."""
-    active = sorted(g.non_isolated())
+    adj = edge_adjacency(g.edges)
+    active = sorted(adj)
     if not active:
         return 1 if g.vertex_count >= 1 else 0
-    adj = g.adjacency
     best = 1
 
     def extend(v: int, visited: set[int], length: int) -> None:

@@ -284,6 +284,19 @@ def test_extract_certified_star(tmp_path, capsys):
     assert sub.edge_count == record["kept_edges"]
 
 
+@pytest.mark.parametrize("rows", ["", "0 1\n"])
+def test_extract_rejects_small_k_and_no_trials_without_edges(tmp_path, capsys, rows):
+    graph_path = tmp_path / "g.txt"
+    graph_path.write_text("# n=5\n" + rows)
+    code = main(
+        ["extract", "--input", str(graph_path), "--r", "4", "--k", "2",
+         "--beta", "0.5", "--trials", "0"]
+    )
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error:")
+
+
 def test_extract_uncertified_exit_1(tmp_path, capsys):
     graph_path = tmp_path / "dense.txt"
     graph_path.write_text(serialize_edge_list(uniform_edges(42, 320, seed=2)))

@@ -1,0 +1,142 @@
+"""Degree thresholds at their exact boundaries.
+
+Each stage compares integer degrees with an exact rational threshold.  These
+cases put a degree exactly on the threshold, or one step to either side of a
+band edge, and pin the whole result, so a comparison done in floats or in
+wrapping fixed-width integers would show.
+"""
+
+from fractions import Fraction
+from itertools import combinations
+
+from pathfree import (
+    EdgeColouring,
+    Graph,
+    degree_class_decompose,
+    low_degree_refinement,
+    star_refinement,
+)
+from pathfree.colouring import RefinementResult
+from pathfree.extract import BAND_RATIO, Decomposition, DegreeClass
+
+# degrees 4, 4, 2, 2, 2, 2, 1, 1
+MIXED = Graph.build(
+    8, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 5), (1, 6), (3, 4), (5, 7)]
+)
+
+
+def test_low_degree_takes_a_vertex_with_seven_times_degree_equal_to_r():
+    # r = 14: vertices of degree 2 sit exactly on r/7 and are low
+    assert low_degree_refinement(MIXED, 14, colour_base=3) == RefinementResult(
+        colouring=EdgeColouring(
+            {
+                (0, 2): 4, (0, 3): 4, (0, 4): 4, (1, 2): 5,
+                (1, 5): 4, (1, 6): 4, (3, 4): 3, (5, 7): 3,
+            }
+        ),
+        residual=Graph.build(8, [(0, 1)]),
+        colour_base=3,
+        colours_used=3,
+        budget=Fraction(14, 3),
+        budget_ok=True,
+        threshold=Fraction(2),
+        vertices_removed=frozenset({2, 3, 4, 5, 6, 7}),
+        degree_bound_ok=True,
+        parts=None,
+    )
+
+
+def test_star_refinement_takes_a_vertex_with_degree_k_s_equal_to_8e():
+    # e = 10, k = 8, s = 2: degree 5 is exactly 8e/(ks); degree 4 is below
+    two_stars = Graph.build(
+        13, [(0, i) for i in range(1, 6)] + [(6, i) for i in range(7, 11)] + [(11, 12)]
+    )
+    assert star_refinement(two_stars, 2, 8, colour_base=5) == RefinementResult(
+        colouring=EdgeColouring({(0, i): 5 for i in range(1, 6)}),
+        residual=Graph.build(13, [(6, 7), (6, 8), (6, 9), (6, 10), (11, 12)]),
+        colour_base=5,
+        colours_used=1,
+        budget=Fraction(2),
+        budget_ok=True,
+        threshold=Fraction(5),
+        vertices_removed=frozenset({0}),
+        degree_bound_ok=True,
+        parts=(frozenset({0}),),
+    )
+    # K5 with k = 5, s = 4: all five degrees equal 8e/(ks) = 4, and the
+    # capacity s * floor(k/3) = 4 leaves the last one out
+    k5 = Graph.build(5, combinations(range(5), 2))
+    assert star_refinement(k5, 4, 5) == RefinementResult(
+        colouring=EdgeColouring(
+            {
+                (0, 1): 0, (0, 2): 0, (0, 3): 0, (0, 4): 0, (1, 2): 1,
+                (1, 3): 1, (1, 4): 1, (2, 3): 2, (2, 4): 2, (3, 4): 3,
+            }
+        ),
+        residual=Graph.build(5, []),
+        colour_base=0,
+        colours_used=4,
+        budget=Fraction(4),
+        budget_ok=True,
+        threshold=Fraction(4),
+        vertices_removed=frozenset({0, 1, 2, 3}),
+        degree_bound_ok=True,
+        parts=(frozenset({0}), frozenset({1}), frozenset({2}), frozenset({3})),
+    )
+
+
+def test_star_refinement_threshold_survives_a_product_beyond_int64():
+    # deg * k * s is past 2^63 for every vertex, so every non-isolated vertex
+    # is heavy, and floor(k/3) = 10^18 puts them all in the first centre set
+    k = 3 * 10**18
+    assert star_refinement(MIXED, 1, k, colour_base=2) == RefinementResult(
+        colouring=EdgeColouring({e: 2 for e in MIXED.edges}),
+        residual=Graph.build(8, []),
+        colour_base=2,
+        colours_used=1,
+        budget=Fraction(1),
+        budget_ok=True,
+        threshold=Fraction(8 * 9, k),
+        vertices_removed=frozenset(range(8)),
+        degree_bound_ok=True,
+        parts=(frozenset(range(8)),),
+    )
+
+
+def _star_and_small_star(hub_degree: int, small_degree: int) -> Graph:
+    hub_leaves = [(0, i) for i in range(1, hub_degree + 1)]
+    small = hub_degree + 1
+    small_leaves = [(small, small + 1 + i) for i in range(small_degree)]
+    return Graph.build(small + small_degree + 1, hub_leaves + small_leaves)
+
+
+def test_band_edges_split_degrees_just_above_and_just_below():
+    # D = 37: the first band starts at 37 e^-2 = 5.007, just above degree 5
+    assert 5 < BAND_RATIO * 37 < 6
+    below = _star_and_small_star(37, 5)
+    hub = Graph.build(44, [(0, i) for i in range(1, 38)])
+    assert degree_class_decompose(below, Fraction(1)) == Decomposition(
+        classes=(
+            DegreeClass(1, frozenset({0}), hub),
+            DegreeClass(
+                2,
+                frozenset(range(38, 44)),
+                Graph.build(44, [(38, i) for i in range(39, 44)]),
+            ),
+        ),
+        residual=Graph.build(44, []),
+        residual_vertices=frozenset(range(1, 38)),
+    )
+    # D = 59: the first band starts at 59 e^-2 = 7.985, just below degree 8
+    assert 7 < BAND_RATIO * 59 < 8
+    above = _star_and_small_star(59, 8)
+    empty = Graph.build(69, [])
+    assert degree_class_decompose(above, Fraction(1)) == Decomposition(
+        classes=(
+            DegreeClass(1, frozenset({0, 60}), above),
+            DegreeClass(2, frozenset(), empty),
+            DegreeClass(3, frozenset(), empty),
+        ),
+        residual=empty,
+        residual_vertices=frozenset(range(1, 60)) | frozenset(range(61, 69)),
+    )

@@ -82,7 +82,7 @@ def test_greedy_assignment_contract_errors():
 def reference_part(g: Graph, a_owner: dict, x: int, q: int) -> int:
     """Most neighbours in A, ties to the lowest index, part 0 with none."""
     counts = [0] * q
-    for w in g.neighbours(x):
+    for w in edge_adjacency(g.edges).get(x, ()):
         if w in a_owner:
             counts[a_owner[w]] += 1
     return counts.index(max(counts))
@@ -167,8 +167,9 @@ def test_block_partition_matches_reference_oracle():
         expected = greedy_bin_assignment_reference(g, part_of, order)
         assert parts == [expected[x] for x in order]
         # tally the cases the oracle comparison must have covered
+        adj = edge_adjacency(g.edges)
         for x in order:
-            counts = Counter(part_of[w] for w in g.neighbours(x) if w in part_of)
+            counts = Counter(part_of[w] for w in adj.get(x, ()) if w in part_of)
             top = max(counts.values(), default=0)
             seen["tie"] += sum(1 for c in counts.values() if c == top) > 1
             seen["no A-neighbour"] += not counts
@@ -257,13 +258,13 @@ def test_propagation_certificate_matches_component_walk(rnd):
         ]
         for name, g, certified in cases:
             got = _components_below(g.edge_array, g.vertex_count, k)
-            assert got == certified == component_oracle(g.sorted_edges(), k), (k, name)
+            assert got == certified == component_oracle(sorted(g.edges), k), (k, name)
     verdicts = Counter()
     for trial in range(400):
         g = random_graph(rnd, n_max=24, density=rnd.choice([0.03, 0.06, 0.1, 0.2]))
         k = rnd.randint(4, 12)
         got = _components_below(g.edge_array, g.vertex_count, k)
-        assert got == component_oracle(g.sorted_edges(), k), (trial, k)
+        assert got == component_oracle(sorted(g.edges), k), (trial, k)
         verdicts[got] += 1
     assert min(verdicts.values()) > 50, verdicts
 
@@ -399,3 +400,9 @@ def test_banded_extraction_reference_ratio_and_validation():
             extract_from_densest_band(g, beta=beta, r=10, k=4)
     with pytest.raises(UsageError):
         extract_from_densest_band(g, beta=0.5, r=0, k=4)
+    # k and trials are checked before the edgeless shortcut too
+    for graph in (g, Graph.build(5, [])):
+        with pytest.raises(UsageError, match="k >= 4"):
+            extract_from_densest_band(graph, beta=0.5, r=10, k=3)
+        with pytest.raises(UsageError, match="trial"):
+            extract_from_densest_band(graph, beta=0.5, r=10, k=4, trials=0)

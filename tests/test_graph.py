@@ -26,8 +26,21 @@ from conftest import complete_graph, induced_bipartite, random_graph
 def test_build_canonicalizes_orientation():
     g = Graph.build(4, [(3, 1), (0, 2)])
     assert g.edges == {(1, 3), (0, 2)}
-    assert g.sorted_edges() == [(0, 2), (1, 3)]
-    assert g.has_edge(3, 1) and g.has_edge(1, 3)
+    assert g.edge_array.tolist() == [[0, 2], [1, 3]]
+
+
+def test_of_sorts_keep_masks_and_equality_compares_arrays():
+    g = Graph.of(5, [(2, 4), (0, 3), (0, 1), (1, 2)])
+    assert g.edge_array.tolist() == [[0, 1], [0, 3], [1, 2], [2, 4]]
+    assert g == Graph.build(5, [(1, 2), (4, 2), (3, 0), (1, 0)])
+    assert g != Graph.build(6, [(1, 2), (4, 2), (3, 0), (1, 0)])
+    assert g != Graph.build(5, [(1, 2), (4, 2), (3, 0)])
+    kept = g.keep(np.array([True, False, False, True]))
+    assert kept == Graph.build(5, [(0, 1), (2, 4)])
+    assert not kept.edge_array.flags.writeable
+    assert g.edge_count == 4  # the parent keeps its rows
+    with pytest.raises(TypeError):
+        hash(g)
 
 
 def test_build_rejects_bad_edges():
@@ -42,10 +55,11 @@ def test_build_rejects_bad_edges():
 def test_degrees_and_neighbours():
     g = Graph.build(5, [(0, 1), (0, 2), (0, 3)])
     assert g.degree(0) == 3 and g.degree(4) == 0
-    assert g.neighbours(0) == (1, 2, 3)
+    assert g.degrees.tolist() == [3, 1, 1, 1, 0]
+    assert not g.degrees.flags.writeable
     assert g.max_degree == 3
-    assert g.non_isolated() == {0, 1, 2, 3}
     assert g.edge_count == 3
+    assert Graph.build(0, []).max_degree == 0
 
 
 def test_parse_plain_rows_infers_vertex_count():
@@ -74,6 +88,8 @@ def test_parse_empty_graph_header_only():
         ("0 1\n1 0\n", "duplicate"),
         ("0 -2\n", "negative"),
         ("# n=3\n0 5\n", "outside"),
+        ("0 99999999999999999999\n", "outside"),  # ids must fit the int64 arrays
+        ("# n=99999999999999999999\n0 1\n", "at most"),
         ("0 1 2\n", "two integers"),
         ("a b\n", "two integers"),
         ("# n=x\n0 1\n", "bad header"),
@@ -111,10 +127,14 @@ def test_read_header_first_value_wins():
 
 def test_subtract_and_induced_bipartite():
     g = complete_graph(4)
-    smaller = subtract(g, [(0, 1), (2, 3)])
-    assert smaller.edge_count == 4
-    with pytest.raises(ContractViolation):
-        subtract(smaller, [(0, 1)])
+    smaller = subtract(g, Graph.build(4, [(0, 1), (2, 3)]))
+    assert smaller == Graph.build(4, [(0, 2), (0, 3), (1, 2), (1, 3)])
+    # the least absent edge is named
+    with pytest.raises(ContractViolation, match=r"absent edges, e\.g\. \(0, 1\)"):
+        subtract(smaller, Graph.build(4, [(2, 3), (1, 3), (0, 1)]))
+    # (0, 6) would key as 0 * 4 + 6 = 1 * 4 + 2, the edge (1, 2)
+    with pytest.raises(ContractViolation, match=r"e\.g\. \(0, 6\)"):
+        subtract(g, Graph.build(8, [(0, 6), (1, 2)]))
     cross = induced_bipartite(g, {0, 1}, {2, 3})
     assert cross.edges == {(0, 2), (0, 3), (1, 2), (1, 3)}
     with pytest.raises(ContractViolation):
@@ -140,7 +160,7 @@ def test_edge_array_is_sorted_read_only_and_cached(rnd):
     assert Graph.build(0, []).edge_array.shape == (0, 2)
     for trial in range(30):
         g = random_graph(rnd, n_max=12)
-        assert list(map(tuple, g.edge_array.tolist())) == g.sorted_edges()
+        assert list(map(tuple, g.edge_array.tolist())) == sorted(g.edges)
 
 
 def test_crossing_edge_count_edge_cases():
@@ -165,12 +185,12 @@ def test_block_partition_on_edgeless_graph():
 def test_components_match_networkx(rnd):
     for trial in range(200):
         g = random_graph(rnd, n_max=16, density=rnd.choice([0.05, 0.15, 0.3]))
-        found = list(components(g.sorted_edges()))
+        found = list(components(sorted(g.edges)))
         gx = nx.Graph(list(g.edges))
         expected = sorted(tuple(sorted(c)) for c in nx.connected_components(gx))
         assert [vs for vs, _ in found] == expected  # ordered by least vertex
         owned = [e for _, es in found for e in es]
-        assert sorted(owned) == g.sorted_edges()  # each edge exactly once
+        assert sorted(owned) == sorted(g.edges)  # each edge exactly once
         for vs, es in found:
             assert all(u in vs and v in vs for u, v in es)
     assert list(components([])) == []
@@ -180,7 +200,7 @@ def test_random_balanced_bipartition_properties():
     rnd = random.Random(31)
     for trial in range(40):
         g = random_graph(rnd, n_max=12, density=0.5)
-        pool = sorted(g.non_isolated() or range(g.vertex_count))
+        pool = sorted({v for e in g.edges for v in e} or range(g.vertex_count))
         bp = random_balanced_bipartition(g, np.array(pool), substream(trial, "split"))
         a = np.flatnonzero(bp.in_a).tolist()
         assert bp.in_a.shape == (g.vertex_count,)

@@ -14,6 +14,7 @@ from pathfree import (
     audit_round_budgets,
     colour_graph,
     default_density_scale,
+    parse_colouring,
     run_round,
     serialize_colouring,
     uniform_edges,
@@ -294,3 +295,23 @@ def test_colouring_output_is_pinned(seed, colours, digest):
     text = serialize_colouring(g, result.colouring)
     assert result.total_colours == colours
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+
+
+@pytest.mark.parametrize("k", [8, 3])
+def test_colour_write_parse_verify_never_build_the_edge_set(monkeypatch, k):
+    # Graph.edges is a frozenset of tuples, several times the edge array's
+    # memory; only callers outside the run path may build it
+    g = uniform_edges(200, 3000, 1)
+
+    def refuse(graph):
+        raise AssertionError("Graph.edges was read on the run path")
+
+    monkeypatch.setattr(Graph, "edges", property(refuse))
+    result = colour_graph(g, PipelineParams(r=24, k=k, beta0=0.5))
+    text = serialize_colouring(g, result.colouring, r=24, k=k)
+    parsed_g, parsed, header = parse_colouring(text)
+    assert parsed_g == g and header["colours_used"] == result.total_colours
+    report = verify_colouring(parsed_g, parsed, 24, k)
+    assert report.verdict == "pass" and report.covers_all_edges
+    if k == 8:
+        assert result.rounds and result.rounds[0].extractions > 0

@@ -92,7 +92,7 @@ def min_scan_cover(vertices, edges) -> tuple[int, ...]:
 def test_greedy_cover_covers_and_is_deterministic(rnd):
     for trial in range(80):
         g = random_graph(rnd, n_max=12, density=0.4)
-        vertices = tuple(sorted(g.non_isolated()))
+        vertices = tuple(sorted({v for e in g.edges for v in e}))
         cover = greedy_vertex_cover(vertices, g.edges)
         for u, v in g.edges:
             assert u in cover or v in cover
@@ -111,7 +111,7 @@ def test_single_colour_path_fails_with_witness():
     walk = list(report.witness_path)
     assert len(set(walk)) == 5
     for a, b in zip(walk, walk[1:]):
-        assert g.has_edge(a, b)
+        assert (min(a, b), max(a, b)) in g.edges
 
 
 def test_triangle_and_small_stars():
@@ -214,3 +214,14 @@ def test_verify_validation():
         verify_colouring(g, monochrome(g), r=2, k=1)
     with pytest.raises(UsageError):
         verify_colouring(g, monochrome(g), r=-1, k=3)
+
+
+def test_stray_edges_are_refused_naming_the_least():
+    g = Graph.build(10, [(1, 5), (2, 3), (4, 9)])
+    inside = {(1, 5): 0, (2, 3): 0, (4, 9): 1, (6, 8): 1, (3, 7): 0}
+    with pytest.raises(ContractViolation, match=r"e\.g\. \(3, 7\)$"):
+        verify_colouring(g, EdgeColouring(inside), r=2, k=3)
+    # (0, 15) would key as 0 * 10 + 15 = 1 * 10 + 5, the real edge (1, 5)
+    beyond = {(0, 15): 0, (2, 3): 0, (4, 9): 1}
+    with pytest.raises(ContractViolation, match=r"e\.g\. \(0, 15\)$"):
+        verify_colouring(g, EdgeColouring(beyond), r=2, k=3)
