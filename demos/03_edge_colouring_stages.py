@@ -34,7 +34,7 @@ r = 21
 low = low_degree_refinement(g, r)
 print(f"\nlow-degree peel at r={r} (threshold degree {low.threshold}):")
 print(f"  peeled {len(low.vertices_removed)} vertices, "
-      f"{len(low.colouring.assignments)} edges, {low.colours_used} colours "
+      f"{len(low.colouring.edge_array)} edges, {low.colours_used} colours "
       f"(budget {low.budget}, ok={low.budget_ok})")
 print(f"  residual keeps {low.residual.edge_count} edges between high vertices")
 

@@ -27,7 +27,7 @@ print(f"kept {ex.subgraph.edge_count} edges out of {ex.crossing_edges} crossing"
 # independent check: the kept subgraph really has no path on k vertices
 from pathfree import verify_colouring, EdgeColouring
 
-one_colour = EdgeColouring({e: 0 for e in ex.subgraph.edges})
+one_colour = EdgeColouring.of(ex.subgraph.edge_array, [0] * ex.subgraph.edge_count)
 report = verify_colouring(ex.subgraph, one_colour, r=1, k=k)
 print(f"verifier agrees: verdict={report.verdict} "
       f"(largest component spans {report.largest_component[1]} vertices, "

@@ -18,10 +18,10 @@ leaves the rest as an explicitly returned residual graph:
   ``k >= 4``.
 
 Colour indices in every result are compact: each primitive uses exactly
-``colour_base .. colour_base + colours_used - 1``.
-
-The refinements split the edge rows by vertex masks over the degree array,
-each threshold taken as the exact integer floor or ceiling of its rational.
+``colour_base .. colour_base + colours_used - 1``.  A result is an
+:class:`EdgeColouring`, the sorted rows of a row mask of its input with each
+row's colour in an aligned array; masks come from vertex masks over the
+degree array, each threshold the exact integer floor or ceiling of its rational.
 """
 
 from __future__ import annotations
@@ -29,6 +29,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from typing import Sequence
 
 import numpy as np
 
@@ -46,27 +48,53 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EdgeColouring:
-    """Assignment of colour indices to (a subset of) a graph's edges."""
+    """Colours of some edges: sorted, distinct ``(m, 2)`` int64 rows and the
+    aligned int64 ``colours``, both read-only; equal by value, unhashable.  The
+    constructor trusts its rows to be sorted; :meth:`of` sorts any pairs."""
 
-    assignments: dict[Edge, int]
+    edge_array: np.ndarray
+    colours: np.ndarray
 
-    @property
+    def __post_init__(self) -> None:
+        self.edge_array.flags.writeable = False
+        self.colours.flags.writeable = False
+
+    @staticmethod
+    def of(
+        pairs: Sequence[Edge] | np.ndarray, colours: Sequence[int] | np.ndarray
+    ) -> "EdgeColouring":
+        """Each pair with its colour, in any order; sorted, not canonicalised."""
+        rows = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+        colours = np.asarray(colours, dtype=np.int64)
+        if colours.shape != (len(rows),):
+            raise ContractViolation("a colouring needs one colour per edge")
+        order = np.lexsort(rows.T[::-1])
+        return EdgeColouring(rows[order], colours[order])
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, EdgeColouring):
+            return NotImplemented
+        return np.array_equal(self.edge_array, other.edge_array) and np.array_equal(
+            self.colours, other.colours
+        )
+
+    @cached_property
     def colours_used(self) -> int:
-        return len(set(self.assignments.values()))
+        return len(np.unique(self.colours))
 
     def colour_classes(self) -> dict[int, list[Edge]]:
-        classes: dict[int, list[Edge]] = {}
-        for edge, colour in self.assignments.items():
-            classes.setdefault(colour, []).append(edge)
-        return {c: sorted(es) for c, es in sorted(classes.items())}
+        """Each colour's edges in ascending order, colours ascending."""
+        order = np.argsort(self.colours, kind="stable")  # rows stay ascending
+        used, starts = np.unique(self.colours[order], return_index=True)
+        blocks = np.split(self.edge_array[order], starts[1:])
+        return {c: list(map(tuple, b.tolist())) for c, b in zip(used.tolist(), blocks)}
 
-
-def _compact(raw: dict[Edge, int], colour_base: int) -> EdgeColouring:
-    used = sorted(set(raw.values()))
-    remap = {c: colour_base + i for i, c in enumerate(used)}
-    return EdgeColouring({e: remap[c] for e, c in raw.items()})
+    @cached_property
+    def assignments(self) -> dict[Edge, int]:
+        """The ``{(u, v): colour}`` dict, built on first read."""
+        return dict(zip(map(tuple, self.edge_array.tolist()), self.colours.tolist()))
 
 
 def proper_edge_colouring(g: Graph, colour_base: int = 0) -> EdgeColouring:
@@ -172,7 +200,9 @@ def proper_edge_colouring(g: Graph, colour_base: int = 0) -> EdgeColouring:
 
     if len(colour_of) != g.edge_count:
         raise InternalInvariantError("proper colouring missed edges")
-    return _compact(colour_of, colour_base)
+    raw = [colour_of[(u, v)] for u, v in g.edge_array.tolist()]
+    _, compact = np.unique(raw, return_inverse=True)
+    return EdgeColouring(g.edge_array, colour_base + compact)
 
 
 @dataclass(frozen=True)
@@ -215,24 +245,26 @@ def low_degree_refinement(g: Graph, r: int, colour_base: int = 0) -> RefinementR
     low = g.degrees <= math.floor(threshold)
     low_u, low_v = low[g.edge_array.T]
 
-    proper = proper_edge_colouring(g.keep(low_u & low_v), colour_base)
+    inner, leaving, coloured = low_u & low_v, low_u != low_v, low_u | low_v
+    colours = np.empty(g.edge_count, dtype=np.int64)
+    proper = proper_edge_colouring(g.keep(inner), colour_base)
+    colours[inner] = proper.colours
     first_range = proper.colours_used
 
     # edges leaving the low set, by (low end, high end); rank at low end = colour
-    leaving = low_u != low_v
     rows = g.edge_array[leaving]
     low_end = np.where(low_u[leaving], rows[:, 0], rows[:, 1])
     order = np.lexsort((rows.sum(axis=1) - low_end, low_end))
-    rows, low_end = rows[order], low_end[order]
+    low_end = low_end[order]
     rank = np.arange(len(rows)) - np.searchsorted(low_end, low_end)
-    star = _assignments(rows, colour_base + first_range + rank)
+    colours[np.flatnonzero(leaving)[order]] = colour_base + first_range + rank
     star_width = int(rank.max(initial=-1)) + 1
 
     used = first_range + star_width
     budget = Fraction(r, 3)
     return RefinementResult(
-        colouring=EdgeColouring({**proper.assignments, **star}),
-        residual=g.keep(~(low_u | low_v)),
+        colouring=EdgeColouring(g.edge_array[coloured], colours[coloured]),
+        residual=g.keep(~coloured),
         colour_base=colour_base,
         colours_used=used,
         budget=budget,
@@ -260,23 +292,8 @@ def star_refinement(
         raise UsageError(
             "star classes contain 3-vertex paths, so k must be at least 4"
         )
-    budget = Fraction(s)
-    edges_total = g.edge_count
-    if edges_total == 0:
-        return RefinementResult(
-            colouring=EdgeColouring({}),
-            residual=g,
-            colour_base=colour_base,
-            colours_used=0,
-            budget=budget,
-            budget_ok=True,
-            threshold=Fraction(0),
-            vertices_removed=frozenset(),
-            degree_bound_ok=True,
-        )
-
-    threshold = Fraction(8 * edges_total, k * s)
-    least = math.ceil(threshold)  # deg * k * s >= 8e exactly when deg >= least
+    threshold = Fraction(8 * g.edge_count, k * s)
+    least = max(1, math.ceil(threshold))  # deg >= least: an edge and deg*k*s >= 8e
     heavy = np.flatnonzero(g.degrees >= least)
     heavy = heavy[np.argsort(-g.degrees[heavy], kind="stable")]
     capacity = k // 3
@@ -287,18 +304,17 @@ def star_refinement(
     first = owner[g.edge_array].min(axis=1)
     claimed = first < unclaimed
     used_ids, colours = np.unique(first[claimed], return_inverse=True)
-    star = _assignments(g.edge_array[claimed], colour_base + colours)
 
     residual = g.keep(~claimed)
     used = len(used_ids)
     if used > s:
         raise InternalInvariantError("star refinement exceeded its colour count")
     return RefinementResult(
-        colouring=EdgeColouring(star),
+        colouring=EdgeColouring(g.edge_array[claimed], colour_base + colours),
         residual=residual,
         colour_base=colour_base,
         colours_used=used,
-        budget=budget,
+        budget=Fraction(s),
         budget_ok=True,
         threshold=threshold,
         vertices_removed=frozenset(centres.tolist()),
@@ -307,11 +323,6 @@ def star_refinement(
             frozenset(centres[owner[centres] == i].tolist()) for i in used_ids
         ),
     )
-
-
-def _assignments(rows: np.ndarray, colours: np.ndarray) -> dict[Edge, int]:
-    """Each row of an ``(s, 2)`` edge array, as a pair, mapped to its colour."""
-    return dict(zip(map(tuple, rows.tolist()), colours.tolist()))
 
 
 def serialize_colouring(
@@ -324,7 +335,7 @@ def serialize_colouring(
     be replayed from the file alone.  The colouring must cover exactly the
     edges of ``g``.
     """
-    if Graph.of(g.vertex_count, colouring.assignments) != g:
+    if not np.array_equal(colouring.edge_array, g.edge_array):
         raise ContractViolation("colouring must cover exactly the graph's edges")
     head = [f"n={g.vertex_count}"]
     if r is not None:
@@ -333,8 +344,8 @@ def serialize_colouring(
         head.append(f"k={k}")
     head.append(f"colours_used={colouring.colours_used}")
     lines = ["# " + " ".join(head)]
-    for u, v in g.edge_array.tolist():
-        lines.append(f"{u} {v} {colouring.assignments[(u, v)]}")
+    for (u, v), c in zip(g.edge_array.tolist(), colouring.colours.tolist()):
+        lines.append(f"{u} {v} {c}")
     return "\n".join(lines) + "\n"
 
 
@@ -342,8 +353,8 @@ def parse_colouring(text: str) -> tuple[Graph, EdgeColouring, dict[str, int]]:
     """Inverse of :func:`serialize_colouring`; returns graph, colouring, header."""
     header = read_header_fields(text, ("n", "colours_used", "r", "k"))
     n, rows = read_edge_rows(text, header.get("n"), ("colour",))
-    g = Graph.of(n, rows)
-    colouring = EdgeColouring({e: c for e, (c,) in rows.items()})
+    colouring = EdgeColouring.of(list(rows), [c for (c,) in rows.values()])
+    g = Graph(n, colouring.edge_array)
     if "colours_used" in header and colouring.colours_used != header["colours_used"]:
         raise UsageError(
             f"header declares {header['colours_used']} colours but rows use "

@@ -119,14 +119,13 @@ class Graph:
         return int(self.degrees.max(initial=0))
 
 
-def absent_edges(g: Graph, pairs: Iterable[Edge] | np.ndarray) -> list[Edge]:
-    """The pairs that are not edges of ``g``, in ascending order.
+def absent_edges(g: Graph, rows: np.ndarray) -> list[Edge]:
+    """The rows of a sorted ``(s, 2)`` array that are not edges of ``g``, in order.
 
-    Only pairs with ``0 <= u < v < n`` are keyed ``u * n + v``; the key is
-    one-to-one there, so no stray pair aliases an edge.
+    Only rows with ``0 <= u < v < n`` are keyed ``u * n + v``; the key is
+    one-to-one there, so no stray row aliases an edge.
     """
     n = g.vertex_count
-    rows = Graph.of(n, pairs).edge_array
     u, v = rows.T
     inside = (0 <= u) & (u < v) & (v < n)
     absent = rows[~(inside & np.isin(u * n + v, _keys(g.edge_array, n)))]
@@ -180,17 +179,16 @@ def read_edge_rows(
     ``0..vertex_count-1``; otherwise one past the largest endpoint) and a map
     from each canonical edge to its extra values, in file order.  A negative
     ``vertex_count`` or a malformed, looped, negative, out-of-range or
-    duplicate row raises :class:`UsageError`; row errors name the 1-based
-    line number.
+    duplicate row, or an extra value past int64, raises :class:`UsageError`;
+    row errors name the 1-based line number.
     """
-    top_id = int(np.iinfo(np.int64).max)  # ids become int64 array entries
+    top_id = int(np.iinfo(np.int64).max)  # ids and extras become int64 entries
     limit = top_id if vertex_count is None else vertex_count
     if not 0 <= limit <= top_id:
         raise UsageError(f"header vertex count must be non-negative, at most {top_id}")
     names = ("vertex id", "vertex id") + extra
     shape = f"'u v {' '.join(extra)}'" if extra else "two integers"
     rows: dict[Edge, tuple[int, ...]] = {}
-    top = -1
     for lineno, raw in enumerate(text.splitlines(), start=1):
         fields = raw.split("#", 1)[0].split()
         if not fields:
@@ -211,13 +209,16 @@ def read_edge_rows(
             raise UsageError(f"line {lineno}: negative {names[first]}")
         if u >= limit or v >= limit:
             raise UsageError(f"line {lineno}: endpoint outside 0..{limit - 1}")
+        if max(values) > top_id:  # endpoints are below limit by now
+            first = next(i for i, x in enumerate(values) if x > top_id)
+            raise UsageError(f"line {lineno}: {names[first]} above {top_id}")
         e = (u, v) if u < v else (v, u)
         if e in rows:
             raise UsageError(f"line {lineno}: duplicate edge {e}")
         rows[e] = values[2:]
-        if e[1] > top:
-            top = e[1]
-    return (vertex_count if vertex_count is not None else top + 1), rows
+    if vertex_count is None:
+        vertex_count = max((v for _, v in rows), default=-1) + 1
+    return vertex_count, rows
 
 
 def plain_record(obj, skip: tuple[str, ...] = ()) -> dict:

@@ -37,6 +37,8 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+import numpy as np
+
 from .colouring import (
     EdgeColouring,
     low_degree_refinement,
@@ -243,7 +245,7 @@ def run_round(
     beta_round = params.beta0 * float(ZETA) ** round_index
 
     work = g
-    assignments: dict = {}
+    pieces: list[EdgeColouring] = []
     ratios: list[Fraction] = []
     spent = 0
     aborted = False
@@ -269,9 +271,8 @@ def run_round(
             aborted = True
             abort_reason = "empty-extraction"
             break
-        colour = colour_base + spent
-        taken = map(tuple, result.subgraph.edge_array.tolist())
-        assignments.update(dict.fromkeys(taken, colour))
+        taken = result.subgraph.edge_array
+        pieces.append(EdgeColouring(taken, np.full(len(taken), colour_base + spent)))
         work = subtract(work, result.subgraph)
         spent += 1
         ratios.append(band.achieved_ratio)
@@ -279,7 +280,7 @@ def run_round(
     star_used = 0
     if not aborted and extraction_budget >= 1 and work.edge_count > 0:
         star = star_refinement(work, extraction_budget, k, colour_base + spent)
-        assignments.update(star.colouring.assignments)
+        pieces.append(star.colouring)
         star_used = star.colours_used
         spent += star_used
         work = star.residual
@@ -309,7 +310,7 @@ def run_round(
         aborted=aborted,
         abort_reason=abort_reason,
     )
-    return RoundOutcome(trace, EdgeColouring(assignments), work)
+    return RoundOutcome(trace, _union(pieces), work)
 
 
 @dataclass(frozen=True)
@@ -356,18 +357,12 @@ def colour_graph(g: Graph, params: PipelineParams) -> PipelineResult:
     preconditions = _preconditions(g, params)
     stages: list[StageRecord] = []
     rounds: list[RoundTrace] = []
-    assignments: dict = {}
+    pieces: list[EdgeColouring] = []
     base = 0
-
-    def merge(colouring: EdgeColouring) -> None:
-        overlap = assignments.keys() & colouring.assignments.keys()
-        if overlap:
-            raise InternalInvariantError("stage colourings overlap on edges")
-        assignments.update(colouring.assignments)
 
     if k == 3:
         proper = proper_edge_colouring(g, 0)
-        merge(proper)
+        pieces.append(proper)
         used = proper.colours_used
         stages.append(
             StageRecord(
@@ -382,13 +377,13 @@ def colour_graph(g: Graph, params: PipelineParams) -> PipelineResult:
             )
         )
         return _finish(
-            g, params, assignments, stages, rounds, preconditions,
+            g, params, pieces, stages, rounds, preconditions,
             termination="k3-direct", endgame="proper-only",
         )
 
     current = g
     low = low_degree_refinement(current, r, base)
-    merge(low.colouring)
+    pieces.append(low.colouring)
     stages.append(
         StageRecord(
             name="low-degree",
@@ -412,7 +407,7 @@ def colour_graph(g: Graph, params: PipelineParams) -> PipelineResult:
     initial_star_colours = r // 6
     if initial_star_colours >= 1 and current.edge_count > 0:
         star0 = star_refinement(current, initial_star_colours, k, base)
-        merge(star0.colouring)
+        pieces.append(star0.colouring)
         stages.append(
             StageRecord(
                 name="initial-star",
@@ -448,7 +443,7 @@ def colour_graph(g: Graph, params: PipelineParams) -> PipelineResult:
             break
         outcome = run_round(current, i, params, base)
         rounds.append(outcome.trace)
-        merge(outcome.colouring)
+        pieces.append(outcome.colouring)
         base += outcome.trace.colours_spent
         previous = current.edge_count
         current = outcome.residual
@@ -475,7 +470,7 @@ def colour_graph(g: Graph, params: PipelineParams) -> PipelineResult:
         if endgame != "proper":
             wide = math.ceil(56 * r**0.75)
             star_end = star_refinement(current, wide, k, base)
-            merge(star_end.colouring)
+            pieces.append(star_end.colouring)
             star_used = star_end.colours_used
             base += star_used
             current = star_end.residual
@@ -487,7 +482,7 @@ def colour_graph(g: Graph, params: PipelineParams) -> PipelineResult:
         proper_used = 0
         if current.edge_count > 0:
             final = proper_edge_colouring(current, base)
-            merge(final)
+            pieces.append(final)
             proper_used = final.colours_used
             base += proper_used
         endgame_total = star_used + proper_used
@@ -510,24 +505,31 @@ def colour_graph(g: Graph, params: PipelineParams) -> PipelineResult:
         )
 
     return _finish(
-        g, params, assignments, stages, rounds, preconditions,
+        g, params, pieces, stages, rounds, preconditions,
         termination=termination, endgame=endgame,
     )
+
+
+def _union(pieces: list[EdgeColouring]) -> EdgeColouring:
+    """The pieces' rows and colours as one colouring, rows sorted."""
+    rows = [p.edge_array for p in pieces] or [np.empty((0, 2), dtype=np.int64)]
+    colours = [p.colours for p in pieces] or [np.empty(0, dtype=np.int64)]
+    return EdgeColouring.of(np.concatenate(rows), np.concatenate(colours))
 
 
 def _finish(
     g: Graph,
     params: PipelineParams,
-    assignments: dict,
+    pieces: list[EdgeColouring],
     stages: list[StageRecord],
     rounds: list[RoundTrace],
     preconditions: dict,
     termination: str | None,
     endgame: str | None,
 ) -> PipelineResult:
-    colouring = EdgeColouring(dict(assignments))
-    if Graph.of(g.vertex_count, colouring.assignments) != g:
-        raise InternalInvariantError("pipeline left edges uncoloured")
+    colouring = _union(pieces)
+    if not np.array_equal(colouring.edge_array, g.edge_array):
+        raise InternalInvariantError("stage colourings do not partition the edges")
     total = colouring.colours_used
     expected = sum(s.colours_used for s in stages) + sum(
         t.colours_spent for t in rounds

@@ -53,11 +53,14 @@ def monochromatic_components(
     g: Graph, colouring: EdgeColouring
 ) -> dict[int, list[MonochromaticComponent]]:
     """Connected components of each colour class, keyed by colour."""
-    stray = absent_edges(g, colouring.assignments)
+    rows = colouring.edge_array
+    stray = absent_edges(g, rows)
     if stray:
         raise ContractViolation(
             f"colouring assigns edges absent from the graph, e.g. {stray[0]}"
         )
+    if (rows[1:] == rows[:-1]).all(axis=1).any():  # rows are sorted
+        raise ContractViolation("colouring lists an edge more than once")
     return {
         colour: [MonochromaticComponent(vs, es) for vs, es in components(edges)]
         for colour, edges in colouring.colour_classes().items()
@@ -283,7 +286,7 @@ def verify_colouring(
         r=r,
         colours_used=colours_used,
         colours_within_budget=colours_used <= r,
-        covers_all_edges=len(colouring.assignments) == g.edge_count,  # strays refused
+        covers_all_edges=len(colouring.colours) == g.edge_count,  # no stray, no repeat
         witness_colour=failures[0][0] if failures else None,
         witness_path=failures[0][1] if failures else None,
         failures=tuple(failures),

@@ -21,7 +21,6 @@ from pathfree import (
     SizeCapError,
 )
 from pathfree.bins import _require_counts
-from pathfree.colouring import _compact
 from pathfree.extract import BlockSplit
 
 
@@ -230,7 +229,9 @@ def proper_edge_colouring_reference(g: Graph, colour_base: int = 0) -> EdgeColou
 
     if len(colour_of) != g.edge_count:
         raise InternalInvariantError("proper colouring missed edges")
-    return _compact(colour_of, colour_base)
+    used = sorted(set(colour_of.values()))
+    remap = {c: colour_base + i for i, c in enumerate(used)}
+    return EdgeColouring.of(list(colour_of), [remap[c] for c in colour_of.values()])
 
 
 def longest_path_brute(g: Graph) -> int:

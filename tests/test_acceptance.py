@@ -317,7 +317,8 @@ def test_criterion_11_verifier_matches_bruteforce():
         g = random_graph(rnd, n_max=7, density=rnd.uniform(0.1, 0.9))
         k = rnd.randint(3, 7)
         assignments = {e: rnd.randint(0, 1) for e in g.edges}
-        report = verify_colouring(g, EdgeColouring(assignments), 2, k)
+        colouring = EdgeColouring.of(list(assignments), list(assignments.values()))
+        report = verify_colouring(g, colouring, 2, k)
         assert report.verdict in ("pass", "fail")  # exact below the cap
 
         expected_fail = False

@@ -321,6 +321,14 @@ def test_verify_needs_budget_and_bound(tmp_path, capsys):
     assert main(["verify", "--input", str(bare), "--r", "4", "--k", "3"]) == 0
 
 
+def test_verify_refuses_a_colour_past_int64(tmp_path, capsys):
+    # colours are int64 array entries, so a larger one is a usage error
+    too_big = tmp_path / "too_big.txt"
+    too_big.write_text("# r=2 k=3\n0 1 9223372036854775808\n")
+    assert main(["verify", "--input", str(too_big)]) == 2
+    assert "line 2: colour above" in capsys.readouterr().err
+
+
 def test_verify_missing_file(capsys):
     assert main(["verify", "--input", "/nonexistent/colouring.txt"]) == 2
     assert "cannot read" in capsys.readouterr().err

@@ -185,6 +185,7 @@ def test_star_refinement_validation():
         star_refinement(g, s=2, k=3)
     empty = star_refinement(Graph.build(4, []), s=3, k=6)
     assert empty.colours_used == 0 and empty.degree_bound_ok
+    assert empty.vertices_removed == frozenset() and empty.colouring.colours.size == 0
 
 
 def test_star_refinement_postconditions(rnd):
@@ -261,13 +262,13 @@ def test_serialize_round_trip(rnd):
 
 def test_serialize_header_shape():
     g = path_graph(3)
-    col = EdgeColouring({(0, 1): 0, (1, 2): 1})
+    col = EdgeColouring.of([(0, 1), (1, 2)], [0, 1])
     assert serialize_colouring(g, col).splitlines()[0] == "# n=3 colours_used=2"
     assert (
         serialize_colouring(g, col, r=4).splitlines()[0] == "# n=3 r=4 colours_used=2"
     )
     with pytest.raises(ContractViolation):
-        serialize_colouring(g, EdgeColouring({(0, 1): 0}))
+        serialize_colouring(g, EdgeColouring.of([(0, 1)], [0]))
 
 
 def test_parse_colouring_rejects_bad_rows():
@@ -280,6 +281,7 @@ def test_parse_colouring_rejects_bad_rows():
         ("# n=2\n0 3 1\n", "outside"),
         ("# n=2\n0 3 1\n", "line 2"),
         ("# n=-1\n", "header vertex count must be non-negative"),
+        ("0 1 9223372036854775808\n", "line 1: colour above 9223372036854775807"),
     ]:
         with pytest.raises(UsageError) as err:
             parse_colouring(text)

@@ -28,11 +28,9 @@ MIXED = Graph.build(
 def test_low_degree_takes_a_vertex_with_seven_times_degree_equal_to_r():
     # r = 14: vertices of degree 2 sit exactly on r/7 and are low
     assert low_degree_refinement(MIXED, 14, colour_base=3) == RefinementResult(
-        colouring=EdgeColouring(
-            {
-                (0, 2): 4, (0, 3): 4, (0, 4): 4, (1, 2): 5,
-                (1, 5): 4, (1, 6): 4, (3, 4): 3, (5, 7): 3,
-            }
+        colouring=EdgeColouring.of(
+            [(0, 2), (0, 3), (0, 4), (1, 2), (1, 5), (1, 6), (3, 4), (5, 7)],
+            [4, 4, 4, 5, 4, 4, 3, 3],
         ),
         residual=Graph.build(8, [(0, 1)]),
         colour_base=3,
@@ -52,7 +50,7 @@ def test_star_refinement_takes_a_vertex_with_degree_k_s_equal_to_8e():
         13, [(0, i) for i in range(1, 6)] + [(6, i) for i in range(7, 11)] + [(11, 12)]
     )
     assert star_refinement(two_stars, 2, 8, colour_base=5) == RefinementResult(
-        colouring=EdgeColouring({(0, i): 5 for i in range(1, 6)}),
+        colouring=EdgeColouring.of([(0, i) for i in range(1, 6)], [5] * 5),
         residual=Graph.build(13, [(6, 7), (6, 8), (6, 9), (6, 10), (11, 12)]),
         colour_base=5,
         colours_used=1,
@@ -67,11 +65,8 @@ def test_star_refinement_takes_a_vertex_with_degree_k_s_equal_to_8e():
     # capacity s * floor(k/3) = 4 leaves the last one out
     k5 = Graph.build(5, combinations(range(5), 2))
     assert star_refinement(k5, 4, 5) == RefinementResult(
-        colouring=EdgeColouring(
-            {
-                (0, 1): 0, (0, 2): 0, (0, 3): 0, (0, 4): 0, (1, 2): 1,
-                (1, 3): 1, (1, 4): 1, (2, 3): 2, (2, 4): 2, (3, 4): 3,
-            }
+        colouring=EdgeColouring.of(
+            list(combinations(range(5), 2)), [0, 0, 0, 0, 1, 1, 1, 2, 2, 3]
         ),
         residual=Graph.build(5, []),
         colour_base=0,
@@ -90,7 +85,7 @@ def test_star_refinement_threshold_survives_a_product_beyond_int64():
     # is heavy, and floor(k/3) = 10^18 puts them all in the first centre set
     k = 3 * 10**18
     assert star_refinement(MIXED, 1, k, colour_base=2) == RefinementResult(
-        colouring=EdgeColouring({e: 2 for e in MIXED.edges}),
+        colouring=EdgeColouring.of(MIXED.edge_array, [2] * MIXED.edge_count),
         residual=Graph.build(8, []),
         colour_base=2,
         colours_used=1,

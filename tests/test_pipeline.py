@@ -5,10 +5,13 @@ import hashlib
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from pathfree import (
+    EdgeColouring,
     Graph,
+    InternalInvariantError,
     PipelineParams,
     UsageError,
     audit_round_budgets,
@@ -20,6 +23,7 @@ from pathfree import (
     uniform_edges,
     verify_colouring,
 )
+from pathfree import pipeline
 from pathfree.extract import BAND_RATIO, SELECT_RATIO
 from pathfree.pipeline import ETA, RHO, ZETA
 
@@ -299,14 +303,18 @@ def test_colouring_output_is_pinned(seed, colours, digest):
 
 @pytest.mark.parametrize("k", [8, 3])
 def test_colour_write_parse_verify_never_build_the_edge_set(monkeypatch, k):
-    # Graph.edges is a frozenset of tuples, several times the edge array's
-    # memory; only callers outside the run path may build it
+    # Graph.edges and EdgeColouring.assignments hold tuples, several times
+    # the arrays' memory; only callers outside the run path may build them
     g = uniform_edges(200, 3000, 1)
 
     def refuse(graph):
         raise AssertionError("Graph.edges was read on the run path")
 
+    def refuse_dict(colouring):
+        raise AssertionError("EdgeColouring.assignments was read on the run path")
+
     monkeypatch.setattr(Graph, "edges", property(refuse))
+    monkeypatch.setattr(EdgeColouring, "assignments", property(refuse_dict))
     result = colour_graph(g, PipelineParams(r=24, k=k, beta0=0.5))
     text = serialize_colouring(g, result.colouring, r=24, k=k)
     parsed_g, parsed, header = parse_colouring(text)
@@ -315,3 +323,25 @@ def test_colour_write_parse_verify_never_build_the_edge_set(monkeypatch, k):
     assert report.verdict == "pass" and report.covers_all_edges
     if k == 8:
         assert result.rounds and result.rounds[0].extractions > 0
+
+
+@pytest.mark.parametrize("fault", ["overlap", "gap"])
+def test_stage_colourings_must_partition_the_edges(monkeypatch, fault):
+    g = uniform_edges(120, 360, seed=1)
+    real = pipeline.low_degree_refinement
+
+    def faulty(graph, r, colour_base=0):
+        low = real(graph, r, colour_base)
+        rows, colours = low.colouring.edge_array, low.colouring.colours
+        kept = low.residual.edge_array[:1]
+        assert len(rows) and len(kept)
+        if fault == "overlap":  # also colour an edge that a later stage colours
+            both = np.vstack([rows, kept])
+            bad = EdgeColouring.of(both, np.append(colours, colours[0]))
+        else:  # drop an edge without leaving it in the residual
+            bad = EdgeColouring(rows[1:], colours[1:])
+        return dataclasses.replace(low, colouring=bad)
+
+    monkeypatch.setattr(pipeline, "low_degree_refinement", faulty)
+    with pytest.raises(InternalInvariantError, match="partition"):
+        colour_graph(g, PipelineParams(r=48, k=8, beta0=0.5, seed=1))

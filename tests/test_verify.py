@@ -34,7 +34,7 @@ def from_networkx(gx) -> Graph:
 
 
 def monochrome(g: Graph, colour: int = 0) -> EdgeColouring:
-    return EdgeColouring({e: colour for e in g.edges})
+    return EdgeColouring.of(g.edge_array, [colour] * g.edge_count)
 
 
 def test_longest_path_known_values():
@@ -62,7 +62,7 @@ def test_longest_path_cap_refusal():
 
 def test_monochromatic_components_by_colour():
     g = Graph.build(6, [(0, 1), (1, 2), (3, 4), (0, 2)])
-    col = EdgeColouring({(0, 1): 0, (1, 2): 0, (3, 4): 0, (0, 2): 1})
+    col = EdgeColouring.of([(0, 1), (1, 2), (3, 4), (0, 2)], [0, 0, 0, 1])
     comps = monochromatic_components(g, col)
     assert {c.vertices for c in comps[0]} == {(0, 1, 2), (3, 4)}
     assert [c.vertices for c in comps[1]] == [(0, 2)]
@@ -71,7 +71,7 @@ def test_monochromatic_components_by_colour():
         own = [e for c in comps[colour] for e in c.edges]
         assert sorted(own) == edges
     with pytest.raises(ContractViolation):
-        monochromatic_components(path_graph(3), EdgeColouring({(4, 5): 0}))
+        monochromatic_components(path_graph(3), EdgeColouring.of([(4, 5)], [0]))
 
 
 def min_scan_cover(vertices, edges) -> tuple[int, ...]:
@@ -122,14 +122,15 @@ def test_triangle_and_small_stars():
     assert verify_colouring(star, monochrome(star), r=1, k=4).verdict == "pass"
     # 3-0-1-2 is a path on 4 vertices only if the colours are mixed
     mixed = Graph.build(4, [(0, 1), (0, 2), (0, 3), (1, 2)])
-    col = EdgeColouring({(0, 1): 0, (0, 2): 0, (0, 3): 0, (1, 2): 1})
+    col = EdgeColouring.of([(0, 1), (0, 2), (0, 3), (1, 2)], [0, 0, 0, 1])
     assert verify_colouring(mixed, col, r=2, k=4).verdict == "pass"
 
 
 def test_witness_paths_are_real_and_monochromatic(rnd):
     for trial in range(120):
         g = random_graph(rnd, n_max=9, density=0.5)
-        col = EdgeColouring({e: rnd.randint(0, 2) for e in g.edges})
+        drawn = {e: rnd.randint(0, 2) for e in g.edges}
+        col = EdgeColouring.of(list(drawn), list(drawn.values()))
         k = rnd.randint(3, 6)
         report = verify_colouring(g, col, r=3, k=k)
         for colour, path in report.failures:
@@ -142,7 +143,8 @@ def test_witness_paths_are_real_and_monochromatic(rnd):
 def test_verdict_agrees_with_reference_oracle(rnd):
     for trial in range(400):
         g = random_graph(rnd, n_max=7, density=rnd.choice([0.3, 0.6]))
-        col = EdgeColouring({e: rnd.randint(0, 1) for e in g.edges})
+        drawn = {e: rnd.randint(0, 1) for e in g.edges}
+        col = EdgeColouring.of(list(drawn), list(drawn.values()))
         k = rnd.randint(3, 7)
         report = verify_colouring(g, col, r=2, k=k)
         assert report.verdict in ("pass", "fail")
@@ -174,7 +176,7 @@ def test_fail_outranks_indeterminate():
     big = [(i, i + 1) for i in range(59)]
     small = [(100 + i, 101 + i) for i in range(5)]
     g = Graph.build(106, big + small)
-    col = EdgeColouring({**{tuple(e): 0 for e in big}, **{tuple(e): 1 for e in small}})
+    col = EdgeColouring.of(big + small, [0] * len(big) + [1] * len(small))
     report = verify_colouring(g, col, r=2, k=6, cap=24)
     assert report.verdict == "fail"
     assert report.witness_colour == 1
@@ -182,7 +184,7 @@ def test_fail_outranks_indeterminate():
 
 def test_partial_colourings_are_reported_not_rejected():
     g = path_graph(5)
-    partial = EdgeColouring({(0, 1): 0, (1, 2): 0})
+    partial = EdgeColouring.of([(0, 1), (1, 2)], [0, 0])
     report = verify_colouring(g, partial, r=2, k=5)
     assert not report.covers_all_edges
     assert report.verdict == "pass"  # only 3 vertices carry colour 0
@@ -192,7 +194,7 @@ def test_partial_colourings_are_reported_not_rejected():
 
 def test_budget_flag_and_stats():
     g = path_graph(4)
-    col = EdgeColouring({(0, 1): 0, (1, 2): 1, (2, 3): 2})
+    col = EdgeColouring.of([(0, 1), (1, 2), (2, 3)], [0, 1, 2])
     report = verify_colouring(g, col, r=2, k=4)
     assert report.verdict == "pass"
     assert report.colours_used == 3
@@ -216,12 +218,22 @@ def test_verify_validation():
         verify_colouring(g, monochrome(g), r=-1, k=3)
 
 
+def test_repeated_or_unpaired_rows_are_refused():
+    # a repeated row would let a colouring with a gap pass as total
+    g = path_graph(3)
+    twice = EdgeColouring.of([(0, 1), (0, 1)], [0, 1])
+    with pytest.raises(ContractViolation, match="more than once"):
+        verify_colouring(g, twice, r=2, k=3)
+    with pytest.raises(ContractViolation, match="one colour per edge"):
+        EdgeColouring.of([(0, 1), (1, 2)], [0])
+
+
 def test_stray_edges_are_refused_naming_the_least():
     g = Graph.build(10, [(1, 5), (2, 3), (4, 9)])
-    inside = {(1, 5): 0, (2, 3): 0, (4, 9): 1, (6, 8): 1, (3, 7): 0}
+    inside = EdgeColouring.of([(1, 5), (2, 3), (4, 9), (6, 8), (3, 7)], [0, 0, 1, 1, 0])
     with pytest.raises(ContractViolation, match=r"e\.g\. \(3, 7\)$"):
-        verify_colouring(g, EdgeColouring(inside), r=2, k=3)
+        verify_colouring(g, inside, r=2, k=3)
     # (0, 15) would key as 0 * 10 + 15 = 1 * 10 + 5, the real edge (1, 5)
-    beyond = {(0, 15): 0, (2, 3): 0, (4, 9): 1}
+    beyond = EdgeColouring.of([(0, 15), (2, 3), (4, 9)], [0, 0, 1])
     with pytest.raises(ContractViolation, match=r"e\.g\. \(0, 15\)$"):
-        verify_colouring(g, EdgeColouring(beyond), r=2, k=3)
+        verify_colouring(g, beyond, r=2, k=3)
