@@ -35,7 +35,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ContractViolation, InternalInvariantError, UsageError
-from .graph import Edge, Graph, read_edge_rows, read_header_fields
+from .graph import Edge, Graph, read_edge_rows, read_header_fields, row_order
 
 __all__ = [
     "EdgeColouring",
@@ -70,7 +70,7 @@ class EdgeColouring:
         colours = np.asarray(colours, dtype=np.int64)
         if colours.shape != (len(rows),):
             raise ContractViolation("a colouring needs one colour per edge")
-        order = np.lexsort(rows.T[::-1])
+        order = row_order(rows)
         return EdgeColouring(rows[order], colours[order])
 
     def __eq__(self, other: object) -> bool:
@@ -352,8 +352,8 @@ def serialize_colouring(
 def parse_colouring(text: str) -> tuple[Graph, EdgeColouring, dict[str, int]]:
     """Inverse of :func:`serialize_colouring`; returns graph, colouring, header."""
     header = read_header_fields(text, ("n", "colours_used", "r", "k"))
-    n, rows = read_edge_rows(text, header.get("n"), ("colour",))
-    colouring = EdgeColouring.of(list(rows), [c for (c,) in rows.values()])
+    n, rows, extras = read_edge_rows(text, header.get("n"), ("colour",))
+    colouring = EdgeColouring.of(rows, extras[:, 0])
     g = Graph(n, colouring.edge_array)
     if "colours_used" in header and colouring.colours_used != header["colours_used"]:
         raise UsageError(

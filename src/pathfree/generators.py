@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InternalInvariantError, UsageError
-from .graph import Edge, Graph
+from .graph import Edge, Graph, repeats
 from .rng import substream
 
 __all__ = [
@@ -34,15 +34,17 @@ def uniform_edges(n: int, m: int, seed: int) -> Graph:
         rows, cols = np.triu_indices(n, k=1)
         picked = np.sort(rng.choice(total, size=m, replace=False))
         return Graph(n, np.column_stack((rows[picked], cols[picked])))
-    # Sparse regime: rejection sampling stays fast because m << total.
-    chosen: set[int] = set()  # u * n + v for u < v
-    while len(chosen) < m:
-        u = int(rng.integers(0, n))
-        v = int(rng.integers(0, n))
-        if u != v:
-            chosen.add(u * n + v if u < v else v * n + u)
-    keys = np.sort(np.fromiter(chosen, dtype=np.int64, count=m))
-    return Graph(n, np.column_stack(np.divmod(keys, n)))
+    # Sparse regime: rejection sampling stays fast because m << total.  The
+    # pairs are drawn in batches, which yields the same sequence as one draw
+    # at a time; the graph is the first m distinct non-loop pairs drawn.
+    pairs = np.empty((0, 2), dtype=np.int64)
+    fresh = np.empty(0, dtype=np.int64)
+    while len(fresh) < m:
+        drawn = rng.integers(0, n, size=(m - len(fresh), 2))
+        drawn = np.sort(drawn[drawn[:, 0] != drawn[:, 1]], axis=1)
+        pairs = np.concatenate([pairs, drawn])
+        fresh = np.flatnonzero(~repeats(pairs))
+    return Graph.of(n, pairs[fresh[:m]])
 
 
 def regular_graph(n: int, d: int, seed: int) -> Graph:

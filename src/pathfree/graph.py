@@ -5,13 +5,15 @@ canonical ``u < v`` rows.  A derived graph, such as a stage's residual, is
 ``g.keep(row_mask)`` over its parent's rows, so it needs no sort.  The
 frozenset ``edges`` is built only when read; the colouring run path never does.
 
-The module also holds the one row reader of the text formats
-(:func:`read_edge_rows`) and the one rule that turns a result dataclass into
-its JSON record (:func:`plain_record`).
+The module also owns how edge rows are sorted (:func:`row_order`) and
+compared (:func:`repeats`), exactly for every int64 id; the one row
+reader of the text formats (:func:`read_edge_rows`); and the one rule that
+turns a result dataclass into its JSON record (:func:`plain_record`).
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -47,22 +49,30 @@ class Graph:
 
     @staticmethod
     def build(vertex_count: int, edges: Iterable[tuple[int, int]]) -> "Graph":
-        """The graph of outside input: loops, duplicates and stray ids are errors."""
+        """The graph of outside input: loops, duplicates and stray ids are errors.
+
+        The error names the first bad pair in input order.
+        """
         if vertex_count < 0:
             raise ContractViolation("vertex_count must be non-negative")
-        canon: set[Edge] = set()
-        for u, v in edges:
-            if u == v:
-                raise ContractViolation(f"loop at vertex {u}")
-            e = (u, v) if u < v else (v, u)
-            if not (0 <= e[0] and e[1] < vertex_count):
+        try:
+            pairs = np.fromiter(chain.from_iterable(edges), dtype=np.int64)
+        except OverflowError:
+            raise ContractViolation("an endpoint lies outside int64") from None
+        rows = np.sort(pairs.reshape(-1, 2), axis=1)
+        loop = rows[:, 0] == rows[:, 1]
+        outside = (rows[:, 0] < 0) | (rows[:, 1] >= vertex_count)
+        bad = np.flatnonzero(loop | outside | repeats(rows))
+        if bad.size:
+            e = tuple(rows[bad[0]].tolist())
+            if loop[bad[0]]:
+                raise ContractViolation(f"loop at vertex {e[0]}")
+            if outside[bad[0]]:
                 raise ContractViolation(
                     f"edge {e} has an endpoint outside 0..{vertex_count - 1}"
                 )
-            if e in canon:
-                raise ContractViolation(f"duplicate edge {e}")
-            canon.add(e)
-        return Graph.of(vertex_count, canon)
+            raise ContractViolation(f"duplicate edge {e}")
+        return Graph.of(vertex_count, rows)
 
     @staticmethod
     def of(vertex_count: int, pairs: Iterable[Edge] | np.ndarray) -> "Graph":
@@ -70,7 +80,7 @@ class Graph:
         if not isinstance(pairs, np.ndarray):
             pairs = np.fromiter(chain.from_iterable(pairs), dtype=np.int64)
         rows = pairs.reshape(-1, 2)
-        return Graph(vertex_count, rows[np.lexsort(rows.T[::-1])])
+        return Graph(vertex_count, rows[row_order(rows)])
 
     def keep(self, rows: np.ndarray) -> "Graph":
         """The graph on the same vertices with the edges at ``rows`` (a row mask)."""
@@ -119,21 +129,33 @@ class Graph:
         return int(self.degrees.max(initial=0))
 
 
-def absent_edges(g: Graph, rows: np.ndarray) -> list[Edge]:
-    """The rows of a sorted ``(s, 2)`` array that are not edges of ``g``, in order.
+def row_order(rows: np.ndarray) -> np.ndarray:
+    """The stable order that sorts ``(m, 2)`` rows by first, then second entry.
 
-    Only rows with ``0 <= u < v < n`` are keyed ``u * n + v``; the key is
-    one-to-one there, so no stray row aliases an edge.
+    This is the one row sort: graphs, colourings and :func:`repeats` use it.
     """
-    n = g.vertex_count
-    u, v = rows.T
-    inside = (0 <= u) & (u < v) & (v < n)
-    absent = rows[~(inside & np.isin(u * n + v, _keys(g.edge_array, n)))]
-    return list(map(tuple, absent.tolist()))
+    return np.lexsort((rows[:, 1], rows[:, 0]))
 
 
-def _keys(rows: np.ndarray, n: int) -> np.ndarray:
-    return rows[:, 0] * n + rows[:, 1]
+def repeats(rows: np.ndarray) -> np.ndarray:
+    """The mask of the ``(m, 2)`` rows that equal an earlier row.
+
+    This is the one row comparison.  Rows are compared entry by entry with
+    their neighbours in :func:`row_order`, so it is exact for every int64 id;
+    as that sort is stable, the first of equal rows is never marked.
+    """
+    order = row_order(rows)
+    ranked = rows[order]
+    again = np.zeros(len(rows), dtype=bool)
+    u, v = ranked[:, 0], ranked[:, 1]
+    again[order[1:]] = (u[1:] == u[:-1]) & (v[1:] == v[:-1])
+    return again
+
+
+def absent_edges(g: Graph, rows: np.ndarray) -> list[Edge]:
+    """The distinct rows of an ``(s, 2)`` array that are no edge of ``g``, in order."""
+    stray = ~repeats(np.concatenate([g.edge_array, rows]))[g.edge_count :]
+    return list(map(tuple, rows[stray].tolist()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -170,17 +192,18 @@ def read_header_fields(text: str, keys: tuple[str, ...]) -> dict[str, int]:
 
 def read_edge_rows(
     text: str, vertex_count: int | None, extra: tuple[str, ...] = ()
-) -> tuple[int, dict[Edge, tuple[int, ...]]]:
+) -> tuple[int, np.ndarray, np.ndarray]:
     """Read the data rows shared by the edge-list and colouring formats.
 
     Each line, once a ``#`` comment is stripped, is blank or holds ``u v``
     followed by one non-negative integer per name in ``extra``.  Returns the
     vertex count (``vertex_count`` when given, endpoints then lying in
-    ``0..vertex_count-1``; otherwise one past the largest endpoint) and a map
-    from each canonical edge to its extra values, in file order.  A negative
+    ``0..vertex_count-1``; otherwise one past the largest endpoint), the
+    canonical ``(m, 2)`` int64 edge rows in file order, and the
+    ``(m, len(extra))`` int64 extra values beside them.  A negative
     ``vertex_count`` or a malformed, looped, negative, out-of-range or
-    duplicate row, or an extra value past int64, raises :class:`UsageError`;
-    row errors name the 1-based line number.
+    duplicate row, or an extra value past int64, raises :class:`UsageError`
+    naming the 1-based number of the first bad line.
     """
     top_id = int(np.iinfo(np.int64).max)  # ids and extras become int64 entries
     limit = top_id if vertex_count is None else vertex_count
@@ -188,37 +211,47 @@ def read_edge_rows(
         raise UsageError(f"header vertex count must be non-negative, at most {top_id}")
     names = ("vertex id", "vertex id") + extra
     shape = f"'u v {' '.join(extra)}'" if extra else "two integers"
-    rows: dict[Edge, tuple[int, ...]] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        fields = raw.split("#", 1)[0].split()
-        if not fields:
-            continue
-        if len(fields) != len(names):
-            raise UsageError(f"line {lineno}: expected {shape}, got {raw!r}")
-        try:
-            values = tuple(map(int, fields))
-        except ValueError:
-            raise UsageError(
-                f"line {lineno}: expected {shape}, got {raw!r}"
-            ) from None
-        u, v = values[0], values[1]
-        if u == v:
-            raise UsageError(f"line {lineno}: loop at vertex {u}")
-        if min(values) < 0:
-            first = next(i for i, x in enumerate(values) if x < 0)
-            raise UsageError(f"line {lineno}: negative {names[first]}")
-        if u >= limit or v >= limit:
-            raise UsageError(f"line {lineno}: endpoint outside 0..{limit - 1}")
-        if max(values) > top_id:  # endpoints are below limit by now
-            first = next(i for i, x in enumerate(values) if x > top_id)
-            raise UsageError(f"line {lineno}: {names[first]} above {top_id}")
-        e = (u, v) if u < v else (v, u)
-        if e in rows:
-            raise UsageError(f"line {lineno}: duplicate edge {e}")
-        rows[e] = values[2:]
+    flat, linenos = array("q"), array("q")  # each row's values and line number
+    failure = None  # the first line-local error; an earlier duplicate beats it
+    try:
+        for lineno, raw in enumerate(text.splitlines(), start=1):
+            fields = raw.split("#", 1)[0].split()
+            if not fields:
+                continue
+            if len(fields) != len(names):
+                raise UsageError(f"line {lineno}: expected {shape}, got {raw!r}")
+            try:
+                values = tuple(map(int, fields))
+            except ValueError:
+                raise UsageError(
+                    f"line {lineno}: expected {shape}, got {raw!r}"
+                ) from None
+            u, v = values[0], values[1]
+            if u == v:
+                raise UsageError(f"line {lineno}: loop at vertex {u}")
+            if min(values) < 0:
+                first = next(i for i, x in enumerate(values) if x < 0)
+                raise UsageError(f"line {lineno}: negative {names[first]}")
+            if u >= limit or v >= limit:
+                raise UsageError(f"line {lineno}: endpoint outside 0..{limit - 1}")
+            if max(values) > top_id:  # endpoints are below limit by now
+                first = next(i for i, x in enumerate(values) if x > top_id)
+                raise UsageError(f"line {lineno}: {names[first]} above {top_id}")
+            flat.extend(values)
+            linenos.append(lineno)
+    except UsageError as err:
+        failure = err
+    table = np.frombuffer(flat, dtype=np.int64).reshape(-1, len(names))
+    rows = np.sort(table[:, :2], axis=1)
+    again = np.flatnonzero(repeats(rows))
+    if again.size:
+        e = tuple(rows[again[0]].tolist())
+        raise UsageError(f"line {linenos[again[0]]}: duplicate edge {e}")
+    if failure:
+        raise failure
     if vertex_count is None:
-        vertex_count = max((v for _, v in rows), default=-1) + 1
-    return vertex_count, rows
+        vertex_count = int(rows[:, 1].max(initial=-1)) + 1
+    return vertex_count, rows, table[:, 2:]
 
 
 def plain_record(obj, skip: tuple[str, ...] = ()) -> dict:
@@ -256,13 +289,12 @@ def parse_edge_list(text: str) -> Graph:
     ``#`` comments are ignored.  Loops and duplicate edges raise
     :class:`UsageError`.
     """
-    n, rows = read_edge_rows(text, read_header_fields(text, ("n",)).get("n"))
+    n, rows, _ = read_edge_rows(text, read_header_fields(text, ("n",)).get("n"))
     return Graph.of(n, rows)
 
 
-def serialize_edge_list(g: Graph, comments: Iterable[str] = ()) -> str:
+def serialize_edge_list(g: Graph) -> str:
     lines = [f"# n={g.vertex_count}"]
-    lines.extend(f"# {c}" for c in comments)
     lines.extend(f"{u} {v}" for u, v in g.edge_array.tolist())
     return "\n".join(lines) + "\n"
 
@@ -272,8 +304,8 @@ def subtract(g: Graph, h: Graph) -> Graph:
     absent = absent_edges(g, h.edge_array)
     if absent:
         raise ContractViolation(f"cannot remove absent edges, e.g. {absent[0]}")
-    n = g.vertex_count
-    return g.keep(~np.isin(_keys(g.edge_array, n), _keys(h.edge_array, n)))
+    removed = repeats(np.concatenate([h.edge_array, g.edge_array]))[h.edge_count :]
+    return g.keep(~removed)
 
 
 def components(

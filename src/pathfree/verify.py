@@ -23,9 +23,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable
 
+import numpy as np
+
 from .colouring import EdgeColouring
 from .errors import ContractViolation, SizeCapError, UsageError
-from .graph import Edge, Graph, absent_edges, components, plain_record
+from .graph import Edge, Graph, absent_edges, components, plain_record, repeats
 
 __all__ = [
     "MonochromaticComponent",
@@ -54,12 +56,16 @@ def monochromatic_components(
 ) -> dict[int, list[MonochromaticComponent]]:
     """Connected components of each colour class, keyed by colour."""
     rows = colouring.edge_array
-    stray = absent_edges(g, rows)
-    if stray:
+    # rows before edges: a row listed twice repeats an earlier row and a listed
+    # edge repeats a row, so one comparison finds both faults
+    seen = repeats(np.concatenate([rows, g.edge_array]))
+    twice, listed = seen[: len(rows)], seen[len(rows) :]
+    if len(rows) - twice.sum() > listed.sum():  # more distinct rows than edges listed
+        stray = absent_edges(g, rows)[0]
         raise ContractViolation(
-            f"colouring assigns edges absent from the graph, e.g. {stray[0]}"
+            f"colouring assigns edges absent from the graph, e.g. {stray}"
         )
-    if (rows[1:] == rows[:-1]).all(axis=1).any():  # rows are sorted
+    if twice.any():
         raise ContractViolation("colouring lists an edge more than once")
     return {
         colour: [MonochromaticComponent(vs, es) for vs, es in components(edges)]

@@ -19,6 +19,7 @@ from pathfree import (
     Graph,
     InternalInvariantError,
     SizeCapError,
+    substream,
 )
 from pathfree.bins import _require_counts
 from pathfree.extract import BlockSplit
@@ -140,6 +141,22 @@ def block_partition_reference(
         sizes=np.array(sizes, dtype=np.int64),
         kept_edges=np.array(kept, dtype=np.int64).reshape(-1, 2),
     )
+
+
+def uniform_edges_reference(n: int, m: int, seed: int) -> Graph:
+    """Reference oracle: ``uniform_edges``' sparse regime, one draw at a time.
+
+    The package draws the pairs in batches; both must keep the first ``m``
+    distinct non-loop pairs of the same draw sequence.
+    """
+    rng = substream(seed, "uniform-edges")
+    chosen: set[tuple[int, int]] = set()
+    while len(chosen) < m:
+        u = int(rng.integers(0, n))
+        v = int(rng.integers(0, n))
+        if u != v:
+            chosen.add((min(u, v), max(u, v)))
+    return Graph.build(n, chosen)
 
 
 def proper_edge_colouring_reference(g: Graph, colour_base: int = 0) -> EdgeColouring:

@@ -277,6 +277,9 @@ def test_parse_colouring_rejects_bad_rows():
         ("0 1 -2\n", "negative colour"),
         ("0 0 1\n", "loop"),
         ("0 1 0\n1 0 2\n", "duplicate"),
+        ("0 1 0\n1 0 2\n0 1\n", "line 2: duplicate edge (0, 1)"),
+        ("0 1 0\n1 0 2\n2 2 0\n", "line 2: duplicate edge (0, 1)"),
+        ("0 1 0\n0 1\n1 0 2\n", "line 2: expected 'u v colour'"),
         ("# n=2 colours_used=5\n0 1 0\n", "header declares"),
         ("# n=2\n0 3 1\n", "outside"),
         ("# n=2\n0 3 1\n", "line 2"),

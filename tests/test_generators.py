@@ -13,7 +13,7 @@ from pathfree import (
     uniform_edges,
 )
 
-from conftest import edge_adjacency
+from conftest import edge_adjacency, uniform_edges_reference
 
 
 def test_uniform_edges_counts_and_determinism():
@@ -42,6 +42,12 @@ def test_uniform_edges_spread():
     for m in (1, 10, 100, 1000):
         g = uniform_edges(80, m, seed=12)
         assert g.edge_count == m
+
+
+def test_sparse_uniform_edges_match_one_draw_at_a_time():
+    # 3000 vertices hold 4 498 500 pairs, past the dense regime's 4 000 000
+    for n, m, seed in [(3000, 0, 1), (3000, 1, 2), (3000, 5000, 3), (2**40, 300, 4)]:
+        assert uniform_edges(n, m, seed) == uniform_edges_reference(n, m, seed)
 
 
 def test_regular_graph_is_regular():

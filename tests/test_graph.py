@@ -8,6 +8,7 @@ import pytest
 
 from pathfree import (
     ContractViolation,
+    EdgeColouring,
     Graph,
     InternalInvariantError,
     UsageError,
@@ -17,8 +18,9 @@ from pathfree import (
     random_balanced_bipartition,
     serialize_edge_list,
     substream,
+    verify_colouring,
 )
-from pathfree.graph import components, read_header_fields, subtract
+from pathfree.graph import absent_edges, components, read_header_fields, subtract
 
 from conftest import complete_graph, induced_bipartite, random_graph
 
@@ -44,12 +46,19 @@ def test_of_sorts_keep_masks_and_equality_compares_arrays():
 
 
 def test_build_rejects_bad_edges():
-    with pytest.raises(ContractViolation):
-        Graph.build(3, [(1, 1)])
-    with pytest.raises(ContractViolation):
-        Graph.build(3, [(0, 3)])
-    with pytest.raises(ContractViolation):
-        Graph.build(3, [(0, 1), (1, 0)])
+    for edges, message in [
+        ([(1, 1)], "loop at vertex 1"),
+        ([(0, 3)], "edge (0, 3) has an endpoint outside 0..2"),
+        ([(0, 1), (1, 0)], "duplicate edge (0, 1)"),
+        # the first bad pair in input order is named, whatever its fault
+        ([(0, 1), (1, 0), (2, 2), (0, 9)], "duplicate edge (0, 1)"),
+        ([(0, 1), (2, -1), (1, 0)], "edge (-1, 2) has an endpoint outside 0..2"),
+        ([(0, 1), (1, 1), (1, 0)], "loop at vertex 1"),
+        ([(0, 2**70)], "an endpoint lies outside int64"),
+    ]:
+        with pytest.raises(ContractViolation) as err:
+            Graph.build(3, edges)
+        assert str(err.value) == message
 
 
 def test_degrees_and_neighbours():
@@ -93,6 +102,12 @@ def test_parse_empty_graph_header_only():
         ("0 1 2\n", "two integers"),
         ("a b\n", "two integers"),
         ("# n=x\n0 1\n", "bad header"),
+        # the first bad line is named, whichever check finds it
+        ("0 1\n1 0\n0 1 2\n", "line 2: duplicate edge (0, 1)"),
+        ("0 1\n0 1\n2 2\n", "line 2: duplicate edge (0, 1)"),
+        ("0 1\n1 0\n0 -1\n", "line 2: duplicate edge (0, 1)"),
+        ("0 1\nx y\n1 0\n", "line 2: expected two integers"),
+        ("3 4\n4 3\n1 2\n2 1\n", "line 2: duplicate edge (3, 4)"),
     ],
 )
 def test_parse_rejects_malformed_input(text, fragment):
@@ -113,13 +128,6 @@ def test_serialize_parse_round_trip(rnd):
         assert parse_edge_list(serialize_edge_list(g)) == g
 
 
-def test_serialize_comments_do_not_disturb_parsing():
-    g = Graph.build(3, [(0, 1)])
-    text = serialize_edge_list(g, comments=("source: unit test", "m=999 ignored"))
-    assert text.splitlines()[1] == "# source: unit test"
-    assert parse_edge_list(text) == g
-
-
 def test_read_header_first_value_wins():
     fields = read_header_fields("# n=4 r=2\n# n=7\n0 1\n", ("n", "r"))
     assert fields == {"n": 4, "r": 2}
@@ -132,13 +140,26 @@ def test_subtract_and_induced_bipartite():
     # the least absent edge is named
     with pytest.raises(ContractViolation, match=r"absent edges, e\.g\. \(0, 1\)"):
         subtract(smaller, Graph.build(4, [(2, 3), (1, 3), (0, 1)]))
-    # (0, 6) would key as 0 * 4 + 6 = 1 * 4 + 2, the edge (1, 2)
+    # (0, 6) is no edge of g, though 0 * 4 + 6 == 1 * 4 + 2 would alias (1, 2)
     with pytest.raises(ContractViolation, match=r"e\.g\. \(0, 6\)"):
         subtract(g, Graph.build(8, [(0, 6), (1, 2)]))
     cross = induced_bipartite(g, {0, 1}, {2, 3})
     assert cross.edges == {(0, 2), (0, 3), (1, 2), (1, 3)}
     with pytest.raises(ContractViolation):
         induced_bipartite(g, {0, 1}, {1, 2})
+
+
+def test_row_comparison_is_exact_for_ids_past_the_key_wrap():
+    # at n = 2**62 a u * n + v key of (4, 5) wraps onto that of (0, 5)
+    n = 2**62
+    g = Graph.build(n, [(0, 5)])
+    stray = np.array([[4, 5]])
+    assert absent_edges(g, stray) == [(4, 5)]
+    with pytest.raises(ContractViolation, match=r"e\.g\. \(4, 5\)"):
+        subtract(g, Graph.build(n, [(4, 5)]))
+    absent = r"absent from the graph, e\.g\. \(4, 5\)"
+    with pytest.raises(ContractViolation, match=absent):
+        verify_colouring(g, EdgeColouring.of(stray, [0]), r=1, k=3)
 
 
 def test_crossing_edge_count_matches_direct_count(rnd):

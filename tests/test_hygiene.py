@@ -1,9 +1,11 @@
-"""Source hygiene: every imported name and every dataclass field is read.
+"""Source hygiene: every imported name and every dataclass field is read, and
+only ``graph.py`` sorts or compares edge rows.
 
-Both are AST scans, as no linter runs.
+All are AST scans, as no linter runs.
 """
 
 import ast
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -131,3 +133,58 @@ def test_extract_keeps_its_certificate_apart_from_the_verifier_walk():
     # share the component walker
     path = ROOT / "src" / "pathfree" / "extract.py"
     assert "components" not in imported_names(ast.parse(path.read_text(), str(path)))
+
+
+def row_idioms(tree: ast.Module) -> list[int]:
+    """Lines that sort whole edge rows or build ``u * n + v`` row keys.
+
+    A sort is a ``lexsort`` of ``rows.T[::-1]`` or of ``(rows[:, 1], rows[:, 0])``.
+    A key is ``a * n + b`` (or ``* vertex_count``) with ``a`` and ``b`` plain
+    names or subscripts; such keys wrap in int64 once ``n`` passes 3.04e9.
+    """
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and ast.unparse(node.func).endswith("lexsort"):
+            arg = ast.unparse(node.args[0]) if node.args else ""
+            if arg.endswith(".T[::-1]") or re.fullmatch(
+                r"\((\w+)\[:, 1\], \1\[:, 0\]\)", arg
+            ):
+                found.append(node.lineno)
+        elif (
+            isinstance(node, ast.BinOp)
+            and isinstance(node.op, ast.Add)
+            and isinstance(node.left, ast.BinOp)
+            and isinstance(node.left.op, ast.Mult)
+            and re.fullmatch(r"(\w+\.)?(n|vertex_count)", ast.unparse(node.left.right))
+            and all(
+                isinstance(x, (ast.Name, ast.Subscript))
+                for x in (node.left.left, node.right)
+            )
+        ):
+            found.append(node.lineno)
+    return sorted(found)
+
+
+def test_row_idiom_scan_flags_only_row_sorts_and_keys():
+    tree = ast.parse(
+        "o = np.lexsort(rows.T[::-1])\n"
+        "o = np.lexsort((e[:, 1], e[:, 0]))\n"
+        "k = u * n + v\n"
+        "k = rows[:, 0] * g.vertex_count + rows[:, 1]\n"
+        "o = np.lexsort((-counts, x))\n"  # not a row sort
+        "y = float(p) ** 2 * n + float(p)\n"  # not a row key
+        "y = x * stride + part[x]\n"
+    )
+    assert row_idioms(tree) == [1, 2, 3, 4]
+
+
+def test_only_graph_sorts_and_compares_edge_rows():
+    # graph.row_order and graph.repeats are the one row sort and the one
+    # row comparison; a second copy elsewhere could drift, or key rows in a
+    # way that wraps for large vertex ids
+    found = {
+        path.name: row_idioms(ast.parse(path.read_text(), str(path)))
+        for path in sorted((ROOT / "src" / "pathfree").glob("*.py"))
+    }
+    assert len(found.pop("graph.py")) == 1  # row_order's own lexsort
+    assert {name: lines for name, lines in found.items() if lines} == {}
