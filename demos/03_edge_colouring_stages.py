@@ -10,6 +10,8 @@ The three colouring building blocks, shown one at a time.
    highest-degree vertices, capping the residual maximum degree.
 """
 
+from fractions import Fraction
+
 from pathfree import (
     Graph,
     low_degree_refinement,
@@ -34,8 +36,8 @@ r = 21
 low = low_degree_refinement(g, r)
 print(f"\nlow-degree peel at r={r} (threshold degree {low.threshold}):")
 print(f"  peeled {len(low.vertices_removed)} vertices, "
-      f"{len(low.colouring.edge_array)} edges, {low.colours_used} colours "
-      f"(budget {low.budget}, ok={low.budget_ok})")
+      f"{len(low.colouring.edge_array)} edges, {low.colouring.colours_used} colours "
+      f"(budget r/3 = {Fraction(r, 3)})")
 print(f"  residual keeps {low.residual.edge_count} edges between high vertices")
 
 # the star step only fires on vertices that dominate the edge count, so
@@ -49,7 +51,8 @@ print(f"\nstar refinement on a hubbed graph ({hubbed.edge_count} edges, "
       f"hub degree {hubbed.degree(0)}), s={s}, k={k}:")
 print(f"  heavy threshold: degree * k * s >= 8 * edges, i.e. degree >= "
       f"{float(star.threshold):.1f}")
-print(f"  used {star.colours_used} colour(s) on centres {sorted(star.vertices_removed)}")
+print(f"  used {star.colouring.colours_used} colour(s) on centres "
+      f"{sorted(star.vertices_removed)}")
 for index, part in enumerate(star.parts or ()):
     print(f"  colour {index}: centres {sorted(part)} "
           f"(a class may hold up to k//3 = {k // 3} stars)")

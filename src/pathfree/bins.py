@@ -71,9 +71,12 @@ def _egf_mul(a: list[int], b: list[int], degree_cap: int) -> list[int]:
     return out
 
 
-# The default cap on q * n for exact E[M]; a grid whose corner lies above it
-# is not filled ahead of time.
+# The cap on q * n for exact E[M], read at call time; a grid whose corner
+# lies above it is not filled ahead of time.
 _EXACT_CAP = 4096
+
+# The cap on the composition count of an exact multinomial expectation.
+_MULTINOMIAL_TERMS = 10**7
 
 # Exact E[M] by (q, n), written by one count per lone cell or grid.
 _EXPECTATIONS: dict[tuple[int, int], Fraction] = {}
@@ -135,9 +138,7 @@ def _exact_grid(
     return cells
 
 
-def exact_max_load_expectation(
-    q: int, n: int, max_cells: int = _EXACT_CAP
-) -> Fraction:
+def exact_max_load_expectation(q: int, n: int) -> Fraction:
     """``E[M]`` for ``n`` uniform balls in ``q`` bins, exact.
 
     Computed from ``P(M <= t) = n! [x^n] (sum_{j<=t} x^j/j!)^q / q^n`` with
@@ -147,22 +148,22 @@ def exact_max_load_expectation(
     squaring.  The grid callers (the grid checks and ``bins --grid``) count a
     whole grid ahead of time the same way, squaring up to its least ``q`` and
     then stepping one bin at a time, and both write one cache.  Refuses
-    instances with ``q * n`` beyond ``max_cells`` whether cached or not; use
+    instances with ``q * n`` beyond the cap ``_EXACT_CAP``; use
     :func:`monte_carlo_max_load` for those.
     """
     _require_counts(q, n)
-    if q * n > max_cells:
+    if q * n > _EXACT_CAP:
         raise SizeCapError(
-            f"q*n = {q * n} exceeds the exact-computation cap {max_cells}"
+            f"q*n = {q * n} exceeds the exact-computation cap {_EXACT_CAP}"
         )
     if (q, n) not in _EXPECTATIONS:
         _count_expectations((q, q), (n, n))
     return _EXPECTATIONS[(q, n)]
 
 
-def max_load_fraction(q: int, n: int, max_cells: int = _EXACT_CAP) -> Fraction:
+def max_load_fraction(q: int, n: int) -> Fraction:
     """``E[M]/n``, the expected maximum load as a fraction of all balls."""
-    return exact_max_load_expectation(q, n, max_cells) / n
+    return exact_max_load_expectation(q, n) / n
 
 
 @dataclass(frozen=True)
@@ -266,13 +267,13 @@ def max_load_fraction_lower_bound(q0: float, n0: float) -> float:
 
 
 def multinomial_max_expectation(
-    probabilities: Sequence[Fraction | int | str], n: int, max_terms: int = 10**7
+    probabilities: Sequence[Fraction | int | str], n: int
 ) -> Fraction:
     """``E[max_i X_i]`` for ``(X_1..X_s) ~ Multinomial(n, p)``, exact.
 
     Sums over all compositions of ``n`` across the support of ``p``; the
-    term count is ``C(n+s-1, s-1)`` and instances beyond ``max_terms`` are
-    refused.
+    term count is ``C(n+s-1, s-1)`` and instances beyond
+    ``_MULTINOMIAL_TERMS`` are refused.
     """
     if n < 1:
         raise UsageError("need at least one ball")
@@ -283,8 +284,8 @@ def multinomial_max_expectation(
         raise ContractViolation("probabilities must sum to exactly 1")
     support = [x for x in p if x > 0]
     s = len(support)
-    if math.comb(n + s - 1, s - 1) > max_terms:
-        raise SizeCapError("composition count exceeds max_terms")
+    if math.comb(n + s - 1, s - 1) > _MULTINOMIAL_TERMS:
+        raise SizeCapError(f"composition count exceeds {_MULTINOMIAL_TERMS}")
 
     total = Fraction(0)
 
@@ -422,16 +423,14 @@ class BinsStats:
         return record
 
 
-def compute_bins_stats(
-    q: int, n: int, trials: int = 0, seed: int = 0, max_cells: int = _EXACT_CAP
-) -> BinsStats:
+def compute_bins_stats(q: int, n: int, trials: int = 0, seed: int = 0) -> BinsStats:
     """Assemble :class:`BinsStats`, sanity-checking the bounds it reports.
 
     ``trials=0`` skips the Monte Carlo estimate.
     """
     if trials < 0:
         raise UsageError("need a non-negative trial count")
-    expected = exact_max_load_expectation(q, n, max_cells)
+    expected = exact_max_load_expectation(q, n)
     fraction = expected / n
     unified = max_load_expectation_lower_bound(q, n)
     usable = max_load_fraction_lower_bound(q, n) if q > 1 else None

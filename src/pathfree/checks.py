@@ -17,7 +17,7 @@ import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable
 
 import mpmath
 
@@ -259,13 +259,16 @@ def check_schur_transforms(samples: int = 500, seed: int = 0) -> CheckResult:
     return tally.done()
 
 
-def check_two_bin_monotone(n_max: int = 10, grid_steps: int = 10) -> CheckResult:
-    """E max(X, n-X) for X ~ Bin(n, p) is non-increasing as p rises to 1/2."""
+def check_two_bin_monotone() -> CheckResult:
+    """E max(X, n-X) for X ~ Bin(n, p) is non-increasing as p rises to 1/2.
+
+    Runs over ``n <= 10`` and ``p`` in steps of 1/20.
+    """
     tally = _Tally("two-bin-monotone")
-    for n in range(1, n_max + 1):
+    for n in range(1, 11):
         values = []
-        for step in range(grid_steps + 1):
-            p = Fraction(step, 2 * grid_steps)  # 0, 1/20, ..., 1/2
+        for step in range(11):
+            p = Fraction(step, 20)  # 0, 1/20, ..., 1/2
             value = sum(
                 (
                     Fraction(math.comb(n, k))
@@ -289,13 +292,14 @@ def check_two_bin_monotone(n_max: int = 10, grid_steps: int = 10) -> CheckResult
     return tally.done()
 
 
-def check_joint_vs_single(
-    q_range: tuple[int, int] = (4, 8), n_max: int = 16
-) -> CheckResult:
-    """Joint two-bin tail is at most exp(n/q^2 + 1/q) times the single squared."""
+def check_joint_vs_single() -> CheckResult:
+    """Joint two-bin tail is at most exp(n/q^2 + 1/q) times the single squared.
+
+    Runs over ``4 <= q <= 8`` and ``q <= n <= 16``.
+    """
     tally = _Tally("joint-tail-factor")
-    for q in range(q_range[0], q_range[1] + 1):
-        for n in range(q, n_max + 1):
+    for q in range(4, 9):
+        for n in range(q, 17):
             for t in range(math.ceil(n / q), n + 1):
                 tails = top_two_bins_joint_tail(q, n, t)
                 factor = math.exp(n / q**2 + 1 / q)
@@ -308,17 +312,17 @@ def check_joint_vs_single(
     return tally.done()
 
 
-def check_shifted_binomial(n_max: int = 16, grid_steps: int = 20) -> CheckResult:
+def check_shifted_binomial() -> CheckResult:
     """Dropping the top p-fraction of trials costs at most exp(p^2 n + p).
 
     Verifies P(Bin(floor((1-p) n), p/(1-p)) >= t) <= exp(p^2 n + p) *
-    P(Bin(n, p) >= t) for p on the grid up to 1/4.
+    P(Bin(n, p) >= t) for ``n <= 16`` and p in steps of 1/20 up to 1/4.
     """
     tally = _Tally("shifted-binomial")
-    for step in range(1, grid_steps // 4 + 1):
-        p = Fraction(step, grid_steps)
+    for step in range(1, 6):
+        p = Fraction(step, 20)
         shifted_p = p / (1 - p)
-        for n in range(1, n_max + 1):
+        for n in range(1, 17):
             reduced = math.floor((1 - p) * n)
             factor = math.exp(float(p) ** 2 * n + float(p))
             for t in range(1, n + 1):
@@ -332,17 +336,16 @@ def check_shifted_binomial(n_max: int = 16, grid_steps: int = 20) -> CheckResult
     return tally.done()
 
 
-def _float_range(stop_tenths: int = 100) -> Iterable[float]:
-    for tenths in range(1, stop_tenths + 1):
-        yield tenths / 10
+# The gamma brackets are checked at x = 0.1, 0.2, ..., 10.0.
+_GAMMA_XS = tuple(tenths / 10 for tenths in range(1, 101))
 
 
-def check_gamma_bracket(xs: Iterable[float] | None = None) -> CheckResult:
+def check_gamma_bracket() -> CheckResult:
     """Stirling bracket around Gamma(x+1), confirmed at 50-digit precision."""
     tally = _Tally("gamma-bracket")
     with mpmath.workdps(50):
         two_pi = 2 * mpmath.pi
-        for x in xs if xs is not None else _float_range():
+        for x in _GAMMA_XS:
             mx = mpmath.mpf(x)
             core = mpmath.sqrt(two_pi) * mx ** (mx + mpmath.mpf(0.5)) * mpmath.exp(-mx)
             lower = core * mpmath.exp(1 / (12 * mx + 1))
@@ -356,20 +359,17 @@ def check_gamma_bracket(xs: Iterable[float] | None = None) -> CheckResult:
     return tally.done()
 
 
-def check_gamma_ratio_bracket(
-    xs: Iterable[float] | None = None,
-    offsets: Sequence[float] = (0.9, 0.5, 0.1),
-) -> CheckResult:
+def check_gamma_ratio_bracket() -> CheckResult:
     """Power bracket x^(x-y) <= Gamma(x+1)/Gamma(y+1) <= (x+1)^(x-y).
 
-    ``y`` runs over ``x - offset`` for each offset in (0, 1), staying inside
-    the strip x-1 < y < x where the bracket holds.
+    ``y`` runs over ``x - offset`` for the offsets 0.9, 0.5 and 0.1, staying
+    inside the strip x-1 < y < x where the bracket holds.
     """
     tally = _Tally("gamma-ratio-bracket")
     with mpmath.workdps(50):
-        for x in xs if xs is not None else _float_range():
+        for x in _GAMMA_XS:
             mx = mpmath.mpf(x)
-            for off in offsets:
+            for off in (0.9, 0.5, 0.1):
                 my = mx - mpmath.mpf(off)
                 ratio = mpmath.gamma(mx + 1) / mpmath.gamma(my + 1)
                 lower = mx ** (mx - my)
@@ -384,16 +384,12 @@ def check_gamma_ratio_bracket(
     return tally.done()
 
 
-def check_mc_within_error(
-    cases: Sequence[tuple[int, int]] = ((2, 2), (3, 5), (6, 4), (4, 12)),
-    seeds: int = 50,
-    trials: int = 2000,
-    tolerance_fraction: float = 0.99,
-) -> CheckResult:
+def check_mc_within_error(seeds: int = 50, trials: int = 2000) -> CheckResult:
     """Monte Carlo means land within 5 standard errors almost always.
 
-    The check fails only if fewer than ``tolerance_fraction`` of all
-    (case, seed) runs fall inside the 5-sigma window.
+    The cases are ``(q, n)`` = (2, 2), (3, 5), (6, 4) and (4, 12).  The check
+    fails only if fewer than 99% of all (case, seed) runs fall inside the
+    5-sigma window.
     """
     _need_one(seeds, "Monte Carlo", "seed")
     tally = _Tally("mc-within-error")
@@ -401,7 +397,7 @@ def check_mc_within_error(
     total = 0
     worst = math.inf
     example = ""
-    for q, n in cases:
+    for q, n in ((2, 2), (3, 5), (6, 4), (4, 12)):
         exact = float(exact_max_load_expectation(q, n))
         for s in range(seeds):
             est = monte_carlo_max_load(q, n, trials, seed=1000 + s)
@@ -412,7 +408,7 @@ def check_mc_within_error(
             elif not example:
                 example = f"q={q} n={n} seed={1000 + s}: off by {-slack:.4f}"
             worst = min(worst, slack)
-    ok = hits >= tolerance_fraction * total
+    ok = hits >= 0.99 * total
     tally.cells = total
     tally.violations = 0 if ok else total - hits
     tally.min_margin = worst

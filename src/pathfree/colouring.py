@@ -213,15 +213,11 @@ class RefinementResult:
     (low-degree set or star centres); ``parts`` holds the centre set of each
     colour class for star refinements and is None otherwise.
     ``degree_bound_ok`` records whether the residual met the stage's degree
-    target; ``budget_ok`` whether ``colours_used`` stayed within ``budget``.
+    target.
     """
 
     colouring: EdgeColouring
     residual: Graph
-    colour_base: int
-    colours_used: int
-    budget: Fraction
-    budget_ok: bool
     threshold: Fraction
     vertices_removed: frozenset[int]
     degree_bound_ok: bool
@@ -237,7 +233,7 @@ def low_degree_refinement(g: Graph, r: int, colour_base: int = 0) -> RefinementR
     ``floor(r/7)`` colours, whose classes are star forests centred at high
     vertices: each such edge's colour is the rank of its high end among the
     low end's high neighbours.  Total is within ``r/3`` once ``r >= 42``;
-    smaller ``r`` simply reports ``budget_ok = False``.
+    smaller ``r`` may exceed it, which the caller's stage record reports.
     """
     if r < 1:
         raise UsageError("colour budget r must be positive")
@@ -258,17 +254,9 @@ def low_degree_refinement(g: Graph, r: int, colour_base: int = 0) -> RefinementR
     low_end = low_end[order]
     rank = np.arange(len(rows)) - np.searchsorted(low_end, low_end)
     colours[np.flatnonzero(leaving)[order]] = colour_base + first_range + rank
-    star_width = int(rank.max(initial=-1)) + 1
-
-    used = first_range + star_width
-    budget = Fraction(r, 3)
     return RefinementResult(
         colouring=EdgeColouring(g.edge_array[coloured], colours[coloured]),
         residual=g.keep(~coloured),
-        colour_base=colour_base,
-        colours_used=used,
-        budget=budget,
-        budget_ok=used <= budget,
         threshold=threshold,
         vertices_removed=frozenset(np.flatnonzero(low).tolist()),
         degree_bound_ok=True,
@@ -306,16 +294,11 @@ def star_refinement(
     used_ids, colours = np.unique(first[claimed], return_inverse=True)
 
     residual = g.keep(~claimed)
-    used = len(used_ids)
-    if used > s:
+    if len(used_ids) > s:
         raise InternalInvariantError("star refinement exceeded its colour count")
     return RefinementResult(
         colouring=EdgeColouring(g.edge_array[claimed], colour_base + colours),
         residual=residual,
-        colour_base=colour_base,
-        colours_used=used,
-        budget=Fraction(s),
-        budget_ok=True,
         threshold=threshold,
         vertices_removed=frozenset(centres.tolist()),
         degree_bound_ok=residual.max_degree < least,
@@ -325,32 +308,24 @@ def star_refinement(
     )
 
 
-def serialize_colouring(
-    g: Graph, colouring: EdgeColouring, r: int | None = None, k: int | None = None
-) -> str:
+def serialize_colouring(g: Graph, colouring: EdgeColouring, r: int, k: int) -> str:
     """Text form of a total colouring: ``u v colour`` rows.
 
     Follows the edge-list conventions: a ``# n=...`` comment header carries
-    the vertex count, plus ``r``/``k`` when given so a verification run can
-    be replayed from the file alone.  The colouring must cover exactly the
-    edges of ``g``.
+    the vertex count, ``r`` and ``k``, so a verification run can be replayed
+    from the file alone.  The colouring must cover exactly the edges of ``g``.
     """
     if not np.array_equal(colouring.edge_array, g.edge_array):
         raise ContractViolation("colouring must cover exactly the graph's edges")
-    head = [f"n={g.vertex_count}"]
-    if r is not None:
-        head.append(f"r={r}")
-    if k is not None:
-        head.append(f"k={k}")
-    head.append(f"colours_used={colouring.colours_used}")
-    lines = ["# " + " ".join(head)]
+    head = f"n={g.vertex_count} r={r} k={k} colours_used={colouring.colours_used}"
+    lines = ["# " + head]
     for (u, v), c in zip(g.edge_array.tolist(), colouring.colours.tolist()):
         lines.append(f"{u} {v} {c}")
     return "\n".join(lines) + "\n"
 
 
 def parse_colouring(text: str) -> tuple[Graph, EdgeColouring, dict[str, int]]:
-    """Inverse of :func:`serialize_colouring`; returns graph, colouring, header."""
+    """Inverse of :func:`serialize_colouring`; a header may lack ``r`` and ``k``."""
     header = read_header_fields(text, ("n", "colours_used", "r", "k"))
     n, rows, extras = read_edge_rows(text, header.get("n"), ("colour",))
     colouring = EdgeColouring.of(rows, extras[:, 0])

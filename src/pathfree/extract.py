@@ -276,9 +276,7 @@ class Decomposition:
     residual_vertices: frozenset[int]
 
 
-def degree_class_decompose(
-    g: Graph, degree_floor: Fraction | int = Fraction(1)
-) -> Decomposition:
+def degree_class_decompose(g: Graph, degree_floor: Fraction | int) -> Decomposition:
     """Peel vertices band by band in geometrically shrinking degree ranges.
 
     Band ``j`` collects the so-far-unclassified vertices whose remaining

@@ -6,6 +6,8 @@ runs are reproducible from their recorded configuration alone.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+
 import numpy as np
 
 from .errors import InternalInvariantError, UsageError
@@ -73,20 +75,26 @@ def regular_graph(n: int, d: int, seed: int) -> Graph:
     def canon(p: list[int]) -> Edge:
         return (p[0], p[1]) if p[0] < p[1] else (p[1], p[0])
 
-    counts: dict[Edge, int] = {}
-    for p in pairs:
+    # A swap changes two pairs, so each canonical pair's holders and the
+    # ascending indices of bad pairs (loops, parallels) are updated in place.
+    holders: dict[Edge, list[int]] = {}
+    for i, p in enumerate(pairs):
         if p[0] != p[1]:
-            counts[canon(p)] = counts.get(canon(p), 0) + 1
+            holders.setdefault(canon(p), []).append(i)
+    bad = [
+        i for i, p in enumerate(pairs) if p[0] == p[1] or len(holders[canon(p)]) > 1
+    ]
 
-    def is_bad(p: list[int]) -> bool:
-        return p[0] == p[1] or counts[canon(p)] > 1
+    def make_good(index: int) -> None:
+        at = bisect_left(bad, index)
+        if at < len(bad) and bad[at] == index:
+            del bad[at]
 
     budget = 200 * len(pairs) + 1000
     while budget > 0:
-        bad = [i for i, p in enumerate(pairs) if is_bad(p)]
         if not bad:
             break
-        i = int(bad[int(rng.integers(0, len(bad)))])
+        i = bad[int(rng.integers(0, len(bad)))]
         j = int(rng.integers(0, len(pairs)))
         if i == j:
             budget -= 1
@@ -100,23 +108,28 @@ def regular_graph(n: int, d: int, seed: int) -> Graph:
             budget -= 1
             continue
         e1, e2 = canon(new1), canon(new2)
-        if e1 == e2 or counts.get(e1, 0) > 0 or counts.get(e2, 0) > 0:
+        if e1 == e2 or e1 in holders or e2 in holders:
             budget -= 1
             continue
-        for old in (pairs[i], pairs[j]):
+        for index in (i, j):
+            old = pairs[index]
             if old[0] != old[1]:
                 key = canon(old)
-                counts[key] -= 1
-                if counts[key] == 0:
-                    del counts[key]
+                held = holders[key]
+                held.remove(index)
+                if len(held) == 1:
+                    make_good(held[0])
+                elif not held:
+                    del holders[key]
+            make_good(index)
         pairs[i], pairs[j] = new1, new2
-        counts[e1] = 1
-        counts[e2] = 1
+        holders[e1] = [i]
+        holders[e2] = [j]
         budget -= 1
     else:
         raise InternalInvariantError("edge-swap repair did not converge")
 
-    if any(is_bad(p) for p in pairs):
+    if len({canon(p) for p in pairs if p[0] != p[1]}) != len(pairs):
         raise InternalInvariantError("edge-swap repair did not converge")
     g = Graph.of(n, map(canon, pairs))
     if (g.degrees != d).any():

@@ -154,7 +154,7 @@ class PipelineParams:
     @property
     def degree_goal(self) -> float:
         """The initial star stage's maximum-degree aim: ``beta0 · r · log r``."""
-        return self.beta0 * self.r * self.log_r
+        return _tracked_degree(self, 0)
 
     def to_record(self) -> dict:
         return {
@@ -170,6 +170,21 @@ class PipelineParams:
             "seed": self.seed,
             "strict": self.strict,
         }
+
+
+def _tracked_degree(params: PipelineParams, i: int) -> float:
+    """Round ``i``'s tracked maximum degree, ``beta0 · ZETA^i · r · log r``."""
+    return params.beta0 * float(ZETA) ** i * params.r * params.log_r
+
+
+def _round_budget(r: int, i: int) -> Fraction:
+    """The colours round ``i`` may spend: ``r · RHO^i / 6``."""
+    return Fraction(r) * RHO**i / 6
+
+
+def _at_edge_floor(g: Graph, r: int, k: int) -> bool:
+    """Whether ``g``'s edge count ``m`` is down to the floor ``m^4 <= r^7 k^4``."""
+    return g.edge_count**4 <= r**7 * k**4
 
 
 @dataclass(frozen=True)
@@ -237,8 +252,8 @@ def run_round(
     if params.k < 4:
         raise UsageError("rounds need k >= 4 (star classes contain P_3)")
     r, k = params.r, params.k
-    extraction_budget = math.floor(Fraction(r) * RHO**round_index / 12)
-    budget = Fraction(r) * RHO**round_index / 6
+    budget = _round_budget(r, round_index)
+    extraction_budget = math.floor(budget / 2)
     edges_before = g.edge_count
     degree_before = g.max_degree
     edge_target = ETA * edges_before
@@ -281,7 +296,7 @@ def run_round(
     if not aborted and extraction_budget >= 1 and work.edge_count > 0:
         star = star_refinement(work, extraction_budget, k, colour_base + spent)
         pieces.append(star.colouring)
-        star_used = star.colours_used
+        star_used = star.colouring.colours_used
         spent += star_used
         work = star.residual
 
@@ -289,7 +304,7 @@ def run_round(
         raise InternalInvariantError(
             f"round {round_index} spent {spent} colours over budget {budget}"
         )
-    degree_target = params.beta0 * float(ZETA) ** (round_index + 1) * r * params.log_r
+    degree_target = _tracked_degree(params, round_index + 1)
     trace = RoundTrace(
         round_index=round_index,
         colour_base=colour_base,
@@ -383,14 +398,15 @@ def colour_graph(g: Graph, params: PipelineParams) -> PipelineResult:
 
     current = g
     low = low_degree_refinement(current, r, base)
+    low_used = low.colouring.colours_used
     pieces.append(low.colouring)
     stages.append(
         StageRecord(
             name="low-degree",
             colour_base=base,
-            colours_used=low.colours_used,
-            budget=low.budget,
-            budget_ok=low.budget_ok,
+            colours_used=low_used,
+            budget=Fraction(r, 3),
+            budget_ok=low_used <= Fraction(r, 3),
             edges_before=current.edge_count,
             edges_after=low.residual.edge_count,
             notes={
@@ -401,20 +417,21 @@ def colour_graph(g: Graph, params: PipelineParams) -> PipelineResult:
             },
         )
     )
-    base += low.colours_used
+    base += low_used
     current = low.residual
 
     initial_star_colours = r // 6
     if initial_star_colours >= 1 and current.edge_count > 0:
         star0 = star_refinement(current, initial_star_colours, k, base)
+        star0_used = star0.colouring.colours_used
         pieces.append(star0.colouring)
         stages.append(
             StageRecord(
                 name="initial-star",
                 colour_base=base,
-                colours_used=star0.colours_used,
+                colours_used=star0_used,
                 budget=Fraction(r, 6),
-                budget_ok=star0.colours_used <= Fraction(r, 6),
+                budget_ok=star0_used <= Fraction(r, 6),
                 edges_before=current.edge_count,
                 edges_after=star0.residual.edge_count,
                 notes={
@@ -425,20 +442,19 @@ def colour_graph(g: Graph, params: PipelineParams) -> PipelineResult:
                 },
             )
         )
-        base += star0.colours_used
+        base += star0_used
         current = star0.residual
 
     termination: str | None = None
     i = 0
     while True:
-        tracked_degree = params.beta0 * float(ZETA) ** i * r * params.log_r
-        if tracked_degree < r / 7:
+        if _tracked_degree(params, i) < r / 7:
             termination = "degree-floor"
             break
-        if current.edge_count**4 <= r**7 * k**4:
+        if _at_edge_floor(current, r, k):
             termination = "edge-floor"
             break
-        if math.floor(Fraction(r) * RHO**i / 12) < 1:
+        if _round_budget(r, i) < 2:  # floor(budget / 2) = 0 extractions
             termination = "round-budget-exhausted"
             break
         outcome = run_round(current, i, params, base)
@@ -461,7 +477,7 @@ def colour_graph(g: Graph, params: PipelineParams) -> PipelineResult:
         endgame_before = current.edge_count
         if 7 * current.max_degree <= r:
             endgame = "proper"
-        elif current.edge_count**4 <= r**7 * k**4:
+        elif _at_edge_floor(current, r, k):
             endgame = "star+proper"
         else:
             endgame = "fallback-star+proper"
@@ -471,7 +487,7 @@ def colour_graph(g: Graph, params: PipelineParams) -> PipelineResult:
             wide = math.ceil(56 * r**0.75)
             star_end = star_refinement(current, wide, k, base)
             pieces.append(star_end.colouring)
-            star_used = star_end.colours_used
+            star_used = star_end.colouring.colours_used
             base += star_used
             current = star_end.residual
             star_note = {
@@ -560,7 +576,7 @@ def audit_round_budgets(result: PipelineResult) -> list[str]:
     violations: list[str] = []
     r = result.params.r
     for trace in result.rounds:
-        cap = Fraction(r) * RHO**trace.round_index / 6
+        cap = _round_budget(r, trace.round_index)
         if Fraction(trace.colours_spent) > cap:
             violations.append(
                 f"round {trace.round_index} spent {trace.colours_spent} "

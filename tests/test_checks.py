@@ -55,30 +55,34 @@ def test_schur_transforms_sampled():
 
 
 def test_two_bin_monotone():
-    assert check_two_bin_monotone(n_max=5, grid_steps=8).ok
+    result = check_two_bin_monotone()
+    assert result.ok and result.cells == 10 * (11 * 10 // 2)  # n <= 10, 11 values of p
 
 
 def test_joint_vs_single_factor():
-    result = check_joint_vs_single((4, 5), n_max=8)
-    assert result.ok and result.min_margin >= 0
+    result = check_joint_vs_single()
+    assert result.ok and result.cells == 525 and result.min_margin >= 0
 
 
 def test_shifted_binomial_factor():
-    assert check_shifted_binomial(n_max=8, grid_steps=20).ok
+    result = check_shifted_binomial()
+    # five values of p, then every 1 <= t <= n <= 16
+    assert result.ok and result.cells == 5 * (16 * 17 // 2)
 
 
 def test_gamma_brackets():
-    assert check_gamma_bracket([0.5, 1.0, 2.0, 5.0, 9.5]).ok
-    ratio = check_gamma_ratio_bracket([1.0, 3.0])
-    assert ratio.ok and ratio.cells == 6
+    stirling = check_gamma_bracket()
+    assert stirling.ok and stirling.cells == 100  # x = 0.1, 0.2, ..., 10.0
+    ratio = check_gamma_ratio_bracket()
+    assert ratio.ok and ratio.cells == 300  # three offsets per x
 
 
 def test_mc_within_error_small():
-    result = check_mc_within_error(cases=((2, 2), (3, 3)), seeds=5, trials=800)
-    assert result.ok and result.cells == 10
+    result = check_mc_within_error(seeds=5, trials=800)
+    assert result.ok and result.cells == 4 * 5  # four (q, n) cases
     for seeds in (0, -1):  # no seed would pass vacuously
         with pytest.raises(UsageError):
-            check_mc_within_error(cases=((2, 2),), seeds=seeds)
+            check_mc_within_error(seeds=seeds)
 
 
 def test_corrupted_oracle_is_caught():

@@ -9,7 +9,6 @@ import pathfree.bins as bins
 import pathfree.checks as checks
 import pathfree.cli as cli
 from pathfree import (
-    Graph,
     InternalInvariantError,
     PipelineParams,
     colour_graph,
@@ -310,12 +309,8 @@ def test_extract_uncertified_exit_1(tmp_path, capsys):
 
 
 def test_verify_needs_budget_and_bound(tmp_path, capsys):
-    g = Graph.build(3, [(0, 1), (1, 2)])
-    from pathfree import proper_edge_colouring
-
-    colouring = proper_edge_colouring(g)
     bare = tmp_path / "bare.txt"
-    bare.write_text(serialize_colouring(g, colouring))  # header has no r/k
+    bare.write_text("# n=3 colours_used=2\n0 1 0\n1 2 1\n")  # header has no r/k
     assert main(["verify", "--input", str(bare)]) == 2
     assert "pass --r and --k" in capsys.readouterr().err
     assert main(["verify", "--input", str(bare), "--r", "4", "--k", "3"]) == 0

@@ -139,9 +139,7 @@ def test_low_degree_refinement_split(rnd):
         coloured = result.colouring.assignments
         assert coloured.keys() == g.edges - result.residual.edges
         assert result.threshold == Fraction(r, 7)
-        assert result.budget == Fraction(r, 3)
-        assert result.budget_ok == (result.colours_used <= Fraction(r, 3))
-        assert result.colours_used <= 2 * (r // 7) + 1
+        assert result.colouring.colours_used <= 2 * (r // 7) + 1
 
 
 def test_low_degree_refinement_class_shapes(rnd):
@@ -184,7 +182,7 @@ def test_star_refinement_validation():
     with pytest.raises(UsageError):
         star_refinement(g, s=2, k=3)
     empty = star_refinement(Graph.build(4, []), s=3, k=6)
-    assert empty.colours_used == 0 and empty.degree_bound_ok
+    assert empty.colouring.colours_used == 0 and empty.degree_bound_ok
     assert empty.vertices_removed == frozenset() and empty.colouring.colours.size == 0
 
 
@@ -197,10 +195,10 @@ def test_star_refinement_postconditions(rnd):
         k = rnd.choice([4, 6, 7, 8, 9, 12])
         result = star_refinement(g, s, k)
         e = g.edge_count
-        assert result.colours_used <= s
+        assert result.colouring.colours_used <= s
         assert result.threshold == Fraction(8 * e, k * s)
         assert result.parts is not None
-        assert len(result.parts) == result.colours_used
+        assert len(result.parts) == result.colouring.colours_used
         seen_centres: set[int] = set()
         classes = result.colouring.colour_classes()
         for part, (colour, edges) in zip(result.parts, sorted(classes.items())):
@@ -245,7 +243,7 @@ def test_star_refinement_colours_contiguous():
     g = complete_graph(9)
     result = star_refinement(g, s=3, k=6, colour_base=5)
     used = sorted(set(result.colouring.assignments.values()))
-    assert used == list(range(5, 5 + result.colours_used))
+    assert used == list(range(5, 5 + result.colouring.colours_used))
 
 
 def test_serialize_round_trip(rnd):
@@ -263,12 +261,13 @@ def test_serialize_round_trip(rnd):
 def test_serialize_header_shape():
     g = path_graph(3)
     col = EdgeColouring.of([(0, 1), (1, 2)], [0, 1])
-    assert serialize_colouring(g, col).splitlines()[0] == "# n=3 colours_used=2"
-    assert (
-        serialize_colouring(g, col, r=4).splitlines()[0] == "# n=3 r=4 colours_used=2"
-    )
+    text = serialize_colouring(g, col, r=4, k=3)
+    assert text.splitlines()[0] == "# n=3 r=4 k=3 colours_used=2"
+    # a file written without r and k still parses; the reader supplies them
+    _, parsed, header = parse_colouring(text.replace(" r=4 k=3", ""))
+    assert parsed == col and header == {"n": 3, "colours_used": 2}
     with pytest.raises(ContractViolation):
-        serialize_colouring(g, EdgeColouring.of([(0, 1)], [0]))
+        serialize_colouring(g, EdgeColouring.of([(0, 1)], [0]), r=4, k=3)
 
 
 def test_parse_colouring_rejects_bad_rows():

@@ -33,10 +33,6 @@ def test_low_degree_takes_a_vertex_with_seven_times_degree_equal_to_r():
             [4, 4, 4, 5, 4, 4, 3, 3],
         ),
         residual=Graph.build(8, [(0, 1)]),
-        colour_base=3,
-        colours_used=3,
-        budget=Fraction(14, 3),
-        budget_ok=True,
         threshold=Fraction(2),
         vertices_removed=frozenset({2, 3, 4, 5, 6, 7}),
         degree_bound_ok=True,
@@ -52,10 +48,6 @@ def test_star_refinement_takes_a_vertex_with_degree_k_s_equal_to_8e():
     assert star_refinement(two_stars, 2, 8, colour_base=5) == RefinementResult(
         colouring=EdgeColouring.of([(0, i) for i in range(1, 6)], [5] * 5),
         residual=Graph.build(13, [(6, 7), (6, 8), (6, 9), (6, 10), (11, 12)]),
-        colour_base=5,
-        colours_used=1,
-        budget=Fraction(2),
-        budget_ok=True,
         threshold=Fraction(5),
         vertices_removed=frozenset({0}),
         degree_bound_ok=True,
@@ -69,10 +61,6 @@ def test_star_refinement_takes_a_vertex_with_degree_k_s_equal_to_8e():
             list(combinations(range(5), 2)), [0, 0, 0, 0, 1, 1, 1, 2, 2, 3]
         ),
         residual=Graph.build(5, []),
-        colour_base=0,
-        colours_used=4,
-        budget=Fraction(4),
-        budget_ok=True,
         threshold=Fraction(4),
         vertices_removed=frozenset({0, 1, 2, 3}),
         degree_bound_ok=True,
@@ -87,10 +75,6 @@ def test_star_refinement_threshold_survives_a_product_beyond_int64():
     assert star_refinement(MIXED, 1, k, colour_base=2) == RefinementResult(
         colouring=EdgeColouring.of(MIXED.edge_array, [2] * MIXED.edge_count),
         residual=Graph.build(8, []),
-        colour_base=2,
-        colours_used=1,
-        budget=Fraction(1),
-        budget_ok=True,
         threshold=Fraction(8 * 9, k),
         vertices_removed=frozenset(range(8)),
         degree_bound_ok=True,

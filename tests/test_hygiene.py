@@ -1,5 +1,6 @@
-"""Source hygiene: every imported name and every dataclass field is read, and
-only ``graph.py`` sorts or compares edge rows.
+"""Source hygiene: every imported name and every dataclass field is read,
+only ``graph.py`` sorts or compares edge rows, and every defaulted parameter
+of the public API is listed.
 
 All are AST scans, as no linter runs.
 """
@@ -188,3 +189,83 @@ def test_only_graph_sorts_and_compares_edge_rows():
     }
     assert len(found.pop("graph.py")) == 1  # row_order's own lexsort
     assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def defaulted_parameters(module: str, tree: ast.Module) -> list[str]:
+    """``module.function(param)`` for each defaulted parameter of a public
+    module-level function, in source order."""
+    found = []
+    for node in tree.body:
+        if not isinstance(node, ast.FunctionDef) or node.name.startswith("_"):
+            continue
+        args = node.args
+        positional = args.posonlyargs + args.args
+        named = positional[len(positional) - len(args.defaults) :] + [
+            arg for arg, default in zip(args.kwonlyargs, args.kw_defaults) if default
+        ]
+        found += [f"{module}.{node.name}({arg.arg})" for arg in named]
+    return found
+
+
+def test_defaulted_parameter_scan_counts_positional_and_keyword_defaults():
+    tree = ast.parse(
+        "def f(a, b=1, *, c, d=2): pass\n"
+        "def _g(x=1): pass\n"
+        "class C:\n    def m(self, y=1): pass\n"
+    )
+    assert defaulted_parameters("m", tree) == ["m.f(b)", "m.f(d)"]
+
+
+# Each entry is a setting that a caller outside the tests passes, or a
+# default that such a caller relies on.  A new one belongs here only once a
+# second caller needs a value other than the default.
+DEFAULTED_PARAMETERS = [
+    "bins.compute_bins_stats(trials)",
+    "bins.compute_bins_stats(seed)",
+    "checks.check_solver_floor(q_range)",
+    "checks.check_solver_floor(n_range)",
+    "checks.check_solver_floor(expectation)",
+    "checks.check_fraction_floor(q_range)",
+    "checks.check_fraction_floor(n_range)",
+    "checks.check_fraction_floor(expectation)",
+    "checks.check_closed_form_floor(q_range)",
+    "checks.check_closed_form_floor(n_range)",
+    "checks.check_closed_form_floor(expectation)",
+    "checks.check_expectation_monotone(q_range)",
+    "checks.check_expectation_monotone(n_range)",
+    "checks.check_expectation_monotone(expectation)",
+    "checks.check_schur_transforms(samples)",
+    "checks.check_schur_transforms(seed)",
+    "checks.check_mc_within_error(seeds)",
+    "checks.check_mc_within_error(trials)",
+    "checks.run_all_checks(q_range)",
+    "checks.run_all_checks(n_range)",
+    "checks.run_all_checks(seed)",
+    "checks.run_all_checks(schur_samples)",
+    "checks.run_all_checks(mc_seeds)",
+    "checks.run_all_checks(mc_trials)",
+    "checks.run_all_checks(expectation)",
+    "cli.main(argv)",
+    "colouring.proper_edge_colouring(colour_base)",
+    "colouring.low_degree_refinement(colour_base)",
+    "colouring.star_refinement(colour_base)",
+    "extract.extract_path_free_subgraph(trials)",
+    "extract.extract_path_free_subgraph(seed)",
+    "extract.extract_from_densest_band(trials)",
+    "extract.extract_from_densest_band(seed)",
+    "graph.read_edge_rows(extra)",
+    "graph.plain_record(skip)",
+    "verify.longest_path_exact(cap)",
+    "verify.verify_colouring(cap)",
+]
+
+
+def test_every_defaulted_parameter_is_listed():
+    # each default doubles the configurations the tests must cover
+    found = [
+        entry
+        for path in sorted((ROOT / "src" / "pathfree").glob("*.py"))
+        for entry in defaulted_parameters(path.stem, ast.parse(path.read_text()))
+    ]
+    assert found == DEFAULTED_PARAMETERS
+    assert len(found) == 37
