@@ -8,9 +8,14 @@ The three colouring building blocks, shown one at a time.
    the peeled edges with matchings plus small outward star classes.
 3. star_refinement: spend s colours on star forests centred at the
    highest-degree vertices, capping the residual maximum degree.
+
+The refinements report vertex sets as boolean masks over 0..n-1 and the
+star centres' colours as a part array (-1 off the centres).
 """
 
 from fractions import Fraction
+
+import numpy as np
 
 from pathfree import (
     Graph,
@@ -35,9 +40,11 @@ for colour, edges in sorted(proper.colour_classes().items())[:3]:
 r = 21
 low = low_degree_refinement(g, r)
 print(f"\nlow-degree peel at r={r} (threshold degree {low.threshold}):")
-print(f"  peeled {len(low.vertices_removed)} vertices, "
+print(f"  peeled {low.vertices_removed.sum()} vertices, "
       f"{len(low.colouring.edge_array)} edges, {low.colouring.colours_used} colours "
       f"(budget r/3 = {Fraction(r, 3)})")
+print(f"  peeled mask over 0..{g.vertex_count - 1}: "
+      + "".join("1" if x else "." for x in low.vertices_removed))
 print(f"  residual keeps {low.residual.edge_count} edges between high vertices")
 
 # the star step only fires on vertices that dominate the edge count, so
@@ -52,9 +59,11 @@ print(f"\nstar refinement on a hubbed graph ({hubbed.edge_count} edges, "
 print(f"  heavy threshold: degree * k * s >= 8 * edges, i.e. degree >= "
       f"{float(star.threshold):.1f}")
 print(f"  used {star.colouring.colours_used} colour(s) on centres "
-      f"{sorted(star.vertices_removed)}")
-for index, part in enumerate(star.parts or ()):
-    print(f"  colour {index}: centres {sorted(part)} "
+      f"{np.flatnonzero(star.vertices_removed).tolist()}")
+print(f"  part array (colour offset per vertex, -1 off the centres): "
+      f"{star.parts.tolist()}")
+for colour in range(star.colouring.colours_used):
+    print(f"  colour {colour}: centres {np.flatnonzero(star.parts == colour).tolist()} "
           f"(a class may hold up to k//3 = {k // 3} stars)")
 print(f"  residual max degree {star.residual.max_degree} "
       f"(was {hubbed.max_degree}), bound held: {star.degree_bound_ok}")

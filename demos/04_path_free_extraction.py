@@ -34,8 +34,9 @@ print(f"verifier agrees: verdict={report.verdict} "
       f"yet no path on {k})")
 assert report.verdict == "pass"
 
-# the same machinery on an explicit core/independent split; the core must
-# cover every edge, so carve the independent side out greedily
+# the same machinery on an explicit core/independent split, given as boolean
+# masks over 0..n-1; the core must cover every edge, so carve the
+# independent side out greedily
 neighbours: dict[int, set[int]] = {v: set() for v in range(g.vertex_count)}
 for a, b in g.edge_array.tolist():
     neighbours[a].add(b)
@@ -44,8 +45,9 @@ chosen: set[int] = set()
 for v in sorted(range(g.vertex_count), key=g.degree):
     if not (neighbours[v] & chosen):
         chosen.add(v)
-independent = frozenset(chosen)
-core = frozenset(range(g.vertex_count)) - independent
+independent = g.vertex_mask(chosen)
+core = ~independent
+print("\nindependent mask: " + "".join("1" if x else "." for x in independent))
 direct = extract_path_free_subgraph(g, core, independent, k=k, trials=200, seed=4)
-print(f"\ndirect split on {len(core)} core vertices: certified={direct.certified}, "
+print(f"direct split on {core.sum()} core vertices: certified={direct.certified}, "
       f"kept {direct.subgraph.edge_count} edges, mean over trials {direct.mean_edges:.1f}")

@@ -22,11 +22,9 @@ from .bins import (
     compute_bins_stats,
     exact_max_load_expectation,
     max_load_expectation_lower_bound,
-    max_load_fraction,
     max_load_fraction_lower_bound,
     monte_carlo_max_load,
     multinomial_max_expectation,
-    stirling_gamma_bounds,
     t_transform,
     top_two_bins_joint_tail,
 )
@@ -67,7 +65,6 @@ from .generators import (
 )
 from .graph import (
     Graph,
-    crossing_edge_count,
     parse_edge_list,
     random_balanced_bipartition,
     serialize_edge_list,
@@ -86,7 +83,6 @@ from .rng import subseed, substream
 from .verify import (
     VerificationReport,
     greedy_vertex_cover,
-    longest_path_exact,
     monochromatic_components,
     verify_colouring,
 )
@@ -122,7 +118,6 @@ __all__ = [
     "block_partition",
     "colour_graph",
     "compute_bins_stats",
-    "crossing_edge_count",
     "default_density_scale",
     "degree_class_decompose",
     "exact_max_load_expectation",
@@ -130,10 +125,8 @@ __all__ = [
     "extract_path_free_subgraph",
     "greedy_bin_assignment",
     "greedy_vertex_cover",
-    "longest_path_exact",
     "low_degree_refinement",
     "max_load_expectation_lower_bound",
-    "max_load_fraction",
     "max_load_fraction_lower_bound",
     "monochromatic_components",
     "monte_carlo_max_load",
@@ -150,7 +143,6 @@ __all__ = [
     "serialize_edge_list",
     "star_forest_graph",
     "star_refinement",
-    "stirling_gamma_bounds",
     "subseed",
     "substream",
     "t_transform",

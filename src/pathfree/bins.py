@@ -4,8 +4,8 @@
 maximum bin load.  This module computes ``E[M]`` exactly as a rational number,
 estimates it by Monte Carlo, evaluates the closed-form lower bounds used by
 the colouring pipeline's expectation arguments, and provides the exact
-binomial/multinomial helpers (tails, T-transforms, gamma-function brackets)
-that the inequality checks are built on.
+binomial/multinomial helpers (tails, T-transforms) that the inequality
+checks are built on.
 
 All logarithms are natural.  Exact values are ``fractions.Fraction``;
 bounds whose definitions involve ``log`` are floats.
@@ -26,7 +26,6 @@ from .rng import substream
 
 __all__ = [
     "exact_max_load_expectation",
-    "max_load_fraction",
     "monte_carlo_max_load",
     "MonteCarloEstimate",
     "solve_x_log_x",
@@ -38,7 +37,6 @@ __all__ = [
     "binomial_tail",
     "top_two_bins_joint_tail",
     "JointTail",
-    "stirling_gamma_bounds",
     "BinsStats",
     "compute_bins_stats",
 ]
@@ -159,11 +157,6 @@ def exact_max_load_expectation(q: int, n: int) -> Fraction:
     if (q, n) not in _EXPECTATIONS:
         _count_expectations((q, q), (n, n))
     return _EXPECTATIONS[(q, n)]
-
-
-def max_load_fraction(q: int, n: int) -> Fraction:
-    """``E[M]/n``, the expected maximum load as a fraction of all balls."""
-    return exact_max_load_expectation(q, n) / n
 
 
 @dataclass(frozen=True)
@@ -371,23 +364,6 @@ def top_two_bins_joint_tail(q: int, n: int, t: int) -> JointTail:
         weight = Fraction(math.comb(n, k)) * p**k * comp ** (n - k)
         joint += weight * binomial_tail(n - k, shifted, t)
     return JointTail(joint, single)
-
-
-def stirling_gamma_bounds(x: float) -> tuple[float, float]:
-    """Two-sided Stirling bracket for ``Gamma(x+1)``, valid for ``x >= 0``.
-
-    ``sqrt(2 pi) x^(x+1/2) e^(-x + 1/(12x+1)) < Gamma(x+1) <=
-    sqrt(2 pi) x^(x+1/2) e^(-x + 1/(12x))``.  At ``x = 0`` the lower bound
-    degenerates to 0 and the upper to infinity.
-    """
-    if x < 0:
-        raise UsageError("the bracket is stated for x >= 0")
-    if x == 0:
-        return 0.0, math.inf
-    half_log = 0.5 * math.log(2 * math.pi) + (x + 0.5) * math.log(x) - x
-    lower = math.exp(half_log + 1 / (12 * x + 1))
-    upper = math.exp(half_log + 1 / (12 * x))
-    return lower, upper
 
 
 @dataclass(frozen=True)

@@ -24,16 +24,10 @@ from .checks import run_all_checks
 from .colouring import parse_colouring, serialize_colouring
 from .errors import InternalInvariantError, UsageError
 from .extract import extract_from_densest_band
-from .generators import (
-    GENERATOR_MODELS,
-    path_union_graph,
-    regular_graph,
-    star_forest_graph,
-    uniform_edges,
-)
+from .generators import GENERATOR_MODELS
 from .graph import Graph, parse_edge_list, serialize_edge_list
 from .pipeline import PipelineParams, audit_round_budgets, colour_graph
-from .verify import verify_colouring
+from .verify import DEFAULT_COMPONENT_CAP, verify_colouring
 
 __all__ = ["main"]
 
@@ -105,7 +99,7 @@ def _build_parser() -> argparse.ArgumentParser:
     col.add_argument("--trials", type=int, default=200, help="resamples per extraction")
     col.add_argument("--beta0", type=float, default=None, help="override density scale seed")
     col.add_argument("--strict", action="store_true", help="enforce the analytic preconditions")
-    col.add_argument("--exact-cap", type=int, default=24, dest="exact_cap")
+    col.add_argument("--exact-cap", type=int, default=DEFAULT_COMPONENT_CAP, dest="exact_cap")
     col.add_argument("--output", default=None, help="write the colouring here")
     col.add_argument("--report", default=None, help="write the JSON report here")
     col.add_argument("--format", choices=["json", "text"], default="json")
@@ -124,7 +118,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--input", default="-")
     ver.add_argument("--r", type=int, default=None, help="override the header budget")
     ver.add_argument("--k", type=int, default=None, help="override the header path bound")
-    ver.add_argument("--exact-cap", type=int, default=24, dest="exact_cap")
+    ver.add_argument("--exact-cap", type=int, default=DEFAULT_COMPONENT_CAP, dest="exact_cap")
     ver.add_argument("--format", choices=["json", "text"], default="json")
 
     bins = sub.add_parser("bins", help="max-load statistics for balls in bins")
@@ -147,19 +141,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
-    if args.model == "uniform-m":
-        if args.m is None:
-            raise UsageError("--m is required for the uniform-m model")
-        g = uniform_edges(args.n, args.m, args.seed)
-    else:
-        if args.d is None:
-            raise UsageError(f"--d is required for the {args.model} model")
-        maker = {
-            "d-regular": regular_graph,
-            "star-forest": star_forest_graph,
-            "path-union": path_union_graph,
-        }[args.model]
-        g = maker(args.n, args.d, args.seed)
+    flag = "m" if args.model == "uniform-m" else "d"  # edge count or degree
+    size = getattr(args, flag)
+    if size is None:
+        raise UsageError(f"--{flag} is required for the {args.model} model")
+    g = GENERATOR_MODELS[args.model](args.n, size, args.seed)
     _write_text(args.output, serialize_edge_list(g))
     return 0
 
@@ -186,14 +172,11 @@ def _cmd_colour(args: argparse.Namespace) -> int:
     if args.report is not None:
         _write_text(args.report, json.dumps(record, indent=2, sort_keys=True))
     _emit(record, args.format)
-    if result.success and report.verdict == "fail":
+    if report.verdict == "fail":  # every class is path-free by construction
         raise InternalInvariantError(
-            f"pipeline claimed success but colour {report.witness_colour} "
-            f"contains a path on {args.k} vertices"
+            f"colour {report.witness_colour} contains a path on {args.k} vertices"
         )
-    if result.success and report.verdict in ("pass", "indeterminate"):
-        return 0
-    return 1
+    return 0 if result.success else 1
 
 
 def _cmd_extract(args: argparse.Namespace) -> int:

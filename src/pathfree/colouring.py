@@ -22,6 +22,9 @@ Colour indices in every result are compact: each primitive uses exactly
 :class:`EdgeColouring`, the sorted rows of a row mask of its input with each
 row's colour in an aligned array; masks come from vertex masks over the
 degree array, each threshold the exact integer floor or ceiling of its rational.
+Sets are masks, partitions are part arrays: a refinement reports the vertices
+it removed as a boolean mask over ``0..n-1``, and the star centres' colours
+as a per-vertex int64 array with -1 off the centres.
 """
 
 from __future__ import annotations
@@ -205,23 +208,24 @@ def proper_edge_colouring(g: Graph, colour_base: int = 0) -> EdgeColouring:
     return EdgeColouring(g.edge_array, colour_base + compact)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RefinementResult:
     """Partial colouring plus the residual left for later stages.
 
-    ``vertices_removed`` are the vertices whose incident edges were coloured
-    (low-degree set or star centres); ``parts`` holds the centre set of each
-    colour class for star refinements and is None otherwise.
-    ``degree_bound_ok`` records whether the residual met the stage's degree
-    target.
+    ``vertices_removed`` masks the vertices whose incident edges were
+    coloured (low-degree set or star centres).  For star refinements,
+    ``parts`` holds each centre's colour offset from ``colour_base``, and -1
+    for every other vertex, including a centre whose edges an earlier set
+    claimed; it is None otherwise.  ``degree_bound_ok`` records whether the
+    residual met the stage's degree target.
     """
 
     colouring: EdgeColouring
     residual: Graph
     threshold: Fraction
-    vertices_removed: frozenset[int]
+    vertices_removed: np.ndarray
     degree_bound_ok: bool
-    parts: tuple[frozenset[int], ...] | None = None
+    parts: np.ndarray | None = None
 
 
 def low_degree_refinement(g: Graph, r: int, colour_base: int = 0) -> RefinementResult:
@@ -258,7 +262,7 @@ def low_degree_refinement(g: Graph, r: int, colour_base: int = 0) -> RefinementR
         colouring=EdgeColouring(g.edge_array[coloured], colours[coloured]),
         residual=g.keep(~coloured),
         threshold=threshold,
-        vertices_removed=frozenset(np.flatnonzero(low).tolist()),
+        vertices_removed=low,
         degree_bound_ok=True,
     )
 
@@ -292,6 +296,8 @@ def star_refinement(
     first = owner[g.edge_array].min(axis=1)
     claimed = first < unclaimed
     used_ids, colours = np.unique(first[claimed], return_inverse=True)
+    offset = np.full(unclaimed + 1, -1, dtype=np.int64)  # by set index
+    offset[used_ids] = np.arange(len(used_ids))
 
     residual = g.keep(~claimed)
     if len(used_ids) > s:
@@ -300,11 +306,9 @@ def star_refinement(
         colouring=EdgeColouring(g.edge_array[claimed], colour_base + colours),
         residual=residual,
         threshold=threshold,
-        vertices_removed=frozenset(centres.tolist()),
+        vertices_removed=owner < unclaimed,
         degree_bound_ok=residual.max_degree < least,
-        parts=tuple(
-            frozenset(centres[owner[centres] == i].tolist()) for i in used_ids
-        ),
+        parts=offset[owner],
     )
 
 

@@ -14,13 +14,17 @@ Results carry a machine-checked certificate: ``part-size`` (every
 ``component-order`` (every connected component of the kept subgraph has
 fewer than ``k`` vertices).  Uncertified attempts are never promoted.
 
-Each trial works on numpy arrays over ``g.edge_array`` only: a side mask
-from the bipartition, a per-vertex part array, the A-part sizes and the kept
-edge rows.  ``component-order`` is checked by min-label propagation over the
-kept rows for at most ``k - 1`` rounds: a component on fewer than ``k``
-vertices has diameter at most ``k - 2``, so labels that have not settled by
-then rule the certificate out, and settled labels are the components, whose
-sizes one ``bincount`` gives.  Only the chosen trial becomes a ``Graph``.
+Sets are masks, partitions are part arrays: a vertex set (a degree band,
+the core and its independent side, a side of a split) is a boolean mask over
+``0..n-1``, and a partition of vertices is a per-vertex int64 array holding
+each vertex's part and -1 off the partition.  Each trial works on numpy
+arrays over ``g.edge_array`` only: a side mask from the bipartition, a part
+array, the A-part sizes and the kept edge rows.  ``component-order`` is
+checked by min-label propagation over the kept rows for at most ``k - 1``
+rounds: a component on fewer than ``k`` vertices has diameter at most
+``k - 2``, so labels that have not settled by then rule the certificate out,
+and settled labels are the components, whose sizes one ``bincount`` gives.
+Only the chosen trial becomes a ``Graph``.
 """
 
 from __future__ import annotations
@@ -28,7 +32,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -60,21 +63,27 @@ BAND_RATIO = Fraction(math.exp(-2))
 SELECT_RATIO = Fraction(math.exp(-1))
 
 
-def greedy_bin_assignment(
-    g: Graph, owner: np.ndarray, b: Sequence[int] | np.ndarray
-) -> np.ndarray:
+def _vertex_masks(g: Graph, *sets: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The given vertex sets as arrays; each must be a boolean mask over ``0..n-1``."""
+    n = g.vertex_count
+    masks = tuple(np.asarray(mask) for mask in sets)
+    if any(mask.shape != (n,) or mask.dtype != bool for mask in masks):
+        raise ContractViolation(f"vertex sets must be boolean masks over 0..{n - 1}")
+    return masks
+
+
+def greedy_bin_assignment(g: Graph, owner: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Send each vertex of ``b`` to the part with most of its neighbours.
 
-    ``owner`` holds each A-vertex's part and -1 off A; the result holds the
-    part of each vertex of ``b``, in order.  Ties break to the lowest part
-    index, so the outcome does not depend on iteration order; a vertex with
-    no neighbour in any part lands in part 0.
+    ``owner`` holds each A-vertex's part and -1 off A, and ``b`` is a mask;
+    the result holds the part of each vertex of ``b`` and -1 off ``b``.  Ties
+    break to the lowest part index, so the outcome does not depend on
+    iteration order; a vertex with no neighbour in any part lands in part 0.
     """
-    b = np.asarray(b, dtype=np.int64)
-    in_b = g.vertex_mask(b)
-    both = b[owner[b] >= 0]
-    if both.size:
-        raise ContractViolation(f"vertex {both[0]} is on both sides of the split")
+    (in_b,) = _vertex_masks(g, b)
+    both = in_b & (owner >= 0)
+    if both.any():
+        raise ContractViolation(f"vertex {both.argmax()} is on both sides of the split")
     u, v = g.edge_array.T
     x = np.where(in_b[u], u, v)  # the B-end of each A-B edge
     a_part = owner[u + v - x]
@@ -87,9 +96,9 @@ def greedy_bin_assignment(
     order = np.lexsort((-counts, x))
     x, part = x[order], part[order]
     lead = np.diff(x, prepend=-1) != 0
-    best = np.zeros(owner.size, dtype=np.int64)
+    best = np.where(in_b, 0, -1)
     best[x[lead]] = part[lead]
-    return best[b]
+    return best
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,17 +134,13 @@ def block_partition(
     """
     if q < 1:
         raise UsageError("need at least one block")
-    in_a, in_b = np.asarray(in_a), np.asarray(in_b)
-    n = g.vertex_count
-    if any(mask.shape != (n,) or mask.dtype != bool for mask in (in_a, in_b)):
-        raise ContractViolation(f"split sides must be boolean masks over 0..{n - 1}")
+    in_a, in_b = _vertex_masks(g, in_a, in_b)
     if (in_a & in_b).any():
         raise ContractViolation("split sides overlap")
-    a_ids, b_ids = np.flatnonzero(in_a), np.flatnonzero(in_b)
-    owner = np.full(n, -1, dtype=np.int64)
+    a_ids = np.flatnonzero(in_a)
+    owner = np.full(g.vertex_count, -1, dtype=np.int64)
     owner[a_ids] = rng.integers(0, q, size=a_ids.size)  # one draw, over sorted a
-    part = owner.copy()
-    part[b_ids] = greedy_bin_assignment(g, owner, b_ids)
+    part = np.where(in_b, greedy_bin_assignment(g, owner, in_b), owner)
     u, v = g.edge_array.T
     keep = ((in_a[u] & in_b[v]) | (in_b[u] & in_a[v])) & (part[u] == part[v])
     sizes = np.bincount(owner[a_ids], minlength=q)
@@ -186,20 +191,21 @@ class ExtractionResult:
 
 def extract_path_free_subgraph(
     g: Graph,
-    core: Iterable[int],
-    independent: Iterable[int],
+    core: np.ndarray,
+    independent: np.ndarray,
     k: int,
     trials: int = 200,
     seed: int = 0,
 ) -> ExtractionResult:
     """Run the block-split extraction and return the best certified attempt.
 
-    Preconditions: ``core`` and ``independent`` are disjoint, every edge of
-    ``g`` has at least one endpoint in ``core``, ``independent`` spans no
-    edge, and ``k >= 4``.  Each trial draws its own substream of ``seed``,
-    so results do not depend on execution order.
+    Preconditions: ``core`` and ``independent`` are disjoint boolean masks
+    over ``0..n-1``, every edge of ``g`` has at least one endpoint in
+    ``core``, ``independent`` spans no edge, and ``k >= 4``.  Each trial
+    draws its own substream of ``seed``, so results do not depend on
+    execution order.
     """
-    in_core, in_indep = g.vertex_mask(core), g.vertex_mask(independent)
+    in_core, in_indep = _vertex_masks(g, core, independent)
     if not in_core.any():
         raise ContractViolation("core vertex set is empty")
     if (in_core & in_indep).any():
@@ -260,20 +266,20 @@ def extract_path_free_subgraph(
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DegreeClass:
-    """One degree band: the vertices peeled at ``level`` and their edges."""
+    """One degree band: the mask of the vertices peeled at ``level`` and their edges."""
 
     level: int
-    vertices: frozenset[int]
+    vertices: np.ndarray
     graph: Graph  # every edge here touches ``vertices``
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Decomposition:
     classes: tuple[DegreeClass, ...]
     residual: Graph
-    residual_vertices: frozenset[int]
+    residual_vertices: np.ndarray  # the mask of the vertices in no band
 
 
 def degree_class_decompose(g: Graph, degree_floor: Fraction | int) -> Decomposition:
@@ -311,8 +317,7 @@ def degree_class_decompose(g: Graph, degree_floor: Fraction | int) -> Decomposit
                 f"band {j} saw degree {deg[over.argmax()]} above {upper}"
             )
         taken = members[remaining.edge_array].any(axis=1)
-        vertices = frozenset(np.flatnonzero(members).tolist())
-        classes.append(DegreeClass(j, vertices, remaining.keep(taken)))
+        classes.append(DegreeClass(j, members, remaining.keep(taken)))
         remaining = remaining.keep(~taken)
         classified |= members
 
@@ -323,7 +328,7 @@ def degree_class_decompose(g: Graph, degree_floor: Fraction | int) -> Decomposit
     return Decomposition(
         classes=tuple(classes),
         residual=remaining,
-        residual_vertices=frozenset(np.flatnonzero(~classified).tolist()),
+        residual_vertices=~classified,
     )
 
 
@@ -386,16 +391,17 @@ def extract_from_densest_band(
     for band in decomp.classes:
         if band.graph.edge_count >= SELECT_RATIO**band.level * total:
             piece, core, level = band.graph, band.vertices, band.level
-            independent = np.flatnonzero((piece.degrees > 0) & ~piece.vertex_mask(core))
             selection = "band"
             break
     else:
         piece, core, level = decomp.residual, decomp.residual_vertices, None
-        independent, selection = [], "residual"
+        selection = "residual"
         if 3 * piece.edge_count < total:
             raise InternalInvariantError(
                 "neither a dense band nor a dense residual exists"
             )
+    # the ends of the piece's edges outside its core: none for the residual
+    independent = (piece.degrees > 0) & ~core
     result = extract_path_free_subgraph(
         piece, core=core, independent=independent, k=k, trials=trials, seed=seed
     )

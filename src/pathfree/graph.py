@@ -337,15 +337,6 @@ def components(
         yield tuple(sorted(comp)), tuple(own)
 
 
-def crossing_edge_count(g: Graph, a: Iterable[int]) -> int:
-    return _cut_size(g, g.vertex_mask(a))
-
-
-def _cut_size(g: Graph, inside: np.ndarray) -> int:
-    u, v = g.edge_array.T
-    return int(np.count_nonzero(inside[u] != inside[v]))
-
-
 _BIPARTITION_TRIES = 64
 
 
@@ -371,10 +362,11 @@ def random_balanced_bipartition(
         )
     half = (pool.size + 1) // 2
     target = g.edge_count / 2
+    u, v = g.edge_array.T
     for attempt in range(1, _BIPARTITION_TRIES + 1):
         in_a = np.zeros(g.vertex_count, dtype=bool)
         in_a[rng.choice(pool, size=half, replace=False)] = True
-        crossing = _cut_size(g, in_a)
+        crossing = int(np.count_nonzero(in_a[u] != in_a[v]))
         if crossing >= target:
             return Bipartition(in_a, crossing, attempt)
     raise InternalInvariantError(

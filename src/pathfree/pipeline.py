@@ -411,8 +411,8 @@ def colour_graph(g: Graph, params: PipelineParams) -> PipelineResult:
             edges_after=low.residual.edge_count,
             notes={
                 "degree_threshold": str(low.threshold),
-                "low_vertices": len(low.vertices_removed),
-                "high_vertices": g.vertex_count - len(low.vertices_removed),
+                "low_vertices": int(low.vertices_removed.sum()),
+                "high_vertices": g.vertex_count - int(low.vertices_removed.sum()),
                 "residual_active_vertices": int((low.residual.degrees > 0).sum()),
             },
         )

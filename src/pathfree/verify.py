@@ -26,13 +26,12 @@ from typing import Iterable
 import numpy as np
 
 from .colouring import EdgeColouring
-from .errors import ContractViolation, SizeCapError, UsageError
+from .errors import ContractViolation, InternalInvariantError, UsageError
 from .graph import Edge, Graph, absent_edges, components, plain_record, repeats
 
 __all__ = [
     "MonochromaticComponent",
     "monochromatic_components",
-    "longest_path_exact",
     "greedy_vertex_cover",
     "VerificationReport",
     "verify_colouring",
@@ -74,20 +73,17 @@ def monochromatic_components(
 
 
 def _mask_path_search(
-    adj: list[list[int]], stop_at: int | None
+    adj: list[list[int]], stop_at: int
 ) -> tuple[int, list[int] | None]:
-    """Longest simple path over adjacency lists on vertices 0..s-1.
+    """Longest simple path over adjacency lists on vertices 0..s-1, up to ``stop_at``.
 
     Layer L holds, for every connected vertex set of size L reachable as a
-    path, the bitmask of feasible endpoints.  Early exit (with a witness)
-    as soon as a path of ``stop_at`` vertices appears.
+    path, the bitmask of feasible endpoints.  The search stops with a
+    witness as soon as a path of ``stop_at`` vertices appears, and returns
+    the longest path found with no witness otherwise.  The caller passes
+    ``s >= stop_at >= 2``.
     """
-    s = len(adj)
-    if s == 0:
-        return 0, None
-    layers: list[dict[int, int]] = [{1 << v: 1 << v for v in range(s)}]
-    if stop_at is not None and stop_at <= 1:
-        return 1, [0]
+    layers: list[dict[int, int]] = [{1 << v: 1 << v for v in range(len(adj))}]
     best = 1
     while True:
         frontier = layers[-1]
@@ -107,7 +103,7 @@ def _mask_path_search(
             return best, None
         layers.append(grown)
         best += 1
-        if stop_at is not None and best >= stop_at:
+        if best >= stop_at:
             mask, ends = next(iter(grown.items()))
             return best, _reconstruct(adj, layers, mask, ends)
 
@@ -126,7 +122,7 @@ def _reconstruct(
                 step = u
                 break
         if step is None:
-            raise ContractViolation("path reconstruction lost its trail")
+            raise InternalInvariantError("path reconstruction lost its trail")
         path.append(step)
         v = step
     path.reverse()
@@ -142,23 +138,6 @@ def _local_adjacency(
         adj[index[u]].append(index[v])
         adj[index[v]].append(index[u])
     return adj
-
-
-def longest_path_exact(g: Graph, cap: int = DEFAULT_COMPONENT_CAP) -> int:
-    """Number of vertices on a longest simple path of ``g``, exactly.
-
-    Refuses graphs whose non-isolated part exceeds ``cap`` vertices; the
-    state space is exponential in that count.
-    """
-    active = tuple(g.degrees.nonzero()[0].tolist())
-    if not active:
-        return 1 if g.vertex_count >= 1 else 0
-    if len(active) > cap:
-        raise SizeCapError(
-            f"{len(active)} non-isolated vertices exceed the exact-path cap {cap}"
-        )
-    best, _ = _mask_path_search(_local_adjacency(active, g.edge_array.tolist()), None)
-    return best
 
 
 def greedy_vertex_cover(
@@ -274,7 +253,7 @@ def verify_colouring(
             adj = _local_adjacency(comp.vertices, comp.edges)
             length, path = _mask_path_search(adj, stop_at=k)
             max_found = length if max_found is None else max(max_found, length)
-            if length >= k and path is not None:
+            if path is not None:
                 failures.append((colour, tuple(comp.vertices[i] for i in path)))
                 break  # one witness per colour is plenty
         stats.append((colour, len(class_comps), max_order, max_found))

@@ -5,6 +5,7 @@ fixed seed per test), so every failure reproduces with plain pytest and no
 plugin state.
 """
 
+import dataclasses
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -46,6 +47,26 @@ def complete_graph(n: int) -> Graph:
 
 def star_graph(leaves: int) -> Graph:
     return Graph.build(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
+
+
+def same_value(x, y) -> bool:
+    """Equality that reaches into dataclasses and tuples and compares numpy
+    arrays by dtype, shape and entries, as a result's own ``==`` cannot."""
+    if isinstance(x, np.ndarray) or isinstance(y, np.ndarray):
+        return (
+            isinstance(x, np.ndarray)
+            and isinstance(y, np.ndarray)
+            and x.dtype == y.dtype
+            and np.array_equal(x, y)
+        )
+    if dataclasses.is_dataclass(x) and not isinstance(x, type):
+        return type(x) is type(y) and all(
+            same_value(getattr(x, f.name), getattr(y, f.name))
+            for f in dataclasses.fields(x)
+        )
+    if isinstance(x, tuple) and isinstance(y, tuple):
+        return len(x) == len(y) and all(map(same_value, x, y))
+    return x == y
 
 
 def has_path_on(adjacency: dict[int, set[int]], k: int) -> bool:
@@ -113,15 +134,16 @@ def greedy_bin_assignment_reference(
 
 
 def block_partition_reference(
-    g: Graph, a: frozenset[int], b: frozenset[int], q: int, rng: np.random.Generator
+    g: Graph, in_a: np.ndarray, in_b: np.ndarray, q: int, rng: np.random.Generator
 ) -> BlockSplit:
     """Reference oracle for ``block_partition`` with dicts and adjacency scans.
 
-    Takes the sides as vertex sets and makes the same single draw over
-    ``sorted(a)``; input checks are left to the package.
+    Takes the sides as masks and makes the same single draw over the
+    ascending ids of A; input checks are left to the package.
     """
-    part_of = dict(zip(sorted(a), rng.integers(0, q, size=len(a)).tolist()))
-    b_part = greedy_bin_assignment_reference(g, part_of, sorted(b))
+    a = np.flatnonzero(in_a).tolist()
+    part_of = dict(zip(a, rng.integers(0, q, size=len(a)).tolist()))
+    b_part = greedy_bin_assignment_reference(g, part_of, np.flatnonzero(in_b).tolist())
     adj = edge_adjacency(g.edges)
     kept = sorted(
         (x, w) if x < w else (w, x)
@@ -137,7 +159,7 @@ def block_partition_reference(
         sizes[i] += 1
     return BlockSplit(
         part=np.array(part, dtype=np.int64),
-        in_a=np.array([v in a for v in range(g.vertex_count)], dtype=bool),
+        in_a=np.array([v in part_of for v in range(g.vertex_count)], dtype=bool),
         sizes=np.array(sizes, dtype=np.int64),
         kept_edges=np.array(kept, dtype=np.int64).reshape(-1, 2),
     )

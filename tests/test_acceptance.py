@@ -139,29 +139,30 @@ def test_criterion_07_gamma_function_brackets():
 # criterion 8: expected kept-edge count of a block split clears e(A,B)*W(q,D)
 
 
-def _block_cases() -> list[tuple[str, Graph, frozenset, frozenset, int]]:
+def _block_cases() -> list[tuple[str, Graph, np.ndarray, int]]:
+    """Each case's name, graph, A-side mask (B is the rest) and part count."""
     matching = Graph.build(12, [(i, 6 + i) for i in range(6)])
     k33 = Graph.build(6, [(i, 3 + j) for i in range(3) for j in range(3)])
     c8 = Graph.build(8, [(i, (i + 1) % 8) for i in range(8)])
     cases = [
-        ("matching", matching, frozenset(range(6)), frozenset(range(6, 12)), 4),
-        ("K33", k33, frozenset(range(3)), frozenset(range(3, 6)), 2),
-        ("C8", c8, frozenset(range(0, 8, 2)), frozenset(range(1, 8, 2)), 2),
+        ("matching", matching, np.arange(12) < 6, 4),
+        ("K33", k33, np.arange(6) < 3, 2),
+        ("C8", c8, np.arange(8) % 2 == 0, 2),
     ]
     for seed in (101, 202):
         g = uniform_edges(12, 20, seed=seed)
-        cases.append((f"G(12,20)#{seed}", g, frozenset(range(6)), frozenset(range(6, 12)), 2))
+        cases.append((f"G(12,20)#{seed}", g, np.arange(12) < 6, 2))
     return cases
 
 
 def test_criterion_08_block_split_keeps_enough_edges():
     trials = 10**4
     details = []
-    for tag, (name, g, a, b, q) in enumerate(_block_cases()):
-        cross = sum(1 for u, v in g.edges if (u in a) != (v in a))
+    for tag, (name, g, in_a, q) in enumerate(_block_cases()):
+        cross = sum(1 for u, v in g.edges if in_a[u] != in_a[v])
         delta = g.max_degree
         bound = cross * exact_max_load_expectation(q, delta) / delta
-        in_a, in_b = g.vertex_mask(a), g.vertex_mask(b)
+        in_b = ~in_a
         counts = [
             len(block_partition(g, in_a, in_b, q, substream(5150, "obsH", tag, t)).kept_edges)
             for t in range(trials)
@@ -284,12 +285,14 @@ def test_criterion_10_star_and_proper_postconditions():
         # each class must be a union of at most floor(k/3) stars: its centre
         # set has that size and touches every edge (stars may share leaves)
         if star.colouring.colours_used:
-            assert star.parts is not None
-            assert len(star.parts) == star.colouring.colours_used
-            for index, part in enumerate(star.parts):
-                assert 1 <= len(part) <= k // 3
-                for u, v in star.colouring.colour_classes()[index]:
-                    assert u in part or v in part
+            parts = star.parts  # each centre's colour, -1 elsewhere
+            assert parts is not None
+            assert len(set(parts[parts >= 0].tolist())) == star.colouring.colours_used
+            for colour, edges in star.colouring.colour_classes().items():
+                part = parts == colour
+                assert 1 <= part.sum() <= k // 3
+                for u, v in edges:
+                    assert part[u] or part[v]
 
         proper = proper_edge_colouring(g)
         assert proper.colours_used <= g.max_degree + 1

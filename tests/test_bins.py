@@ -21,11 +21,9 @@ from pathfree import (
     compute_bins_stats,
     exact_max_load_expectation,
     max_load_expectation_lower_bound,
-    max_load_fraction,
     max_load_fraction_lower_bound,
     monte_carlo_max_load,
     multinomial_max_expectation,
-    stirling_gamma_bounds,
     t_transform,
     top_two_bins_joint_tail,
 )
@@ -167,9 +165,9 @@ def test_grid_check_calls_its_expectation_once_per_cell(fresh_cache):
 
 
 def test_fraction_is_expectation_over_n():
-    assert max_load_fraction(2, 3) == Fraction(3, 4)
-    assert max_load_fraction(4, 2) == Fraction(5, 8)
-    assert max_load_fraction(7, 1) == 1
+    assert exact_max_load_expectation(2, 3) / 3 == Fraction(3, 4)
+    assert exact_max_load_expectation(4, 2) / 2 == Fraction(5, 8)
+    assert exact_max_load_expectation(7, 1) / 1 == 1
 
 
 def test_expectation_bounds_and_monotonicity_spot():
@@ -295,16 +293,6 @@ def test_usable_bound_formula_value():
         max_load_fraction_lower_bound(1.0, 1.0)
     with pytest.raises(UsageError):
         max_load_fraction_lower_bound(4.0, 0.5)
-
-
-def test_stirling_bounds_bracket_gamma():
-    for x in [0.3, 1.0, 2.5, 5.0, 9.0]:
-        lower, upper = stirling_gamma_bounds(x)
-        assert lower < math.gamma(x + 1) <= upper
-    lower, upper = stirling_gamma_bounds(0.0)
-    assert upper == math.inf
-    with pytest.raises(UsageError):
-        stirling_gamma_bounds(-1.0)
 
 
 def test_monte_carlo_is_seeded_and_close():

@@ -1,14 +1,17 @@
 """End-to-end command line tests, run in process through ``main(argv)``."""
 
+import dataclasses
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 import pathfree.bins as bins
 import pathfree.checks as checks
 import pathfree.cli as cli
 from pathfree import (
+    EdgeColouring,
     InternalInvariantError,
     PipelineParams,
     colour_graph,
@@ -262,6 +265,27 @@ def test_colour_internal_error_exit_3(desk_graph_file, capsys, monkeypatch):
     code = main(["colour", "--input", desk_graph_file, "--r", "8", "--k", "6"])
     assert code == 3
     assert "internal error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("r, success", [(2, False), (60, True)])
+def test_colour_exits_3_on_any_fail_verdict(tmp_path, capsys, monkeypatch, r, success):
+    # every class is path-free by construction, so a fail verdict is a bug
+    # whether or not the run kept to its budget
+    path = tmp_path / "g.txt"
+    path.write_text(serialize_edge_list(uniform_edges(12, 14, 1)))
+
+    def one_colour(g, params):
+        result = colour_graph(g, params)
+        assert result.success == success
+        lumped = EdgeColouring(g.edge_array, np.zeros(g.edge_count, dtype=np.int64))
+        return dataclasses.replace(result, colouring=lumped)
+
+    monkeypatch.setattr(cli, "colour_graph", one_colour)
+    code = main(["colour", "--input", str(path), "--r", str(r), "--k", "6"])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["verification"]["verdict"] == "fail"
+    assert "internal error:" in captured.err
 
 
 def test_extract_certified_star(tmp_path, capsys):

@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from pathfree import (
@@ -112,10 +113,8 @@ def test_low_degree_refinement_large_low_set_matches_reference():
     g = uniform_edges(600, 3000, 5)
     result = low_degree_refinement(g, r=105, colour_base=4)
     low = result.vertices_removed
-    assert len(low) == 575 and result.residual.edge_count > 0
-    inner = Graph.build(
-        g.vertex_count, [e for e in g.edges if e[0] in low and e[1] in low]
-    )
+    assert low.sum() == 575 and result.residual.edge_count > 0
+    inner = Graph.build(g.vertex_count, [e for e in g.edges if low[e[0]] and low[e[1]]])
     expected = proper_edge_colouring_reference(inner, 4).assignments
     coloured = result.colouring.assignments
     assert {e: coloured[e] for e in inner.edges} == expected
@@ -131,10 +130,11 @@ def test_low_degree_refinement_split(rnd):
         r = rnd.randint(1, 60)
         result = low_degree_refinement(g, r)
         low = result.vertices_removed
-        assert low == {v for v in range(g.vertex_count) if 7 * g.degree(v) <= r}
+        assert low.dtype == bool
+        assert low.tolist() == [7 * g.degree(v) <= r for v in range(g.vertex_count)]
         # residual = edges entirely among high vertices, everything else coloured
         assert result.residual.edges == {
-            e for e in g.edges if e[0] not in low and e[1] not in low
+            e for e in g.edges if not low[e[0]] and not low[e[1]]
         }
         coloured = result.colouring.assignments
         assert coloured.keys() == g.edges - result.residual.edges
@@ -151,8 +151,8 @@ def test_low_degree_refinement_class_shapes(rnd):
         result = low_degree_refinement(g, r)
         low = result.vertices_removed
         for colour, edges in result.colouring.colour_classes().items():
-            inner = [e for e in edges if e[0] in low and e[1] in low]
-            outward = [e for e in edges if (e[0] in low) != (e[1] in low)]
+            inner = [e for e in edges if low[e[0]] and low[e[1]]]
+            outward = [e for e in edges if low[e[0]] != low[e[1]]]
             assert len(inner) + len(outward) == len(edges)
             assert not (inner and outward)  # ranges do not share colours
             if inner:
@@ -161,7 +161,7 @@ def test_low_degree_refinement_class_shapes(rnd):
                     assert u not in touched and v not in touched
                     touched.update((u, v))
             if outward:
-                low_ends = [u if u in low else v for u, v in outward]
+                low_ends = [u if low[u] else v for u, v in outward]
                 assert len(low_ends) == len(set(low_ends))
 
 
@@ -183,7 +183,8 @@ def test_star_refinement_validation():
         star_refinement(g, s=2, k=3)
     empty = star_refinement(Graph.build(4, []), s=3, k=6)
     assert empty.colouring.colours_used == 0 and empty.degree_bound_ok
-    assert empty.vertices_removed == frozenset() and empty.colouring.colours.size == 0
+    assert empty.vertices_removed.tolist() == [False] * 4
+    assert empty.parts.tolist() == [-1] * 4 and empty.colouring.colours.size == 0
 
 
 def test_star_refinement_postconditions(rnd):
@@ -197,16 +198,18 @@ def test_star_refinement_postconditions(rnd):
         e = g.edge_count
         assert result.colouring.colours_used <= s
         assert result.threshold == Fraction(8 * e, k * s)
-        assert result.parts is not None
-        assert len(result.parts) == result.colouring.colours_used
-        seen_centres: set[int] = set()
-        classes = result.colouring.colour_classes()
-        for part, (colour, edges) in zip(result.parts, sorted(classes.items())):
-            assert 1 <= len(part) <= k // 3
-            assert not (part & seen_centres)
-            seen_centres |= part
+        # each centre holds one colour offset (so centre sets are disjoint),
+        # and each colour's centres number 1 to k//3 and touch all its edges
+        parts = result.parts
+        assert parts is not None and parts.dtype == np.int64
+        assert (result.vertices_removed | (parts == -1)).all()
+        offsets = sorted(set(parts[parts >= 0].tolist()))
+        assert offsets == list(range(result.colouring.colours_used))
+        for colour, edges in result.colouring.colour_classes().items():
+            part = parts == colour  # colour_base is 0
+            assert 1 <= part.sum() <= k // 3
             for u, v in edges:
-                assert u in part or v in part
+                assert part[u] or part[v]
         assert result.colouring.assignments.keys() | result.residual.edges == g.edges
         assert not (result.colouring.assignments.keys() & result.residual.edges)
         expected_ok = all(
@@ -228,13 +231,14 @@ def test_star_overflow_when_capacity_is_one():
     assert g.edge_count == 35
     tight = star_refinement(g, s=8, k=5)
     assert tight.threshold == 7
-    assert tight.vertices_removed == frozenset(range(8))  # capacity 8*1, nine heavy
+    # capacity 8*1, nine heavy
+    assert tight.vertices_removed.tolist() == [True] * 8 + [False] * 8
     # every edge at centre 7 is claimed by a lower centre first
-    assert tight.parts == tuple(frozenset({v}) for v in range(7))
+    assert tight.parts.tolist() == list(range(7)) + [-1] * 9
     assert tight.residual.max_degree == tight.residual.degree(8) == 7
     assert not tight.degree_bound_ok
     relaxed = star_refinement(g, s=8, k=6)
-    assert 8 in relaxed.vertices_removed
+    assert relaxed.vertices_removed[8]
     assert relaxed.residual.edge_count == 0
     assert relaxed.degree_bound_ok
 

@@ -9,6 +9,8 @@ wrapping fixed-width integers would show.
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
+
 from pathfree import (
     EdgeColouring,
     Graph,
@@ -19,25 +21,33 @@ from pathfree import (
 from pathfree.colouring import RefinementResult
 from pathfree.extract import BAND_RATIO, Decomposition, DegreeClass
 
+from conftest import same_value
+
 # degrees 4, 4, 2, 2, 2, 2, 1, 1
 MIXED = Graph.build(
     8, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 5), (1, 6), (3, 4), (5, 7)]
 )
 
 
+def parts(*offsets: int) -> np.ndarray:
+    """A star refinement's part array: each vertex's colour offset, or -1."""
+    return np.array(offsets, dtype=np.int64)
+
+
 def test_low_degree_takes_a_vertex_with_seven_times_degree_equal_to_r():
     # r = 14: vertices of degree 2 sit exactly on r/7 and are low
-    assert low_degree_refinement(MIXED, 14, colour_base=3) == RefinementResult(
+    expected = RefinementResult(
         colouring=EdgeColouring.of(
             [(0, 2), (0, 3), (0, 4), (1, 2), (1, 5), (1, 6), (3, 4), (5, 7)],
             [4, 4, 4, 5, 4, 4, 3, 3],
         ),
         residual=Graph.build(8, [(0, 1)]),
         threshold=Fraction(2),
-        vertices_removed=frozenset({2, 3, 4, 5, 6, 7}),
+        vertices_removed=MIXED.vertex_mask({2, 3, 4, 5, 6, 7}),
         degree_bound_ok=True,
         parts=None,
     )
+    assert same_value(low_degree_refinement(MIXED, 14, colour_base=3), expected)
 
 
 def test_star_refinement_takes_a_vertex_with_degree_k_s_equal_to_8e():
@@ -45,41 +55,44 @@ def test_star_refinement_takes_a_vertex_with_degree_k_s_equal_to_8e():
     two_stars = Graph.build(
         13, [(0, i) for i in range(1, 6)] + [(6, i) for i in range(7, 11)] + [(11, 12)]
     )
-    assert star_refinement(two_stars, 2, 8, colour_base=5) == RefinementResult(
+    expected = RefinementResult(
         colouring=EdgeColouring.of([(0, i) for i in range(1, 6)], [5] * 5),
         residual=Graph.build(13, [(6, 7), (6, 8), (6, 9), (6, 10), (11, 12)]),
         threshold=Fraction(5),
-        vertices_removed=frozenset({0}),
+        vertices_removed=two_stars.vertex_mask({0}),
         degree_bound_ok=True,
-        parts=(frozenset({0}),),
+        parts=parts(0, *[-1] * 12),
     )
+    assert same_value(star_refinement(two_stars, 2, 8, colour_base=5), expected)
     # K5 with k = 5, s = 4: all five degrees equal 8e/(ks) = 4, and the
     # capacity s * floor(k/3) = 4 leaves the last one out
     k5 = Graph.build(5, combinations(range(5), 2))
-    assert star_refinement(k5, 4, 5) == RefinementResult(
+    expected = RefinementResult(
         colouring=EdgeColouring.of(
             list(combinations(range(5), 2)), [0, 0, 0, 0, 1, 1, 1, 2, 2, 3]
         ),
         residual=Graph.build(5, []),
         threshold=Fraction(4),
-        vertices_removed=frozenset({0, 1, 2, 3}),
+        vertices_removed=k5.vertex_mask({0, 1, 2, 3}),
         degree_bound_ok=True,
-        parts=(frozenset({0}), frozenset({1}), frozenset({2}), frozenset({3})),
+        parts=parts(0, 1, 2, 3, -1),
     )
+    assert same_value(star_refinement(k5, 4, 5), expected)
 
 
 def test_star_refinement_threshold_survives_a_product_beyond_int64():
     # deg * k * s is past 2^63 for every vertex, so every non-isolated vertex
     # is heavy, and floor(k/3) = 10^18 puts them all in the first centre set
     k = 3 * 10**18
-    assert star_refinement(MIXED, 1, k, colour_base=2) == RefinementResult(
+    expected = RefinementResult(
         colouring=EdgeColouring.of(MIXED.edge_array, [2] * MIXED.edge_count),
         residual=Graph.build(8, []),
         threshold=Fraction(8 * 9, k),
-        vertices_removed=frozenset(range(8)),
+        vertices_removed=MIXED.vertex_mask(range(8)),
         degree_bound_ok=True,
-        parts=(frozenset(range(8)),),
+        parts=parts(*[0] * 8),
     )
+    assert same_value(star_refinement(MIXED, 1, k, colour_base=2), expected)
 
 
 def _star_and_small_star(hub_degree: int, small_degree: int) -> Graph:
@@ -94,28 +107,30 @@ def test_band_edges_split_degrees_just_above_and_just_below():
     assert 5 < BAND_RATIO * 37 < 6
     below = _star_and_small_star(37, 5)
     hub = Graph.build(44, [(0, i) for i in range(1, 38)])
-    assert degree_class_decompose(below, Fraction(1)) == Decomposition(
+    expected = Decomposition(
         classes=(
-            DegreeClass(1, frozenset({0}), hub),
+            DegreeClass(1, below.vertex_mask({0}), hub),
             DegreeClass(
                 2,
-                frozenset(range(38, 44)),
+                below.vertex_mask(range(38, 44)),
                 Graph.build(44, [(38, i) for i in range(39, 44)]),
             ),
         ),
         residual=Graph.build(44, []),
-        residual_vertices=frozenset(range(1, 38)),
+        residual_vertices=below.vertex_mask(range(1, 38)),
     )
+    assert same_value(degree_class_decompose(below, Fraction(1)), expected)
     # D = 59: the first band starts at 59 e^-2 = 7.985, just below degree 8
     assert 7 < BAND_RATIO * 59 < 8
     above = _star_and_small_star(59, 8)
     empty = Graph.build(69, [])
-    assert degree_class_decompose(above, Fraction(1)) == Decomposition(
+    expected = Decomposition(
         classes=(
-            DegreeClass(1, frozenset({0, 60}), above),
-            DegreeClass(2, frozenset(), empty),
-            DegreeClass(3, frozenset(), empty),
+            DegreeClass(1, above.vertex_mask({0, 60}), above),
+            DegreeClass(2, above.vertex_mask(()), empty),
+            DegreeClass(3, above.vertex_mask(()), empty),
         ),
         residual=empty,
-        residual_vertices=frozenset(range(1, 60)) | frozenset(range(61, 69)),
+        residual_vertices=~above.vertex_mask({0, 60}),
     )
+    assert same_value(degree_class_decompose(above, Fraction(1)), expected)

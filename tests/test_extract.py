@@ -29,6 +29,7 @@ from conftest import (
     has_path_on,
     path_graph,
     random_graph,
+    same_value,
     star_graph,
 )
 
@@ -44,39 +45,50 @@ def owners(n: int, part_of: dict[int, int]) -> np.ndarray:
     return owner
 
 
+def first(n: int, count: int) -> np.ndarray:
+    """The mask of vertices ``0..count-1`` over ``0..n-1``."""
+    return np.arange(n) < count
+
+
 def test_greedy_assignment_follows_neighbour_counts():
     g = star_graph(5)
-    parts = greedy_bin_assignment(g, owners(6, {0: 0}), range(1, 6))
-    assert parts.tolist() == [0, 0, 0, 0, 0]
+    parts = greedy_bin_assignment(g, owners(6, {0: 0}), ~first(6, 1))
+    assert parts.tolist() == [-1, 0, 0, 0, 0, 0]
     # vertex 0 sees parts 3, 3, 1, 1, 0: the most neighbours, then the lowest
-    parts = greedy_bin_assignment(g, owners(6, {1: 3, 2: 3, 3: 1, 4: 1, 5: 0}), [0])
-    assert parts.tolist() == [1]
+    parts = greedy_bin_assignment(
+        g, owners(6, {1: 3, 2: 3, 3: 1, 4: 1, 5: 0}), first(6, 1)
+    )
+    assert parts.tolist() == [1, -1, -1, -1, -1, -1]
 
 
 def test_greedy_assignment_ties_go_low():
     square = Graph.build(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
-    parts = greedy_bin_assignment(square, owners(4, {0: 0, 2: 1}), [1, 3])
+    odd = square.vertex_mask([1, 3])
+    parts = greedy_bin_assignment(square, owners(4, {0: 0, 2: 1}), odd)
     # 1 and 3 each see one neighbour per part; the tie lands in part 0
-    assert parts.tolist() == [0, 0]
+    assert parts.tolist() == [-1, 0, -1, 0]
     # the lowest index wins even when the A-side numbering runs the other way
-    parts = greedy_bin_assignment(square, owners(4, {0: 1, 2: 0}), [3, 1])
-    assert parts.tolist() == [0, 0]
+    parts = greedy_bin_assignment(square, owners(4, {0: 1, 2: 0}), odd)
+    assert parts.tolist() == [-1, 0, -1, 0]
 
 
 def test_greedy_assignment_isolated_lands_in_part_zero():
     g = Graph.build(5, [(0, 1)])
-    parts = greedy_bin_assignment(g, owners(5, {0: 1, 2: 1}), [4, 1])
-    assert parts.tolist() == [0, 1]
-    empty = greedy_bin_assignment(Graph.build(3, []), owners(3, {0: 2}), [1, 2])
-    assert empty.tolist() == [0, 0]
+    parts = greedy_bin_assignment(g, owners(5, {0: 1, 2: 1}), g.vertex_mask([4, 1]))
+    assert parts.tolist() == [-1, 1, -1, -1, 0]
+    empty = Graph.build(3, [])
+    parts = greedy_bin_assignment(empty, owners(3, {0: 2}), ~first(3, 1))
+    assert parts.tolist() == [-1, 0, 0]
 
 
 def test_greedy_assignment_contract_errors():
     g = star_graph(3)
     with pytest.raises(ContractViolation, match="both sides"):
-        greedy_bin_assignment(g, owners(4, {0: 0}), [0, 1])
-    with pytest.raises(ContractViolation, match="outside"):
-        greedy_bin_assignment(g, owners(4, {0: 0}), [1, 4])
+        greedy_bin_assignment(g, owners(4, {0: 0}), first(4, 2))
+    with pytest.raises(ContractViolation, match="boolean masks"):
+        greedy_bin_assignment(g, owners(4, {0: 0}), first(5, 2))
+    with pytest.raises(ContractViolation, match="boolean masks"):
+        greedy_bin_assignment(g, owners(4, {0: 0}), np.array([0, 1, 1, 1]))
 
 
 def reference_part(g: Graph, a_owner: dict, x: int, q: int) -> int:
@@ -91,29 +103,24 @@ def reference_part(g: Graph, a_owner: dict, x: int, q: int) -> int:
 def test_block_partition_keeps_only_matched_blocks(rnd):
     for trial in range(60):
         g = random_graph(rnd, n_max=12, density=0.5)
-        vertices = sorted(range(g.vertex_count))
         cut = rnd.randint(1, max(1, g.vertex_count - 1))
-        a = frozenset(vertices[:cut])
-        b = frozenset(vertices[cut:])
+        in_a = first(g.vertex_count, cut)
         q = rnd.randint(1, 4)
-        split = block_partition(
-            g, g.vertex_mask(a), g.vertex_mask(b), q, substream(trial, "block")
-        )
+        split = block_partition(g, in_a, ~in_a, q, substream(trial, "block"))
         assert len(split.a_parts) == len(split.sizes) == q
         assert [len(part) for part in split.a_parts] == split.sizes.tolist()
         owner_a = {v: i for i, part in enumerate(split.a_parts) for v in part.tolist()}
-        owner_b = {v: int(split.part[v]) for v in b}
-        assert set(owner_a) == set(a)
+        assert sorted(owner_a) == list(range(cut))
         assert all(split.part[v] == i for v, i in owner_a.items())
-        assert all(0 <= i < q for i in owner_b.values())
-        for x in b:
-            assert owner_b[x] == reference_part(g, owner_a, x, q)
+        # B is the rest, so every vertex has a part
+        assert split.part.dtype == np.int64
+        assert ((0 <= split.part) & (split.part < q)).all()
+        for x in range(cut, g.vertex_count):
+            assert split.part[x] == reference_part(g, owner_a, x, q)
         kept = set(map(tuple, split.kept_edges.tolist()))
         assert len(kept) == len(split.kept_edges) and kept <= g.edges
         for u, v in g.edges:
-            in_block = (
-                owner_a.get(u) == owner_b.get(v) and u in owner_a and v in owner_b
-            ) or (owner_a.get(v) == owner_b.get(u) and v in owner_a and u in owner_b)
+            in_block = in_a[u] != in_a[v] and split.part[u] == split.part[v]
             assert ((u, v) in kept) == in_block
 
 
@@ -130,11 +137,10 @@ def test_block_partition_validation():
         block_partition(g, a.astype(int), b, 2, substream(0, "x"))
 
 
-def role_split(rnd: random.Random, n: int) -> tuple[frozenset[int], frozenset[int]]:
-    """Disjoint A and B, with some vertices in neither."""
-    roles = [rnd.choice("aab.") for _ in range(n)]
-    a, b = ([v for v, role in enumerate(roles) if role == r] for r in "ab")
-    return frozenset(a), frozenset(b)
+def role_split(rnd: random.Random, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Disjoint A and B masks, with some vertices in neither."""
+    roles = np.array([rnd.choice("aab.") for _ in range(n)])
+    return roles == "a", roles == "b"
 
 
 def test_block_partition_matches_reference_oracle():
@@ -145,36 +151,33 @@ def test_block_partition_matches_reference_oracle():
         m = rnd.randint(0, 4 * n) if n > 1 else 0
         pairs = {tuple(sorted(rnd.sample(range(n), 2))) for _ in range(m)}
         g = Graph.build(n, pairs)
-        a, b = role_split(rnd, n)
+        in_a, in_b = role_split(rnd, n)
+        a, b = np.flatnonzero(in_a).tolist(), np.flatnonzero(in_b).tolist()
         q = rnd.choice([1, 2, rnd.randint(1, 40)])
-        split = block_partition(
-            g, g.vertex_mask(a), g.vertex_mask(b), q, substream(trial, "oracle")
-        )
-        oracle = block_partition_reference(g, a, b, q, substream(trial, "oracle"))
+        split = block_partition(g, in_a, in_b, q, substream(trial, "oracle"))
+        oracle = block_partition_reference(g, in_a, in_b, q, substream(trial, "oracle"))
         # the part of every A and B vertex (-1 elsewhere) and the kept rows
         assert split.part.tolist() == oracle.part.tolist()
         assert split.in_a.tolist() == oracle.in_a.tolist()
         assert split.sizes.tolist() == oracle.sizes.tolist()
         assert split.kept_edges.tolist() == oracle.kept_edges.tolist()
         assert [p.tolist() for p in split.a_parts] == [
-            sorted(v for v in a if oracle.part[v] == i) for i in range(q)
+            [v for v in a if oracle.part[v] == i] for i in range(q)
         ]
-        # the assignment alone, with B in no particular order
-        part_of = {v: rnd.randrange(q) for v in sorted(a)}
-        order = list(b)
-        rnd.shuffle(order)
-        parts = greedy_bin_assignment(g, owners(n, part_of), order).tolist()
-        expected = greedy_bin_assignment_reference(g, part_of, order)
-        assert parts == [expected[x] for x in order]
+        # the assignment alone: each B-vertex's part, -1 elsewhere
+        part_of = {v: rnd.randrange(q) for v in a}
+        parts = greedy_bin_assignment(g, owners(n, part_of), in_b).tolist()
+        expected = greedy_bin_assignment_reference(g, part_of, b)
+        assert parts == [expected.get(x, -1) for x in range(n)]
         # tally the cases the oracle comparison must have covered
         adj = edge_adjacency(g.edges)
-        for x in order:
+        for x in b:
             counts = Counter(part_of[w] for w in adj.get(x, ()) if w in part_of)
             top = max(counts.values(), default=0)
             seen["tie"] += sum(1 for c in counts.values() if c == top) > 1
             seen["no A-neighbour"] += not counts
-        seen["neither side"] += len(a | b) < n
-        seen["edge inside b"] += any(u in b and v in b for u, v in g.edges)
+        seen["neither side"] += not (in_a | in_b).all()
+        seen["edge inside b"] += any(in_b[u] and in_b[v] for u, v in g.edges)
         seen["q=1"] += q == 1
     assert min(seen.values()) > 0 and len(seen) == 5, seen
 
@@ -183,8 +186,9 @@ def test_matching_extraction_is_lossless():
     # one side of a perfect matching as the core: the random half A keeps
     # exactly its own matched edges, every trial, under any part count
     g = matching_graph(6)
+    core = first(12, 6)
     result = extract_path_free_subgraph(
-        g, core=range(6), independent=range(6, 12), k=4, trials=50, seed=3
+        g, core=core, independent=~core, k=4, trials=50, seed=3
     )
     assert result.q == 4  # floor(6 * ceil(6/2) / 4)
     assert not result.q_clamped
@@ -210,16 +214,15 @@ def test_extraction_deterministic():
     g = Graph.build(
         14, [(i, j) for i in range(7) for j in range(7, 14) if (i + j) % 3]
     )
-    one = extract_path_free_subgraph(g, range(7), range(7, 14), k=5, trials=30, seed=8)
-    two = extract_path_free_subgraph(g, range(7), range(7, 14), k=5, trials=30, seed=8)
+    core = first(14, 7)
+    one = extract_path_free_subgraph(g, core, ~core, k=5, trials=30, seed=8)
+    two = extract_path_free_subgraph(g, core, ~core, k=5, trials=30, seed=8)
     assert two.subgraph == one.subgraph
     assert two.chosen_trial == one.chosen_trial
     assert two.certificate == one.certificate
     assert two.mean_edges == one.mean_edges
     assert selection(one) == (15, True, "component-order", 9, 322 / 30)
-    different = extract_path_free_subgraph(
-        g, range(7), range(7, 14), k=5, trials=30, seed=9
-    )
+    different = extract_path_free_subgraph(g, core, ~core, k=5, trials=30, seed=9)
     assert different.chosen_trial is not None
 
 
@@ -227,9 +230,10 @@ def test_extraction_selection_is_pinned():
     # the most kept edges among certified trials, the earliest on a tie;
     # the best uncertified trial only when no trial certifies
     g = uniform_edges(60, 600, 2)
-    uncertified = extract_path_free_subgraph(g, range(60), (), k=4, trials=40, seed=5)
+    core, none = first(60, 60), first(60, 0)
+    uncertified = extract_path_free_subgraph(g, core, none, k=4, trials=40, seed=5)
     assert selection(uncertified) == (29, False, None, 60, 49.9)
-    certified = extract_path_free_subgraph(g, range(60), (), k=6, trials=40, seed=5)
+    certified = extract_path_free_subgraph(g, core, none, k=6, trials=40, seed=5)
     assert selection(certified) == (22, True, "block-path", 44, 55.65)
 
 
@@ -276,8 +280,9 @@ def test_certified_extractions_have_no_long_path(rnd):
         if g.edge_count == 0:
             continue
         k = rnd.choice([4, 5, 6])
+        n = g.vertex_count
         result = extract_path_free_subgraph(
-            g, core=range(g.vertex_count), independent=(), k=k, trials=25, seed=trial
+            g, core=first(n, n), independent=first(n, 0), k=k, trials=25, seed=trial
         )
         expected_q = max(1, (6 * ((g.vertex_count + 1) // 2)) // k)
         assert result.q == expected_q
@@ -292,30 +297,40 @@ def test_certified_extractions_have_no_long_path(rnd):
 
 def test_extraction_validation():
     g = star_graph(4)
-    with pytest.raises(ContractViolation):
-        extract_path_free_subgraph(g, core=(), independent=(), k=4)
-    with pytest.raises(ContractViolation):
-        extract_path_free_subgraph(g, core=[0, 1], independent=[1], k=4)
+    none = g.vertex_mask([])
+    with pytest.raises(ContractViolation, match="empty"):
+        extract_path_free_subgraph(g, core=none, independent=none, k=4)
+    with pytest.raises(ContractViolation, match="overlap"):
+        extract_path_free_subgraph(
+            g, core=g.vertex_mask([0, 1]), independent=g.vertex_mask([1]), k=4
+        )
+    hub = g.vertex_mask([0])
     with pytest.raises(UsageError):
-        extract_path_free_subgraph(g, core=[0], independent=[], k=3)
+        extract_path_free_subgraph(g, core=hub, independent=none, k=3)
     with pytest.raises(UsageError):
-        extract_path_free_subgraph(g, core=[0], independent=[], k=4, trials=0)
+        extract_path_free_subgraph(g, core=hub, independent=none, k=4, trials=0)
+    two = Graph.build(3, [(0, 1), (1, 2)])
     with pytest.raises(ContractViolation):
         # edge (1, 2) avoids the core
         extract_path_free_subgraph(
-            Graph.build(3, [(0, 1), (1, 2)]), core=[0], independent=[], k=4
+            two, core=two.vertex_mask([0]), independent=two.vertex_mask([]), k=4
         )
     with pytest.raises(ContractViolation, match=r"edge \(0, 1\) avoids the core"):
         # an edge inside the "independent" set also avoids the core
         extract_path_free_subgraph(
-            Graph.build(3, [(0, 1), (1, 2)]), core=[2], independent=[0, 1], k=4
+            two, core=two.vertex_mask([2]), independent=two.vertex_mask([0, 1]), k=4
         )
     # the first offending edge in sorted order is named
     strays = Graph.build(6, [(4, 5), (0, 1), (2, 3), (1, 2)])
+    core, none = strays.vertex_mask([0, 1]), strays.vertex_mask([])
     with pytest.raises(ContractViolation, match=r"edge \(2, 3\) avoids the core"):
-        extract_path_free_subgraph(strays, core=[0, 1], independent=[], k=4)
-    with pytest.raises(ContractViolation, match="outside"):
-        extract_path_free_subgraph(strays, core=[0, 6], independent=[], k=4)
+        extract_path_free_subgraph(strays, core=core, independent=none, k=4)
+    # sets are boolean masks over exactly 0..n-1
+    for bad in (first(7, 2), core.astype(np.int64), [0, 1]):
+        with pytest.raises(ContractViolation, match="boolean masks"):
+            extract_path_free_subgraph(strays, core=bad, independent=none, k=4)
+        with pytest.raises(ContractViolation, match="boolean masks"):
+            extract_path_free_subgraph(strays, core=core, independent=bad, k=4)
 
 
 def test_decompose_high_floor_leaves_everything_residual():
@@ -323,13 +338,13 @@ def test_decompose_high_floor_leaves_everything_residual():
     decomp = degree_class_decompose(g, degree_floor=8)
     assert decomp.classes == ()
     assert decomp.residual == g
-    assert decomp.residual_vertices == frozenset(range(6))
+    assert same_value(decomp.residual_vertices, first(6, 6))
 
 
 def test_decompose_peels_the_hub_first():
     g = star_graph(20)
     decomp = degree_class_decompose(g, degree_floor=1)
-    assert decomp.classes[0].vertices == frozenset({0})
+    assert same_value(decomp.classes[0].vertices, first(21, 1))
     assert decomp.classes[0].graph.edge_count == 20
     assert decomp.residual.edge_count == 0
     total = sum(c.graph.edge_count for c in decomp.classes)
@@ -340,7 +355,7 @@ def test_decompose_regular_graph_is_one_band():
     square = Graph.build(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
     decomp = degree_class_decompose(square, degree_floor=1)
     assert len(decomp.classes) == 1
-    assert decomp.classes[0].vertices == frozenset(range(4))
+    assert same_value(decomp.classes[0].vertices, first(4, 4))
     assert decomp.classes[0].graph == square
 
 

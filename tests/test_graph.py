@@ -13,7 +13,6 @@ from pathfree import (
     InternalInvariantError,
     UsageError,
     block_partition,
-    crossing_edge_count,
     parse_edge_list,
     random_balanced_bipartition,
     serialize_edge_list,
@@ -162,14 +161,6 @@ def test_row_comparison_is_exact_for_ids_past_the_key_wrap():
         verify_colouring(g, EdgeColouring.of(stray, [0]), r=1, k=3)
 
 
-def test_crossing_edge_count_matches_direct_count(rnd):
-    for trial in range(30):
-        g = random_graph(rnd, n_max=10)
-        a = frozenset(v for v in range(g.vertex_count) if rnd.random() < 0.5)
-        direct = sum(1 for u, v in g.edges if (u in a) != (v in a))
-        assert crossing_edge_count(g, a) == direct
-
-
 def test_edge_array_is_sorted_read_only_and_cached(rnd):
     g = Graph.build(5, [(3, 1), (0, 4), (0, 2)])
     assert g.edge_array.tolist() == [[0, 2], [0, 4], [1, 3]]
@@ -184,13 +175,15 @@ def test_edge_array_is_sorted_read_only_and_cached(rnd):
         assert list(map(tuple, g.edge_array.tolist())) == sorted(g.edges)
 
 
-def test_crossing_edge_count_edge_cases():
-    assert crossing_edge_count(complete_graph(4), frozenset()) == 0
-    assert crossing_edge_count(Graph.build(4, []), frozenset({0, 1})) == 0
-    assert crossing_edge_count(Graph.build(0, []), frozenset()) == 0
-    for outside in (3, -1):
-        with pytest.raises(ContractViolation):
-            crossing_edge_count(complete_graph(3), frozenset({0, outside}))
+def test_vertex_mask_marks_ids_and_refuses_others():
+    g = complete_graph(4)
+    assert g.vertex_mask([2, 0, 2]).tolist() == [True, False, True, False]
+    assert g.vertex_mask(np.array([3])).tolist() == [False, False, False, True]
+    assert g.vertex_mask(()).tolist() == [False] * 4
+    assert Graph.build(0, []).vertex_mask(()).shape == (0,)
+    for outside in (4, -1):
+        with pytest.raises(ContractViolation, match="outside"):
+            g.vertex_mask([0, outside])
 
 
 def test_block_partition_on_edgeless_graph():
@@ -226,7 +219,8 @@ def test_random_balanced_bipartition_properties():
         a = np.flatnonzero(bp.in_a).tolist()
         assert bp.in_a.shape == (g.vertex_count,)
         assert len(a) == (len(pool) + 1) // 2 and set(a) <= set(pool)
-        assert bp.crossing_edges == crossing_edge_count(g, a)
+        direct = sum(1 for u, v in g.edges if (u in a) != (v in a))
+        assert bp.crossing_edges == direct
         assert 2 * bp.crossing_edges >= g.edge_count
 
 

@@ -1,6 +1,7 @@
 """Source hygiene: every imported name and every dataclass field is read,
-only ``graph.py`` sorts or compares edge rows, and every defaulted parameter
-of the public API is listed.
+only ``graph.py`` sorts or compares edge rows, every defaulted parameter
+of the public API is listed, and every exported name has a reader outside
+the tests.
 
 All are AST scans, as no linter runs.
 """
@@ -11,6 +12,16 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SCANNED = ("src", "tests", "demos")
+
+
+def exported_names(tree: ast.Module) -> list[str]:
+    """The names in a module-level ``__all__``, if there is one."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return list(ast.literal_eval(node.value))
+    return []
 
 
 def unused_imports(tree: ast.Module) -> list[tuple[int, str]]:
@@ -30,11 +41,7 @@ def unused_imports(tree: ast.Module) -> list[tuple[int, str]]:
                 imported[alias.asname or alias.name] = node.lineno
         elif isinstance(node, ast.Name):
             read.add(node.id)
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
-        ):
-            read |= set(ast.literal_eval(node.value))
+    read |= set(exported_names(tree))
     return sorted((line, name) for name, line in imported.items() if name not in read)
 
 
@@ -255,7 +262,6 @@ DEFAULTED_PARAMETERS = [
     "extract.extract_from_densest_band(seed)",
     "graph.read_edge_rows(extra)",
     "graph.plain_record(skip)",
-    "verify.longest_path_exact(cap)",
     "verify.verify_colouring(cap)",
 ]
 
@@ -268,4 +274,71 @@ def test_every_defaulted_parameter_is_listed():
         for entry in defaulted_parameters(path.stem, ast.parse(path.read_text()))
     ]
     assert found == DEFAULTED_PARAMETERS
-    assert len(found) == 37
+    assert len(found) == 36
+
+
+def unread_exports(trees: dict[str, ast.Module]) -> list[str]:
+    """Exported names that no module in ``trees`` reads, as ``path: name``.
+
+    A read is a name or attribute load of that name anywhere in ``trees``,
+    or a string in a ``PATCH_POINTS`` assignment (the tracer looks its
+    patch points up by name).  A definition, an import (such as a package
+    re-export) and an ``__all__`` entry are not reads.
+    """
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "PATCH_POINTS" for t in node.targets
+            ):
+                read |= {
+                    c.value
+                    for c in ast.walk(node.value)
+                    if isinstance(c, ast.Constant) and isinstance(c.value, str)
+                }
+    return [
+        f"{path}: {name}"
+        for path, tree in trees.items()
+        for name in exported_names(tree)
+        if name not in read
+    ]
+
+
+def test_unread_exports_scan_counts_only_real_reads():
+    package = ast.parse(
+        "from .m import f, g, h, k\n__all__ = ['f', 'g', 'h', 'k']\n"
+    )
+    module = ast.parse(
+        "__all__ = ['f', 'g', 'h', 'k', 'C']\n"
+        "def f(): pass\ndef g(): pass\ndef h(): pass\ndef k(): pass\n"
+        "class C: pass\n"
+        "x = C()\n"
+    )
+    caller = ast.parse(
+        "import m\nm.g()\nPATCH_POINTS = (('m', 'h', 'm.h'),)\ny = 'k'\n"
+    )
+    trees = {"p/__init__.py": package, "p/m.py": module, "run.py": caller}
+    assert unread_exports(trees) == [
+        "p/__init__.py: f",
+        "p/__init__.py: k",
+        "p/m.py: f",
+        "p/m.py: k",
+    ]
+
+
+def test_every_exported_name_has_a_reader_outside_the_tests():
+    # a name only the tests read is a test oracle and belongs in tests/
+    paths = [
+        *sorted((ROOT / "src").rglob("*.py")),
+        *sorted((ROOT / "demos").rglob("*.py")),
+        *sorted((ROOT / "perfbench").glob("*.py")),
+    ]
+    trees = {
+        str(path.relative_to(ROOT)): ast.parse(path.read_text(), str(path))
+        for path in paths
+    }
+    assert unread_exports(trees) == []

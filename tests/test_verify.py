@@ -7,13 +7,13 @@ from pathfree import (
     ContractViolation,
     EdgeColouring,
     Graph,
-    SizeCapError,
+    InternalInvariantError,
     UsageError,
     greedy_vertex_cover,
-    longest_path_exact,
     monochromatic_components,
     verify_colouring,
 )
+from pathfree.verify import _reconstruct
 
 from conftest import (
     complete_graph,
@@ -37,27 +37,55 @@ def monochrome(g: Graph, colour: int = 0) -> EdgeColouring:
     return EdgeColouring.of(g.edge_array, [colour] * g.edge_count)
 
 
+def assert_longest_path(g: Graph, longest: int) -> None:
+    """One colour on every edge of ``g`` fails at k = ``longest``, passes one above."""
+    colouring = monochrome(g)
+    failed = verify_colouring(g, colouring, r=1, k=longest)
+    assert failed.verdict == "fail" and len(failed.witness_path) == longest
+    assert verify_colouring(g, colouring, r=1, k=longest + 1).verdict == "pass"
+
+
 def test_longest_path_known_values():
-    assert longest_path_exact(path_graph(6)) == 6
-    assert longest_path_exact(cycle_graph(5)) == 5
-    assert longest_path_exact(star_graph(4)) == 3
-    assert longest_path_exact(complete_graph(4)) == 4
-    assert longest_path_exact(Graph.build(3, [])) == 1
-    assert longest_path_exact(Graph.build(0, [])) == 0
+    assert_longest_path(path_graph(6), 6)
+    assert_longest_path(cycle_graph(5), 5)
+    assert_longest_path(star_graph(4), 3)
+    assert_longest_path(complete_graph(4), 4)
     # the Petersen graph is traceable but not Hamiltonian-cyclic
-    assert longest_path_exact(from_networkx(nx.petersen_graph())) == 10
+    assert_longest_path(from_networkx(nx.petersen_graph()), 10)
+    # an edgeless graph's longest path is one vertex, or none with no vertex;
+    # the verifier takes k >= 2 only, and no class holds a path on 2
+    for n, longest in ((3, 1), (0, 0)):
+        g = Graph.build(n, [])
+        assert longest_path_brute(g) == longest
+        assert verify_colouring(g, monochrome(g), r=1, k=2).verdict == "pass"
+        with pytest.raises(UsageError):
+            verify_colouring(g, monochrome(g), r=1, k=longest)
 
 
 def test_longest_path_exact_matches_brute(rnd):
     for trial in range(150):
         g = random_graph(rnd, n_max=9, density=rnd.choice([0.2, 0.4, 0.7]))
-        assert longest_path_exact(g) == longest_path_brute(g)
+        if g.edge_count:
+            assert_longest_path(g, longest_path_brute(g))
+        else:
+            assert verify_colouring(g, monochrome(g), r=1, k=2).verdict == "pass"
 
 
 def test_longest_path_cap_refusal():
-    with pytest.raises(SizeCapError):
-        longest_path_exact(path_graph(30), cap=24)
-    assert longest_path_exact(path_graph(30), cap=30) == 30
+    # P_30 is past the cap of 24, and its least cover (15) is too big to
+    # certify, so only a cap of 30 searches it
+    g = path_graph(30)
+    refused = verify_colouring(g, monochrome(g), r=1, k=30, cap=24)
+    assert refused.verdict == "indeterminate"
+    assert refused.indeterminate_components == ((0, 30),)
+    searched = verify_colouring(g, monochrome(g), r=1, k=30, cap=30)
+    assert searched.verdict == "fail" and len(searched.witness_path) == 30
+
+
+def test_reconstruction_off_the_trail_is_an_internal_error():
+    # layers that do not lead back to a path can only come from a bug
+    with pytest.raises(InternalInvariantError, match="lost its trail"):
+        _reconstruct([[1], [0]], [{}, {3: 2}], 3, 2)
 
 
 def test_monochromatic_components_by_colour():
