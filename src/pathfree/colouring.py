@@ -33,6 +33,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -109,102 +110,116 @@ def proper_edge_colouring(g: Graph, colour_base: int = 0) -> EdgeColouring:
     has a free colour, and the fan lemma guarantees a rotatable prefix, so
     each edge is coloured in one pass.
 
-    Each vertex keeps its used colours as one int bitmask (bit ``c`` set when
-    colour ``c`` is at the vertex) beside its colour -> neighbour dict.  The
-    next fan edge is the lowest colour that is used at u, free at the last
-    fan vertex and not yet on a fan edge: the lowest set bit of
-    ``mask[u] & ~mask[last] & ~fan_used``.  Since colours at u map one-to-one
-    to u's coloured neighbours, this is the ascending scan over u's colours
-    that skips fan vertices, in a constant number of big-int operations.  A
-    free colour is the lowest zero bit of a mask.
+    Each vertex v keeps ``at[v]``, which maps each colour at v to the
+    neighbour across that colour's edge, and the same colours as one int
+    bitmask ``mask[v]`` (bit ``c`` set when colour ``c`` is at v).  The fan
+    draws from ``rest``, u's colours not yet on a fan edge: the next fan edge
+    is the lowest bit of ``rest & ~mask[last]``, used at u and free at the
+    last fan vertex, and that bit leaves ``rest``.  Since colours at u map
+    one-to-one to u's coloured neighbours, this is the ascending scan over
+    u's colours that skips fan vertices.  A free colour is the lowest zero
+    bit of a mask.
+
+    The fan records each fan edge's colour.  The inversion swaps ``c`` and
+    ``d`` along the path in place: an inner vertex keeps both colours, so it
+    swaps its two ``at`` entries and keeps its mask, and only u and the far
+    end change masks.  The one fan edge the inversion recolours is u's
+    ``d``-edge, which a maximal fan always holds, as ``d`` is free at its
+    last vertex.  The colours are read out of ``at`` once at the end: each
+    ``(x, y, colour)`` with ``x < y``, put in order by ``graph.row_order``,
+    must give exactly ``g.edge_array``.
     """
     palette = g.max_degree + 1
+    n = g.vertex_count
     # at[v] maps colour -> neighbour reached through the edge of that colour;
     # mask[v] has bit c set exactly when c is a key of at[v].
-    at: list[dict[int, int]] = [dict() for _ in range(g.vertex_count)]
-    mask = [0] * g.vertex_count
-    colour_of: dict[Edge, int] = {}
-
-    def set_colour(x: int, y: int, c: int) -> None:
-        colour_of[(x, y) if x < y else (y, x)] = c
-        at[x][c] = y
-        at[y][c] = x
-        mask[x] |= 1 << c
-        mask[y] |= 1 << c
-
-    def unset_colour(x: int, y: int) -> int:
-        c = colour_of.pop((x, y) if x < y else (y, x))
-        del at[x][c]
-        del at[y][c]
-        mask[x] ^= 1 << c
-        mask[y] ^= 1 << c
-        return c
-
-    def free_colour(v: int) -> int:
-        m = mask[v]
-        c = ((m + 1) & ~m).bit_length() - 1
-        if c >= palette:
-            raise InternalInvariantError(f"no free colour at vertex {v}")
-        return c
-
-    def invert_path(u: int, c: int, d: int) -> None:
-        # Maximal path from u alternating d, c (u has no c-edge). Proper
-        # colourings make it simple, and it cannot return to u.
-        hops: list[tuple[int, int, int]] = []
-        prev, want = u, d
-        while want in at[prev]:
-            nxt = at[prev][want]
-            hops.append((prev, nxt, want))
-            prev, want = nxt, c if want == d else d
-        for x, y, _ in hops:
-            unset_colour(x, y)
-        for x, y, col in hops:
-            set_colour(x, y, c if col == d else d)
+    at: list[dict[int, int]] = [dict() for _ in range(n)]
+    mask = [0] * n
 
     for u, v in g.edge_array.tolist():
         # Maximal fan of u starting at v: each next fan edge's colour is
         # free at the previous fan vertex.  No colour at u reaches v, whose
-        # edge is the uncoloured one.
-        fan = [v]
-        fan_used = 0
-        at_u, mask_u = at[u], mask[u]
-        while True:
-            step = mask_u & ~mask[fan[-1]] & ~fan_used
-            if not step:
-                break
+        # edge is the uncoloured one.  cols[i] is the colour of the edge
+        # from u to fan vertex i + 1, so that vertex is at_u[cols[i]].
+        at_u = at[u]
+        mask_u = mask[u]
+        cols: list[int] = []
+        rest, last = mask_u, v
+        step = rest & ~mask[v]
+        while step:
             step &= -step
-            fan.append(at_u[step.bit_length() - 1])
-            fan_used |= step
+            rest ^= step
+            col = step.bit_length() - 1
+            cols.append(col)
+            last = at_u[col]
+            step = rest & ~mask[last]
 
-        c = free_colour(u)
-        d = free_colour(fan[-1])
-        if c != d and mask_u >> d & 1:
-            invert_path(u, c, d)
+        c = ((mask_u + 1) & ~mask_u).bit_length() - 1
+        m = mask[last]
+        d = ((m + 1) & ~m).bit_length() - 1
+        if c >= palette or d >= palette:
+            raise InternalInvariantError(f"no free colour at vertex {u} or {last}")
+        if mask_u >> d & 1:
+            # Swap d and c along the maximal path from u alternating d, c.
+            # u has no c-edge, so the path is simple and never returns to u.
+            if d not in cols:
+                raise InternalInvariantError("maximal fan lacks u's d-neighbour")
+            cols[cols.index(d)] = c
+            both = 1 << c | 1 << d
+            x = at_u.pop(d)
+            at_u[c] = x
+            mask[u] = mask_u ^ both
+            prev, have, want = u, d, c
+            while True:
+                at_x = at[x]
+                nxt = at_x.get(want)
+                if nxt is None:  # far end: its one path edge changes colour
+                    del at_x[have]
+                    at_x[want] = prev
+                    mask[x] ^= both
+                    break
+                at_x[want] = prev
+                at_x[have] = nxt
+                prev, x = x, nxt
+                have, want = want, have
 
         # First fan vertex with d free whose prefix is still a fan. The fan
-        # lemma guarantees one exists after the inversion, which may have
-        # recoloured one fan edge, so each edge's colour is read afresh.
-        target = None
-        for j, w in enumerate(fan):
-            if j > 0:
-                edge = (u, w) if u < w else (w, u)
-                if mask[fan[j - 1]] >> colour_of[edge] & 1:
-                    break  # prefix stopped being a fan; later vertices unusable
-            if not mask[w] >> d & 1:
-                target = j
-                break
-        if target is None:
-            raise InternalInvariantError("fan rotation found no target vertex")
+        # lemma guarantees one exists after the inversion.
+        w, target = v, 0
+        while mask[w] >> d & 1:
+            if target == len(cols) or mask[w] >> cols[target] & 1:
+                raise InternalInvariantError("fan rotation found no target vertex")
+            w = at_u[cols[target]]
+            target += 1
 
-        shifted = [unset_colour(u, fan[i]) for i in range(1, target + 1)]
-        for i in range(target):
-            set_colour(u, fan[i], shifted[i])
-        set_colour(u, fan[target], d)
+        # Rotate: each fan edge before the target takes the colour of the
+        # next one, which stays at u, and the target's edge takes d.
+        w = v
+        for col in cols[:target]:
+            x = at_u[col]
+            at_u[col] = w
+            at[w][col] = u
+            mask[w] |= 1 << col
+            del at[x][col]
+            mask[x] ^= 1 << col
+            w = x
+        at_u[d] = w
+        at[w][d] = u
+        mask[u] |= 1 << d
+        mask[w] |= 1 << d
 
-    if len(colour_of) != g.edge_count:
+    # each coloured edge, once from its lower end, in row order
+    sizes = [len(at_x) for at_x in at]
+    total = sum(sizes)
+    x = np.repeat(np.arange(n, dtype=np.int64), sizes)
+    y = np.fromiter(chain.from_iterable(a.values() for a in at), np.int64, total)
+    colours = np.fromiter(chain.from_iterable(at), np.int64, total)
+    lower = x < y
+    rows = np.stack([x[lower], y[lower]], axis=1)
+    order = row_order(rows)
+    if not np.array_equal(rows[order], g.edge_array):
         raise InternalInvariantError("proper colouring missed edges")
-    raw = [colour_of[(u, v)] for u, v in g.edge_array.tolist()]
-    _, compact = np.unique(raw, return_inverse=True)
+    _, compact = np.unique(colours[lower][order], return_inverse=True)
     return EdgeColouring(g.edge_array, colour_base + compact)
 
 
@@ -322,10 +337,9 @@ def serialize_colouring(g: Graph, colouring: EdgeColouring, r: int, k: int) -> s
     if not np.array_equal(colouring.edge_array, g.edge_array):
         raise ContractViolation("colouring must cover exactly the graph's edges")
     head = f"n={g.vertex_count} r={r} k={k} colours_used={colouring.colours_used}"
-    lines = ["# " + head]
-    for (u, v), c in zip(g.edge_array.tolist(), colouring.colours.tolist()):
-        lines.append(f"{u} {v} {c}")
-    return "\n".join(lines) + "\n"
+    u, v = g.edge_array.T.tolist()
+    rows = map("{} {} {}".format, u, v, colouring.colours.tolist())
+    return "\n".join(["# " + head, *rows]) + "\n"
 
 
 def parse_colouring(text: str) -> tuple[Graph, EdgeColouring, dict[str, int]]:

@@ -81,6 +81,11 @@ def greedy_bin_assignment(g: Graph, owner: np.ndarray, b: np.ndarray) -> np.ndar
     iteration order; a vertex with no neighbour in any part lands in part 0.
     """
     (in_b,) = _vertex_masks(g, b)
+    owner = np.asarray(owner)
+    if owner.shape != (g.vertex_count,) or owner.dtype.kind != "i":
+        raise ContractViolation(
+            f"owner must be a signed int array over 0..{g.vertex_count - 1}"
+        )
     both = in_b & (owner >= 0)
     if both.any():
         raise ContractViolation(f"vertex {both.argmax()} is on both sides of the split")

@@ -294,9 +294,8 @@ def parse_edge_list(text: str) -> Graph:
 
 
 def serialize_edge_list(g: Graph) -> str:
-    lines = [f"# n={g.vertex_count}"]
-    lines.extend(f"{u} {v}" for u, v in g.edge_array.tolist())
-    return "\n".join(lines) + "\n"
+    u, v = g.edge_array.T.tolist()
+    return "\n".join([f"# n={g.vertex_count}", *map("{} {}".format, u, v)]) + "\n"
 
 
 def subtract(g: Graph, h: Graph) -> Graph:

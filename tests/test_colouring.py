@@ -16,6 +16,7 @@ from pathfree import (
     low_degree_refinement,
     parse_colouring,
     proper_edge_colouring,
+    regular_graph,
     serialize_colouring,
     star_refinement,
     uniform_edges,
@@ -86,12 +87,32 @@ def test_proper_colouring_matches_sorted_scan_reference():
     graphs += [star_graph(100), complete_graph(9), complete_graph(70)]
     graphs += [Graph.build(5, []), Graph.build(0, [])]
     assert sum(g.max_degree > 64 for g in graphs) >= 8
-    for i, g in enumerate(graphs):
-        base = (0, 3, 17)[i % 3]
-        assert (
-            proper_edge_colouring(g, base).assignments
-            == proper_edge_colouring_reference(g, base).assignments
+    # row-mask subgraphs: isolated vertices and gaps in the ids the colours
+    # are read out for
+    for seed in range(4):
+        g = uniform_edges(90, 900, seed)
+        graphs.append(g.keep((g.edge_array % 3 != seed % 3).all(axis=1)))
+        graphs.append(g.keep(np.random.default_rng(seed).random(g.edge_count) < 0.1))
+    assert all((g.degrees == 0).any() and g.edge_count for g in graphs[-8:])
+    # regular graphs: every vertex full, so alternating paths run long
+    graphs += [regular_graph(n, d, 1) for n, d in [(40, 5), (61, 6), (100, 9)]]
+    cases = [(g, (0, 3, 17)[i % 3]) for i, g in enumerate(graphs)]
+    cases += [(cycle_graph(10), 5), (cycle_graph(11), 2)]
+    for i, (g, base) in enumerate(cases):
+        assert proper_edge_colouring(g, base) == proper_edge_colouring_reference(
+            g, base
         ), f"graph {i}"
+
+
+def test_proper_colouring_inversion_recolours_a_fan_edge():
+    # Colouring (1, 3) last: the fan of 1 from 3 is 3, 0, 2 with colours
+    # 0 and 2 on (1, 0) and (1, 2); c = 1 is free at 1 and d = 0 at 2.  The
+    # 0/1 path 1-0-3 is inverted through inner vertex 0, so fan edge (1, 0)
+    # turns 1, and the rotation then shifts it onto (1, 3).
+    g = Graph.build(4, [(0, 1), (0, 3), (1, 2), (1, 3)])
+    colouring = proper_edge_colouring(g)
+    assert colouring == proper_edge_colouring_reference(g)
+    assert colouring.assignments == {(0, 1): 2, (0, 3): 0, (1, 2): 0, (1, 3): 1}
 
 
 def test_proper_colouring_is_pinned_above_one_word():

@@ -89,6 +89,10 @@ def test_greedy_assignment_contract_errors():
         greedy_bin_assignment(g, owners(4, {0: 0}), first(5, 2))
     with pytest.raises(ContractViolation, match="boolean masks"):
         greedy_bin_assignment(g, owners(4, {0: 0}), np.array([0, 1, 1, 1]))
+    # a short owner array and a float one are refused before any indexing
+    for owner in (np.full(3, -1), owners(4, {0: 0}).astype(float)):
+        with pytest.raises(ContractViolation, match="signed int array over 0..3"):
+            greedy_bin_assignment(g, owner, g.vertex_mask([3]))
 
 
 def reference_part(g: Graph, a_owner: dict, x: int, q: int) -> int:
