@@ -8,7 +8,9 @@ binomial/multinomial helpers (tails, T-transforms) that the inequality
 checks are built on.
 
 All logarithms are natural.  Exact values are ``fractions.Fraction``;
-bounds whose definitions involve ``log`` are floats.
+bounds whose definitions involve ``log`` are floats.  Each exact sum is built
+on integer numerators over one common denominator and becomes a ``Fraction``
+once, at the end.
 """
 
 from __future__ import annotations
@@ -42,9 +44,13 @@ __all__ = [
 ]
 
 
+def _require_integers(message: str, *values: object) -> None:
+    if not all(isinstance(v, int) for v in values):
+        raise UsageError(message)
+
+
 def _require_counts(q: int, n: int) -> None:
-    if not (isinstance(q, int) and isinstance(n, int)):
-        raise UsageError("bin and ball counts must be integers")
+    _require_integers("bin and ball counts must be integers", q, n)
     if q < 1 or n < 1:
         raise UsageError("need at least one bin and one ball")
 
@@ -171,6 +177,7 @@ def monte_carlo_max_load(
 ) -> MonteCarloEstimate:
     """Estimate ``E[M]`` from ``trials`` independent throws of all n balls."""
     _require_counts(q, n)
+    _require_integers("the trial count must be an integer", trials)
     if trials < 1:
         raise UsageError("need at least one trial")
     rng = substream(seed, "max-load-mc")
@@ -180,8 +187,9 @@ def monte_carlo_max_load(
     while done < trials:
         size = min(chunk, trials - done)
         draws = rng.integers(0, q, size=(size, n))
-        loads = np.zeros((size, q), dtype=np.int32)
-        np.add.at(loads, (np.arange(size)[:, None], draws), 1)
+        # Trial i's bins become i*q .. i*q + q-1, so one count fills every row.
+        draws += np.arange(0, size * q, q)[:, None]
+        loads = np.bincount(draws.ravel(), minlength=size * q).reshape(size, q)
         maxima[done : done + size] = loads.max(axis=1)
         done += size
     mean = float(maxima.mean())
@@ -266,8 +274,10 @@ def multinomial_max_expectation(
 
     Sums over all compositions of ``n`` across the support of ``p``; the
     term count is ``C(n+s-1, s-1)`` and instances beyond
-    ``_MULTINOMIAL_TERMS`` are refused.
+    ``_MULTINOMIAL_TERMS`` are refused.  The support is put on one
+    denominator ``scale``, so each term is an integer over ``scale**n``.
     """
+    _require_integers("the ball count must be an integer", n)
     if n < 1:
         raise UsageError("need at least one ball")
     p = [Fraction(x) for x in probabilities]
@@ -280,25 +290,26 @@ def multinomial_max_expectation(
     if math.comb(n + s - 1, s - 1) > _MULTINOMIAL_TERMS:
         raise SizeCapError(f"composition count exceeds {_MULTINOMIAL_TERMS}")
 
-    total = Fraction(0)
+    scale = math.lcm(*(x.denominator for x in support))
+    weights = [x.numerator * (scale // x.denominator) for x in support]
+    total = 0
 
-    def recurse(i: int, remaining: int, coeff: int, prob: Fraction, peak: int) -> None:
+    def recurse(i: int, remaining: int, term: int, peak: int) -> None:
+        # ``term`` is the multinomial coefficient times prod w_j^k_j so far.
         nonlocal total
         if i == s - 1:
-            term_prob = prob * support[i] ** remaining
-            total += coeff * term_prob * max(peak, remaining)
+            total += term * weights[i] ** remaining * max(peak, remaining)
             return
         for k in range(remaining + 1):
             recurse(
                 i + 1,
                 remaining - k,
-                coeff * math.comb(remaining, k),
-                prob * support[i] ** k,
+                term * math.comb(remaining, k) * weights[i] ** k,
                 max(peak, k),
             )
 
-    recurse(0, n, 1, Fraction(1), 0)
-    return total
+    recurse(0, n, 1, 0)
+    return Fraction(total, scale**n)
 
 
 def t_transform(
@@ -321,22 +332,22 @@ def t_transform(
     return tuple(p)
 
 
+def _tail_count(n: int, a: int, b: int, t: int) -> int:
+    """``b**n * P(Bin(n, a/b) >= t)``, an integer for ``0 <= a <= b``."""
+    c = b - a
+    return sum(math.comb(n, k) * a**k * c ** (n - k) for k in range(max(t, 0), n + 1))
+
+
 def binomial_tail(n: int, p: Fraction | int | str, t: int) -> Fraction:
     """``P(Bin(n, p) >= t)`` exactly."""
+    _require_integers("the trial count and threshold must be integers", n, t)
     if n < 0:
         raise UsageError("need a non-negative trial count")
     pf = Fraction(p)
     if not (0 <= pf <= 1):
         raise UsageError("success probability must lie in [0, 1]")
-    if t <= 0:
-        return Fraction(1)
-    if t > n:
-        return Fraction(0)
-    qf = 1 - pf
-    return sum(
-        (Fraction(math.comb(n, k)) * pf**k * qf ** (n - k) for k in range(t, n + 1)),
-        Fraction(0),
-    )
+    b = pf.denominator
+    return Fraction(_tail_count(n, pf.numerator, b, t), b**n)
 
 
 @dataclass(frozen=True)
@@ -350,20 +361,19 @@ def top_two_bins_joint_tail(q: int, n: int, t: int) -> JointTail:
 
     ``X_1`` is the load of bin 1 under ``n`` uniform balls in ``q`` bins;
     conditioned on ``X_1 = k`` the load of bin 2 is ``Bin(n-k, 1/(q-1))``,
-    which is what the joint sum uses.
+    which is what the joint sum uses.  The weight ``C(n,k) (q-1)^(n-k) / q^n``
+    of ``X_1 = k`` cancels that tail's denominator ``(q-1)^(n-k)``, so the
+    joint sum is an integer over ``q^n``.
     """
     _require_counts(q, n)
     if q < 2:
         raise UsageError("joint tail needs at least two bins")
-    p = Fraction(1, q)
-    single = binomial_tail(n, p, t)
-    shifted = Fraction(1, q - 1)
-    joint = Fraction(0)
-    comp = 1 - p
-    for k in range(max(t, 0), n + 1):
-        weight = Fraction(math.comb(n, k)) * p**k * comp ** (n - k)
-        joint += weight * binomial_tail(n - k, shifted, t)
-    return JointTail(joint, single)
+    single = binomial_tail(n, Fraction(1, q), t)
+    joint = sum(
+        math.comb(n, k) * _tail_count(n - k, 1, q - 1, t)
+        for k in range(max(t, 0), n + 1)
+    )
+    return JointTail(Fraction(joint, q**n), single)
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,7 @@ plugin state.
 """
 
 import dataclasses
+import math
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -20,9 +21,11 @@ from pathfree import (
     Graph,
     InternalInvariantError,
     SizeCapError,
+    max_load_fraction_lower_bound,
     substream,
 )
-from pathfree.bins import _require_counts
+from pathfree.bins import MonteCarloEstimate, _require_counts
+from pathfree.checks import GUARD
 from pathfree.extract import BlockSplit
 
 
@@ -315,6 +318,118 @@ def enumerated_max_load_expectation(q: int, n: int, limit: int = 10**6) -> Fract
         remaining //= q
     max_sum = int(loads.max(axis=1).astype(np.int64).sum())
     return Fraction(max_sum, total)
+
+
+def multinomial_max_expectation_reference(probabilities, n: int) -> Fraction:
+    """Reference oracle: ``E[max_i X_i]`` summed one ``Fraction`` term at a time.
+
+    Each composition's probability is a product of ``Fraction`` powers; the
+    package sums integer numerators over one denominator instead.  Input
+    checks are left to the package.
+    """
+    support = [x for x in map(Fraction, probabilities) if x > 0]
+    s = len(support)
+    total = Fraction(0)
+
+    def recurse(i: int, remaining: int, coeff: int, prob: Fraction, peak: int) -> None:
+        nonlocal total
+        if i == s - 1:
+            total += coeff * prob * support[i] ** remaining * max(peak, remaining)
+            return
+        for k in range(remaining + 1):
+            recurse(
+                i + 1,
+                remaining - k,
+                coeff * math.comb(remaining, k),
+                prob * support[i] ** k,
+                max(peak, k),
+            )
+
+    recurse(0, n, 1, Fraction(1), 0)
+    return total
+
+
+def binomial_tail_reference(n: int, p, t: int) -> Fraction:
+    """Reference oracle: ``P(Bin(n, p) >= t)`` as a sum of ``Fraction`` terms."""
+    p = Fraction(p)
+    return sum(
+        (
+            Fraction(math.comb(n, k)) * p**k * (1 - p) ** (n - k)
+            for k in range(max(t, 0), n + 1)
+        ),
+        Fraction(0),
+    )
+
+
+def joint_tail_reference(q: int, n: int, t: int) -> Fraction:
+    """Reference oracle: ``P(X_1 >= t and X_2 >= t)`` by conditioning on ``X_1``.
+
+    Each ``P(X_1 = k)`` multiplies the ``Fraction`` tail of ``Bin(n-k,
+    1/(q-1))``; the package cancels the two denominators first.
+    """
+    p = Fraction(1, q)
+    return sum(
+        (
+            Fraction(math.comb(n, k))
+            * p**k
+            * (1 - p) ** (n - k)
+            * binomial_tail_reference(n - k, Fraction(1, q - 1), t)
+            for k in range(max(t, 0), n + 1)
+        ),
+        Fraction(0),
+    )
+
+
+def monte_carlo_max_load_reference(
+    q: int, n: int, trials: int, seed: int
+) -> MonteCarloEstimate:
+    """Reference oracle: the Monte Carlo maxima with loads filled by ``np.add.at``.
+
+    Makes the same draws in the same chunks as the package, which fills the
+    loads of a whole chunk with one ``bincount`` instead.
+    """
+    rng = substream(seed, "max-load-mc")
+    maxima = np.empty(trials, dtype=np.int64)
+    chunk = max(1, 10**6 // n)
+    for done in range(0, trials, chunk):
+        size = min(chunk, trials - done)
+        draws = rng.integers(0, q, size=(size, n))
+        loads = np.zeros((size, q), dtype=np.int32)
+        np.add.at(loads, (np.arange(size)[:, None], draws), 1)
+        maxima[done : done + size] = loads.max(axis=1)
+    stderr = float(maxima.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
+    return MonteCarloEstimate(float(maxima.mean()), stderr, trials)
+
+
+def closed_form_floor_reference(q_range, n_range, expectation):
+    """Reference oracle: the closed-form floor compared at every (cell, corner).
+
+    Returns ``(cells, violations, min_margin, examples)`` as
+    ``check_closed_form_floor`` reports them; the package compares each cell
+    once against its largest corner bound and goes corner by corner only when
+    that fails.
+    """
+    q_lo, q_hi = max(q_range[0], 2), q_range[1]
+    n_lo, n_hi = n_range
+    cells = violations = 0
+    min_margin = math.inf
+    examples = []
+    for q in range(q_lo, q_hi + 1):
+        for n in range(n_lo, n_hi + 1):
+            w = expectation(q, n) / n
+            for twice_q0 in range(2 * q, 2 * q_hi + 1):
+                for twice_n0 in range(2 * n, 2 * n_hi + 1):
+                    q0, n0 = twice_q0 / 2, twice_n0 / 2
+                    bound = max_load_fraction_lower_bound(q0, n0)
+                    cells += 1
+                    min_margin = min(min_margin, float(w) - bound)
+                    if w < Fraction(bound) * (1 + GUARD):
+                        violations += 1
+                        if len(examples) < 5:
+                            examples.append(
+                                f"q={q} n={n} q0={q0} n0={n0}: {float(w)} < {bound}"
+                            )
+    return cells, violations, min_margin, tuple(examples)
 
 
 @pytest.fixture

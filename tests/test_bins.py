@@ -7,6 +7,7 @@ enumeration path; all comparisons between rationals are exact.
 
 import json
 import math
+import random
 from fractions import Fraction
 from itertools import product
 
@@ -29,7 +30,14 @@ from pathfree import (
 )
 from pathfree.checks import check_solver_floor
 
-from conftest import enumerated_max_load_expectation
+from conftest import (
+    binomial_tail_reference,
+    enumerated_max_load_expectation,
+    joint_tail_reference,
+    monte_carlo_max_load_reference,
+    multinomial_max_expectation_reference,
+    same_value,
+)
 
 
 def brute_max_load_expectation(q: int, n: int) -> Fraction:
@@ -208,6 +216,21 @@ def test_multinomial_hand_values():
     assert multinomial_max_expectation((1, 0, 0), 5) == 5
 
 
+def test_multinomial_matches_fraction_recursion():
+    rnd = random.Random(18)
+    for _ in range(320):
+        weights = [rnd.choice((0, 0, 1, 2, 3, 5, 8, 13)) for _ in range(rnd.randint(1, 5))]
+        weights[rnd.randrange(len(weights))] += 1  # some bin gets a ball
+        total = sum(weights)
+        p = [
+            str(Fraction(w, total)) if rnd.random() < 0.5 else Fraction(w, total)
+            for w in weights
+        ]
+        n = rnd.randint(1, 8)
+        got = multinomial_max_expectation(p, n)
+        assert got == multinomial_max_expectation_reference(p, n), (p, n)
+
+
 def test_multinomial_validation_and_cap():
     with pytest.raises(ContractViolation):
         multinomial_max_expectation((Fraction(1, 2), Fraction(1, 3)), 2)
@@ -252,6 +275,21 @@ def test_binomial_tail_complements_pmf():
         binomial_tail(3, "7/6", 1)
     with pytest.raises(UsageError):
         binomial_tail(-1, "1/2", 0)
+
+
+def test_tails_match_fraction_sums():
+    for n in range(20):
+        for tenths in range(11):
+            p = Fraction(tenths, 10)
+            for t in range(-1, n + 2):
+                got = binomial_tail(n, str(p) if t % 2 else p, t)
+                assert got == binomial_tail_reference(n, p, t), (n, p, t)
+    for q in range(2, 9):
+        for n in range(1, 14):
+            for t in range(-1, n + 2):
+                tails = top_two_bins_joint_tail(q, n, t)
+                assert tails.joint == joint_tail_reference(q, n, t), (q, n, t)
+                assert tails.single == binomial_tail_reference(n, Fraction(1, q), t)
 
 
 def test_joint_tail_matches_enumeration():
@@ -304,6 +342,41 @@ def test_monte_carlo_is_seeded_and_close():
     assert monte_carlo_max_load(3, 4, trials=4000, seed=10).mean != a.mean
     with pytest.raises(UsageError):
         monte_carlo_max_load(3, 4, trials=0, seed=0)
+
+
+@pytest.mark.parametrize(
+    "q, n, trials, seed", [(3, 4, 4000, 9), (1, 5, 7, 0), (6, 1, 1, 4), (5, 2500, 1000, 7)]
+)
+def test_monte_carlo_matches_add_at_loads(q, n, trials, seed):
+    # the last case takes three chunks of draws
+    assert same_value(
+        monte_carlo_max_load(q, n, trials, seed),
+        monte_carlo_max_load_reference(q, n, trials, seed),
+    )
+
+
+def test_monte_carlo_pins():
+    one_chunk = monte_carlo_max_load(3, 4, trials=4000, seed=9)
+    assert (one_chunk.mean, one_chunk.stderr) == (2.3735, 0.00876890306225521)
+    three_chunks = monte_carlo_max_load(5, 2500, trials=1000, seed=7)
+    assert (three_chunks.mean, three_chunks.stderr) == (525.46, 0.35384687028092765)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: binomial_tail(3, "1/2", 1.5),
+        lambda: binomial_tail(3.0, "1/2", 1),
+        lambda: multinomial_max_expectation(("1/2", "1/2"), 2.0),
+        lambda: top_two_bins_joint_tail(3, 4, 1.5),
+        lambda: top_two_bins_joint_tail(3, 4.0, 1),
+        lambda: monte_carlo_max_load(3, 4, 2.0, 1),
+    ],
+    ids=["tail-t", "tail-n", "multinomial-n", "joint-t", "joint-n", "mc-trials"],
+)
+def test_non_integer_counts_are_usage_errors(call):
+    with pytest.raises(UsageError, match="integer"):
+        call()
 
 
 def test_stats_record_carries_the_pinned_keys():

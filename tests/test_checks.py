@@ -20,6 +20,8 @@ from pathfree.checks import (
     run_all_checks,
 )
 
+from conftest import closed_form_floor_reference
+
 
 def test_solver_floor_small_grid():
     result = check_solver_floor((2, 6), (1, 8))
@@ -109,6 +111,24 @@ def test_corrupted_oracle_trips_closed_form_floor():
         "q=2 n=1 q0=2.5 n0=1.0: 0.01 < 0.010003493312798876",
         "q=2 n=2 q0=2.0 n0=2.0: 0.0075 < 0.009705879051559629",
         "q=2 n=2 q0=2.0 n0=2.5: 0.0075 < 0.009441507707819312",
+    )
+
+
+@pytest.mark.parametrize("grid", [((2, 16), (1, 16)), ((2, 6), (1, 6)), ((5, 19), (4, 19))])
+@pytest.mark.parametrize(
+    "expectation",
+    [
+        exact_max_load_expectation,
+        lambda q, n: exact_max_load_expectation(q, n) / 100,
+        lambda q, n: exact_max_load_expectation(q, n) / (100 if (q + n) % 3 else 1),
+    ],
+    ids=["exact", "lying", "mixed"],
+)
+def test_closed_form_floor_matches_per_corner_loop(grid, expectation):
+    result = check_closed_form_floor(*grid, expectation=expectation)
+    reference = closed_form_floor_reference(*grid, expectation)
+    assert (result.cells, result.violations, result.min_margin, result.examples) == (
+        reference
     )
 
 

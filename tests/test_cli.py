@@ -413,6 +413,16 @@ def test_check_inequalities_small_grid(capsys):
     assert [r["violations"] for r in records] == [0] * 11
 
 
+def test_check_inequalities_benchmark_grid_pin(capsys):
+    # the inequality-audit workload's grid, records pinned without timings
+    assert main(["check-inequalities", "--grid", "2..32", "1..32", "--format", "json"]) == 0
+    records = json.loads(capsys.readouterr().out)
+    for record in records:
+        del record["seconds"]
+    digest = hashlib.sha256(json.dumps(records, sort_keys=True).encode()).hexdigest()
+    assert digest == "5dff82bb1f15361fc4f54847b7e52d4903e1e09a07fb84042a747bfe50455aa6"
+
+
 def test_check_inequalities_rejects_vacuous_audits(capsys):
     # zero samples or seeds would report "ok cells=0" for a check never run
     small = ["check-inequalities", "--grid", "2..3", "1..3", "--mc-trials", "100"]
