@@ -9,8 +9,10 @@ The three colouring building blocks, shown one at a time.
 3. star_refinement: spend s colours on star forests centred at the
    highest-degree vertices, capping the residual maximum degree.
 
-The refinements report vertex sets as boolean masks over 0..n-1 and the
-star centres' colours as a part array (-1 off the centres).
+Each block colours from 0; the pipeline places each stage's colours after
+the ones spent before it.  The refinements report vertex sets as boolean
+masks over 0..n-1 and the star centres' colours as a part array (-1 off the
+centres).
 """
 
 from fractions import Fraction
@@ -60,7 +62,7 @@ print(f"  heavy threshold: degree * k * s >= 8 * edges, i.e. degree >= "
       f"{float(star.threshold):.1f}")
 print(f"  used {star.colouring.colours_used} colour(s) on centres "
       f"{np.flatnonzero(star.vertices_removed).tolist()}")
-print(f"  part array (colour offset per vertex, -1 off the centres): "
+print(f"  part array (colour per vertex, -1 off the centres): "
       f"{star.parts.tolist()}")
 for colour in range(star.colouring.colours_used):
     print(f"  colour {colour}: centres {np.flatnonzero(star.parts == colour).tolist()} "

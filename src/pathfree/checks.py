@@ -139,9 +139,9 @@ def _need_two_rows(q_range: tuple[int, int], n_range: tuple[int, int]) -> None:
 
 
 def check_solver_floor(
-    q_range: tuple[int, int] = (2, 24),
-    n_range: tuple[int, int] = (1, 24),
-    expectation: ExpectationFn = exact_max_load_expectation,
+    q_range: tuple[int, int],
+    n_range: tuple[int, int],
+    expectation: ExpectationFn,
 ) -> CheckResult:
     """Exact E[M] dominates the solver bound x*n/(10q) on the whole grid."""
     tally = _Tally("solver-floor")
@@ -156,9 +156,9 @@ def check_solver_floor(
 
 
 def check_fraction_floor(
-    q_range: tuple[int, int] = (2, 24),
-    n_range: tuple[int, int] = (1, 24),
-    expectation: ExpectationFn = exact_max_load_expectation,
+    q_range: tuple[int, int],
+    n_range: tuple[int, int],
+    expectation: ExpectationFn,
 ) -> CheckResult:
     """E[M]/n never drops below max(1/q, 1/n); exact comparison."""
     tally = _Tally("fraction-floor")
@@ -172,9 +172,9 @@ def check_fraction_floor(
 
 
 def check_closed_form_floor(
-    q_range: tuple[int, int] = (2, 16),
-    n_range: tuple[int, int] = (1, 16),
-    expectation: ExpectationFn = exact_max_load_expectation,
+    q_range: tuple[int, int],
+    n_range: tuple[int, int],
+    expectation: ExpectationFn,
 ) -> CheckResult:
     """W(q, n) dominates the closed form at every worse corner (q0>=q, n0>=n).
 
@@ -217,9 +217,9 @@ def check_closed_form_floor(
 
 
 def check_expectation_monotone(
-    q_range: tuple[int, int] = (1, 12),
-    n_range: tuple[int, int] = (1, 13),
-    expectation: ExpectationFn = exact_max_load_expectation,
+    q_range: tuple[int, int],
+    n_range: tuple[int, int],
+    expectation: ExpectationFn,
 ) -> CheckResult:
     """W(q, n) is non-increasing in each of q and n; exhaustive and exact.
 
@@ -248,7 +248,7 @@ def check_expectation_monotone(
     return tally.done()
 
 
-def check_schur_transforms(samples: int = 500, seed: int = 0) -> CheckResult:
+def check_schur_transforms(samples: int, seed: int) -> CheckResult:
     """Random T-transforms never increase the expected maximum cell.
 
     Each sample draws a rational probability vector on at most 4 bins, a
@@ -395,7 +395,7 @@ def check_gamma_ratio_bracket() -> CheckResult:
     return tally.done()
 
 
-def check_mc_within_error(seeds: int = 50, trials: int = 2000) -> CheckResult:
+def check_mc_within_error(seeds: int, trials: int) -> CheckResult:
     """Monte Carlo means land within 5 standard errors almost always.
 
     The cases are ``(q, n)`` = (2, 2), (3, 5), (6, 4) and (4, 12).  The check

@@ -19,10 +19,10 @@ import argparse
 import json
 import sys
 
-from .bins import _exact_grid, compute_bins_stats
+from .bins import _EXACT_CAP, _exact_grid, compute_bins_stats
 from .checks import run_all_checks
 from .colouring import parse_colouring, serialize_colouring
-from .errors import InternalInvariantError, UsageError
+from .errors import InternalInvariantError, SizeCapError, UsageError
 from .extract import extract_from_densest_band
 from .generators import GENERATOR_MODELS
 from .graph import Graph, parse_edge_list, serialize_edge_list
@@ -76,6 +76,17 @@ def _grid(value: str) -> tuple[int, int]:
     return lo, hi
 
 
+def _refuse_over_cap(grid: tuple[tuple[int, int], tuple[int, int]]) -> None:
+    # every cell of the grid is counted exactly, its corner too, so a corner
+    # past the cap would end in this error only after the cells below it
+    (_, q_hi), (_, n_hi) = grid
+    if q_hi * n_hi > _EXACT_CAP:
+        raise SizeCapError(
+            f"the grid corner q*n = {q_hi * n_hi} exceeds the exact-computation "
+            f"cap {_EXACT_CAP}"
+        )
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pathfree",
@@ -96,7 +107,10 @@ def _build_parser() -> argparse.ArgumentParser:
     col.add_argument("--r", type=int, required=True, help="colour budget")
     col.add_argument("--k", type=int, required=True, help="forbidden path length in vertices")
     col.add_argument("--seed", type=int, default=0)
-    col.add_argument("--trials", type=int, default=200, help="resamples per extraction")
+    col.add_argument(
+        "--trials", type=int, default=PipelineParams.trials_per_extraction,
+        help="resamples per extraction",
+    )
     col.add_argument("--beta0", type=float, default=None, help="override density scale seed")
     col.add_argument("--strict", action="store_true", help="enforce the analytic preconditions")
     col.add_argument("--exact-cap", type=int, default=DEFAULT_COMPONENT_CAP, dest="exact_cap")
@@ -110,7 +124,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ext.add_argument("--k", type=int, required=True)
     ext.add_argument("--beta", type=float, required=True, help="density scale for this round")
     ext.add_argument("--seed", type=int, default=0)
-    ext.add_argument("--trials", type=int, default=200)
+    ext.add_argument("--trials", type=int, default=PipelineParams.trials_per_extraction)
     ext.add_argument("--output", default=None, help="write the extracted subgraph here")
     ext.add_argument("--format", choices=["json", "text"], default="json")
 
@@ -225,6 +239,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_bins(args: argparse.Namespace) -> int:
     if args.grid is not None:
+        _refuse_over_cap(args.grid)
         records = [
             compute_bins_stats(q, n, trials=args.trials, seed=args.seed).to_record()
             for q, n in _exact_grid(*args.grid)
@@ -249,6 +264,7 @@ def _cmd_bins(args: argparse.Namespace) -> int:
 def _cmd_check(args: argparse.Namespace) -> int:
     kwargs = {}
     if args.grid is not None:
+        _refuse_over_cap(args.grid)
         kwargs["q_range"], kwargs["n_range"] = args.grid
     results = run_all_checks(
         seed=args.seed,

@@ -18,7 +18,8 @@ leaves the rest as an explicitly returned residual graph:
   ``k >= 4``.
 
 Colour indices in every result are compact: each primitive uses exactly
-``colour_base .. colour_base + colours_used - 1``.  A result is an
+``0 .. colours_used - 1``, and the pipeline places each stage's range after
+the colours spent before it.  A result is an
 :class:`EdgeColouring`, the sorted rows of a row mask of its input with each
 row's colour in an aligned array; masks come from vertex masks over the
 degree array, each threshold the exact integer floor or ceiling of its rational.
@@ -101,7 +102,7 @@ class EdgeColouring:
         return dict(zip(map(tuple, self.edge_array.tolist()), self.colours.tolist()))
 
 
-def proper_edge_colouring(g: Graph, colour_base: int = 0) -> EdgeColouring:
+def proper_edge_colouring(g: Graph) -> EdgeColouring:
     """Colour all edges so adjacent edges differ, using <= max_degree+1 colours.
 
     Misra-Gries: for each uncoloured edge (u, v), build a maximal fan of u
@@ -220,7 +221,7 @@ def proper_edge_colouring(g: Graph, colour_base: int = 0) -> EdgeColouring:
     if not np.array_equal(rows[order], g.edge_array):
         raise InternalInvariantError("proper colouring missed edges")
     _, compact = np.unique(colours[lower][order], return_inverse=True)
-    return EdgeColouring(g.edge_array, colour_base + compact)
+    return EdgeColouring(g.edge_array, compact)
 
 
 @dataclass(frozen=True, eq=False)
@@ -229,10 +230,10 @@ class RefinementResult:
 
     ``vertices_removed`` masks the vertices whose incident edges were
     coloured (low-degree set or star centres).  For star refinements,
-    ``parts`` holds each centre's colour offset from ``colour_base``, and -1
-    for every other vertex, including a centre whose edges an earlier set
-    claimed; it is None otherwise.  ``degree_bound_ok`` records whether the
-    residual met the stage's degree target.
+    ``parts`` holds each centre's colour, and -1 for every other vertex,
+    including a centre whose edges an earlier set claimed; it is None
+    otherwise.  ``degree_bound_ok`` records whether the residual met the
+    stage's degree target.
     """
 
     colouring: EdgeColouring
@@ -243,7 +244,7 @@ class RefinementResult:
     parts: np.ndarray | None = None
 
 
-def low_degree_refinement(g: Graph, r: int, colour_base: int = 0) -> RefinementResult:
+def low_degree_refinement(g: Graph, r: int) -> RefinementResult:
     """Colour all edges at vertices of degree <= r/7; residual is the rest.
 
     Inside the low-degree set a proper colouring takes at most
@@ -262,7 +263,7 @@ def low_degree_refinement(g: Graph, r: int, colour_base: int = 0) -> RefinementR
 
     inner, leaving, coloured = low_u & low_v, low_u != low_v, low_u | low_v
     colours = np.empty(g.edge_count, dtype=np.int64)
-    proper = proper_edge_colouring(g.keep(inner), colour_base)
+    proper = proper_edge_colouring(g.keep(inner))
     colours[inner] = proper.colours
     first_range = proper.colours_used
 
@@ -272,7 +273,7 @@ def low_degree_refinement(g: Graph, r: int, colour_base: int = 0) -> RefinementR
     order = np.lexsort((rows.sum(axis=1) - low_end, low_end))
     low_end = low_end[order]
     rank = np.arange(len(rows)) - np.searchsorted(low_end, low_end)
-    colours[np.flatnonzero(leaving)[order]] = colour_base + first_range + rank
+    colours[np.flatnonzero(leaving)[order]] = first_range + rank
     return RefinementResult(
         colouring=EdgeColouring(g.edge_array[coloured], colours[coloured]),
         residual=g.keep(~coloured),
@@ -282,9 +283,7 @@ def low_degree_refinement(g: Graph, r: int, colour_base: int = 0) -> RefinementR
     )
 
 
-def star_refinement(
-    g: Graph, s: int, k: int, colour_base: int = 0
-) -> RefinementResult:
+def star_refinement(g: Graph, s: int, k: int) -> RefinementResult:
     """Colour the edges at up to ``s * floor(k/3)`` highest-degree vertices.
 
     Vertices of degree at least ``8 e / (k s)`` are packed, in decreasing
@@ -318,7 +317,7 @@ def star_refinement(
     if len(used_ids) > s:
         raise InternalInvariantError("star refinement exceeded its colour count")
     return RefinementResult(
-        colouring=EdgeColouring(g.edge_array[claimed], colour_base + colours),
+        colouring=EdgeColouring(g.edge_array[claimed], colours),
         residual=residual,
         threshold=threshold,
         vertices_removed=owner < unclaimed,

@@ -199,8 +199,8 @@ def extract_path_free_subgraph(
     core: np.ndarray,
     independent: np.ndarray,
     k: int,
-    trials: int = 200,
-    seed: int = 0,
+    trials: int,
+    seed: int,
 ) -> ExtractionResult:
     """Run the block-split extraction and return the best certified attempt.
 
@@ -356,8 +356,8 @@ def extract_from_densest_band(
     beta: float,
     r: int,
     k: int,
-    trials: int = 200,
-    seed: int = 0,
+    trials: int,
+    seed: int,
 ) -> BandExtraction:
     """Decompose by degree bands, pick a dense piece, extract path-free edges.
 

@@ -247,7 +247,8 @@ def run_round(
     count drops to ``ETA`` times the starting count or the extraction budget
     ``floor(r * RHO^i / 12)`` runs out.  The star step gets the same number
     of colours.  Total spending is at most ``r * RHO^i / 6`` by construction;
-    exceeding it would be a bug and raises.
+    exceeding it would be a bug and raises.  The round's colours run from
+    ``colour_base`` up.
     """
     if params.k < 4:
         raise UsageError("rounds need k >= 4 (star classes contain P_3)")
@@ -260,7 +261,7 @@ def run_round(
     beta_round = params.beta0 * float(ZETA) ** round_index
 
     work = g
-    pieces: list[EdgeColouring] = []
+    pieces: list[tuple[EdgeColouring, int]] = []
     ratios: list[Fraction] = []
     spent = 0
     aborted = False
@@ -287,15 +288,16 @@ def run_round(
             abort_reason = "empty-extraction"
             break
         taken = result.subgraph.edge_array
-        pieces.append(EdgeColouring(taken, np.full(len(taken), colour_base + spent)))
+        one_class = EdgeColouring(taken, np.zeros(len(taken), dtype=np.int64))
+        pieces.append((one_class, colour_base + spent))
         work = subtract(work, result.subgraph)
         spent += 1
         ratios.append(band.achieved_ratio)
 
     star_used = 0
     if not aborted and extraction_budget >= 1 and work.edge_count > 0:
-        star = star_refinement(work, extraction_budget, k, colour_base + spent)
-        pieces.append(star.colouring)
+        star = star_refinement(work, extraction_budget, k)
+        pieces.append((star.colouring, colour_base + spent))
         star_used = star.colouring.colours_used
         spent += star_used
         work = star.residual
@@ -361,6 +363,38 @@ def _preconditions(g: Graph, params: PipelineParams) -> dict:
     }
 
 
+@dataclass
+class _Spending:
+    """The colours spent so far and what spent them, in colour order.  Each
+    piece is a colouring and the offset that places its colours."""
+
+    pieces: list[tuple[EdgeColouring, int]] = field(default_factory=list)
+    stages: list[StageRecord] = field(default_factory=list)
+    rounds: list[RoundTrace] = field(default_factory=list)
+    total: int = 0
+
+    def stage(
+        self, name: str, budget: Fraction, before: int, after: int,
+        parts: list[EdgeColouring], **notes,
+    ) -> None:
+        """End a stage that took ``before`` edges down to ``after``: its
+        parts, each coloured from 0, take the next colours in turn."""
+        base = self.total
+        for part in parts:
+            self.pieces.append((part, self.total))
+            self.total += part.colours_used
+        used = self.total - base
+        self.stages.append(
+            StageRecord(name, base, used, budget, used <= budget, before, after, notes)
+        )
+
+    def round(self, outcome: RoundOutcome) -> None:
+        """End a round, whose colours already start at ``total``."""
+        self.pieces.append((outcome.colouring, 0))
+        self.rounds.append(outcome.trace)
+        self.total += outcome.trace.colours_spent
+
+
 def colour_graph(g: Graph, params: PipelineParams) -> PipelineResult:
     """Colour every edge of ``g``; success means at most ``r`` colours total.
 
@@ -369,80 +403,37 @@ def colour_graph(g: Graph, params: PipelineParams) -> PipelineResult:
     per stage so a failed run explains where the colours went.
     """
     r, k = params.r, params.k
-    preconditions = _preconditions(g, params)
-    stages: list[StageRecord] = []
-    rounds: list[RoundTrace] = []
-    pieces: list[EdgeColouring] = []
-    base = 0
+    spending = _Spending()
 
     if k == 3:
-        proper = proper_edge_colouring(g, 0)
-        pieces.append(proper)
-        used = proper.colours_used
-        stages.append(
-            StageRecord(
-                name="proper-only",
-                colour_base=0,
-                colours_used=used,
-                budget=Fraction(r),
-                budget_ok=used <= r,
-                edges_before=g.edge_count,
-                edges_after=0,
-                notes={"reason": "k=3 admits only matchings as classes"},
-            )
+        spending.stage(
+            "proper-only", Fraction(r), g.edge_count, 0, [proper_edge_colouring(g)],
+            reason="k=3 admits only matchings as classes",
         )
-        return _finish(
-            g, params, pieces, stages, rounds, preconditions,
-            termination="k3-direct", endgame="proper-only",
-        )
+        return _finish(g, params, spending, "k3-direct", "proper-only")
 
-    current = g
-    low = low_degree_refinement(current, r, base)
-    low_used = low.colouring.colours_used
-    pieces.append(low.colouring)
-    stages.append(
-        StageRecord(
-            name="low-degree",
-            colour_base=base,
-            colours_used=low_used,
-            budget=Fraction(r, 3),
-            budget_ok=low_used <= Fraction(r, 3),
-            edges_before=current.edge_count,
-            edges_after=low.residual.edge_count,
-            notes={
-                "degree_threshold": str(low.threshold),
-                "low_vertices": int(low.vertices_removed.sum()),
-                "high_vertices": g.vertex_count - int(low.vertices_removed.sum()),
-                "residual_active_vertices": int((low.residual.degrees > 0).sum()),
-            },
-        )
-    )
-    base += low_used
+    low = low_degree_refinement(g, r)
+    low_count = int(low.vertices_removed.sum())
     current = low.residual
+    spending.stage(
+        "low-degree", Fraction(r, 3), g.edge_count, current.edge_count, [low.colouring],
+        degree_threshold=str(low.threshold),
+        low_vertices=low_count,
+        high_vertices=g.vertex_count - low_count,
+        residual_active_vertices=int((current.degrees > 0).sum()),
+    )
 
     initial_star_colours = r // 6
     if initial_star_colours >= 1 and current.edge_count > 0:
-        star0 = star_refinement(current, initial_star_colours, k, base)
-        star0_used = star0.colouring.colours_used
-        pieces.append(star0.colouring)
-        stages.append(
-            StageRecord(
-                name="initial-star",
-                colour_base=base,
-                colours_used=star0_used,
-                budget=Fraction(r, 6),
-                budget_ok=star0_used <= Fraction(r, 6),
-                edges_before=current.edge_count,
-                edges_after=star0.residual.edge_count,
-                notes={
-                    "degree_threshold": str(star0.threshold),
-                    "degree_goal": params.degree_goal,
-                    "degree_goal_met": star0.residual.max_degree <= params.degree_goal,
-                    "packing_ok": star0.degree_bound_ok,
-                },
-            )
+        star0 = star_refinement(current, initial_star_colours, k)
+        spending.stage(
+            "initial-star", Fraction(r, 6), current.edge_count,
+            star0.residual.edge_count, [star0.colouring],
+            degree_threshold=str(star0.threshold),
+            degree_goal=params.degree_goal,
+            degree_goal_met=star0.residual.max_degree <= params.degree_goal,
+            packing_ok=star0.degree_bound_ok,
         )
-        base += star0_used
         current = star0.residual
 
     termination: str | None = None
@@ -457,10 +448,8 @@ def colour_graph(g: Graph, params: PipelineParams) -> PipelineResult:
         if _round_budget(r, i) < 2:  # floor(budget / 2) = 0 extractions
             termination = "round-budget-exhausted"
             break
-        outcome = run_round(current, i, params, base)
-        rounds.append(outcome.trace)
-        pieces.append(outcome.colouring)
-        base += outcome.trace.colours_spent
+        outcome = run_round(current, i, params, spending.total)
+        spending.round(outcome)
         previous = current.edge_count
         current = outcome.residual
         if outcome.trace.aborted:
@@ -473,95 +462,71 @@ def colour_graph(g: Graph, params: PipelineParams) -> PipelineResult:
 
     endgame = "empty"
     if current.edge_count > 0:
-        endgame_base = base
-        endgame_before = current.edge_count
         if 7 * current.max_degree <= r:
             endgame = "proper"
         elif _at_edge_floor(current, r, k):
             endgame = "star+proper"
         else:
             endgame = "fallback-star+proper"
-        star_used = 0
-        star_note: dict = {}
+        before, star, star_note = current.edge_count, [], {}
         if endgame != "proper":
             wide = math.ceil(56 * r**0.75)
-            star_end = star_refinement(current, wide, k, base)
-            pieces.append(star_end.colouring)
-            star_used = star_end.colouring.colours_used
-            base += star_used
+            star_end = star_refinement(current, wide, k)
+            star = [star_end.colouring]
             current = star_end.residual
             star_note = {
                 "star_colour_cap": wide,
-                "star_colours": star_used,
+                "star_colours": star_end.colouring.colours_used,
                 "packing_ok": star_end.degree_bound_ok,
             }
-        proper_used = 0
-        if current.edge_count > 0:
-            final = proper_edge_colouring(current, base)
-            pieces.append(final)
-            proper_used = final.colours_used
-            base += proper_used
-        endgame_total = star_used + proper_used
-        stages.append(
-            StageRecord(
-                name="endgame",
-                colour_base=endgame_base,
-                colours_used=endgame_total,
-                budget=Fraction(r, 6),
-                budget_ok=endgame_total <= Fraction(r, 6),
-                edges_before=endgame_before,
-                edges_after=0,
-                notes={
-                    "case": endgame,
-                    "proper_colours": proper_used,
-                    "proper_cap": math.ceil(Fraction(r, 7)) + 1,
-                    **star_note,
-                },
-            )
+        proper = [proper_edge_colouring(current)] if current.edge_count > 0 else []
+        spending.stage(
+            "endgame", Fraction(r, 6), before, 0, star + proper,
+            case=endgame,
+            proper_colours=sum(p.colours_used for p in proper),
+            proper_cap=math.ceil(Fraction(r, 7)) + 1,
+            **star_note,
         )
 
-    return _finish(
-        g, params, pieces, stages, rounds, preconditions,
-        termination=termination, endgame=endgame,
-    )
+    return _finish(g, params, spending, termination, endgame)
 
 
-def _union(pieces: list[EdgeColouring]) -> EdgeColouring:
-    """The pieces' rows and colours as one colouring, rows sorted."""
-    rows = [p.edge_array for p in pieces] or [np.empty((0, 2), dtype=np.int64)]
-    colours = [p.colours for p in pieces] or [np.empty(0, dtype=np.int64)]
-    return EdgeColouring.of(np.concatenate(rows), np.concatenate(colours))
+def _union(pieces: list[tuple[EdgeColouring, int]]) -> EdgeColouring:
+    """The pieces as one colouring, rows sorted, each piece's colours moved
+    up by its offset in the joined array."""
+    rows = [p.edge_array for p, _ in pieces] or [np.empty((0, 2), dtype=np.int64)]
+    colours = [p.colours for p, _ in pieces] or [np.empty(0, dtype=np.int64)]
+    joined = np.concatenate(colours)  # a copy: the pieces keep their colours
+    end = 0
+    for piece, offset in pieces:
+        start, end = end, end + len(piece.colours)
+        joined[start:end] += offset
+    return EdgeColouring.of(np.concatenate(rows), joined)
 
 
 def _finish(
     g: Graph,
     params: PipelineParams,
-    pieces: list[EdgeColouring],
-    stages: list[StageRecord],
-    rounds: list[RoundTrace],
-    preconditions: dict,
+    spending: _Spending,
     termination: str | None,
     endgame: str | None,
 ) -> PipelineResult:
-    colouring = _union(pieces)
+    colouring = _union(spending.pieces)
     if not np.array_equal(colouring.edge_array, g.edge_array):
         raise InternalInvariantError("stage colourings do not partition the edges")
     total = colouring.colours_used
-    expected = sum(s.colours_used for s in stages) + sum(
-        t.colours_spent for t in rounds
-    )
-    if total != expected:
+    if total != spending.total:
         raise InternalInvariantError(
-            f"colour ranges are not compact: {total} used vs {expected} allocated"
+            f"colour ranges are not compact: {total} used vs {spending.total} allocated"
         )
     return PipelineResult(
         params=params,
         colouring=colouring,
-        stages=tuple(stages),
-        rounds=tuple(rounds),
+        stages=tuple(spending.stages),
+        rounds=tuple(spending.rounds),
         total_colours=total,
         success=total <= params.r,
-        preconditions=preconditions,
+        preconditions=_preconditions(g, params),
         termination_reason=termination,
         endgame_case=endgame,
     )

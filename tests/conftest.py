@@ -184,7 +184,7 @@ def uniform_edges_reference(n: int, m: int, seed: int) -> Graph:
     return Graph.build(n, chosen)
 
 
-def proper_edge_colouring_reference(g: Graph, colour_base: int = 0) -> EdgeColouring:
+def proper_edge_colouring_reference(g: Graph) -> EdgeColouring:
     """Reference oracle: Misra-Gries with a sorted scan of u's colours per fan step.
 
     The package's form picks each fan step from per-vertex colour bitmasks;
@@ -272,7 +272,7 @@ def proper_edge_colouring_reference(g: Graph, colour_base: int = 0) -> EdgeColou
     if len(colour_of) != g.edge_count:
         raise InternalInvariantError("proper colouring missed edges")
     used = sorted(set(colour_of.values()))
-    remap = {c: colour_base + i for i, c in enumerate(used)}
+    remap = {c: i for i, c in enumerate(used)}
     return EdgeColouring.of(list(colour_of), [remap[c] for c in colour_of.values()])
 
 

@@ -90,20 +90,20 @@ def test_criterion_01_exact_oracle_matches_enumeration():
 
 
 def test_criterion_02_unified_lower_bound_grid():
-    result = check_solver_floor((2, 24), (1, 24))
+    result = check_solver_floor((2, 24), (1, 24), exact_max_load_expectation)
     assert result.cells == 23 * 24
     assert result.violations == 0
     _verdict(2, f"{result.cells} cells, min margin {result.min_margin:.3g}")
 
 
 def test_criterion_03_usable_bound_at_worse_corners():
-    result = check_closed_form_floor((2, 16), (1, 16))
+    result = check_closed_form_floor((2, 16), (1, 16), exact_max_load_expectation)
     assert result.violations == 0
     _verdict(3, f"{result.cells} (q,n,q0,n0) cells, zero violations")
 
 
 def test_criterion_04_fraction_monotone_both_directions():
-    result = check_expectation_monotone((1, 12), (1, 13))
+    result = check_expectation_monotone((1, 12), (1, 13), exact_max_load_expectation)
     assert result.cells == 2 * 11 * 12
     assert result.violations == 0
     _verdict(4, "q<=11, n<=12 exhaustive, both directions")

@@ -394,6 +394,29 @@ def test_bins_usage(capsys):
     assert "non-negative trial count" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bins", "--grid", "1..64", "1..70"],
+        ["check-inequalities", "--grid", "2..64", "1..70"],
+    ],
+    ids=["bins", "check-inequalities"],
+)
+def test_grid_past_the_exact_cap_is_refused_before_counting(monkeypatch, capsys, argv):
+    # the corner cell q_hi * n_hi is always counted exactly, so such a grid
+    # can only end in the size-cap error; it must end there before counting
+    # the cells below the corner one at a time
+    def counted(*args):
+        raise AssertionError("a grid past the exact cap was counted")
+
+    monkeypatch.setattr(bins, "_EXPECTATIONS", {})
+    monkeypatch.setattr(bins, "_egf_mul", counted)
+    assert main(argv) == 2
+    assert f"q*n = 4480 exceeds the exact-computation cap {bins._EXACT_CAP}" in (
+        capsys.readouterr().err
+    )
+
+
 def test_check_inequalities_small_grid(capsys):
     code = main(
         ["check-inequalities", "--grid", "2..4", "1..5", "--samples", "30",

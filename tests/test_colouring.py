@@ -67,10 +67,10 @@ def test_proper_colouring_random_graphs():
             assert used == set(range(min(used), min(used) + len(used)))
 
 
-def test_proper_colouring_base_offset_and_empty():
+def test_proper_colouring_from_zero_and_empty():
     g = path_graph(4)
-    col = proper_edge_colouring(g, colour_base=10)
-    assert min(col.assignments.values()) == 10
+    col = proper_edge_colouring(g)
+    assert sorted(set(col.assignments.values())) == list(range(col.colours_used))
     assert proper_edge_colouring(Graph.build(3, [])).assignments == {}
 
 
@@ -96,12 +96,10 @@ def test_proper_colouring_matches_sorted_scan_reference():
     assert all((g.degrees == 0).any() and g.edge_count for g in graphs[-8:])
     # regular graphs: every vertex full, so alternating paths run long
     graphs += [regular_graph(n, d, 1) for n, d in [(40, 5), (61, 6), (100, 9)]]
-    cases = [(g, (0, 3, 17)[i % 3]) for i, g in enumerate(graphs)]
-    cases += [(cycle_graph(10), 5), (cycle_graph(11), 2)]
-    for i, (g, base) in enumerate(cases):
-        assert proper_edge_colouring(g, base) == proper_edge_colouring_reference(
-            g, base
-        ), f"graph {i}"
+    graphs += [cycle_graph(10), cycle_graph(11)]
+    for i, g in enumerate(graphs):
+        expected = proper_edge_colouring_reference(g)
+        assert proper_edge_colouring(g) == expected, f"graph {i}"
 
 
 def test_proper_colouring_inversion_recolours_a_fan_edge():
@@ -132,16 +130,16 @@ def test_proper_colouring_is_pinned_above_one_word():
 def test_low_degree_refinement_large_low_set_matches_reference():
     # 575 of 600 vertices are low, so Misra-Gries colours nearly every edge
     g = uniform_edges(600, 3000, 5)
-    result = low_degree_refinement(g, r=105, colour_base=4)
+    result = low_degree_refinement(g, r=105)
     low = result.vertices_removed
     assert low.sum() == 575 and result.residual.edge_count > 0
     inner = Graph.build(g.vertex_count, [e for e in g.edges if low[e[0]] and low[e[1]]])
-    expected = proper_edge_colouring_reference(inner, 4).assignments
+    expected = proper_edge_colouring_reference(inner).assignments
     coloured = result.colouring.assignments
     assert {e: coloured[e] for e in inner.edges} == expected
     first_range = len(set(expected.values()))
     assert all(
-        coloured[e] >= 4 + first_range for e in coloured.keys() - inner.edges
+        coloured[e] >= first_range for e in coloured.keys() - inner.edges
     )
 
 
@@ -219,7 +217,7 @@ def test_star_refinement_postconditions(rnd):
         e = g.edge_count
         assert result.colouring.colours_used <= s
         assert result.threshold == Fraction(8 * e, k * s)
-        # each centre holds one colour offset (so centre sets are disjoint),
+        # each centre holds one colour (so centre sets are disjoint),
         # and each colour's centres number 1 to k//3 and touch all its edges
         parts = result.parts
         assert parts is not None and parts.dtype == np.int64
@@ -227,7 +225,7 @@ def test_star_refinement_postconditions(rnd):
         offsets = sorted(set(parts[parts >= 0].tolist()))
         assert offsets == list(range(result.colouring.colours_used))
         for colour, edges in result.colouring.colour_classes().items():
-            part = parts == colour  # colour_base is 0
+            part = parts == colour
             assert 1 <= part.sum() <= k // 3
             for u, v in edges:
                 assert part[u] or part[v]
@@ -266,9 +264,9 @@ def test_star_overflow_when_capacity_is_one():
 
 def test_star_refinement_colours_contiguous():
     g = complete_graph(9)
-    result = star_refinement(g, s=3, k=6, colour_base=5)
+    result = star_refinement(g, s=3, k=6)
     used = sorted(set(result.colouring.assignments.values()))
-    assert used == list(range(5, 5 + result.colouring.colours_used))
+    assert used == list(range(result.colouring.colours_used))
 
 
 def test_serialize_round_trip(rnd):

@@ -30,7 +30,7 @@ MIXED = Graph.build(
 
 
 def parts(*offsets: int) -> np.ndarray:
-    """A star refinement's part array: each vertex's colour offset, or -1."""
+    """A star refinement's part array: each vertex's colour, or -1."""
     return np.array(offsets, dtype=np.int64)
 
 
@@ -39,7 +39,7 @@ def test_low_degree_takes_a_vertex_with_seven_times_degree_equal_to_r():
     expected = RefinementResult(
         colouring=EdgeColouring.of(
             [(0, 2), (0, 3), (0, 4), (1, 2), (1, 5), (1, 6), (3, 4), (5, 7)],
-            [4, 4, 4, 5, 4, 4, 3, 3],
+            [1, 1, 1, 2, 1, 1, 0, 0],
         ),
         residual=Graph.build(8, [(0, 1)]),
         threshold=Fraction(2),
@@ -47,7 +47,7 @@ def test_low_degree_takes_a_vertex_with_seven_times_degree_equal_to_r():
         degree_bound_ok=True,
         parts=None,
     )
-    assert same_value(low_degree_refinement(MIXED, 14, colour_base=3), expected)
+    assert same_value(low_degree_refinement(MIXED, 14), expected)
 
 
 def test_star_refinement_takes_a_vertex_with_degree_k_s_equal_to_8e():
@@ -56,14 +56,14 @@ def test_star_refinement_takes_a_vertex_with_degree_k_s_equal_to_8e():
         13, [(0, i) for i in range(1, 6)] + [(6, i) for i in range(7, 11)] + [(11, 12)]
     )
     expected = RefinementResult(
-        colouring=EdgeColouring.of([(0, i) for i in range(1, 6)], [5] * 5),
+        colouring=EdgeColouring.of([(0, i) for i in range(1, 6)], [0] * 5),
         residual=Graph.build(13, [(6, 7), (6, 8), (6, 9), (6, 10), (11, 12)]),
         threshold=Fraction(5),
         vertices_removed=two_stars.vertex_mask({0}),
         degree_bound_ok=True,
         parts=parts(0, *[-1] * 12),
     )
-    assert same_value(star_refinement(two_stars, 2, 8, colour_base=5), expected)
+    assert same_value(star_refinement(two_stars, 2, 8), expected)
     # K5 with k = 5, s = 4: all five degrees equal 8e/(ks) = 4, and the
     # capacity s * floor(k/3) = 4 leaves the last one out
     k5 = Graph.build(5, combinations(range(5), 2))
@@ -85,14 +85,14 @@ def test_star_refinement_threshold_survives_a_product_beyond_int64():
     # is heavy, and floor(k/3) = 10^18 puts them all in the first centre set
     k = 3 * 10**18
     expected = RefinementResult(
-        colouring=EdgeColouring.of(MIXED.edge_array, [2] * MIXED.edge_count),
+        colouring=EdgeColouring.of(MIXED.edge_array, [0] * MIXED.edge_count),
         residual=Graph.build(8, []),
         threshold=Fraction(8 * 9, k),
         vertices_removed=MIXED.vertex_mask(range(8)),
         degree_bound_ok=True,
         parts=parts(*[0] * 8),
     )
-    assert same_value(star_refinement(MIXED, 1, k, colour_base=2), expected)
+    assert same_value(star_refinement(MIXED, 1, k), expected)
 
 
 def _star_and_small_star(hub_degree: int, small_degree: int) -> Graph:

@@ -3,6 +3,7 @@
 import math
 import random
 from collections import Counter
+from functools import partial
 
 import numpy as np
 import pytest
@@ -300,41 +301,42 @@ def test_certified_extractions_have_no_long_path(rnd):
 
 
 def test_extraction_validation():
+    extract = partial(extract_path_free_subgraph, trials=200, seed=0)
     g = star_graph(4)
     none = g.vertex_mask([])
     with pytest.raises(ContractViolation, match="empty"):
-        extract_path_free_subgraph(g, core=none, independent=none, k=4)
+        extract(g, core=none, independent=none, k=4)
     with pytest.raises(ContractViolation, match="overlap"):
-        extract_path_free_subgraph(
+        extract(
             g, core=g.vertex_mask([0, 1]), independent=g.vertex_mask([1]), k=4
         )
     hub = g.vertex_mask([0])
     with pytest.raises(UsageError):
-        extract_path_free_subgraph(g, core=hub, independent=none, k=3)
+        extract(g, core=hub, independent=none, k=3)
     with pytest.raises(UsageError):
-        extract_path_free_subgraph(g, core=hub, independent=none, k=4, trials=0)
+        extract(g, core=hub, independent=none, k=4, trials=0)
     two = Graph.build(3, [(0, 1), (1, 2)])
     with pytest.raises(ContractViolation):
         # edge (1, 2) avoids the core
-        extract_path_free_subgraph(
+        extract(
             two, core=two.vertex_mask([0]), independent=two.vertex_mask([]), k=4
         )
     with pytest.raises(ContractViolation, match=r"edge \(0, 1\) avoids the core"):
         # an edge inside the "independent" set also avoids the core
-        extract_path_free_subgraph(
+        extract(
             two, core=two.vertex_mask([2]), independent=two.vertex_mask([0, 1]), k=4
         )
     # the first offending edge in sorted order is named
     strays = Graph.build(6, [(4, 5), (0, 1), (2, 3), (1, 2)])
     core, none = strays.vertex_mask([0, 1]), strays.vertex_mask([])
     with pytest.raises(ContractViolation, match=r"edge \(2, 3\) avoids the core"):
-        extract_path_free_subgraph(strays, core=core, independent=none, k=4)
+        extract(strays, core=core, independent=none, k=4)
     # sets are boolean masks over exactly 0..n-1
     for bad in (first(7, 2), core.astype(np.int64), [0, 1]):
         with pytest.raises(ContractViolation, match="boolean masks"):
-            extract_path_free_subgraph(strays, core=bad, independent=none, k=4)
+            extract(strays, core=bad, independent=none, k=4)
         with pytest.raises(ContractViolation, match="boolean masks"):
-            extract_path_free_subgraph(strays, core=core, independent=bad, k=4)
+            extract(strays, core=core, independent=bad, k=4)
 
 
 def test_decompose_high_floor_leaves_everything_residual():
@@ -404,24 +406,27 @@ def test_banded_extraction_low_degree_routes_to_residual():
 
 
 def test_banded_extraction_empty_graph():
-    banded = extract_from_densest_band(Graph.build(5, []), beta=0.5, r=4, k=5)
+    banded = extract_from_densest_band(
+        Graph.build(5, []), beta=0.5, r=4, k=5, trials=200, seed=0
+    )
     assert banded.selection == "empty"
     assert banded.extraction.certified
     assert banded.achieved_ratio == 0
 
 
 def test_banded_extraction_reference_ratio_and_validation():
+    band = partial(extract_from_densest_band, trials=200, seed=0)
     g = star_graph(6)
     banded = extract_from_densest_band(g, beta=0.5, r=10, k=4, trials=5, seed=0)
     assert banded.reference_ratio == pytest.approx(60 / (0.5**0.9 * 10))
     for beta in (0.0, math.nan, math.inf):
         with pytest.raises(UsageError):
-            extract_from_densest_band(g, beta=beta, r=10, k=4)
+            band(g, beta=beta, r=10, k=4)
     with pytest.raises(UsageError):
-        extract_from_densest_band(g, beta=0.5, r=0, k=4)
+        band(g, beta=0.5, r=0, k=4)
     # k and trials are checked before the edgeless shortcut too
     for graph in (g, Graph.build(5, [])):
         with pytest.raises(UsageError, match="k >= 4"):
-            extract_from_densest_band(graph, beta=0.5, r=10, k=3)
+            band(graph, beta=0.5, r=10, k=3)
         with pytest.raises(UsageError, match="trial"):
-            extract_from_densest_band(graph, beta=0.5, r=10, k=4, trials=0)
+            band(graph, beta=0.5, r=10, k=4, trials=0)

@@ -223,28 +223,12 @@ def test_defaulted_parameter_scan_counts_positional_and_keyword_defaults():
     assert defaulted_parameters("m", tree) == ["m.f(b)", "m.f(d)"]
 
 
-# Each entry is a setting that a caller outside the tests passes, or a
-# default that such a caller relies on.  A new one belongs here only once a
-# second caller needs a value other than the default.
+# Each entry is a default that a caller outside the tests and demos relies
+# on.  A new one belongs here only once a second caller needs a value other
+# than the default.
 DEFAULTED_PARAMETERS = [
     "bins.compute_bins_stats(trials)",
     "bins.compute_bins_stats(seed)",
-    "checks.check_solver_floor(q_range)",
-    "checks.check_solver_floor(n_range)",
-    "checks.check_solver_floor(expectation)",
-    "checks.check_fraction_floor(q_range)",
-    "checks.check_fraction_floor(n_range)",
-    "checks.check_fraction_floor(expectation)",
-    "checks.check_closed_form_floor(q_range)",
-    "checks.check_closed_form_floor(n_range)",
-    "checks.check_closed_form_floor(expectation)",
-    "checks.check_expectation_monotone(q_range)",
-    "checks.check_expectation_monotone(n_range)",
-    "checks.check_expectation_monotone(expectation)",
-    "checks.check_schur_transforms(samples)",
-    "checks.check_schur_transforms(seed)",
-    "checks.check_mc_within_error(seeds)",
-    "checks.check_mc_within_error(trials)",
     "checks.run_all_checks(q_range)",
     "checks.run_all_checks(n_range)",
     "checks.run_all_checks(seed)",
@@ -253,13 +237,6 @@ DEFAULTED_PARAMETERS = [
     "checks.run_all_checks(mc_trials)",
     "checks.run_all_checks(expectation)",
     "cli.main(argv)",
-    "colouring.proper_edge_colouring(colour_base)",
-    "colouring.low_degree_refinement(colour_base)",
-    "colouring.star_refinement(colour_base)",
-    "extract.extract_path_free_subgraph(trials)",
-    "extract.extract_path_free_subgraph(seed)",
-    "extract.extract_from_densest_band(trials)",
-    "extract.extract_from_densest_band(seed)",
     "graph.read_edge_rows(extra)",
     "graph.plain_record(skip)",
     "verify.verify_colouring(cap)",
@@ -274,7 +251,7 @@ def test_every_defaulted_parameter_is_listed():
         for entry in defaulted_parameters(path.stem, ast.parse(path.read_text()))
     ]
     assert found == DEFAULTED_PARAMETERS
-    assert len(found) == 36
+    assert len(found) == 13
 
 
 def unread_exports(trees: dict[str, ast.Module]) -> list[str]:

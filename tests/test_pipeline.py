@@ -162,25 +162,48 @@ def test_run_round_is_deterministic():
     assert first.trace == second.trace
 
 
-def test_desk_scale_run_succeeds_and_audits_clean():
-    g = uniform_edges(120, 360, seed=1)
-    params = PipelineParams(r=48, k=8, beta0=0.5, seed=1)
+@pytest.mark.parametrize(
+    "n,m,r,k,trials,seed,success,rounds",
+    [
+        (120, 360, 48, 8, 200, 1, True, 0),
+        (120, 360, 48, 3, 200, 1, True, 0),  # k = 3: one proper-only stage
+        # two rounds of extractions; desk scale is far from the budget's regime
+        (300, 6000, 30, 12, 10, 100, False, 2),
+    ],
+    ids=["desk", "k3", "extractions"],
+)
+def test_desk_scale_run_succeeds_and_audits_clean(
+    n, m, r, k, trials, seed, success, rounds
+):
+    g = uniform_edges(n, m, seed=seed)
+    params = PipelineParams(
+        r=r, k=k, beta0=0.5, seed=seed, trials_per_extraction=trials
+    )
     result = colour_graph(g, params)
-    assert result.success
-    assert result.total_colours <= 48
+    assert result.success is success
+    assert (result.total_colours <= r) is success
+    assert len(result.rounds) == rounds
+    assert all(t.extractions > 0 and not t.aborted for t in result.rounds)
     assert audit_round_budgets(result) == []
-    report = verify_colouring(g, result.colouring, 48, 8)
+    report = verify_colouring(g, result.colouring, r, k)
     assert report.verdict == "pass"
     assert report.covers_all_edges
-    # stage bases tile the colour range with no gaps
-    base = 0
-    for stage in result.stages:
-        if stage.name == "endgame":
-            continue
-        assert stage.colour_base == base
-        base += stage.colours_used
-    top = max(result.colouring.assignments.values(), default=-1)
-    assert top + 1 == result.total_colours
+    # in colour order, each stage and round starts where the last one ended,
+    # and its range [colour_base, colour_base + used) is exactly the colours
+    # carried by the edges it coloured
+    colours = result.colouring.colours
+    spenders = [(s, s.colours_used) for s in result.stages if s.name != "endgame"]
+    spenders += [(t, t.colours_spent) for t in result.rounds]
+    spenders += [(s, s.colours_used) for s in result.stages if s.name == "endgame"]
+    end = 0
+    for spender, used in spenders:
+        base = spender.colour_base
+        assert base == end
+        end += used
+        inside = (base <= colours) & (colours < end)
+        assert np.unique(colours[inside]).tolist() == list(range(base, end))
+        assert inside.sum() == spender.edges_before - spender.edges_after
+    assert end == result.total_colours == colours.max() + 1
 
 
 def test_termination_degree_floor_with_default_scale():
@@ -331,8 +354,8 @@ def test_stage_colourings_must_partition_the_edges(monkeypatch, fault):
     g = uniform_edges(120, 360, seed=1)
     real = pipeline.low_degree_refinement
 
-    def faulty(graph, r, colour_base=0):
-        low = real(graph, r, colour_base)
+    def faulty(graph, r):
+        low = real(graph, r)
         rows, colours = low.colouring.edge_array, low.colouring.colours
         kept = low.residual.edge_array[:1]
         assert len(rows) and len(kept)
