@@ -79,6 +79,18 @@ def _egf_mul(a: list[int], b: list[int], degree_cap: int) -> list[int]:
 # lies above it is not filled ahead of time.
 _EXACT_CAP = 4096
 
+
+def _refuse_over_cap(q_range: tuple[int, int], n_range: tuple[int, int]) -> None:
+    # every cell of an exact grid is counted, its corner too, so a corner
+    # past the cap would end in this error only after the cells below it
+    q_hi, n_hi = q_range[1], n_range[1]
+    if q_hi * n_hi > _EXACT_CAP:
+        raise SizeCapError(
+            f"the grid corner q*n = {q_hi * n_hi} exceeds the exact-computation "
+            f"cap {_EXACT_CAP}"
+        )
+
+
 # The cap on the composition count of an exact multinomial expectation.
 _MULTINOMIAL_TERMS = 10**7
 

@@ -24,6 +24,7 @@ import numpy as np
 
 from .bins import (
     _exact_grid,
+    _refuse_over_cap,
     binomial_tail,
     exact_max_load_expectation,
     max_load_expectation_lower_bound,
@@ -443,8 +444,11 @@ def run_all_checks(
     runs on the grid's first 15 bin counts (from at least 2) and first 16
     ball counts, starting at the grid's lower corner.  The monotonicity check
     runs on the grid's first 12 bin counts and first 13 ball counts, also
-    from the lower corner.
+    from the lower corner.  With the exact expectation, a grid whose corner
+    ``q_hi * n_hi`` lies past the exact cap is refused before any check.
     """
+    if expectation is exact_max_load_expectation:
+        _refuse_over_cap(q_range, n_range)
     _need_one(schur_samples, "Schur", "sample")
     _need_one(mc_seeds, "Monte Carlo", "seed")
     _need_one(mc_trials, "Monte Carlo", "trial")

@@ -19,10 +19,10 @@ import argparse
 import json
 import sys
 
-from .bins import _EXACT_CAP, _exact_grid, compute_bins_stats
+from .bins import _exact_grid, _refuse_over_cap, compute_bins_stats
 from .checks import run_all_checks
 from .colouring import parse_colouring, serialize_colouring
-from .errors import InternalInvariantError, SizeCapError, UsageError
+from .errors import InternalInvariantError, UsageError
 from .extract import extract_from_densest_band
 from .generators import GENERATOR_MODELS
 from .graph import Graph, parse_edge_list, serialize_edge_list
@@ -74,17 +74,6 @@ def _grid(value: str) -> tuple[int, int]:
     if lo < 1 or hi < lo:
         raise argparse.ArgumentTypeError(f"bad range {value!r}")
     return lo, hi
-
-
-def _refuse_over_cap(grid: tuple[tuple[int, int], tuple[int, int]]) -> None:
-    # every cell of the grid is counted exactly, its corner too, so a corner
-    # past the cap would end in this error only after the cells below it
-    (_, q_hi), (_, n_hi) = grid
-    if q_hi * n_hi > _EXACT_CAP:
-        raise SizeCapError(
-            f"the grid corner q*n = {q_hi * n_hi} exceeds the exact-computation "
-            f"cap {_EXACT_CAP}"
-        )
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -145,9 +134,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     chk = sub.add_parser("check-inequalities", help="run the inequality suite")
     chk.add_argument("--grid", type=_grid, nargs=2, metavar=("QLO..QHI", "NLO..NHI"))
-    chk.add_argument("--samples", type=int, default=500, help="Schur transform samples")
-    chk.add_argument("--mc-seeds", type=int, default=50, dest="mc_seeds")
-    chk.add_argument("--mc-trials", type=int, default=2000, dest="mc_trials")
+    # unset sampling flags leave run_all_checks' own defaults in force
+    chk.add_argument("--samples", type=int, help="Schur transform samples")
+    chk.add_argument("--mc-seeds", type=int, dest="mc_seeds")
+    chk.add_argument("--mc-trials", type=int, dest="mc_trials")
     chk.add_argument("--seed", type=int, default=0)
     chk.add_argument("--format", choices=["json", "text"], default="text")
 
@@ -239,7 +229,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_bins(args: argparse.Namespace) -> int:
     if args.grid is not None:
-        _refuse_over_cap(args.grid)
+        _refuse_over_cap(*args.grid)
         records = [
             compute_bins_stats(q, n, trials=args.trials, seed=args.seed).to_record()
             for q, n in _exact_grid(*args.grid)
@@ -262,17 +252,15 @@ def _cmd_bins(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    kwargs = {}
+    given = {
+        "schur_samples": args.samples,
+        "mc_seeds": args.mc_seeds,
+        "mc_trials": args.mc_trials,
+    }
+    kwargs = {name: value for name, value in given.items() if value is not None}
     if args.grid is not None:
-        _refuse_over_cap(args.grid)
         kwargs["q_range"], kwargs["n_range"] = args.grid
-    results = run_all_checks(
-        seed=args.seed,
-        schur_samples=args.samples,
-        mc_seeds=args.mc_seeds,
-        mc_trials=args.mc_trials,
-        **kwargs,
-    )
+    results = run_all_checks(seed=args.seed, **kwargs)
     if args.format == "json":
         print(json.dumps([r.to_record() for r in results], indent=2))
     else:

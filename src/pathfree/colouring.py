@@ -343,10 +343,11 @@ def serialize_colouring(g: Graph, colouring: EdgeColouring, r: int, k: int) -> s
 
 def parse_colouring(text: str) -> tuple[Graph, EdgeColouring, dict[str, int]]:
     """Inverse of :func:`serialize_colouring`; a header may lack ``r`` and ``k``."""
-    header = read_header_fields(text, ("n", "colours_used", "r", "k"))
-    n, rows, extras = read_edge_rows(text, header.get("n"), ("colour",))
-    colouring = EdgeColouring.of(rows, extras[:, 0])
-    g = Graph(n, colouring.edge_array)
+    lines = text.splitlines()
+    header = read_header_fields(lines, ("n", "colours_used", "r", "k"))
+    n, rows, extras = read_edge_rows(lines, header.get("n"), ("colour",))
+    colouring = EdgeColouring(rows, extras[:, 0])
+    g = Graph(n, rows)
     if "colours_used" in header and colouring.colours_used != header["colours_used"]:
         raise UsageError(
             f"header declares {header['colours_used']} colours but rows use "

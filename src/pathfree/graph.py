@@ -9,10 +9,18 @@ The module also owns how edge rows are sorted (:func:`row_order`) and
 compared (:func:`repeats`), exactly for every int64 id; the one row
 reader of the text formats (:func:`read_edge_rows`); and the one rule that
 turns a result dataclass into its JSON record (:func:`plain_record`).
+
+A parse splits its text into lines once; the header and the rows are read
+from that one list.  The row reader takes the data rows through numpy's C
+reader and checks them with array passes; on any fault it replays the
+lines through a per-line loop, so every error names the first bad line as
+that loop words it.  It returns the rows already sorted, so a parsed graph
+or colouring needs no second sort.
 """
 
 from __future__ import annotations
 
+import warnings
 from array import array
 from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
@@ -137,6 +145,17 @@ def row_order(rows: np.ndarray) -> np.ndarray:
     return np.lexsort((rows[:, 1], rows[:, 0]))
 
 
+def _ranked(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``row_order(rows)``, the rows in that order, and the mask, in that
+    order, of the rows equal to the one before them."""
+    order = row_order(rows)
+    ranked = rows[order]
+    same = np.zeros(len(rows), dtype=bool)
+    u, v = ranked[:, 0], ranked[:, 1]
+    same[1:] = (u[1:] == u[:-1]) & (v[1:] == v[:-1])
+    return order, ranked, same
+
+
 def repeats(rows: np.ndarray) -> np.ndarray:
     """The mask of the ``(m, 2)`` rows that equal an earlier row.
 
@@ -144,11 +163,9 @@ def repeats(rows: np.ndarray) -> np.ndarray:
     their neighbours in :func:`row_order`, so it is exact for every int64 id;
     as that sort is stable, the first of equal rows is never marked.
     """
-    order = row_order(rows)
-    ranked = rows[order]
-    again = np.zeros(len(rows), dtype=bool)
-    u, v = ranked[:, 0], ranked[:, 1]
-    again[order[1:]] = (u[1:] == u[:-1]) & (v[1:] == v[:-1])
+    order, _, same = _ranked(rows)
+    again = np.empty(len(rows), dtype=bool)
+    again[order] = same
     return again
 
 
@@ -171,10 +188,16 @@ class Bipartition:
     tries: int
 
 
-def read_header_fields(text: str, keys: tuple[str, ...]) -> dict[str, int]:
-    """Collect ``key=<int>`` tokens from ``#`` comment lines; first one wins."""
+def read_header_fields(lines: list[str], keys: tuple[str, ...]) -> dict[str, int]:
+    """Collect ``key=<int>`` tokens from ``#`` comment lines; first one wins.
+
+    ``lines`` is the text's ``splitlines()``, the same list the rows are
+    read from.
+    """
     found: dict[str, int] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(lines, start=1):
+        if "#" not in raw:  # a comment line holds one; cheaper than the strip
+            continue
         line = raw.strip()
         if not line.startswith("#"):
             continue
@@ -190,31 +213,88 @@ def read_header_fields(text: str, keys: tuple[str, ...]) -> dict[str, int]:
     return found
 
 
+_TOP_ID = int(np.iinfo(np.int64).max)  # ids and extras become int64 entries
+
+
+def _id_limit(vertex_count: int | None) -> int:
+    """One past the largest endpoint a row may hold."""
+    limit = _TOP_ID if vertex_count is None else vertex_count
+    if not 0 <= limit <= _TOP_ID:
+        raise UsageError(f"header vertex count must be non-negative, at most {_TOP_ID}")
+    return limit
+
+
 def read_edge_rows(
-    text: str, vertex_count: int | None, extra: tuple[str, ...] = ()
+    lines: list[str], vertex_count: int | None, extra: tuple[str, ...] = ()
 ) -> tuple[int, np.ndarray, np.ndarray]:
     """Read the data rows shared by the edge-list and colouring formats.
 
-    Each line, once a ``#`` comment is stripped, is blank or holds ``u v``
-    followed by one non-negative integer per name in ``extra``.  Returns the
-    vertex count (``vertex_count`` when given, endpoints then lying in
+    ``lines`` is the text's ``splitlines()``.  Each line, once a ``#``
+    comment is stripped, is blank or holds ``u v`` followed by one
+    non-negative integer per name in ``extra``.  Returns the vertex count
+    (``vertex_count`` when given, endpoints then lying in
     ``0..vertex_count-1``; otherwise one past the largest endpoint), the
-    canonical ``(m, 2)`` int64 edge rows in file order, and the
-    ``(m, len(extra))`` int64 extra values beside them.  A negative
+    canonical ``(m, 2)`` int64 edge rows sorted by :func:`row_order`, and the
+    ``(m, len(extra))`` int64 extra values aligned with them.  A negative
     ``vertex_count`` or a malformed, looped, negative, out-of-range or
     duplicate row, or an extra value past int64, raises :class:`UsageError`
     naming the 1-based number of the first bad line.
+
+    numpy's C reader reads the rows of an all-ASCII text, and array passes
+    check their width, loops, signs, endpoint range and duplicates.  When
+    the reader refuses the text or a pass finds a fault, the text is read
+    again one line at a time (:func:`_read_rows_by_line`), which names the
+    first bad line.  So that replay alone words every error, and it alone
+    reads what the C reader does not take but ``int`` does, such as ``1_0``
+    or non-ASCII digits.
     """
-    top_id = int(np.iinfo(np.int64).max)  # ids and extras become int64 entries
-    limit = top_id if vertex_count is None else vertex_count
-    if not 0 <= limit <= top_id:
-        raise UsageError(f"header vertex count must be non-negative, at most {top_id}")
+    limit = _id_limit(vertex_count)
+    table = _c_table(lines, 2 + len(extra))
+    if table is not None:
+        rows = np.sort(table[:, :2], axis=1)
+        if (
+            table.min(initial=0) >= 0
+            and rows[:, 1].max(initial=-1) < limit
+            and (rows[:, 0] != rows[:, 1]).all()
+        ):
+            order, ranked, same = _ranked(rows)
+            if not same.any():
+                return _sorted_rows(vertex_count, order, ranked, table)
+    return _read_rows_by_line(lines, vertex_count, extra)
+
+
+def _c_table(lines: list[str], width: int) -> np.ndarray | None:
+    """The ``(m, width)`` table numpy's C reader makes of the data lines, or
+    None when it refuses them or finds another width."""
+    # numpy's integer reader takes some non-ASCII letters for digits and
+    # crashes the interpreter on others, so it reads ASCII text only
+    if not all(map(str.isascii, lines)):
+        return None
+    try:
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            # numpy 1.23 to 1.x read a float such as "1.5" or "1e3" into an
+            # integer column with only a DeprecationWarning; refuse it instead
+            warnings.simplefilter("error", DeprecationWarning)
+            table = np.loadtxt(lines, dtype=np.int64, comments="#", ndmin=2)
+    except (ValueError, DeprecationWarning):
+        return None
+    if not table.size:
+        return table.reshape(0, width)
+    return table if table.shape[1] == width else None
+
+
+def _read_rows_by_line(
+    lines: list[str], vertex_count: int | None, extra: tuple[str, ...]
+) -> tuple[int, np.ndarray, np.ndarray]:
+    """:func:`read_edge_rows`, one line at a time."""
+    limit = _id_limit(vertex_count)
     names = ("vertex id", "vertex id") + extra
     shape = f"'u v {' '.join(extra)}'" if extra else "two integers"
     flat, linenos = array("q"), array("q")  # each row's values and line number
     failure = None  # the first line-local error; an earlier duplicate beats it
     try:
-        for lineno, raw in enumerate(text.splitlines(), start=1):
+        for lineno, raw in enumerate(lines, start=1):
             fields = raw.split("#", 1)[0].split()
             if not fields:
                 continue
@@ -234,24 +314,32 @@ def read_edge_rows(
                 raise UsageError(f"line {lineno}: negative {names[first]}")
             if u >= limit or v >= limit:
                 raise UsageError(f"line {lineno}: endpoint outside 0..{limit - 1}")
-            if max(values) > top_id:  # endpoints are below limit by now
-                first = next(i for i, x in enumerate(values) if x > top_id)
-                raise UsageError(f"line {lineno}: {names[first]} above {top_id}")
+            if max(values) > _TOP_ID:  # endpoints are below limit by now
+                first = next(i for i, x in enumerate(values) if x > _TOP_ID)
+                raise UsageError(f"line {lineno}: {names[first]} above {_TOP_ID}")
             flat.extend(values)
             linenos.append(lineno)
     except UsageError as err:
         failure = err
     table = np.frombuffer(flat, dtype=np.int64).reshape(-1, len(names))
     rows = np.sort(table[:, :2], axis=1)
-    again = np.flatnonzero(repeats(rows))
-    if again.size:
-        e = tuple(rows[again[0]].tolist())
-        raise UsageError(f"line {linenos[again[0]]}: duplicate edge {e}")
+    order, ranked, same = _ranked(rows)
+    if same.any():
+        first = order[same].min()  # the stable sort marks later copies only
+        e = tuple(rows[first].tolist())
+        raise UsageError(f"line {linenos[first]}: duplicate edge {e}")
     if failure:
         raise failure
+    return _sorted_rows(vertex_count, order, ranked, table)
+
+
+def _sorted_rows(
+    vertex_count: int | None, order: np.ndarray, ranked: np.ndarray, table: np.ndarray
+) -> tuple[int, np.ndarray, np.ndarray]:
+    # read_edge_rows' result from checked rows in row_order
     if vertex_count is None:
-        vertex_count = int(rows[:, 1].max(initial=-1)) + 1
-    return vertex_count, rows, table[:, 2:]
+        vertex_count = int(ranked[:, 1].max(initial=-1)) + 1
+    return vertex_count, ranked, table[order, 2:]
 
 
 def plain_record(obj, skip: tuple[str, ...] = ()) -> dict:
@@ -289,8 +377,9 @@ def parse_edge_list(text: str) -> Graph:
     ``#`` comments are ignored.  Loops and duplicate edges raise
     :class:`UsageError`.
     """
-    n, rows, _ = read_edge_rows(text, read_header_fields(text, ("n",)).get("n"))
-    return Graph.of(n, rows)
+    lines = text.splitlines()
+    n, rows, _ = read_edge_rows(lines, read_header_fields(lines, ("n",)).get("n"))
+    return Graph(n, rows)
 
 
 def serialize_edge_list(g: Graph) -> str:

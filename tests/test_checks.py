@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from pathfree import UsageError, checks, exact_max_load_expectation
+import pathfree.bins as bins
+from pathfree import SizeCapError, UsageError, checks, exact_max_load_expectation
 from pathfree.checks import (
     check_closed_form_floor,
     check_expectation_monotone,
@@ -157,6 +158,27 @@ def test_run_all_checks_rejects_bad_counts_before_any_check(bad):
     with pytest.raises(UsageError):
         run_all_checks(expectation=counting_expectation(calls), **kwargs)
     assert calls == []
+
+
+def test_run_all_checks_refuses_a_grid_past_the_exact_cap_up_front(monkeypatch):
+    # the corner cell q_hi * n_hi is always counted exactly, so such a grid
+    # can only end in the size-cap error; it must end there before counting
+    # the cells below the corner one at a time
+    def counted(*args):
+        raise AssertionError("a grid past the exact cap was counted")
+
+    class Asked(Exception):
+        pass
+
+    def oracle(q, n):
+        raise Asked
+
+    monkeypatch.setattr(bins, "_EXPECTATIONS", {})
+    monkeypatch.setattr(bins, "_egf_mul", counted)
+    with pytest.raises(SizeCapError, match=r"q\*n = 4480 exceeds"):
+        run_all_checks(q_range=(2, 64), n_range=(1, 70))
+    with pytest.raises(Asked):  # a custom oracle is not held to the exact cap
+        run_all_checks(q_range=(2, 64), n_range=(1, 70), expectation=oracle)
 
 
 @pytest.mark.parametrize(

@@ -446,6 +446,20 @@ def test_check_inequalities_benchmark_grid_pin(capsys):
     assert digest == "5dff82bb1f15361fc4f54847b7e52d4903e1e09a07fb84042a747bfe50455aa6"
 
 
+def test_check_inequalities_passes_only_the_counts_given(monkeypatch):
+    # run_all_checks holds the one copy of the sampling defaults
+    calls = []
+
+    def audit(**kwargs):
+        calls.append(kwargs)
+        return []
+
+    monkeypatch.setattr(cli, "run_all_checks", audit)
+    assert main(["check-inequalities"]) == 0
+    assert main(["check-inequalities", "--samples", "7", "--mc-trials", "9"]) == 0
+    assert calls == [{"seed": 0}, {"seed": 0, "schur_samples": 7, "mc_trials": 9}]
+
+
 def test_check_inequalities_rejects_vacuous_audits(capsys):
     # zero samples or seeds would report "ok cells=0" for a check never run
     small = ["check-inequalities", "--grid", "2..3", "1..3", "--mc-trials", "100"]

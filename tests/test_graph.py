@@ -1,6 +1,8 @@
 """Graph construction, the edge-list format, and the split helpers."""
 
 import random
+import warnings
+from itertools import combinations
 
 import networkx as nx
 import numpy as np
@@ -13,13 +15,22 @@ from pathfree import (
     InternalInvariantError,
     UsageError,
     block_partition,
+    parse_colouring,
     parse_edge_list,
     random_balanced_bipartition,
+    serialize_colouring,
     serialize_edge_list,
     substream,
     verify_colouring,
 )
-from pathfree.graph import absent_edges, components, read_header_fields, subtract
+from pathfree import graph
+from pathfree.graph import (
+    absent_edges,
+    components,
+    read_edge_rows,
+    read_header_fields,
+    subtract,
+)
 
 from conftest import complete_graph, induced_bipartite, random_graph
 
@@ -128,8 +139,139 @@ def test_serialize_parse_round_trip(rnd):
 
 
 def test_read_header_first_value_wins():
-    fields = read_header_fields("# n=4 r=2\n# n=7\n0 1\n", ("n", "r"))
+    fields = read_header_fields("# n=4 r=2\n# n=7\n0 1\n".splitlines(), ("n", "r"))
     assert fields == {"n": 4, "r": 2}
+
+
+# Tokens that int() and numpy's C integer reader may read differently, and
+# separators that split a line, split the text, or are not ASCII.
+_ODD_TOKENS = (
+    "1_0", "١", "５", "Ǿ", "+5", "-0", "007", "x", "1.0", "1.5", "1e3", "0x1",
+    "--1", "9223372036854775807", "9223372036854775808", "-9223372036854775809",
+    "99999999999999999999",
+)
+_SEPARATORS = (" ",) * 40 + ("  ", "\t", "\x1f", "\xa0", "\x0b", "\x0c", "\x1c")
+
+
+def _fuzz_case(rnd: random.Random) -> tuple[str, int | None, tuple[str, ...]]:
+    """A short edge-list or colouring text, clean or with a few faults, and
+    the vertex count and extra columns to read it with."""
+    extra = rnd.choice(((), ("colour",)))
+    n = rnd.randint(4, 9)
+    pairs = rnd.sample(list(combinations(range(n), 2)), rnd.randint(0, 6))
+    rows = [
+        [*map(str, rnd.sample(pair, 2)), *(str(rnd.randrange(4)) for _ in extra)]
+        for pair in pairs
+    ]
+    for _ in range(rnd.choice((0, 0, 0, 1, 1, 2, 3))):
+        fault, at = rnd.randrange(9), rnd.randint(0, len(rows))
+        data = [row for row in rows if isinstance(row, list)]
+        row = rnd.choice(data) if data else ["0", "1", *("0" for _ in extra)]
+        col = rnd.randrange(len(row)) if row else 0
+        token = row[col] if row else "1"
+        if fault == 0:  # a duplicate, maybe reversed
+            flip = rnd.random() < 0.5
+            rows.insert(at, [*row[1:2], *row[:1], *row[2:]] if flip else list(row))
+        elif fault == 1:
+            rows.insert(at, [*row[:1], *row[:1], *row[2:]])  # a loop
+        elif fault == 2:
+            row[col : col + 1] = ["-" + rnd.choice((token, "1"))]
+        elif fault == 3:
+            row[col : col + 1] = [str(n + rnd.randrange(3))]
+        elif fault == 4:  # one token fewer, one more, or both
+            del row[col : col + rnd.randint(0, 1)]
+            row.extend("3" for _ in range(rnd.randint(0, 1)))
+        elif fault == 5:
+            row[col : col + 1] = [rnd.choice(_ODD_TOKENS)]
+        elif fault == 6:
+            row.append(rnd.choice(("#", "# 5 6", "#x")))
+        else:  # a blank, comment or whitespace line
+            rows.insert(at, rnd.choice(("", "# note", "#n=3", "\t", "\x1f", "\xa0")))
+    lines = [
+        row if isinstance(row, str)
+        else "".join(t + rnd.choice(_SEPARATORS) for t in row).rstrip(" ")
+        for row in rows
+    ]
+    if rnd.random() < 0.3:
+        lines.insert(0, f"# n={n}")
+    end = rnd.choice(("", "\n", "\r\n"))
+    count = rnd.choice((n, n, n, None, None, n - 1, rnd.randrange(-1, 2)))
+    return rnd.choice(("\n", "\r\n")).join(lines) + end, count, extra
+
+
+def _read_outcome(read, lines, count, extra):
+    try:
+        n, rows, extras = read(lines, count, extra)
+    except Exception as err:
+        return type(err), str(err)
+    return n, rows.dtype, rows.tolist(), extras.dtype, extras.shape, extras.tolist()
+
+
+def test_row_reader_matches_its_line_loop_on_fuzzed_texts(monkeypatch):
+    # the C reader and its array checks must accept exactly what the line
+    # loop accepts, with the same rows, and leave every error to the loop
+    line_loop = graph._read_rows_by_line
+    replays = []
+
+    def counted(*args):
+        replays.append(args)
+        return line_loop(*args)
+
+    monkeypatch.setattr(graph, "_read_rows_by_line", counted)
+    rnd = random.Random(20)
+    named = [
+        ("", None, ()),
+        ("# n=4 r=2\n", 4, ("colour",)),
+        ("0 1\n1 0\n0 0\n", None, ()),  # a duplicate before a later loop
+        ("0 1 2\n2 1 0\n1 2 -3\n", 3, ("colour",)),
+        ("0 1\n1١2\n", None, ()),
+        ("1_0 2\n+5 -0\n", None, ()),
+        ("0 1 9223372036854775807\n", None, ("colour",)),
+        ("0 9223372036854775807\n", None, ()),
+        ("0\x0b1\n", None, ()),
+        ("0 1 # 2 2\n\n\t\n2 3\x1c", None, ()),
+    ]
+    cases = named + [_fuzz_case(rnd) for _ in range(6000)]
+    accepted = 0
+    for text, count, extra in cases:
+        lines = text.splitlines()
+        before = len(replays)
+        outcome = _read_outcome(read_edge_rows, lines, count, extra)
+        assert outcome == _read_outcome(line_loop, lines, count, extra), text
+        ok = not isinstance(outcome[0], type)
+        assert ok or outcome[0] is UsageError
+        accepted += ok and len(replays) == before
+    assert accepted > 1500  # the C reader served these without a replay
+    assert len(replays) > 1500
+
+
+def test_clean_text_is_read_without_the_line_loop(monkeypatch, rnd):
+    def replayed(*args):
+        raise AssertionError("a clean text was read again line by line")
+
+    monkeypatch.setattr(graph, "_read_rows_by_line", replayed)
+    texts = [
+        "",
+        "# n=4\n",
+        "# generated\n# n=9\n\n0 1   # trailing note\n\n7 3\n",
+        "+5 -0\r\n\t2 007\x0b3 4\x0c\x1c8\x1f9 #\n",
+    ]
+    texts += [serialize_edge_list(random_graph(rnd, n_max=12)) for _ in range(20)]
+    for text in texts:
+        parse_edge_list(text)
+    g = complete_graph(5)
+    colouring = EdgeColouring.of(g.edge_array, np.arange(g.edge_count))
+    assert parse_colouring(serialize_colouring(g, colouring, 10, 3))[1] == colouring
+
+
+def test_float_read_as_an_integer_takes_the_line_loop(monkeypatch):
+    def lenient(lines, **kwargs):  # how numpy 1.23 to 1.x read "0 1.5"
+        warnings.warn("loadtxt(): Parsing an integer via a float", DeprecationWarning)
+        return np.array([[0, 1]])
+
+    monkeypatch.setattr(np, "loadtxt", lenient)
+    with pytest.raises(UsageError, match="line 1"):
+        read_edge_rows(["0 1.5"], None)
 
 
 def test_subtract_and_induced_bipartite():

@@ -1,5 +1,5 @@
 """Source hygiene: every imported name and every dataclass field is read,
-only ``graph.py`` sorts or compares edge rows, every defaulted parameter
+only ``graph.py`` sorts, compares or parses edge rows, every defaulted parameter
 of the public API is listed, and every exported name has a reader outside
 the tests.
 
@@ -143,16 +143,24 @@ def test_extract_keeps_its_certificate_apart_from_the_verifier_walk():
     assert "components" not in imported_names(ast.parse(path.read_text(), str(path)))
 
 
+# numpy's text readers; read_edge_rows is the one row parser
+TEXT_READERS = ("loadtxt", "genfromtxt", "fromstring")
+
+
 def row_idioms(tree: ast.Module) -> list[int]:
-    """Lines that sort whole edge rows or build ``u * n + v`` row keys.
+    """Lines that sort whole edge rows, build ``u * n + v`` row keys, or read
+    rows from text with numpy.
 
     A sort is a ``lexsort`` of ``rows.T[::-1]`` or of ``(rows[:, 1], rows[:, 0])``.
     A key is ``a * n + b`` (or ``* vertex_count``) with ``a`` and ``b`` plain
     names or subscripts; such keys wrap in int64 once ``n`` passes 3.04e9.
+    A read is any call of a function named in ``TEXT_READERS``.
     """
     found = []
     for node in ast.walk(tree):
-        if isinstance(node, ast.Call) and ast.unparse(node.func).endswith("lexsort"):
+        if isinstance(node, ast.Call) and ast.unparse(node.func).endswith(TEXT_READERS):
+            found.append(node.lineno)
+        elif isinstance(node, ast.Call) and ast.unparse(node.func).endswith("lexsort"):
             arg = ast.unparse(node.args[0]) if node.args else ""
             if arg.endswith(".T[::-1]") or re.fullmatch(
                 r"\((\w+)\[:, 1\], \1\[:, 0\]\)", arg
@@ -182,19 +190,24 @@ def test_row_idiom_scan_flags_only_row_sorts_and_keys():
         "o = np.lexsort((-counts, x))\n"  # not a row sort
         "y = float(p) ** 2 * n + float(p)\n"  # not a row key
         "y = x * stride + part[x]\n"
+        "t = np.loadtxt(lines, dtype=np.int64)\n"
+        "t = numpy.genfromtxt(f)\n"
+        "t = np.fromstring(text, sep=' ')\n"
+        "t = np.frombuffer(flat, dtype=np.int64)\n"  # not a text reader
     )
-    assert row_idioms(tree) == [1, 2, 3, 4]
+    assert row_idioms(tree) == [1, 2, 3, 4, 8, 9, 10]
 
 
 def test_only_graph_sorts_and_compares_edge_rows():
     # graph.row_order and graph.repeats are the one row sort and the one
-    # row comparison; a second copy elsewhere could drift, or key rows in a
-    # way that wraps for large vertex ids
+    # row comparison, and graph.read_edge_rows the one row parser; a second
+    # copy elsewhere could drift, key rows in a way that wraps for large
+    # vertex ids, or word its errors differently
     found = {
         path.name: row_idioms(ast.parse(path.read_text(), str(path)))
         for path in sorted((ROOT / "src" / "pathfree").glob("*.py"))
     }
-    assert len(found.pop("graph.py")) == 1  # row_order's own lexsort
+    assert len(found.pop("graph.py")) == 2  # row_order's lexsort, the loadtxt
     assert {name: lines for name, lines in found.items() if lines} == {}
 
 
