@@ -76,6 +76,11 @@ def _grid(value: str) -> tuple[int, int]:
     return lo, hi
 
 
+def _given(flags: dict) -> dict:
+    """The flags set on the command line; an unset one keeps its library default."""
+    return {name: value for name, value in flags.items() if value is not None}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pathfree",
@@ -95,11 +100,9 @@ def _build_parser() -> argparse.ArgumentParser:
     col.add_argument("--input", default="-")
     col.add_argument("--r", type=int, required=True, help="colour budget")
     col.add_argument("--k", type=int, required=True, help="forbidden path length in vertices")
-    col.add_argument("--seed", type=int, default=0)
-    col.add_argument(
-        "--trials", type=int, default=PipelineParams.trials_per_extraction,
-        help="resamples per extraction",
-    )
+    # unset seed, trials and beta0 leave PipelineParams' own defaults in force
+    col.add_argument("--seed", type=int)
+    col.add_argument("--trials", type=int, help="resamples per extraction")
     col.add_argument("--beta0", type=float, default=None, help="override density scale seed")
     col.add_argument("--strict", action="store_true", help="enforce the analytic preconditions")
     col.add_argument("--exact-cap", type=int, default=DEFAULT_COMPONENT_CAP, dest="exact_cap")
@@ -112,7 +115,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ext.add_argument("--r", type=int, required=True)
     ext.add_argument("--k", type=int, required=True)
     ext.add_argument("--beta", type=float, required=True, help="density scale for this round")
-    ext.add_argument("--seed", type=int, default=0)
+    ext.add_argument("--seed", type=int, default=PipelineParams.seed)
     ext.add_argument("--trials", type=int, default=PipelineParams.trials_per_extraction)
     ext.add_argument("--output", default=None, help="write the extracted subgraph here")
     ext.add_argument("--format", choices=["json", "text"], default="json")
@@ -128,17 +131,18 @@ def _build_parser() -> argparse.ArgumentParser:
     bins.add_argument("--q", type=int, help="number of bins")
     bins.add_argument("--n", type=int, help="number of balls")
     bins.add_argument("--grid", type=_grid, nargs=2, metavar=("QLO..QHI", "NLO..NHI"))
-    bins.add_argument("--trials", type=int, default=0, help="Monte Carlo trials (0 = skip)")
-    bins.add_argument("--seed", type=int, default=0)
+    # unset trials and seed leave compute_bins_stats' own defaults in force
+    bins.add_argument("--trials", type=int, help="Monte Carlo trials (0 = skip)")
+    bins.add_argument("--seed", type=int)
     bins.add_argument("--format", choices=["json", "text"], default="json")
 
     chk = sub.add_parser("check-inequalities", help="run the inequality suite")
     chk.add_argument("--grid", type=_grid, nargs=2, metavar=("QLO..QHI", "NLO..NHI"))
-    # unset sampling flags leave run_all_checks' own defaults in force
+    # unset sampling flags and seed leave run_all_checks' own defaults in force
     chk.add_argument("--samples", type=int, help="Schur transform samples")
     chk.add_argument("--mc-seeds", type=int, dest="mc_seeds")
     chk.add_argument("--mc-trials", type=int, dest="mc_trials")
-    chk.add_argument("--seed", type=int, default=0)
+    chk.add_argument("--seed", type=int)
     chk.add_argument("--format", choices=["json", "text"], default="text")
 
     return parser
@@ -156,14 +160,8 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 def _cmd_colour(args: argparse.Namespace) -> int:
     g = _read_graph(args.input)
-    params = PipelineParams(
-        r=args.r,
-        k=args.k,
-        seed=args.seed,
-        trials_per_extraction=args.trials,
-        strict=args.strict,
-        **({"beta0": args.beta0} if args.beta0 is not None else {}),
-    )
+    given = {"seed": args.seed, "trials_per_extraction": args.trials, "beta0": args.beta0}
+    params = PipelineParams(r=args.r, k=args.k, strict=args.strict, **_given(given))
     result = colour_graph(g, params)
     audit = audit_round_budgets(result)
     if audit:
@@ -228,10 +226,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_bins(args: argparse.Namespace) -> int:
+    sampling = _given({"trials": args.trials, "seed": args.seed})
     if args.grid is not None:
         _refuse_over_cap(*args.grid)
         records = [
-            compute_bins_stats(q, n, trials=args.trials, seed=args.seed).to_record()
+            compute_bins_stats(q, n, **sampling).to_record()
             for q, n in _exact_grid(*args.grid)
         ]
         if args.format == "json":
@@ -246,21 +245,21 @@ def _cmd_bins(args: argparse.Namespace) -> int:
         return 0
     if args.q is None or args.n is None:
         raise UsageError("pass --q and --n, or --grid")
-    stats = compute_bins_stats(args.q, args.n, trials=args.trials, seed=args.seed)
+    stats = compute_bins_stats(args.q, args.n, **sampling)
     _emit(stats.to_record(), args.format)
     return 0
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    given = {
+    kwargs = _given({
         "schur_samples": args.samples,
         "mc_seeds": args.mc_seeds,
         "mc_trials": args.mc_trials,
-    }
-    kwargs = {name: value for name, value in given.items() if value is not None}
+        "seed": args.seed,
+    })
     if args.grid is not None:
         kwargs["q_range"], kwargs["n_range"] = args.grid
-    results = run_all_checks(seed=args.seed, **kwargs)
+    results = run_all_checks(**kwargs)
     if args.format == "json":
         print(json.dumps([r.to_record() for r in results], indent=2))
     else:

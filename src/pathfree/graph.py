@@ -5,10 +5,11 @@ canonical ``u < v`` rows.  A derived graph, such as a stage's residual, is
 ``g.keep(row_mask)`` over its parent's rows, so it needs no sort.  The
 frozenset ``edges`` is built only when read; the colouring run path never does.
 
-The module also owns how edge rows are sorted (:func:`row_order`) and
-compared (:func:`repeats`), exactly for every int64 id; the one row
-reader of the text formats (:func:`read_edge_rows`); and the one rule that
-turns a result dataclass into its JSON record (:func:`plain_record`).
+The module also owns how edge rows are sorted (:func:`row_order`),
+compared (:func:`repeats`) and numbered (:func:`row_ids`), exactly for
+every int64 id; the one row reader of the text formats
+(:func:`read_edge_rows`); and the one rule that turns a result dataclass
+into its JSON record (:func:`plain_record`).
 
 A parse splits its text into lines once; the header and the rows are read
 from that one list.  The row reader takes the data rows through numpy's C
@@ -140,7 +141,8 @@ class Graph:
 def row_order(rows: np.ndarray) -> np.ndarray:
     """The stable order that sorts ``(m, 2)`` rows by first, then second entry.
 
-    This is the one row sort: graphs, colourings and :func:`repeats` use it.
+    This is the one row sort: graphs, colourings, :func:`repeats` and
+    :func:`row_ids` use it.
     """
     return np.lexsort((rows[:, 1], rows[:, 0]))
 
@@ -167,6 +169,18 @@ def repeats(rows: np.ndarray) -> np.ndarray:
     again = np.empty(len(rows), dtype=bool)
     again[order] = same
     return again
+
+
+def row_ids(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Dense ids for the ``(s, 2)`` rows, numbered in :func:`row_order`.
+
+    Returns each row's id and the distinct rows in that order, so equal rows
+    share an id and ``distinct[ids]`` gives back ``rows``.
+    """
+    order, ranked, same = _ranked(rows)
+    ids = np.empty(len(rows), dtype=np.int64)
+    ids[order] = np.cumsum(~same) - 1
+    return ids, ranked[~same]
 
 
 def absent_edges(g: Graph, rows: np.ndarray) -> list[Edge]:

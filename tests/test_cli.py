@@ -366,6 +366,23 @@ def test_bins_single_cell(capsys):
     assert abs(record["mc_mean"] - 2.25) < 5 * record["mc_stderr"] + 1e-9
 
 
+def test_unset_seeds_and_trials_keep_the_library_defaults(desk_graph_file, capsys):
+    # the library holds the one copy of each default, so naming it changes nothing
+    runs = [
+        (["colour", "--input", desk_graph_file, "--r", "48", "--k", "8", "--beta0", "0.5"],
+         ["--seed", str(PipelineParams.seed),
+          "--trials", str(PipelineParams.trials_per_extraction)]),
+        (["extract", "--input", desk_graph_file, "--r", "48", "--k", "8", "--beta", "0.5"],
+         ["--seed", str(PipelineParams.seed)]),
+        (["bins", "--q", "3", "--n", "4"], ["--trials", "0", "--seed", "0"]),
+    ]
+    for argv, defaults in runs:
+        code = main(argv)
+        unset = capsys.readouterr().out
+        assert main(argv + defaults) == code
+        assert capsys.readouterr().out == unset
+
+
 def test_bins_grid_and_text(capsys):
     assert main(["bins", "--grid", "2..3", "1..4"]) == 0
     records = json.loads(capsys.readouterr().out)
@@ -457,7 +474,8 @@ def test_check_inequalities_passes_only_the_counts_given(monkeypatch):
     monkeypatch.setattr(cli, "run_all_checks", audit)
     assert main(["check-inequalities"]) == 0
     assert main(["check-inequalities", "--samples", "7", "--mc-trials", "9"]) == 0
-    assert calls == [{"seed": 0}, {"seed": 0, "schur_samples": 7, "mc_trials": 9}]
+    assert main(["check-inequalities", "--seed", "4"]) == 0
+    assert calls == [{}, {"schur_samples": 7, "mc_trials": 9}, {"seed": 4}]
 
 
 def test_check_inequalities_rejects_vacuous_audits(capsys):

@@ -388,3 +388,17 @@ def test_random_balanced_bipartition_failure_is_internal():
     for pool in ([0, 4], [-1, 2], [2, 1], [1, 1]):
         with pytest.raises(ContractViolation, match="in order"):
             random_balanced_bipartition(g, np.array(pool), substream(0, "bad"))
+
+
+def test_row_ids_number_distinct_rows_in_row_order(rnd):
+    big = 2**62  # ids that a u * n + v key would wrap
+    for trial in range(50):
+        rows = np.array(
+            [[rnd.choice([0, 3, big]), rnd.randint(0, 4)] for _ in range(rnd.randint(0, 30))],
+            dtype=np.int64,
+        ).reshape(-1, 2)
+        ids, distinct = graph.row_ids(rows)
+        expected = sorted(set(map(tuple, rows.tolist())))
+        assert list(map(tuple, distinct.tolist())) == expected
+        assert ids.tolist() == [expected.index(tuple(r)) for r in rows.tolist()]
+        assert np.array_equal(distinct[ids], rows)

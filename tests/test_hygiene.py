@@ -136,11 +136,40 @@ def imported_names(tree: ast.Module) -> set[str]:
     }
 
 
+def imported_modules(tree: ast.Module) -> set[str]:
+    """Every module a module imports from or imports, by its last dotted part;
+    ``from . import m`` counts as importing ``m``."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module:
+            found.add(node.module.rpartition(".")[2])
+        elif isinstance(node, ast.ImportFrom):
+            found |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.Import):
+            found |= {alias.name.rpartition(".")[2] for alias in node.names}
+    return found
+
+
+def test_imported_module_scan_counts_every_import_form():
+    tree = ast.parse(
+        "from .extract import x\nfrom . import colouring as c\n"
+        "import pathfree.bins\nimport numpy as np\n"
+    )
+    assert imported_modules(tree) == {"extract", "colouring", "bins", "numpy"}
+
+
 def test_extract_keeps_its_certificate_apart_from_the_verifier_walk():
     # the verifier re-checks what extraction certifies, so the two must not
-    # share the component walker
-    path = ROOT / "src" / "pathfree" / "extract.py"
-    assert "components" not in imported_names(ast.parse(path.read_text(), str(path)))
+    # share the component walker, and the verifier's label pass must not
+    # share the extractor's propagation
+    package = ROOT / "src" / "pathfree"
+    extract = ast.parse((package / "extract.py").read_text())
+    assert "components" not in imported_names(extract)
+    verify = ast.parse((package / "verify.py").read_text())
+    assert "extract" not in imported_modules(verify)
+    assert not imported_names(verify) & {
+        node.name for node in extract.body if isinstance(node, ast.FunctionDef)
+    }
 
 
 # numpy's text readers; read_edge_rows is the one row parser

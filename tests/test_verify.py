@@ -1,5 +1,9 @@
 """The independent verifier: path search, certificates, verdict logic."""
 
+import hashlib
+import json
+import random
+
 import networkx as nx
 import pytest
 
@@ -11,8 +15,12 @@ from pathfree import (
     UsageError,
     greedy_vertex_cover,
     monochromatic_components,
+    proper_edge_colouring,
+    uniform_edges,
+    verify,
     verify_colouring,
 )
+from pathfree.graph import components
 from pathfree.verify import _reconstruct
 
 from conftest import (
@@ -91,15 +99,137 @@ def test_reconstruction_off_the_trail_is_an_internal_error():
 def test_monochromatic_components_by_colour():
     g = Graph.build(6, [(0, 1), (1, 2), (3, 4), (0, 2)])
     col = EdgeColouring.of([(0, 1), (1, 2), (3, 4), (0, 2)], [0, 0, 0, 1])
-    comps = monochromatic_components(g, col)
+    comps = monochromatic_components(g, col, 3)
     assert {c.vertices for c in comps[0]} == {(0, 1, 2), (3, 4)}
     assert [c.vertices for c in comps[1]] == [(0, 2)]
-    assert {c.edge_count for c in comps[0]} == {2, 1}
+    assert {len(c.edges) for c in comps[0]} == {2, 1}
     for colour, edges in col.colour_classes().items():
         own = [e for c in comps[colour] for e in c.edges]
         assert sorted(own) == edges
     with pytest.raises(ContractViolation):
-        monochromatic_components(path_graph(3), EdgeColouring.of([(4, 5)], [0]))
+        monochromatic_components(path_graph(3), EdgeColouring.of([(4, 5)], [0]), 3)
+
+
+def random_colouring(rnd: random.Random) -> tuple[Graph, EdgeColouring]:
+    """A sparse random graph, most of its edges given one of a few colours."""
+    g = random_graph(rnd, n_max=30, density=rnd.choice([0.05, 0.1, 0.2]))
+    kept = [e for e in sorted(g.edges) if rnd.random() < 0.9]
+    return g, EdgeColouring.of(kept, [rnd.randint(0, 4) for _ in kept])
+
+
+def assert_labels_match_walk(g: Graph, col: EdgeColouring, k: int) -> None:
+    """Each class's labels, count and orders against the ``components`` walk."""
+    classes = monochromatic_components(g, col, k)
+    walked = {c: list(components(edges)) for c, edges in col.colour_classes().items()}
+    assert list(classes) == list(walked)
+    for colour, view in classes.items():
+        walk = walked[colour]
+        assert len(view) == len(walk)
+        assert [c.vertices for c in view] == [vs for vs, _ in walk]
+        assert [c.edges for c in view] == [es for _, es in walk]
+        orders = view.orders
+        if orders is None:  # a component on k or more vertices, or one too long
+        # for the label rounds, is the only kind left unsettled
+            assert max(len(vs) for vs, _ in walk) >= min(k, verify._LABEL_ROUNDS + 2)
+            continue
+        assert orders.tolist() == [len(vs) for vs, _ in walk]
+        by_label = {}
+        for v, label in zip(view.vertices.tolist(), view.labels.tolist()):
+            by_label.setdefault(label, []).append(v)
+        assert list(map(tuple, by_label.values())) == [vs for vs, _ in walk]
+        assert [view.members(i) for i in range(len(walk))] == [vs for vs, _ in walk]
+
+
+def test_array_labels_agree_with_the_walk(rnd):
+    for trial in range(200):
+        g, col = random_colouring(rnd)
+        assert_labels_match_walk(g, col, rnd.randint(2, 9))
+
+
+def test_paths_on_k_minus_one_vertices_are_decided_and_on_k_searched():
+    for k in range(3, 12):
+        short, long = path_graph(k - 1), path_graph(k)
+        view = monochromatic_components(short, monochrome(short), k)[0]
+        assert view.orders.tolist() == [k - 1]
+        report = verify_colouring(short, monochrome(short), r=1, k=k)
+        assert report.verdict == "pass"
+        assert report.per_colour_stats == ((0, 1, k - 1, None),)
+        assert report.worst_component == (0, tuple(range(k - 1)))
+        assert monochromatic_components(long, monochrome(long), k)[0].labels is None
+        report = verify_colouring(long, monochrome(long), r=1, k=k)
+        assert report.verdict == "fail" and len(report.witness_path) == k
+        assert report.per_colour_stats == ((0, 1, k, k),)
+        for g in (short, long):
+            assert_labels_match_walk(g, monochrome(g), k)
+
+
+def test_a_class_past_the_label_rounds_is_walked():
+    # a P_40 settles in 38 rounds, more than the pass runs, so at k = 60 it
+    # is walked; the report is the one that walking every class gave
+    g = path_graph(40)
+    assert 38 > verify._LABEL_ROUNDS
+    assert monochromatic_components(g, monochrome(g), 60)[0].labels is None
+    report = verify_colouring(g, monochrome(g), r=1, k=60)
+    assert report.verdict == "pass"
+    assert report.per_colour_stats == ((0, 1, 40, None),)
+    assert report.worst_component == (0, tuple(range(40)))
+    assert_labels_match_walk(g, monochrome(g), 60)
+
+
+def report_digest() -> str:
+    """SHA-256 of the reports of seeded random colourings, k and caps varied."""
+    rnd = random.Random(21)
+    records = []
+    for trial in range(300):
+        g, col = random_colouring(rnd)
+        k, cap = rnd.randint(2, 9), rnd.choice([6, 24])
+        records.append(verify_colouring(g, col, r=3, k=k, cap=cap).to_record())
+    return hashlib.sha256(json.dumps(records, sort_keys=True).encode()).hexdigest()
+
+
+def test_reports_match_the_walk_only_verifier():
+    # pinned from the verifier that walked every class: the label pass must
+    # leave every report field as it was
+    assert report_digest() == (
+        "f65ef4e204f8ee8fb2a772c8c83961f52d5896934c0dd7e53be2193810876789"
+    )
+
+
+def test_fail_verdict_keeps_the_per_colour_break():
+    # colour 0 holds a P_5, then by least vertex a larger P_8 that the walk
+    # never reaches; colour 1 is a P_4, decided by its labels
+    p5 = [(i, i + 1) for i in range(4)]
+    p8 = [(i, i + 1) for i in range(10, 17)]
+    p4 = [(i, i + 1) for i in range(20, 23)]
+    g = Graph.build(24, p5 + p8 + p4)
+    col = EdgeColouring.of(p5 + p8 + p4, [0] * 11 + [1] * 3)
+    report = verify_colouring(g, col, r=2, k=5)
+    assert report.verdict == "fail" and report.witness_colour == 0
+    assert report.per_colour_stats == ((0, 2, 5, 5), (1, 1, 4, None))
+    assert report.worst_component == (0, (0, 1, 2, 3, 4))
+    assert report.class_sizes == {0: 11, 1: 3}
+
+
+def test_matching_classes_build_no_component_objects(monkeypatch):
+    built = []
+
+    class Counted(verify.MonochromaticComponent):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(verify, "MonochromaticComponent", Counted)
+    g = uniform_edges(300, 2000, 5)
+    col = proper_edge_colouring(g)
+    report = verify_colouring(g, col, r=g.max_degree + 1, k=3)
+    assert report.verdict == "pass" and built == []
+    assert report.worst_component[1] == tuple(sorted(report.worst_component[1]))
+    # a class that needs a search is walked, one object per component
+    path = path_graph(6)
+    verify_colouring(path, monochrome(path), r=1, k=4)
+    assert len(built) == 1
 
 
 def min_scan_cover(vertices, edges) -> tuple[int, ...]:
