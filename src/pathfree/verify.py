@@ -7,19 +7,17 @@ any colour class containing a simple path with k vertices.
 The verifier never trusts how a colouring was produced.  One array pass
 labels the monochromatic components of every colour class at once.  Each
 edge end becomes a ``(colour, vertex)`` node with a dense id
-(``graph.row_ids``), and bounded min-label propagation runs over all nodes
-for at most ``k - 2`` rounds (and at most ``_LABEL_ROUNDS``).  A component
-on fewer than ``k`` vertices has diameter at most ``k - 2``, so by then
-every one of its nodes carries its least id.  A class whose labels all
-settled and whose components all have fewer than ``k`` vertices holds no
-path on ``k``: it is decided by the labels, and its component count,
-largest order and largest component come from bincounts over them.
+(``graph.row_ids``), and hooking with pointer jumping runs over all nodes
+until the two ends of every edge carry the same label, the least id of
+their component.  A component on fewer than ``k`` vertices holds no path on
+``k``, so each class's component count, largest order and largest component
+come from bincounts over its labels.
 
-Every other class is walked component by component, in order of least
-vertex, and each component with at least ``k`` vertices gets an exact
-longest-path computation (bitmask dynamic programming over connected vertex
-sets, early exit once ``k`` is reachable).  The walk of a class stops at its
-first witness.
+Only components with at least ``k`` vertices are searched, in order of
+least vertex.  Each walks its own edge rows and gets an exact longest-path
+computation (bitmask dynamic programming over connected vertex sets, early
+exit once ``k`` is reachable).  The search of a class stops at its first
+witness.
 
 Components larger than the configured cap cannot be searched exactly.  Before
 giving up, the verifier tries a vertex-cover certificate: every edge of a
@@ -33,6 +31,7 @@ cap and cover-uncertifiable make the verdict ``indeterminate``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -58,11 +57,6 @@ __all__ = [
 ]
 
 DEFAULT_COMPONENT_CAP = 24
-# A label round costs 10-25 ns per edge and the component walk about 600 ns
-# (400 000 edges, 2 cores), so even when one long class keeps every edge in
-# play, these rounds cost less than one walk of all edges; a class whose
-# labels still move after them is walked.
-_LABEL_ROUNDS = 16
 
 
 @dataclass(frozen=True, slots=True)
@@ -76,38 +70,47 @@ class ColourClass:
     """The monochromatic components of one colour class, in order of least vertex.
 
     ``rows`` are the class's edges and ``vertices`` the vertices they touch,
-    both ascending.  When the label pass settled every label of the class,
-    ``labels`` gives each vertex the position in ``vertices`` of its
-    component's least vertex, and ``orders`` each component's vertex count;
-    otherwise both are None.  ``len`` counts the components, from the labels
-    when they settled and by a walk otherwise.  Iterating walks ``rows``, one
-    :class:`MonochromaticComponent` per component.
+    both ascending.  ``labels`` gives each vertex the position in
+    ``vertices`` of its component's least vertex, and ``orders`` each
+    component's vertex count, so ``len`` counts the components.
+    :meth:`component` walks one component's own rows; iterating walks all of
+    ``rows``, one :class:`MonochromaticComponent` per component.
     """
 
     rows: np.ndarray
     vertices: np.ndarray
-    labels: np.ndarray | None
-    orders: np.ndarray | None
+    labels: np.ndarray
+    orders: np.ndarray
 
     def members(self, index: int) -> tuple[int, ...]:
-        """The vertices of component ``index``, from settled labels."""
+        """The vertices of component ``index``, from the labels."""
         roots = np.flatnonzero(self.labels == np.arange(len(self.labels)))
         return tuple(self.vertices[self.labels == roots[index]].tolist())
 
-    def _walk(self) -> Iterator[tuple[tuple[int, ...], tuple[Edge, ...]]]:
-        return components(map(tuple, self.rows.tolist()))
+    @cached_property
+    def _by_component(self) -> tuple[np.ndarray, list[int]]:
+        """``rows`` stably sorted by component, and the bounds of each
+        component's run of them."""
+        of_row = self.labels[np.searchsorted(self.vertices, self.rows[:, 0])]
+        order = np.argsort(of_row, kind="stable")  # rows stay ascending within
+        starts = _run_starts(of_row[order])
+        return self.rows[order], np.append(starts, len(order)).tolist()
 
-    def walk(self) -> list[MonochromaticComponent]:
-        """Every component, from one walk of ``rows``."""
-        return [MonochromaticComponent(vs, es) for vs, es in self._walk()]
+    def component(self, index: int) -> MonochromaticComponent:
+        """Component ``index``, from a walk of its own rows alone: they stay
+        ascending, so the walk meets the vertices and edges in the order
+        that a walk of all of ``rows`` does."""
+        rows, bounds = self._by_component
+        own = rows[bounds[index] : bounds[index + 1]].tolist()
+        ((vertices, edges),) = components(map(tuple, own))
+        return MonochromaticComponent(vertices, edges)
 
     def __len__(self) -> int:
-        if self.orders is None:
-            return sum(1 for _ in self._walk())
         return len(self.orders)
 
     def __iter__(self) -> Iterator[MonochromaticComponent]:
-        return iter(self.walk())
+        for vertices, edges in components(map(tuple, self.rows.tolist())):
+            yield MonochromaticComponent(vertices, edges)
 
 
 def _run_starts(values: np.ndarray) -> np.ndarray:
@@ -123,37 +126,36 @@ def _spans(starts: np.ndarray, end: int) -> list[tuple[int, int]]:
     return list(zip(bounds, bounds[1:]))
 
 
-def _least_labels(ends: np.ndarray, node_count: int, k: int) -> np.ndarray:
-    """Min-label propagation over ``node_count`` nodes for at most ``k - 2``
-    rounds, and at most ``_LABEL_ROUNDS``.
+def _least_labels(ends: np.ndarray, node_count: int) -> np.ndarray:
+    """Each node's component's least id, by hooking with pointer jumping
+    (Shiloach and Vishkin, 1982).
 
     ``ends`` holds every edge's first node, then every edge's second node.
-    Each round lowers both ends of every edge to the lesser of their labels,
-    so after ``t`` rounds a node's label is at most the least id within
-    ``t`` steps, and never below its component's least id.  Rounds stop once
-    every edge's two labels agree.
+    Each node points at a node of its component with no greater id, and
+    jumping leaves it pointing at a root, which points at itself.  A round
+    hooks each root onto the least root across its edges, so every round
+    joins trees, until every edge's two labels agree.
     """
     m = len(ends) // 2
     first, second = ends[:m], ends[m:]
     labels = np.arange(node_count)
-    for _ in range(min(k - 2, _LABEL_ROUNDS)):
+    while True:
         at_first, at_second = labels[first], labels[second]
         if np.array_equal(at_first, at_second):
-            break
-        low = np.minimum(at_first, at_second)
-        np.minimum.at(labels, ends, np.concatenate((low, low)))
-    return labels
+            return labels
+        low, high = np.minimum(at_first, at_second), np.maximum(at_first, at_second)
+        np.minimum.at(labels, high, low)
+        jumped = labels[labels]
+        while not np.array_equal(jumped, labels):  # until each points at a root
+            labels, jumped = jumped, jumped[jumped]
 
 
 def monochromatic_components(
-    g: Graph, colouring: EdgeColouring, k: int
+    g: Graph, colouring: EdgeColouring
 ) -> dict[int, ColourClass]:
     """Connected components of each colour class, keyed by colour in ascending order.
 
-    The labels come from one pass over all classes, bounded by ``k``: a
-    class whose components all have fewer than ``k`` vertices and diameter
-    at most ``_LABEL_ROUNDS`` always settles, and a class that does not
-    settle is walked when counted.
+    The labels of every class come from one pass over all of them.
     """
     rows = colouring.edge_array
     # rows before edges: a row listed twice repeats an earlier row and a listed
@@ -173,28 +175,22 @@ def monochromatic_components(
     m = len(rows)
     # one node per (colour, vertex) end: the first ends, then the second ends
     ends, nodes = row_ids(np.column_stack((np.tile(colours, 2), rows.T.ravel())))
-    labels = _least_labels(ends, len(nodes), k)
+    labels = _least_labels(ends, len(nodes))
     edge_starts, node_starts = _run_starts(colours), _run_starts(nodes[:, 0])
-    moving = labels[ends[:m]] != labels[ends[m:]]  # edges whose labels disagree
-    settled_classes = ~np.logical_or.reduceat(moving, edge_starts)
     # each node's label as a position within its class, and each component's
     # order at its least node, in node order
     local = labels - np.repeat(node_starts, np.diff(np.append(node_starts, len(nodes))))
     roots = np.flatnonzero(labels == np.arange(len(nodes)))
     orders = np.bincount(labels, minlength=len(nodes))[roots]
     classes = {}
-    for colour, settled, (e0, e1), (n0, n1), (c0, c1) in zip(
+    for colour, (e0, e1), (n0, n1), (c0, c1) in zip(
         colours[edge_starts].tolist(),
-        settled_classes.tolist(),
         _spans(edge_starts, m),
         _spans(node_starts, len(nodes)),
         _spans(np.searchsorted(roots, node_starts), len(roots)),
     ):
         classes[colour] = ColourClass(
-            rows[e0:e1],
-            nodes[n0:n1, 1],
-            local[n0:n1] if settled else None,
-            orders[c0:c1] if settled else None,
+            rows[e0:e1], nodes[n0:n1, 1], local[n0:n1], orders[c0:c1]
         )
     return classes
 
@@ -350,7 +346,9 @@ def verify_colouring(
         raise UsageError("a path needs at least 2 vertices, so k >= 2")
     if r < 0:
         raise UsageError("colour budget must be non-negative")
-    comps = monochromatic_components(g, colouring, k)
+    if cap < 0:
+        raise UsageError("component cap must be non-negative")
+    comps = monochromatic_components(g, colouring)
 
     failures: list[tuple[int, tuple[int, ...]]] = []
     indeterminate: list[tuple[int, int]] = []
@@ -362,22 +360,13 @@ def verify_colouring(
 
     for colour, view in comps.items():
         orders = view.orders
-        if orders is not None and orders.max() < k:  # decided by the labels
-            top = int(orders.argmax())  # the first component of largest order
-            if worst is None or orders[top] > len(worst[1]):
-                worst = (colour, view.members(top))
-            stats.append((colour, len(orders), int(orders[top]), None))
-            continue
-        class_comps = view.walk()
-        max_order = 0
+        top = int(orders.argmax())  # the first component of largest order
         max_found: int | None = None
-        for comp in class_comps:
+        # only a component on k or more vertices can hold a path on k
+        searched = np.flatnonzero(orders >= k).tolist() if orders[top] >= k else []
+        for index in searched:
+            comp = view.component(index)
             order = len(comp.vertices)
-            max_order = max(max_order, order)
-            if worst is None or order > len(worst[1]):
-                worst = (colour, comp.vertices)
-            if order < k:
-                continue
             if order > cap:
                 size = len(greedy_vertex_cover(comp.vertices, comp.edges))
                 if 2 * size + 1 < k:
@@ -390,8 +379,13 @@ def verify_colouring(
             max_found = length if max_found is None else max(max_found, length)
             if path is not None:
                 failures.append((colour, tuple(comp.vertices[i] for i in path)))
-                break  # one witness per colour is plenty
-        stats.append((colour, len(class_comps), max_order, max_found))
+                # one witness per colour is plenty; the class's largest order
+                # and worst component count the components up to it only
+                top = int(orders[: index + 1].argmax())
+                break
+        if worst is None or orders[top] > len(worst[1]):
+            worst = (colour, view.members(top))
+        stats.append((colour, len(orders), int(orders[top]), max_found))
 
     if failures:
         verdict = "fail"

@@ -340,6 +340,21 @@ def test_verify_needs_budget_and_bound(tmp_path, capsys):
     assert main(["verify", "--input", str(bare), "--r", "4", "--k", "3"]) == 0
 
 
+def test_a_negative_exact_cap_is_refused(desk_graph_file, tmp_path, capsys):
+    out = tmp_path / "colouring.txt"
+    colour = ["colour", "--input", desk_graph_file, "--r", "48", "--k", "8", "--beta0", "0.5"]
+    assert main(colour + ["--exact-cap", "-3", "--output", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "cap must be non-negative" in captured.err
+    assert not out.exists()
+    assert main(colour + ["--exact-cap", "0", "--output", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["verify", "--input", str(out), "--exact-cap", "-3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "cap must be non-negative" in captured.err
+    assert main(["verify", "--input", str(out), "--exact-cap", "0"]) == 0
+
+
 def test_verify_refuses_a_colour_past_int64(tmp_path, capsys):
     # colours are int64 array entries, so a larger one is a usage error
     too_big = tmp_path / "too_big.txt"

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+import time
 
 import networkx as nx
 import pytest
@@ -99,7 +100,7 @@ def test_reconstruction_off_the_trail_is_an_internal_error():
 def test_monochromatic_components_by_colour():
     g = Graph.build(6, [(0, 1), (1, 2), (3, 4), (0, 2)])
     col = EdgeColouring.of([(0, 1), (1, 2), (3, 4), (0, 2)], [0, 0, 0, 1])
-    comps = monochromatic_components(g, col, 3)
+    comps = monochromatic_components(g, col)
     assert {c.vertices for c in comps[0]} == {(0, 1, 2), (3, 4)}
     assert [c.vertices for c in comps[1]] == [(0, 2)]
     assert {len(c.edges) for c in comps[0]} == {2, 1}
@@ -107,7 +108,7 @@ def test_monochromatic_components_by_colour():
         own = [e for c in comps[colour] for e in c.edges]
         assert sorted(own) == edges
     with pytest.raises(ContractViolation):
-        monochromatic_components(path_graph(3), EdgeColouring.of([(4, 5)], [0]), 3)
+        monochromatic_components(path_graph(3), EdgeColouring.of([(4, 5)], [0]))
 
 
 def random_colouring(rnd: random.Random) -> tuple[Graph, EdgeColouring]:
@@ -117,9 +118,10 @@ def random_colouring(rnd: random.Random) -> tuple[Graph, EdgeColouring]:
     return g, EdgeColouring.of(kept, [rnd.randint(0, 4) for _ in kept])
 
 
-def assert_labels_match_walk(g: Graph, col: EdgeColouring, k: int) -> None:
-    """Each class's labels, count and orders against the ``components`` walk."""
-    classes = monochromatic_components(g, col, k)
+def assert_labels_match_walk(g: Graph, col: EdgeColouring) -> None:
+    """Each class's labels, count, orders and components against the
+    ``components`` walk."""
+    classes = monochromatic_components(g, col)
     walked = {c: list(components(edges)) for c, edges in col.colour_classes().items()}
     assert list(classes) == list(walked)
     for colour, view in classes.items():
@@ -127,53 +129,74 @@ def assert_labels_match_walk(g: Graph, col: EdgeColouring, k: int) -> None:
         assert len(view) == len(walk)
         assert [c.vertices for c in view] == [vs for vs, _ in walk]
         assert [c.edges for c in view] == [es for _, es in walk]
-        orders = view.orders
-        if orders is None:  # a component on k or more vertices, or one too long
-        # for the label rounds, is the only kind left unsettled
-            assert max(len(vs) for vs, _ in walk) >= min(k, verify._LABEL_ROUNDS + 2)
-            continue
-        assert orders.tolist() == [len(vs) for vs, _ in walk]
+        assert view.orders.tolist() == [len(vs) for vs, _ in walk]
         by_label = {}
         for v, label in zip(view.vertices.tolist(), view.labels.tolist()):
             by_label.setdefault(label, []).append(v)
         assert list(map(tuple, by_label.values())) == [vs for vs, _ in walk]
         assert [view.members(i) for i in range(len(walk))] == [vs for vs, _ in walk]
+        own = [view.component(i) for i in range(len(walk))]
+        assert [(c.vertices, c.edges) for c in own] == walk
+
+
+def shuffled(g: Graph, rnd: random.Random) -> Graph:
+    """``g`` with its vertex ids permuted at random."""
+    ids = list(range(g.vertex_count))
+    rnd.shuffle(ids)
+    return Graph.build(g.vertex_count, [(ids[u], ids[v]) for u, v in g.edges])
+
+
+def long_shapes(n: int) -> list[Graph]:
+    """A path, a star of paths and a comb, each on about ``n`` vertices."""
+    arm = 12
+    star = [(0 if i % arm == 1 else i - 1, i) for i in range(1, n)]
+    spine = n // 2
+    comb = [(i, i + 1) for i in range(spine - 1)] + [(i, spine + i) for i in range(spine)]
+    return [path_graph(n), Graph.build(n, star), Graph.build(2 * spine, comb)]
 
 
 def test_array_labels_agree_with_the_walk(rnd):
     for trial in range(200):
         g, col = random_colouring(rnd)
-        assert_labels_match_walk(g, col, rnd.randint(2, 9))
+        assert_labels_match_walk(g, col)
+    # long shapes whose shuffled ids leave hooking many trees to join
+    for n in (2, 3, 50, 301):
+        for g in long_shapes(n):
+            for h in (g, shuffled(g, rnd), shuffled(g, rnd)):
+                assert_labels_match_walk(h, monochrome(h))
+                halves = [rnd.randint(0, 1) for _ in range(h.edge_count)]
+                assert_labels_match_walk(h, EdgeColouring.of(sorted(h.edges), halves))
 
 
 def test_paths_on_k_minus_one_vertices_are_decided_and_on_k_searched():
     for k in range(3, 12):
         short, long = path_graph(k - 1), path_graph(k)
-        view = monochromatic_components(short, monochrome(short), k)[0]
-        assert view.orders.tolist() == [k - 1]
+        for g in (short, long):
+            view = monochromatic_components(g, monochrome(g))[0]
+            assert view.orders.tolist() == [g.vertex_count]
+            assert view.labels.tolist() == [0] * g.vertex_count
+            assert_labels_match_walk(g, monochrome(g))
         report = verify_colouring(short, monochrome(short), r=1, k=k)
         assert report.verdict == "pass"
         assert report.per_colour_stats == ((0, 1, k - 1, None),)
         assert report.worst_component == (0, tuple(range(k - 1)))
-        assert monochromatic_components(long, monochrome(long), k)[0].labels is None
         report = verify_colouring(long, monochrome(long), r=1, k=k)
         assert report.verdict == "fail" and len(report.witness_path) == k
         assert report.per_colour_stats == ((0, 1, k, k),)
-        for g in (short, long):
-            assert_labels_match_walk(g, monochrome(g), k)
 
 
-def test_a_class_past_the_label_rounds_is_walked():
-    # a P_40 settles in 38 rounds, more than the pass runs, so at k = 60 it
-    # is walked; the report is the one that walking every class gave
+def test_a_long_path_below_k_is_decided_by_its_labels(monkeypatch):
+    # a P_40 has diameter 39, yet its labels settle, so at k = 60 it needs
+    # no walk; the report is the one that walking every class gave
     g = path_graph(40)
-    assert 38 > verify._LABEL_ROUNDS
-    assert monochromatic_components(g, monochrome(g), 60)[0].labels is None
+    view = monochromatic_components(g, monochrome(g))[0]
+    assert view.orders.tolist() == [40] and view.labels.tolist() == [0] * 40
+    assert_labels_match_walk(g, monochrome(g))
+    built = count_components_built(monkeypatch)
     report = verify_colouring(g, monochrome(g), r=1, k=60)
-    assert report.verdict == "pass"
+    assert report.verdict == "pass" and built == []
     assert report.per_colour_stats == ((0, 1, 40, None),)
     assert report.worst_component == (0, tuple(range(40)))
-    assert_labels_match_walk(g, monochrome(g), 60)
 
 
 def report_digest() -> str:
@@ -210,7 +233,8 @@ def test_fail_verdict_keeps_the_per_colour_break():
     assert report.class_sizes == {0: 11, 1: 3}
 
 
-def test_matching_classes_build_no_component_objects(monkeypatch):
+def count_components_built(monkeypatch) -> list:
+    """The arguments of every ``MonochromaticComponent`` built from now on."""
     built = []
 
     class Counted(verify.MonochromaticComponent):
@@ -221,15 +245,52 @@ def test_matching_classes_build_no_component_objects(monkeypatch):
             super().__init__(*args)
 
     monkeypatch.setattr(verify, "MonochromaticComponent", Counted)
+    return built
+
+
+def test_matching_classes_build_no_component_objects(monkeypatch):
+    built = count_components_built(monkeypatch)
     g = uniform_edges(300, 2000, 5)
     col = proper_edge_colouring(g)
     report = verify_colouring(g, col, r=g.max_degree + 1, k=3)
     assert report.verdict == "pass" and built == []
     assert report.worst_component[1] == tuple(sorted(report.worst_component[1]))
-    # a class that needs a search is walked, one object per component
+    # a component that needs a search is walked, one object for it alone
     path = path_graph(6)
     verify_colouring(path, monochrome(path), r=1, k=4)
     assert len(built) == 1
+    # a P_k among 50 one-edge components of its class: only the P_k is
+    # walked, and only its rows reach the walk
+    walked = []
+
+    def counted_walk(edges):
+        edges = list(edges)
+        walked.extend(edges)
+        return components(edges)
+
+    monkeypatch.setattr(verify, "components", counted_walk)
+    k = 7
+    ones = [(100 + 2 * i, 101 + 2 * i) for i in range(25)]
+    p_k = [(i, i + 1) for i in range(50, 50 + k - 1)]
+    rows = ones[:10] + p_k + ones[10:] + [(300 + 2 * i, 301 + 2 * i) for i in range(25)]
+    g = Graph.build(400, rows)
+    built.clear()
+    report = verify_colouring(g, monochrome(g), r=1, k=k)
+    assert report.verdict == "fail" and len(report.witness_path) == k
+    assert report.per_colour_stats == ((0, 51, k, k),)
+    assert len(built) == 1 and sorted(walked) == p_k
+
+
+def test_many_small_searched_components_are_cut_in_one_sort():
+    # 10 000 stars K_{1,5} in one colour, each searched at k = 4: a scan of
+    # the class's rows per component would take seconds
+    stars = [(6 * s, 6 * s + leaf) for s in range(10_000) for leaf in range(1, 6)]
+    g = Graph.build(60_000, stars)
+    start = time.perf_counter()
+    report = verify_colouring(g, monochrome(g), r=1, k=4)
+    assert time.perf_counter() - start < 1.0
+    assert report.verdict == "pass"
+    assert report.per_colour_stats == ((0, 10_000, 6, 3),)
 
 
 def min_scan_cover(vertices, edges) -> tuple[int, ...]:
@@ -374,6 +435,12 @@ def test_verify_validation():
         verify_colouring(g, monochrome(g), r=2, k=1)
     with pytest.raises(UsageError):
         verify_colouring(g, monochrome(g), r=-1, k=3)
+    with pytest.raises(UsageError, match="cap"):
+        verify_colouring(g, monochrome(g), r=2, k=3, cap=-1)
+    # a cap of 0 searches nothing, and one cover vertex certifies a star
+    star = star_graph(5)
+    report = verify_colouring(star, monochrome(star), r=1, k=4, cap=0)
+    assert report.verdict == "pass" and report.cover_certified == ((0, 6, 1),)
 
 
 def test_repeated_or_unpaired_rows_are_refused():
