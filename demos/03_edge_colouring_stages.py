@@ -34,9 +34,9 @@ print(f"graph: {g.vertex_count} vertices, {g.edge_count} edges, "
 proper = proper_edge_colouring(g)
 print(f"\nproper colouring uses {proper.colours_used} colours "
       f"(max degree + 1 = {g.max_degree + 1})")
-for colour, edges in sorted(proper.colour_classes().items())[:3]:
-    touched = sorted({v for e in edges for v in e})
-    assert len(touched) == 2 * len(edges)  # a matching touches distinct ends
+for colour in np.unique(proper.colours)[:3].tolist():
+    edges = proper.edge_array[proper.colours == colour]
+    assert len(np.unique(edges)) == edges.size  # a matching touches distinct ends
     print(f"  colour {colour}: {len(edges)} edges, all vertex-disjoint")
 
 r = 21

@@ -89,13 +89,6 @@ class EdgeColouring:
     def colours_used(self) -> int:
         return len(np.unique(self.colours))
 
-    def colour_classes(self) -> dict[int, list[Edge]]:
-        """Each colour's edges in ascending order, colours ascending."""
-        order = np.argsort(self.colours, kind="stable")  # rows stay ascending
-        used, starts = np.unique(self.colours[order], return_index=True)
-        blocks = np.split(self.edge_array[order], starts[1:])
-        return {c: list(map(tuple, b.tolist())) for c, b in zip(used.tolist(), blocks)}
-
     @cached_property
     def assignments(self) -> dict[Edge, int]:
         """The ``{(u, v): colour}`` dict, built on first read."""

@@ -9,15 +9,16 @@ labels the monochromatic components of every colour class at once.  Each
 edge end becomes a ``(colour, vertex)`` node with a dense id
 (``graph.row_ids``), and hooking with pointer jumping runs over all nodes
 until the two ends of every edge carry the same label, the least id of
-their component.  A component on fewer than ``k`` vertices holds no path on
-``k``, so each class's component count, largest order and largest component
-come from bincounts over its labels.
+their component.  The components are then numbered in order of least node,
+and a bincount gives their orders.  A component on fewer than ``k`` vertices
+holds no path on ``k``, so each class's component count, largest order and
+largest component come from these numbers alone.
 
 Only components with at least ``k`` vertices are searched, in order of
-least vertex.  Each walks its own edge rows and gets an exact longest-path
-computation (bitmask dynamic programming over connected vertex sets, early
-exit once ``k`` is reachable).  The search of a class stops at its first
-witness.
+least vertex.  One mask picks out their edge rows and one lazy walk of those
+rows builds them; each gets an exact longest-path computation (bitmask
+dynamic programming over connected vertex sets, early exit once ``k`` is
+reachable).  The search of a class stops at its first witness.
 
 Components larger than the configured cap cannot be searched exactly.  Before
 giving up, the verifier tries a vertex-cover certificate: every edge of a
@@ -31,7 +32,6 @@ cap and cover-uncertifiable make the verdict ``indeterminate``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -70,11 +70,10 @@ class ColourClass:
     """The monochromatic components of one colour class, in order of least vertex.
 
     ``rows`` are the class's edges and ``vertices`` the vertices they touch,
-    both ascending.  ``labels`` gives each vertex the position in
-    ``vertices`` of its component's least vertex, and ``orders`` each
-    component's vertex count, so ``len`` counts the components.
-    :meth:`component` walks one component's own rows; iterating walks all of
-    ``rows``, one :class:`MonochromaticComponent` per component.
+    both ascending.  ``labels`` gives each vertex the index of its component
+    and ``orders`` each component's vertex count, so ``len`` counts the
+    components.  :meth:`walk` walks the components of ``k`` or more
+    vertices; iterating walks them all.
     """
 
     rows: np.ndarray
@@ -84,33 +83,29 @@ class ColourClass:
 
     def members(self, index: int) -> tuple[int, ...]:
         """The vertices of component ``index``, from the labels."""
-        roots = np.flatnonzero(self.labels == np.arange(len(self.labels)))
-        return tuple(self.vertices[self.labels == roots[index]].tolist())
+        return tuple(self.vertices[self.labels == index].tolist())
 
-    @cached_property
-    def _by_component(self) -> tuple[np.ndarray, list[int]]:
-        """``rows`` stably sorted by component, and the bounds of each
-        component's run of them."""
+    def walk(self, k: int) -> Iterator[tuple[int, MonochromaticComponent]]:
+        """Each component of ``k`` or more vertices with its index, lazily.
+
+        One mask picks out those components' rows, which stay ascending, so
+        each component's walk meets its vertices and edges in the order that
+        a walk of all of ``rows`` does.
+        """
+        picked = self.orders >= k
         of_row = self.labels[np.searchsorted(self.vertices, self.rows[:, 0])]
-        order = np.argsort(of_row, kind="stable")  # rows stay ascending within
-        starts = _run_starts(of_row[order])
-        return self.rows[order], np.append(starts, len(order)).tolist()
-
-    def component(self, index: int) -> MonochromaticComponent:
-        """Component ``index``, from a walk of its own rows alone: they stay
-        ascending, so the walk meets the vertices and edges in the order
-        that a walk of all of ``rows`` does."""
-        rows, bounds = self._by_component
-        own = rows[bounds[index] : bounds[index + 1]].tolist()
-        ((vertices, edges),) = components(map(tuple, own))
-        return MonochromaticComponent(vertices, edges)
+        own = map(tuple, self.rows[picked[of_row]].tolist())
+        for index, (vertices, edges) in zip(
+            np.flatnonzero(picked).tolist(), components(own)
+        ):
+            yield index, MonochromaticComponent(vertices, edges)
 
     def __len__(self) -> int:
         return len(self.orders)
 
     def __iter__(self) -> Iterator[MonochromaticComponent]:
-        for vertices, edges in components(map(tuple, self.rows.tolist())):
-            yield MonochromaticComponent(vertices, edges)
+        for _, component in self.walk(0):
+            yield component
 
 
 def _run_starts(values: np.ndarray) -> np.ndarray:
@@ -177,20 +172,18 @@ def monochromatic_components(
     ends, nodes = row_ids(np.column_stack((np.tile(colours, 2), rows.T.ravel())))
     labels = _least_labels(ends, len(nodes))
     edge_starts, node_starts = _run_starts(colours), _run_starts(nodes[:, 0])
-    # each node's label as a position within its class, and each component's
-    # order at its least node, in node order
-    local = labels - np.repeat(node_starts, np.diff(np.append(node_starts, len(nodes))))
-    roots = np.flatnonzero(labels == np.arange(len(nodes)))
-    orders = np.bincount(labels, minlength=len(nodes))[roots]
+    # each node's component, numbered over all classes in order of least node
+    comp = (np.cumsum(labels == np.arange(len(nodes))) - 1)[labels]
+    orders = np.bincount(comp)
     classes = {}
     for colour, (e0, e1), (n0, n1), (c0, c1) in zip(
         colours[edge_starts].tolist(),
         _spans(edge_starts, m),
         _spans(node_starts, len(nodes)),
-        _spans(np.searchsorted(roots, node_starts), len(roots)),
+        _spans(comp[node_starts], len(orders)),
     ):
         classes[colour] = ColourClass(
-            rows[e0:e1], nodes[n0:n1, 1], local[n0:n1], orders[c0:c1]
+            rows[e0:e1], nodes[n0:n1, 1], comp[n0:n1] - c0, orders[c0:c1]
         )
     return classes
 
@@ -363,9 +356,8 @@ def verify_colouring(
         top = int(orders.argmax())  # the first component of largest order
         max_found: int | None = None
         # only a component on k or more vertices can hold a path on k
-        searched = np.flatnonzero(orders >= k).tolist() if orders[top] >= k else []
-        for index in searched:
-            comp = view.component(index)
+        searched = view.walk(k) if orders[top] >= k else ()
+        for index, comp in searched:
             order = len(comp.vertices)
             if order > cap:
                 size = len(greedy_vertex_cover(comp.vertices, comp.edges))

@@ -103,6 +103,16 @@ def edge_adjacency(edges) -> dict[int, set[int]]:
     return adj
 
 
+def colour_classes(col: EdgeColouring) -> dict[int, list[tuple[int, int]]]:
+    """Each colour's edges in ascending order, colours ascending, by a loop
+    over the assignments."""
+    classes: dict[int, list[tuple[int, int]]] = {}
+    rows = map(tuple, col.edge_array.tolist())
+    for e, c in sorted(zip(rows, col.colours.tolist())):
+        classes.setdefault(c, []).append(e)
+    return dict(sorted(classes.items()))
+
+
 def induced_bipartite(g: Graph, a: Iterable[int], b: Iterable[int]) -> Graph:
     """Subgraph of ``g`` keeping exactly the edges with one endpoint in each set."""
     sa, sb = frozenset(a), frozenset(b)

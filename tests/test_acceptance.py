@@ -50,7 +50,7 @@ from pathfree.graph import serialize_edge_list
 from pathfree.pipeline import RHO
 from pathfree.rng import substream
 
-from conftest import edge_adjacency, has_path_on, random_graph
+from conftest import colour_classes, edge_adjacency, has_path_on, random_graph
 
 
 def _verdict(n: int, detail: str) -> None:
@@ -288,7 +288,7 @@ def test_criterion_10_star_and_proper_postconditions():
             parts = star.parts  # each centre's colour, -1 elsewhere
             assert parts is not None
             assert len(set(parts[parts >= 0].tolist())) == star.colouring.colours_used
-            for colour, edges in star.colouring.colour_classes().items():
+            for colour, edges in colour_classes(star.colouring).items():
                 part = parts == colour
                 assert 1 <= part.sum() <= k // 3
                 for u, v in edges:

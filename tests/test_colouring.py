@@ -23,6 +23,7 @@ from pathfree import (
 )
 
 from conftest import (
+    colour_classes,
     complete_graph,
     cycle_graph,
     path_graph,
@@ -169,7 +170,7 @@ def test_low_degree_refinement_class_shapes(rnd):
         r = rnd.randint(7, 40)
         result = low_degree_refinement(g, r)
         low = result.vertices_removed
-        for colour, edges in result.colouring.colour_classes().items():
+        for colour, edges in colour_classes(result.colouring).items():
             inner = [e for e in edges if low[e[0]] and low[e[1]]]
             outward = [e for e in edges if low[e[0]] != low[e[1]]]
             assert len(inner) + len(outward) == len(edges)
@@ -224,7 +225,7 @@ def test_star_refinement_postconditions(rnd):
         assert (result.vertices_removed | (parts == -1)).all()
         offsets = sorted(set(parts[parts >= 0].tolist()))
         assert offsets == list(range(result.colouring.colours_used))
-        for colour, edges in result.colouring.colour_classes().items():
+        for colour, edges in colour_classes(result.colouring).items():
             part = parts == colour
             assert 1 <= part.sum() <= k // 3
             for u, v in edges:

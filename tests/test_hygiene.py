@@ -1,7 +1,7 @@
 """Source hygiene: every imported name and every dataclass field is read,
-only ``graph.py`` sorts, compares or parses edge rows, every defaulted parameter
-of the public API is listed, and every exported name has a reader outside
-the tests.
+only ``graph.py`` sorts, compares or parses edge rows, one method walks
+components, every defaulted parameter of the public API is listed, and every
+exported name has a reader outside the tests.
 
 All are AST scans, as no linter runs.
 """
@@ -238,6 +238,52 @@ def test_only_graph_sorts_and_compares_edge_rows():
     }
     assert len(found.pop("graph.py")) == 2  # row_order's lexsort, the loadtxt
     assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def component_walks(tree: ast.Module) -> list[str]:
+    """Where ``components`` is read, called or passed on, as the enclosing
+    ``Class.method``, ``function`` or ``<module>``, once per read."""
+    found = []
+
+    def visit(node: ast.AST, scope: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}" if scope else child.name)
+                continue
+            name = getattr(child, "id", None) or getattr(child, "attr", None)
+            if name == "components" and isinstance(child.ctx, ast.Load):
+                found.append(scope or "<module>")
+            visit(child, scope)
+
+    visit(tree, "")
+    return found
+
+
+def test_component_walk_scan_counts_calls_and_references():
+    tree = ast.parse(
+        "from .graph import components\n"
+        "def components(edges): pass\n"  # a definition is not a read
+        "class C:\n"
+        "    def walk(self):\n"
+        "        return components(self.rows)\n"
+        "def f(rows):\n"
+        "    monochromatic_components(rows)\n"  # another name
+        "    return list(map(graph.components, rows))\n"
+        "walker = components\n"
+    )
+    assert component_walks(tree) == ["C.walk", "f", "<module>"]
+
+
+def test_the_package_walks_components_at_one_site():
+    # ColourClass.walk is the one way a component is walked from its rows;
+    # a second walk path would be a second way to reach a component, and
+    # the walk moves to the tests as an oracle once nothing here needs it
+    found = {
+        path.name: walks
+        for path in sorted((ROOT / "src" / "pathfree").glob("*.py"))
+        if (walks := component_walks(ast.parse(path.read_text(), str(path))))
+    }
+    assert found == {"verify.py": ["ColourClass.walk"]}
 
 
 def defaulted_parameters(module: str, tree: ast.Module) -> list[str]:

@@ -25,6 +25,7 @@ from pathfree.graph import components
 from pathfree.verify import _reconstruct
 
 from conftest import (
+    colour_classes,
     complete_graph,
     cycle_graph,
     edge_adjacency,
@@ -104,7 +105,7 @@ def test_monochromatic_components_by_colour():
     assert {c.vertices for c in comps[0]} == {(0, 1, 2), (3, 4)}
     assert [c.vertices for c in comps[1]] == [(0, 2)]
     assert {len(c.edges) for c in comps[0]} == {2, 1}
-    for colour, edges in col.colour_classes().items():
+    for colour, edges in colour_classes(col).items():
         own = [e for c in comps[colour] for e in c.edges]
         assert sorted(own) == edges
     with pytest.raises(ContractViolation):
@@ -120,23 +121,23 @@ def random_colouring(rnd: random.Random) -> tuple[Graph, EdgeColouring]:
 
 def assert_labels_match_walk(g: Graph, col: EdgeColouring) -> None:
     """Each class's labels, count, orders and components against the
-    ``components`` walk."""
+    ``components`` walk, and :meth:`ColourClass.walk` at every cut-off order."""
     classes = monochromatic_components(g, col)
-    walked = {c: list(components(edges)) for c, edges in col.colour_classes().items()}
+    walked = {c: list(components(edges)) for c, edges in colour_classes(col).items()}
     assert list(classes) == list(walked)
     for colour, view in classes.items():
         walk = walked[colour]
         assert len(view) == len(walk)
         assert [c.vertices for c in view] == [vs for vs, _ in walk]
         assert [c.edges for c in view] == [es for _, es in walk]
-        assert view.orders.tolist() == [len(vs) for vs, _ in walk]
-        by_label = {}
-        for v, label in zip(view.vertices.tolist(), view.labels.tolist()):
-            by_label.setdefault(label, []).append(v)
-        assert list(map(tuple, by_label.values())) == [vs for vs, _ in walk]
+        orders = [len(vs) for vs, _ in walk]
+        assert view.orders.tolist() == orders
+        holder = {v: i for i, (vs, _) in enumerate(walk) for v in vs}
+        assert view.labels.tolist() == [holder[v] for v in view.vertices.tolist()]
         assert [view.members(i) for i in range(len(walk))] == [vs for vs, _ in walk]
-        own = [view.component(i) for i in range(len(walk))]
-        assert [(c.vertices, c.edges) for c in own] == walk
+        for k in {2, *orders, max(orders) + 1}:
+            picked = [(i, c) for i, c in enumerate(walk) if len(c[0]) >= k]
+            assert [(i, (c.vertices, c.edges)) for i, c in view.walk(k)] == picked
 
 
 def shuffled(g: Graph, rnd: random.Random) -> Graph:
@@ -233,6 +234,26 @@ def test_fail_verdict_keeps_the_per_colour_break():
     assert report.class_sizes == {0: 11, 1: 3}
 
 
+def test_interleaved_searched_components_keep_their_indices():
+    # one class at k = 4, by least vertex: a K_{1,5} that passes, one edge,
+    # a P_7 that fails, and a K_{1,7} never reached, their vertex ids
+    # interleaved; the worst component is the P_7 only if the walk gives it
+    # index 2, and only if the mask picks the rows of its own label
+    star = [(0, leaf) for leaf in (3, 7, 11, 15, 19)]
+    walk = [2, 12, 5, 17, 8, 20, 14]
+    path = [(min(u, v), max(u, v)) for u, v in zip(walk, walk[1:])]
+    big = [(4, leaf) for leaf in (6, 10, 13, 16, 18, 21, 22)]
+    rows = sorted(star + [(1, 9)] + path + big)
+    g = Graph.build(23, rows)
+    view = monochromatic_components(g, monochrome(g))[0]
+    assert view.orders.tolist() == [6, 2, 7, 8]
+    assert [i for i, _ in view.walk(4)] == [0, 2, 3]
+    report = verify_colouring(g, monochrome(g), r=1, k=4)
+    assert report.verdict == "fail" and report.witness_path == (17, 5, 12, 2)
+    assert report.per_colour_stats == ((0, 4, 7, 4),)
+    assert report.worst_component == (0, (2, 5, 8, 12, 14, 17, 20))
+
+
 def count_components_built(monkeypatch) -> list:
     """The arguments of every ``MonochromaticComponent`` built from now on."""
     built = []
@@ -281,7 +302,7 @@ def test_matching_classes_build_no_component_objects(monkeypatch):
     assert len(built) == 1 and sorted(walked) == p_k
 
 
-def test_many_small_searched_components_are_cut_in_one_sort():
+def test_many_small_searched_components_are_walked_once():
     # 10 000 stars K_{1,5} in one colour, each searched at k = 4: a scan of
     # the class's rows per component would take seconds
     stars = [(6 * s, 6 * s + leaf) for s in range(10_000) for leaf in range(1, 6)]
@@ -369,7 +390,7 @@ def test_verdict_agrees_with_reference_oracle(rnd):
         assert report.verdict in ("pass", "fail")
         bad = any(
             has_path_on(edge_adjacency(edges), k)
-            for edges in col.colour_classes().values()
+            for edges in colour_classes(col).values()
         )
         assert (report.verdict == "fail") == bad
 
