@@ -263,7 +263,7 @@ def low_degree_refinement(g: Graph, r: int) -> RefinementResult:
     # edges leaving the low set, by (low end, high end); rank at low end = colour
     rows = g.edge_array[leaving]
     low_end = np.where(low_u[leaving], rows[:, 0], rows[:, 1])
-    order = np.lexsort((rows.sum(axis=1) - low_end, low_end))
+    order = row_order(np.column_stack((low_end, rows.sum(axis=1) - low_end)))
     low_end = low_end[order]
     rank = np.arange(len(rows)) - np.searchsorted(low_end, low_end)
     colours[np.flatnonzero(leaving)[order]] = first_range + rank

@@ -11,6 +11,13 @@ every int64 id; the one row reader of the text formats
 (:func:`read_edge_rows`); and the one rule that turns a result dataclass
 into its JSON record (:func:`plain_record`).
 
+The row sort packs each row and its index into one int64 key,
+``((u - min u) * span + (v - min v)) * m + index`` with
+``span = max v - min v + 1``, and sorts the keys once; every key is
+distinct, so the order is the stable two-key lexsort's.  Rows whose keys
+could pass ``2**63 - 1``, that is when
+``(max u - min u + 1) * span * m > 2**63``, are lexsorted instead.
+
 A parse splits its text into lines once; the header and the rows are read
 from that one list.  The row reader takes the data rows through numpy's C
 reader and checks them with array passes; on any fault it replays the
@@ -142,9 +149,26 @@ def row_order(rows: np.ndarray) -> np.ndarray:
     """The stable order that sorts ``(m, 2)`` rows by first, then second entry.
 
     This is the one row sort: graphs, colourings, :func:`repeats` and
-    :func:`row_ids` use it.
+    :func:`row_ids` use it.  Each row ``(u, v)`` at index ``i`` is packed
+    into one int64 key ``((u - min u) * span + (v - min v)) * m + i``, with
+    ``span = max v - min v + 1``; one ``np.sort`` of the keys and
+    ``key % m`` give the order.  No two keys are equal, so this is exactly
+    the stable lexsort order under any sort kind.  The keys fit when
+    ``(max u - min u + 1) * span * m <= 2**63`` (checked in Python ints);
+    otherwise, which needs ids more than about ``2**31`` apart, the rows go
+    through ``np.lexsort``.
     """
-    return np.lexsort((rows[:, 1], rows[:, 0]))
+    m = len(rows)
+    if m < 2:
+        return np.arange(m)
+    u, v = rows.astype(np.int64, copy=False).T
+    lo_u, lo_v = int(u.min()), int(v.min())
+    span = int(v.max()) - lo_v + 1
+    if (int(u.max()) - lo_u + 1) * span * m > 2**63:
+        return np.lexsort((rows[:, 1], rows[:, 0]))
+    key = ((u - lo_u) * span + (v - lo_v)) * m + np.arange(m)
+    key.sort()
+    return key % m
 
 
 def _ranked(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -21,6 +21,7 @@ from pathfree import (
     serialize_colouring,
     serialize_edge_list,
     substream,
+    uniform_edges,
     verify_colouring,
 )
 from pathfree import graph
@@ -402,3 +403,73 @@ def test_row_ids_number_distinct_rows_in_row_order(rnd):
         assert list(map(tuple, distinct.tolist())) == expected
         assert ids.tolist() == [expected.index(tuple(r)) for r in rows.tolist()]
         assert np.array_equal(distinct[ids], rows)
+
+
+def lexsorted(rows: np.ndarray) -> np.ndarray:
+    """The stable two-key sort that ``graph.row_order`` must reproduce."""
+    return np.lexsort((rows[:, 1], rows[:, 0]))
+
+
+def assert_row_order_is_lexsort(rows: np.ndarray) -> None:
+    expected = lexsorted(rows)
+    order = graph.row_order(rows)
+    assert order.dtype == expected.dtype
+    assert np.array_equal(order, expected)
+
+
+def test_row_order_is_the_stable_lexsort():
+    gen = np.random.default_rng(2024)
+    # equal rows keep their input order
+    rows = np.array([[1, 1], [0, 0], [1, 1], [0, 2], [0, 0], [1, 1]])
+    assert graph.row_order(rows).tolist() == [1, 4, 3, 0, 2, 5]
+    assert_row_order_is_lexsort(rows)
+    for rows in (np.empty((0, 2), dtype=np.int64), np.array([[3, 1]]), np.array([[-4, -9]])):
+        assert_row_order_is_lexsort(rows)
+    for _ in range(60):
+        # few distinct values, so most rows repeat; some ids negative, as
+        # Graph.build sorts rows before it checks their signs
+        lo, hi = sorted(gen.integers(-40, 40, size=2).tolist())
+        rows = gen.integers(lo, hi + 1, size=(int(gen.integers(2, 400)), 2))
+        assert_row_order_is_lexsort(rows)
+    big = 2**62  # the keys cannot fit; the rows are lexsorted
+    rows = gen.choice(np.array([0, 3, big, -big]), size=(200, 2))
+    assert_row_order_is_lexsort(rows)
+    rows = np.sort(gen.integers(0, 4000, size=(60000, 2)), axis=1)
+    assert_row_order_is_lexsort(rows)
+    assert_row_order_is_lexsort(rows[lexsorted(rows)])
+    assert_row_order_is_lexsort(rows.astype(np.int32))  # its key would wrap in int32
+
+
+def test_row_order_packs_keys_up_to_two_to_the_63(monkeypatch):
+    real = np.lexsort
+    calls = []
+    monkeypatch.setattr(np, "lexsort", lambda keys: calls.append(1) or real(keys))
+    # u spans 2**30 ids, v spans 2**31, m = 4: the last row's key is
+    # ((2**30 - 1) * 2**31 + 2**31 - 1) * 4 + 3 = 2**63 - 1
+    u, v = 2**30 - 1, 2**31 - 1
+    assert (u * 2**31 + v) * 4 + 3 == 2**63 - 1
+    fits = np.array([[5, 9], [0, 3], [0, 0], [u, v]])
+    assert graph.row_order(fits).tolist() == [2, 1, 0, 3]
+    assert calls == []
+    past = fits.copy()
+    past[3, 1] += 1  # v spans 2**31 + 1 ids: the last key would be past 2**63 - 1
+    assert graph.row_order(past).tolist() == [2, 1, 0, 3]
+    assert calls == [1]
+    shifted = fits - 2**31  # the key counts from the least ids, so it still fits
+    assert graph.row_order(shifted).tolist() == [2, 1, 0, 3]
+    assert calls == [1]
+
+
+def test_workload_graphs_sort_and_parse_without_lexsort(monkeypatch):
+    # a fit test that always fell back would silently lose the packed sort
+    def refuse(keys):
+        raise AssertionError("row_order fell back to np.lexsort")
+
+    for seed in (1, 2):
+        monkeypatch.setattr(np, "lexsort", refuse)
+        g = uniform_edges(4000, 60000, seed)
+        shuffled = g.edge_array[np.random.default_rng(seed).permutation(g.edge_count)]
+        assert Graph.of(g.vertex_count, shuffled) == g
+        assert parse_edge_list(serialize_edge_list(g)) == g
+        monkeypatch.undo()
+        assert_row_order_is_lexsort(shuffled)

@@ -176,13 +176,19 @@ def test_extract_keeps_its_certificate_apart_from_the_verifier_walk():
 TEXT_READERS = ("loadtxt", "genfromtxt", "fromstring")
 
 
+def _is_op(node: ast.AST, op: type) -> bool:
+    return isinstance(node, ast.BinOp) and isinstance(node.op, op)
+
+
 def row_idioms(tree: ast.Module) -> list[int]:
-    """Lines that sort whole edge rows, build ``u * n + v`` row keys, or read
-    rows from text with numpy.
+    """Lines that sort whole edge rows, build ``u * n + v`` or packed row
+    keys, or read rows from text with numpy.
 
     A sort is a ``lexsort`` of ``rows.T[::-1]`` or of ``(rows[:, 1], rows[:, 0])``.
     A key is ``a * n + b`` (or ``* vertex_count``) with ``a`` and ``b`` plain
     names or subscripts; such keys wrap in int64 once ``n`` passes 3.04e9.
+    A packed key is any ``(a * b + c) * d + e``, the shape of row_order's
+    ``((u - lo) * span + (v - lo)) * m + index``.
     A read is any call of a function named in ``TEXT_READERS``.
     """
     found = []
@@ -196,10 +202,15 @@ def row_idioms(tree: ast.Module) -> list[int]:
             ):
                 found.append(node.lineno)
         elif (
-            isinstance(node, ast.BinOp)
-            and isinstance(node.op, ast.Add)
-            and isinstance(node.left, ast.BinOp)
-            and isinstance(node.left.op, ast.Mult)
+            _is_op(node, ast.Add)
+            and _is_op(node.left, ast.Mult)
+            and _is_op(node.left.left, ast.Add)
+            and _is_op(node.left.left.left, ast.Mult)
+        ):
+            found.append(node.lineno)
+        elif (
+            _is_op(node, ast.Add)
+            and _is_op(node.left, ast.Mult)
             and re.fullmatch(r"(\w+\.)?(n|vertex_count)", ast.unparse(node.left.right))
             and all(
                 isinstance(x, (ast.Name, ast.Subscript))
@@ -223,8 +234,12 @@ def test_row_idiom_scan_flags_only_row_sorts_and_keys():
         "t = numpy.genfromtxt(f)\n"
         "t = np.fromstring(text, sep=' ')\n"
         "t = np.frombuffer(flat, dtype=np.int64)\n"  # not a text reader
+        "k = ((u - lo_u) * span + (v - lo_v)) * m + np.arange(m)\n"
+        "k = (e[:, 0] * s + e[:, 1]) * len(e) + i\n"
+        "y = (a * x + b) + c * d\n"  # not a packed key
+        "y = (a + b) * d + e\n"
     )
-    assert row_idioms(tree) == [1, 2, 3, 4, 8, 9, 10]
+    assert row_idioms(tree) == [1, 2, 3, 4, 8, 9, 10, 12, 13]
 
 
 def test_only_graph_sorts_and_compares_edge_rows():
@@ -236,7 +251,8 @@ def test_only_graph_sorts_and_compares_edge_rows():
         path.name: row_idioms(ast.parse(path.read_text(), str(path)))
         for path in sorted((ROOT / "src" / "pathfree").glob("*.py"))
     }
-    assert len(found.pop("graph.py")) == 2  # row_order's lexsort, the loadtxt
+    # row_order's packed key and its lexsort fallback, the loadtxt
+    assert len(found.pop("graph.py")) == 3
     assert {name: lines for name, lines in found.items() if lines} == {}
 
 
