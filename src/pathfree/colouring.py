@@ -40,7 +40,14 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ContractViolation, InternalInvariantError, UsageError
-from .graph import Edge, Graph, read_edge_rows, read_header_fields, row_order
+from .graph import (
+    Edge,
+    Graph,
+    read_edge_rows,
+    read_header_fields,
+    row_order,
+    write_rows,
+)
 
 __all__ = [
     "EdgeColouring",
@@ -119,9 +126,15 @@ def proper_edge_colouring(g: Graph) -> EdgeColouring:
     swaps its two ``at`` entries and keeps its mask, and only u and the far
     end change masks.  The one fan edge the inversion recolours is u's
     ``d``-edge, which a maximal fan always holds, as ``d`` is free at its
-    last vertex.  The colours are read out of ``at`` once at the end: each
-    ``(x, y, colour)`` with ``x < y``, put in order by ``graph.row_order``,
-    must give exactly ``g.edge_array``.
+    last vertex.
+
+    The edges are read from the two columns of ``g.edge_array``, with no
+    list per row, and each endpoint is mapped to the one int object of its
+    vertex, so the values of every ``at`` map share ``n`` ints.  The colours
+    are read out of ``at`` once at the end, into arrays, and ``at`` and
+    ``mask`` are dropped before the sort: each ``(x, y, colour)`` with
+    ``x < y``, put in order by ``graph.row_order``, must give exactly
+    ``g.edge_array``.
     """
     palette = g.max_degree + 1
     n = g.vertex_count
@@ -129,8 +142,10 @@ def proper_edge_colouring(g: Graph) -> EdgeColouring:
     # mask[v] has bit c set exactly when c is a key of at[v].
     at: list[dict[int, int]] = [dict() for _ in range(n)]
     mask = [0] * n
+    ids = list(range(n)).__getitem__  # each endpoint as its vertex's one int
+    first, second = g.edge_array.T
 
-    for u, v in g.edge_array.tolist():
+    for u, v in zip(map(ids, memoryview(first)), map(ids, memoryview(second))):
         # Maximal fan of u starting at v: each next fan edge's colour is
         # free at the previous fan vertex.  No colour at u reaches v, whose
         # edge is the uncoloured one.  cols[i] is the colour of the edge
@@ -202,12 +217,14 @@ def proper_edge_colouring(g: Graph) -> EdgeColouring:
         mask[u] |= 1 << d
         mask[w] |= 1 << d
 
-    # each coloured edge, once from its lower end, in row order
-    sizes = [len(at_x) for at_x in at]
-    total = sum(sizes)
-    x = np.repeat(np.arange(n, dtype=np.int64), sizes)
+    # each coloured edge, once from its lower end, in row order; the maps
+    # are gone before the sort
+    sizes = np.fromiter(map(len, at), np.int64, n)
+    total = int(sizes.sum())
     y = np.fromiter(chain.from_iterable(a.values() for a in at), np.int64, total)
     colours = np.fromiter(chain.from_iterable(at), np.int64, total)
+    del at, mask, ids
+    x = np.repeat(np.arange(n, dtype=np.int64), sizes)
     lower = x < y
     rows = np.stack([x[lower], y[lower]], axis=1)
     order = row_order(rows)
@@ -329,9 +346,7 @@ def serialize_colouring(g: Graph, colouring: EdgeColouring, r: int, k: int) -> s
     if not np.array_equal(colouring.edge_array, g.edge_array):
         raise ContractViolation("colouring must cover exactly the graph's edges")
     head = f"n={g.vertex_count} r={r} k={k} colours_used={colouring.colours_used}"
-    u, v = g.edge_array.T.tolist()
-    rows = map("{} {} {}".format, u, v, colouring.colours.tolist())
-    return "\n".join(["# " + head, *rows]) + "\n"
+    return write_rows(head, *g.edge_array.T, colouring.colours)
 
 
 def parse_colouring(text: str) -> tuple[Graph, EdgeColouring, dict[str, int]]:

@@ -20,7 +20,8 @@ the core and its independent side, a side of a split) is a boolean mask over
 each vertex's part and -1 off the partition.  Each trial works on numpy
 arrays over ``g.edge_array`` only: a side mask from the bipartition, a part
 array, the A-part sizes and the kept edge rows.  ``component-order`` is
-checked by min-label propagation over the kept rows for at most ``k - 1``
+ruled out at once by a kept vertex of degree ``k - 1`` or more; otherwise
+it is checked by min-label propagation over the kept rows for at most ``k - 1``
 rounds: a component on fewer than ``k`` vertices has diameter at most
 ``k - 2``, so labels that have not settled by then rule the certificate out,
 and settled labels are the components, whose sizes one ``bincount`` gives.
@@ -154,6 +155,18 @@ def block_partition(
 
 def _components_below(edges: np.ndarray, vertex_count: int, k: int) -> bool:
     """Whether every component of the ``(m, 2)`` edge rows has fewer than ``k`` vertices.
+
+    A vertex of degree ``k - 1`` or more and its neighbours are ``k``
+    vertices of one component, so such a vertex decides at once, before any
+    propagation (:func:`_labels_below`).
+    """
+    if np.bincount(edges.ravel()).max(initial=0) >= k - 1:
+        return False
+    return _labels_below(edges, vertex_count, k)
+
+
+def _labels_below(edges: np.ndarray, vertex_count: int, k: int) -> bool:
+    """:func:`_components_below` by bounded min-label propagation alone.
 
     Each round lowers every vertex's label to the least label on it and its
     neighbours, so after ``t`` rounds it is the least id within distance

@@ -204,7 +204,8 @@ def row_ids(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     order, ranked, same = _ranked(rows)
     ids = np.empty(len(rows), dtype=np.int64)
     ids[order] = np.cumsum(~same) - 1
-    return ids, ranked[~same]
+    del order  # freed before the distinct rows are gathered
+    return ids, ranked[~same] if same.any() else ranked
 
 
 def absent_edges(g: Graph, rows: np.ndarray) -> list[Edge]:
@@ -421,8 +422,27 @@ def parse_edge_list(text: str) -> Graph:
 
 
 def serialize_edge_list(g: Graph) -> str:
-    u, v = g.edge_array.T.tolist()
-    return "\n".join([f"# n={g.vertex_count}", *map("{} {}".format, u, v)]) + "\n"
+    return write_rows(f"n={g.vertex_count}", *g.edge_array.T)
+
+
+_WRITE_CHUNK = 1024  # rows formatted per join
+
+
+def write_rows(header: str, *columns: np.ndarray) -> str:
+    """The text of a ``# header`` line and then one line per row of the
+    aligned int columns, their entries joined by spaces; every line ends in
+    a newline.
+
+    This is the one row writer of the text formats.  Rows are formatted
+    ``_WRITE_CHUNK`` at a time, so no more than one chunk's row strings and
+    Python ints are alive at once.
+    """
+    line = " ".join(["{}"] * len(columns)).format
+    chunks = [f"# {header}\n"]
+    for start in range(0, len(columns[0]), _WRITE_CHUNK):
+        values = [c[start : start + _WRITE_CHUNK].tolist() for c in columns]
+        chunks.append("\n".join(map(line, *values)) + "\n")
+    return "".join(chunks)
 
 
 def subtract(g: Graph, h: Graph) -> Graph:

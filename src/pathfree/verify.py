@@ -168,8 +168,12 @@ def monochromatic_components(
     by_colour = np.argsort(colouring.colours, kind="stable")  # rows stay ascending
     colours, rows = colouring.colours[by_colour], rows[by_colour]
     m = len(rows)
-    # one node per (colour, vertex) end: the first ends, then the second ends
-    ends, nodes = row_ids(np.column_stack((np.tile(colours, 2), rows.T.ravel())))
+    # one node per (colour, vertex) end: the first ends, then the second ends;
+    # the pair rows are dropped once they are numbered
+    ends = np.empty((2 * m, 2), dtype=np.int64)
+    ends[:m, 0] = ends[m:, 0] = colours
+    ends[:m, 1], ends[m:, 1] = rows.T
+    ends, nodes = row_ids(ends)
     labels = _least_labels(ends, len(nodes))
     edge_starts, node_starts = _run_starts(colours), _run_starts(nodes[:, 0])
     # each node's component, numbered over all classes in order of least node

@@ -113,6 +113,24 @@ def colour_classes(col: EdgeColouring) -> dict[int, list[tuple[int, int]]]:
     return dict(sorted(classes.items()))
 
 
+def serialize_edge_list_reference(g: Graph) -> str:
+    """Reference oracle: the edge-list text with every row string built
+    before one join."""
+    u, v = g.edge_array.T.tolist()
+    return "\n".join([f"# n={g.vertex_count}", *map("{} {}".format, u, v)]) + "\n"
+
+
+def serialize_colouring_reference(
+    g: Graph, colouring: EdgeColouring, r: int, k: int
+) -> str:
+    """Reference oracle: the colouring text with every row string built
+    before one join."""
+    head = f"n={g.vertex_count} r={r} k={k} colours_used={colouring.colours_used}"
+    u, v = g.edge_array.T.tolist()
+    rows = map("{} {} {}".format, u, v, colouring.colours.tolist())
+    return "\n".join(["# " + head, *rows]) + "\n"
+
+
 def induced_bipartite(g: Graph, a: Iterable[int], b: Iterable[int]) -> Graph:
     """Subgraph of ``g`` keeping exactly the edges with one endpoint in each set."""
     sa, sb = frozenset(a), frozenset(b)

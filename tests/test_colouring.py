@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
@@ -268,6 +269,39 @@ def test_star_refinement_colours_contiguous():
     result = star_refinement(g, s=3, k=6)
     used = sorted(set(result.colouring.assignments.values()))
     assert used == list(range(result.colouring.colours_used))
+
+
+def traced_peak(call):
+    """``call()``'s result and the peak bytes traced while it ran."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def lean_instance() -> Graph:
+    g = uniform_edges(2000, 10000, 1)
+    g.degrees  # cached before any trace, as every caller has them
+    return g
+
+
+def test_proper_colouring_stays_lean():
+    # the per-vertex colour maps share one int per vertex, and the readout
+    # runs after they are dropped
+    g = lean_instance()
+    _, peak = traced_peak(lambda: proper_edge_colouring(g))
+    assert peak < 220 * g.edge_count  # bytes per edge; 293 when every row was a list
+
+
+def test_serialized_colouring_stays_lean():
+    # the text is written a chunk of rows at a time, not from every row
+    # string at once
+    g = lean_instance()
+    colouring = proper_edge_colouring(g)
+    colouring.colours_used
+    text, peak = traced_peak(lambda: serialize_colouring(g, colouring, r=60, k=5))
+    assert peak < 4 * len(text)  # 14 times the text when every row was a string
 
 
 def test_serialize_round_trip(rnd):

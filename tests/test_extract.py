@@ -20,7 +20,7 @@ from pathfree import (
     substream,
     uniform_edges,
 )
-from pathfree.extract import _components_below
+from pathfree.extract import _components_below, _labels_below
 from pathfree.graph import components
 
 from conftest import (
@@ -276,6 +276,31 @@ def test_propagation_certificate_matches_component_walk(rnd):
         assert got == component_oracle(sorted(g.edges), k), (trial, k)
         verdicts[got] += 1
     assert min(verdicts.values()) > 50, verdicts
+
+
+def test_degree_shortcut_agrees_with_the_propagation(rnd):
+    # a kept vertex of degree k-1 or more decides the certificate before any
+    # propagation; the verdict must be the propagation's own
+    def check(edges: np.ndarray, n: int, k: int) -> bool:
+        got = _components_below(edges, n, k)
+        assert got == _labels_below(edges, n, k)
+        assert got == component_oracle(map(tuple, edges.tolist()), k)
+        return np.bincount(edges.ravel()).max(initial=0) >= k - 1
+
+    for k in (4, 5, 7, 10):
+        assert check(star_graph(k - 1).edge_array, k, k)  # K_{1,k-1}: the shortcut
+        for g in (path_graph(k - 1), path_graph(k)):
+            assert not check(g.edge_array, g.vertex_count, k)
+    shortcuts = 0
+    for trial in range(120):
+        g = uniform_edges(rnd.randint(20, 60), rnd.randint(30, 200), trial)
+        k = rnd.randint(4, 12)
+        in_a = np.zeros(g.vertex_count, dtype=bool)
+        in_a[rnd.sample(range(g.vertex_count), g.vertex_count // 2)] = True
+        q = max(1, 3 * g.vertex_count // k)
+        kept = block_partition(g, in_a, ~in_a, q, substream(trial, "kept")).kept_edges
+        shortcuts += check(kept, g.vertex_count, k)
+    assert 10 < shortcuts < 110  # both paths are taken
 
 
 def test_certified_extractions_have_no_long_path(rnd):

@@ -17,6 +17,7 @@ from pathfree import (
     block_partition,
     parse_colouring,
     parse_edge_list,
+    proper_edge_colouring,
     random_balanced_bipartition,
     serialize_colouring,
     serialize_edge_list,
@@ -33,7 +34,13 @@ from pathfree.graph import (
     subtract,
 )
 
-from conftest import complete_graph, induced_bipartite, random_graph
+from conftest import (
+    complete_graph,
+    induced_bipartite,
+    random_graph,
+    serialize_colouring_reference,
+    serialize_edge_list_reference,
+)
 
 
 def test_build_canonicalizes_orientation():
@@ -137,6 +144,25 @@ def test_serialize_parse_round_trip(rnd):
     for _ in range(50):
         g = random_graph(rnd, n_max=12)
         assert parse_edge_list(serialize_edge_list(g)) == g
+
+
+@pytest.mark.parametrize(
+    "m", [0, 1, graph._WRITE_CHUNK, graph._WRITE_CHUNK + 1, 2 * graph._WRITE_CHUNK + 1]
+)
+def test_chunked_row_writer_matches_one_join(m):
+    # both serialisers write through the one chunked row writer; each text
+    # must keep the bytes of building every row before one join
+    g = uniform_edges(600, m, m)
+    colouring = proper_edge_colouring(g)
+    text = serialize_edge_list(g)
+    assert text == serialize_edge_list_reference(g)
+    assert len(text.splitlines()) == m + 1
+    assert parse_edge_list(text) == g
+    text = serialize_colouring(g, colouring, r=60, k=5)
+    assert text == serialize_colouring_reference(g, colouring, r=60, k=5)
+    g2, colouring2, header = parse_colouring(text)
+    assert (g2, colouring2) == (g, colouring)
+    assert header == {"n": 600, "r": 60, "k": 5, "colours_used": colouring.colours_used}
 
 
 def test_read_header_first_value_wins():

@@ -1,7 +1,8 @@
 """Source hygiene: every imported name and every dataclass field is read,
 only ``graph.py`` sorts, compares or parses edge rows, one method walks
-components, every defaulted parameter of the public API is listed, and every
-exported name has a reader outside the tests.
+components, no run path copies a whole edge array into Python lists, every
+defaulted parameter of the public API is listed, and every exported name has
+a reader outside the tests.
 
 All are AST scans, as no linter runs.
 """
@@ -300,6 +301,67 @@ def test_the_package_walks_components_at_one_site():
         if (walks := component_walks(ast.parse(path.read_text(), str(path))))
     }
     assert found == {"verify.py": ["ColourClass.walk"]}
+
+
+def whole_row_copies(tree: ast.Module) -> list[str]:
+    """Where a whole edge array, or its ``.T``, is turned into Python lists by
+    ``.tolist()``, as the enclosing ``Class.method``, ``function`` or
+    ``<module>``, once per call.
+
+    An edge array is any name or attribute called ``edge_array``; a row
+    mask, a slice or a single column of one is not whole.
+    """
+    found = []
+
+    def visit(node: ast.AST, scope: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}" if scope else child.name)
+                continue
+            if (
+                isinstance(child, ast.Call)
+                and isinstance(child.func, ast.Attribute)
+                and child.func.attr == "tolist"
+                and re.fullmatch(r"(.+\.)?edge_array(\.T)?", ast.unparse(child.func.value))
+            ):
+                found.append(scope or "<module>")
+            visit(child, scope)
+
+    visit(tree, "")
+    return found
+
+
+def test_whole_row_copy_scan_flags_only_whole_arrays():
+    tree = ast.parse(
+        "x = edge_array.tolist()\n"
+        "class G:\n"
+        "    def edges(self):\n"
+        "        return self.edge_array.tolist()\n"
+        "def f(g):\n"
+        "    u, v = g.edge_array.T.tolist()\n"
+        "    e = g.edge_array[bad].tolist()\n"  # a row mask
+        "    c = g.edge_array[:, 0].tolist()\n"  # a column
+        "    w = g.edge_array.T[0].tolist()\n"
+        "    r = rows.tolist()\n"  # another name
+        "    for row in g.edge_array.tolist(): pass\n"
+    )
+    assert whole_row_copies(tree) == ["<module>", "G.edges", "f", "f"]
+
+
+# the read-on-demand views, which no run path reads
+ROW_COPY_VIEWS = {"graph.py: Graph.edges", "colouring.py: EdgeColouring.assignments"}
+
+
+def test_no_run_path_copies_a_whole_edge_array_into_lists():
+    # a list per row costs about 150 bytes an edge on top of the array, and
+    # two column lists still hold an int object per endpoint: read the
+    # columns, or convert a chunk of rows at a time
+    found = [
+        f"{path.name}: {scope}"
+        for path in sorted((ROOT / "src" / "pathfree").glob("*.py"))
+        for scope in whole_row_copies(ast.parse(path.read_text(), str(path)))
+    ]
+    assert [site for site in found if site not in ROW_COPY_VIEWS] == []
 
 
 def defaulted_parameters(module: str, tree: ast.Module) -> list[str]:
