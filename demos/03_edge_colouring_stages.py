@@ -53,7 +53,9 @@ print(f"  residual keeps {low.residual.edge_count} edges between high vertices")
 # plant a hub into a sparse background to watch it work
 hub_edges = [(0, v) for v in range(1, 30)]
 background = uniform_edges(30, 45, seed=2)
-hubbed = Graph.build(30, list(background.edges | frozenset(hub_edges)))
+hubbed = Graph.build(  # the rows of both, an edge in both once
+    30, np.unique(np.concatenate([background.edge_array, hub_edges]), axis=0)
+)
 s, k = 3, 9
 star = star_refinement(hubbed, s, k)
 print(f"\nstar refinement on a hubbed graph ({hubbed.edge_count} edges, "

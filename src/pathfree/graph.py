@@ -34,7 +34,7 @@ from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
@@ -46,7 +46,6 @@ __all__ = [
     "parse_edge_list",
     "serialize_edge_list",
     "subtract",
-    "components",
     "random_balanced_bipartition",
 ]
 
@@ -452,35 +451,6 @@ def subtract(g: Graph, h: Graph) -> Graph:
         raise ContractViolation(f"cannot remove absent edges, e.g. {absent[0]}")
     removed = repeats(np.concatenate([h.edge_array, g.edge_array]))[h.edge_count :]
     return g.keep(~removed)
-
-
-def components(
-    edges: Iterable[Edge],
-) -> Iterator[tuple[tuple[int, ...], tuple[Edge, ...]]]:
-    """Connected components of a loop-free edge set, in order of least vertex.
-
-    Yields each component's sorted vertices and its own edges (the input
-    tuples, each once).  Lazy, so a caller that stops early skips the rest.
-    """
-    incident: dict[int, list[Edge]] = {}
-    for e in edges:
-        incident.setdefault(e[0], []).append(e)
-        incident.setdefault(e[1], []).append(e)
-    seen: set[int] = set()
-    for start in sorted(incident):
-        if start in seen:
-            continue
-        seen.add(start)
-        comp, own = [start], []
-        for x in comp:  # grows while it is walked
-            for e in incident[x]:
-                if e[0] == x:  # each edge is taken at its first endpoint
-                    own.append(e)
-                y = e[1] if e[0] == x else e[0]
-                if y not in seen:
-                    seen.add(y)
-                    comp.append(y)
-        yield tuple(sorted(comp)), tuple(own)
 
 
 _BIPARTITION_TRIES = 64

@@ -15,10 +15,10 @@ holds no path on ``k``, so each class's component count, largest order and
 largest component come from these numbers alone.
 
 Only components with at least ``k`` vertices are searched, in order of
-least vertex.  One mask picks out their edge rows and one lazy walk of those
-rows builds them; each gets an exact longest-path computation (bitmask
-dynamic programming over connected vertex sets, early exit once ``k`` is
-reachable).  The search of a class stops at its first witness.
+least vertex.  One pass cuts them from the class's arrays, in local ids;
+each gets an exact longest-path computation (bitmask dynamic programming
+over connected vertex sets, early exit once ``k`` is reachable).  The search
+of a class stops at its first witness.
 
 Components larger than the configured cap cannot be searched exactly.  Before
 giving up, the verifier tries a vertex-cover certificate: every edge of a
@@ -32,21 +32,14 @@ cap and cover-uncertifiable make the verdict ``indeterminate``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from itertools import islice
+from typing import Iterator
 
 import numpy as np
 
 from .colouring import EdgeColouring
 from .errors import ContractViolation, InternalInvariantError, UsageError
-from .graph import (
-    Edge,
-    Graph,
-    absent_edges,
-    components,
-    plain_record,
-    repeats,
-    row_ids,
-)
+from .graph import Graph, absent_edges, plain_record, repeats, row_ids
 
 __all__ = [
     "MonochromaticComponent",
@@ -61,8 +54,38 @@ DEFAULT_COMPONENT_CAP = 24
 
 @dataclass(frozen=True, slots=True)
 class MonochromaticComponent:
+    """One component: its ascending vertices, and its ascending rows with
+    each end numbered by its vertex's place in ``vertices``, flattened as
+    ``u0, v0, u1, v1, ...``."""
+
     vertices: tuple[int, ...]
-    edges: tuple[Edge, ...]
+    rows: tuple[int, ...]
+
+    @property
+    def adjacency(self) -> list[list[int]]:
+        """Each local vertex's neighbours, in the order the search reads them.
+
+        A breadth-first walk from vertex 0 over ascending neighbours takes
+        each edge at its lower end, and the lists grow in that order: ``y``
+        comes in ``x``'s list by the walk rank of ``min(x, y)``, then by
+        ``y``.  Every witness depends on this order.
+        """
+        rows = self.rows
+        ascending: list[list[int]] = [[] for _ in self.vertices]
+        for u, v in zip(rows[::2], rows[1::2]):  # rows ascending, so lists too
+            ascending[u].append(v)
+            ascending[v].append(u)
+        adj: list[list[int]] = [[] for _ in self.vertices]
+        walk, seen = [0], {0}
+        for x in walk:  # grows while it is walked
+            for y in ascending[x]:
+                if y not in seen:
+                    seen.add(y)
+                    walk.append(y)
+                if x < y:
+                    adj[x].append(y)
+                    adj[y].append(x)
+        return adj
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,8 +95,8 @@ class ColourClass:
     ``rows`` are the class's edges and ``vertices`` the vertices they touch,
     both ascending.  ``labels`` gives each vertex the index of its component
     and ``orders`` each component's vertex count, so ``len`` counts the
-    components.  :meth:`walk` walks the components of ``k`` or more
-    vertices; iterating walks them all.
+    components.  :meth:`walk` cuts the components of ``k`` or more
+    vertices from these arrays; iterating cuts them all.
     """
 
     rows: np.ndarray
@@ -88,17 +111,32 @@ class ColourClass:
     def walk(self, k: int) -> Iterator[tuple[int, MonochromaticComponent]]:
         """Each component of ``k`` or more vertices with its index, lazily.
 
-        One mask picks out those components' rows, which stay ascending, so
-        each component's walk meets its vertices and edges in the order that
-        a walk of all of ``rows`` does.
+        The vertices and then the rows go under their components' labels;
+        one mask keeps those of the picked components, and one stable sort by
+        label groups them, each component's vertices and rows ascending.
+        Each end of a row is then numbered by its vertex's place among its
+        component's vertices.
         """
-        picked = self.orders >= k
-        of_row = self.labels[np.searchsorted(self.vertices, self.rows[:, 0])]
-        own = map(tuple, self.rows[picked[of_row]].tolist())
-        for index, (vertices, edges) in zip(
-            np.flatnonzero(picked).tolist(), components(own)
+        n, picked = len(self.vertices), self.orders >= k
+        ends = np.searchsorted(self.vertices, self.rows)  # vertex places
+        # vertex place p is entry p and row i entry n + i, each under its label
+        label = np.concatenate([self.labels, self.labels[ends[:, 0]]])
+        entries = np.flatnonzero(picked[label])
+        entries = entries[np.argsort(label[entries], kind="stable")]
+        places, kept = entries[entries < n], entries[entries >= n] - n
+        orders = self.orders[picked]
+        local = np.empty(n, dtype=np.int64)
+        first = np.cumsum(orders) - orders  # where each component starts in places
+        local[places] = np.arange(len(places)) - np.repeat(first, orders)
+        widths = 2 * np.bincount(label[n:], minlength=len(picked))[picked]  # row ends
+        vertices = iter(self.vertices[places].tolist())
+        row_ends = iter(local[ends[kept]].ravel().tolist())
+        for index, order, width in zip(
+            np.flatnonzero(picked).tolist(), orders.tolist(), widths.tolist()
         ):
-            yield index, MonochromaticComponent(vertices, edges)
+            yield index, MonochromaticComponent(
+                tuple(islice(vertices, order)), tuple(islice(row_ends, width))
+            )
 
     def __len__(self) -> int:
         return len(self.orders)
@@ -249,44 +287,29 @@ def _reconstruct(
     return path
 
 
-def _local_adjacency(
-    vertices: tuple[int, ...], edges: Iterable[Edge]
-) -> list[list[int]]:
-    index = {v: i for i, v in enumerate(vertices)}
-    adj: list[list[int]] = [[] for _ in vertices]
-    for u, v in edges:
-        adj[index[u]].append(index[v])
-        adj[index[v]].append(index[u])
-    return adj
-
-
-def greedy_vertex_cover(
-    vertices: tuple[int, ...], edges: Iterable[Edge]
-) -> tuple[int, ...]:
-    """Max-degree-first vertex cover of ``edges``, whose ends lie in ``vertices``.
+def greedy_vertex_cover(adjacency: list[list[int]]) -> tuple[int, ...]:
+    """Max-degree-first vertex cover of the graph on ``0..s-1`` with these
+    adjacency lists.
 
     Any cover works for the path-length certificate; greedy keeps star
     forests at one cover vertex per star.  Ties break toward the lowest id.
-    Picks come off a heap of ``(-degree, vertex)``, stale entries re-pushed.
+    Picks come off a heap of ``(-degree, vertex)``, stale entries re-pushed;
+    a pick lowers its neighbours' degrees, and a picked vertex leaves the heap.
     """
     import heapq  # here, not at start-up: most verifications need no cover
-    local: dict[int, set[int]] = {v: set() for v in vertices}
-    for u, v in edges:
-        local[u].add(v)
-        local[v].add(u)
-    heap = [(-len(ns), v) for v, ns in local.items() if ns]
+    degree = list(map(len, adjacency))  # uncovered edges at each vertex off the cover
+    heap = [(-d, v) for v, d in enumerate(degree) if d]
     heapq.heapify(heap)
     cover: list[int] = []
     while heap:
         neg_degree, best = heapq.heappop(heap)
-        degree = len(local[best])
-        if degree != -neg_degree:  # degrees only fall
-            if degree:
-                heapq.heappush(heap, (-degree, best))
+        if degree[best] != -neg_degree:  # degrees only fall
+            if degree[best]:
+                heapq.heappush(heap, (-degree[best], best))
         else:
             cover.append(best)
-            for w in local.pop(best):
-                local[w].discard(best)
+            for w in adjacency[best]:  # a cover vertex's count is never read again
+                degree[w] -= 1
     return tuple(cover)
 
 
@@ -363,14 +386,14 @@ def verify_colouring(
         searched = view.walk(k) if orders[top] >= k else ()
         for index, comp in searched:
             order = len(comp.vertices)
+            adj = comp.adjacency
             if order > cap:
-                size = len(greedy_vertex_cover(comp.vertices, comp.edges))
+                size = len(greedy_vertex_cover(adj))
                 if 2 * size + 1 < k:
                     covered.append((colour, order, size))
                 else:
                     indeterminate.append((colour, order))
                 continue
-            adj = _local_adjacency(comp.vertices, comp.edges)
             length, path = _mask_path_search(adj, stop_at=k)
             max_found = length if max_found is None else max(max_found, length)
             if path is not None:

@@ -103,6 +103,47 @@ def edge_adjacency(edges) -> dict[int, set[int]]:
     return adj
 
 
+def components(edges):
+    """Reference oracle: connected components of a loop-free edge set, in
+    order of least vertex, by a breadth-first walk over edge tuples.
+
+    Yields each component's sorted vertices and its own edges (the input
+    tuples, each once, taken at their first endpoint in walk order).  Lazy,
+    so a caller that stops early skips the rest.
+    """
+    incident: dict[int, list[tuple[int, int]]] = {}
+    for e in edges:
+        incident.setdefault(e[0], []).append(e)
+        incident.setdefault(e[1], []).append(e)
+    seen: set[int] = set()
+    for start in sorted(incident):
+        if start in seen:
+            continue
+        seen.add(start)
+        comp, own = [start], []
+        for x in comp:  # grows while it is walked
+            for e in incident[x]:
+                if e[0] == x:  # each edge is taken at its first endpoint
+                    own.append(e)
+                y = e[1] if e[0] == x else e[0]
+                if y not in seen:
+                    seen.add(y)
+                    comp.append(y)
+        yield tuple(sorted(comp)), tuple(own)
+
+
+def local_adjacency(vertices, edges) -> list[list[int]]:
+    """Reference oracle: adjacency lists over the places of ``vertices``,
+    appended in the order of ``edges`` (for a component, in the order that
+    :func:`components` yields its edges)."""
+    index = {v: i for i, v in enumerate(vertices)}
+    adj: list[list[int]] = [[] for _ in vertices]
+    for u, v in edges:
+        adj[index[u]].append(index[v])
+        adj[index[v]].append(index[u])
+    return adj
+
+
 def colour_classes(col: EdgeColouring) -> dict[int, list[tuple[int, int]]]:
     """Each colour's edges in ascending order, colours ascending, by a loop
     over the assignments."""

@@ -21,10 +21,10 @@ from pathfree import (
     uniform_edges,
 )
 from pathfree.extract import _components_below, _labels_below
-from pathfree.graph import components
 
 from conftest import (
     block_partition_reference,
+    components,
     edge_adjacency,
     greedy_bin_assignment_reference,
     has_path_on,

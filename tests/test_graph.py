@@ -28,7 +28,6 @@ from pathfree import (
 from pathfree import graph
 from pathfree.graph import (
     absent_edges,
-    components,
     read_edge_rows,
     read_header_fields,
     subtract,
@@ -36,6 +35,7 @@ from pathfree.graph import (
 
 from conftest import (
     complete_graph,
+    components,
     induced_bipartite,
     random_graph,
     serialize_colouring_reference,

@@ -1,8 +1,9 @@
 """Source hygiene: every imported name and every dataclass field is read,
-only ``graph.py`` sorts, compares or parses edge rows, one method walks
-components, no run path copies a whole edge array into Python lists, every
-defaulted parameter of the public API is listed, and every exported name has
-a reader outside the tests.
+only ``graph.py`` sorts, compares or parses edge rows, no module of the
+package walks components over edge tuples, no run path copies a whole edge
+array into Python lists, every defaulted parameter of the public API is
+listed, and every exported name, and every public method and property of an
+exported class, has a reader outside the tests.
 
 All are AST scans, as no linter runs.
 """
@@ -291,16 +292,23 @@ def test_component_walk_scan_counts_calls_and_references():
     assert component_walks(tree) == ["C.walk", "f", "<module>"]
 
 
-def test_the_package_walks_components_at_one_site():
-    # ColourClass.walk is the one way a component is walked from its rows;
-    # a second walk path would be a second way to reach a component, and
-    # the walk moves to the tests as an oracle once nothing here needs it
-    found = {
-        path.name: walks
-        for path in sorted((ROOT / "src" / "pathfree").glob("*.py"))
-        if (walks := component_walks(ast.parse(path.read_text(), str(path))))
-    }
-    assert found == {"verify.py": ["ColourClass.walk"]}
+def test_no_module_reads_the_component_walk():
+    # the verifier cuts each searched component from its class's arrays;
+    # the walk over edge tuples and its local adjacency are test oracles in
+    # conftest.py, and a copy of either here would be a second way to reach
+    # a component
+    found = {}
+    for path in sorted((ROOT / "src" / "pathfree").glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        defined = {
+            node.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef)
+            and node.name in ("components", "_local_adjacency")
+        }
+        if walks := component_walks(tree) + sorted(defined):
+            found[path.name] = walks
+    assert found == {}
 
 
 def whole_row_copies(tree: ast.Module) -> list[str]:
@@ -420,8 +428,23 @@ def test_every_defaulted_parameter_is_listed():
     assert len(found) == 13
 
 
+def exported_members(tree: ast.Module) -> list[str]:
+    """``Class.member`` for each public method and property defined in the
+    body of a class that the module exports, in source order."""
+    exported = set(exported_names(tree))
+    return [
+        f"{cls.name}.{node.name}"
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef) and cls.name in exported
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+    ]
+
+
 def unread_exports(trees: dict[str, ast.Module]) -> list[str]:
-    """Exported names that no module in ``trees`` reads, as ``path: name``.
+    """Exported names, and public methods and properties of exported
+    classes, that no module in ``trees`` reads, as ``path: name`` or
+    ``path: Class.member``.
 
     A read is a name or attribute load of that name anywhere in ``trees``,
     or a string in a ``PATCH_POINTS`` assignment (the tracer looks its
@@ -446,8 +469,8 @@ def unread_exports(trees: dict[str, ast.Module]) -> list[str]:
     return [
         f"{path}: {name}"
         for path, tree in trees.items()
-        for name in exported_names(tree)
-        if name not in read
+        for name in exported_names(tree) + exported_members(tree)
+        if name.rpartition(".")[2] not in read
     ]
 
 
@@ -458,11 +481,19 @@ def test_unread_exports_scan_counts_only_real_reads():
     module = ast.parse(
         "__all__ = ['f', 'g', 'h', 'k', 'C']\n"
         "def f(): pass\ndef g(): pass\ndef h(): pass\ndef k(): pass\n"
-        "class C: pass\n"
+        "class C:\n"
+        "    def read(self): pass\n"
+        "    def unread(self): pass\n"
+        "    @property\n    def shown(self): pass\n"
+        "    @property\n    def hidden(self): pass\n"
+        "    def _own(self): pass\n"  # private: not listed
+        "    def __iter__(self): pass\n"
+        "class D:\n    def unread(self): pass\n"  # not exported: not listed
         "x = C()\n"
     )
     caller = ast.parse(
         "import m\nm.g()\nPATCH_POINTS = (('m', 'h', 'm.h'),)\ny = 'k'\n"
+        "m.C().read()\nprint(m.C().shown)\nm.C().hidden = 1\n"  # a store
     )
     trees = {"p/__init__.py": package, "p/m.py": module, "run.py": caller}
     assert unread_exports(trees) == [
@@ -470,11 +501,14 @@ def test_unread_exports_scan_counts_only_real_reads():
         "p/__init__.py: k",
         "p/m.py: f",
         "p/m.py: k",
+        "p/m.py: C.unread",
+        "p/m.py: C.hidden",
     ]
 
 
 def test_every_exported_name_has_a_reader_outside_the_tests():
-    # a name only the tests read is a test oracle and belongs in tests/
+    # a name only the tests read is a test oracle and belongs in tests/; so
+    # is a public method or property of an exported class
     paths = [
         *sorted((ROOT / "src").rglob("*.py")),
         *sorted((ROOT / "demos").rglob("*.py")),

@@ -21,15 +21,16 @@ from pathfree import (
     verify,
     verify_colouring,
 )
-from pathfree.graph import components
 from pathfree.verify import _reconstruct
 
 from conftest import (
     colour_classes,
     complete_graph,
+    components,
     cycle_graph,
     edge_adjacency,
     has_path_on,
+    local_adjacency,
     longest_path_brute,
     path_graph,
     random_graph,
@@ -98,15 +99,22 @@ def test_reconstruction_off_the_trail_is_an_internal_error():
         _reconstruct([[1], [0]], [{}, {3: 2}], 3, 2)
 
 
+def vertex_rows(comp) -> list[tuple[int, int]]:
+    """A component's rows in vertex ids, from its local ids."""
+    ids, rows = comp.vertices, comp.rows
+    return [(ids[u], ids[v]) for u, v in zip(rows[::2], rows[1::2])]
+
+
 def test_monochromatic_components_by_colour():
     g = Graph.build(6, [(0, 1), (1, 2), (3, 4), (0, 2)])
     col = EdgeColouring.of([(0, 1), (1, 2), (3, 4), (0, 2)], [0, 0, 0, 1])
     comps = monochromatic_components(g, col)
     assert {c.vertices for c in comps[0]} == {(0, 1, 2), (3, 4)}
     assert [c.vertices for c in comps[1]] == [(0, 2)]
-    assert {len(c.edges) for c in comps[0]} == {2, 1}
+    assert [vertex_rows(c) for c in comps[0]] == [[(0, 1), (1, 2)], [(3, 4)]]
+    assert [c.rows for c in comps[0]] == [(0, 1, 1, 2), (0, 1)]
     for colour, edges in colour_classes(col).items():
-        own = [e for c in comps[colour] for e in c.edges]
+        own = [e for c in comps[colour] for e in vertex_rows(c)]
         assert sorted(own) == edges
     with pytest.raises(ContractViolation):
         monochromatic_components(path_graph(3), EdgeColouring.of([(4, 5)], [0]))
@@ -121,7 +129,8 @@ def random_colouring(rnd: random.Random) -> tuple[Graph, EdgeColouring]:
 
 def assert_labels_match_walk(g: Graph, col: EdgeColouring) -> None:
     """Each class's labels, count, orders and components against the
-    ``components`` walk, and :meth:`ColourClass.walk` at every cut-off order."""
+    oracle ``components`` walk, each component's rows and adjacency against
+    its walked edges, and :meth:`ColourClass.walk` at every cut-off order."""
     classes = monochromatic_components(g, col)
     walked = {c: list(components(edges)) for c, edges in colour_classes(col).items()}
     assert list(classes) == list(walked)
@@ -129,15 +138,20 @@ def assert_labels_match_walk(g: Graph, col: EdgeColouring) -> None:
         walk = walked[colour]
         assert len(view) == len(walk)
         assert [c.vertices for c in view] == [vs for vs, _ in walk]
-        assert [c.edges for c in view] == [es for _, es in walk]
+        assert [vertex_rows(c) for c in view] == [sorted(es) for _, es in walk]
+        assert [c.adjacency for c in view] == [local_adjacency(*c) for c in walk]
         orders = [len(vs) for vs, _ in walk]
         assert view.orders.tolist() == orders
         holder = {v: i for i, (vs, _) in enumerate(walk) for v in vs}
         assert view.labels.tolist() == [holder[v] for v in view.vertices.tolist()]
         assert [view.members(i) for i in range(len(walk))] == [vs for vs, _ in walk]
         for k in {2, *orders, max(orders) + 1}:
-            picked = [(i, c) for i, c in enumerate(walk) if len(c[0]) >= k]
-            assert [(i, (c.vertices, c.edges)) for i, c in view.walk(k)] == picked
+            picked = [
+                (i, vs, local_adjacency(vs, es))
+                for i, (vs, es) in enumerate(walk)
+                if len(vs) >= k
+            ]
+            assert [(i, c.vertices, c.adjacency) for i, c in view.walk(k)] == picked
 
 
 def shuffled(g: Graph, rnd: random.Random) -> Graph:
@@ -281,15 +295,7 @@ def test_matching_classes_build_no_component_objects(monkeypatch):
     verify_colouring(path, monochrome(path), r=1, k=4)
     assert len(built) == 1
     # a P_k among 50 one-edge components of its class: only the P_k is
-    # walked, and only its rows reach the walk
-    walked = []
-
-    def counted_walk(edges):
-        edges = list(edges)
-        walked.extend(edges)
-        return components(edges)
-
-    monkeypatch.setattr(verify, "components", counted_walk)
+    # cut, and only its rows reach a component
     k = 7
     ones = [(100 + 2 * i, 101 + 2 * i) for i in range(25)]
     p_k = [(i, i + 1) for i in range(50, 50 + k - 1)]
@@ -299,19 +305,36 @@ def test_matching_classes_build_no_component_objects(monkeypatch):
     report = verify_colouring(g, monochrome(g), r=1, k=k)
     assert report.verdict == "fail" and len(report.witness_path) == k
     assert report.per_colour_stats == ((0, 51, k, k),)
-    assert len(built) == 1 and sorted(walked) == p_k
+    assert len(built) == 1
+    vertices, rows = built[0]
+    assert vertices == tuple(range(50, 50 + k))
+    assert rows == tuple(x for i in range(k - 1) for x in (i, i + 1))
 
 
-def test_many_small_searched_components_are_walked_once():
-    # 10 000 stars K_{1,5} in one colour, each searched at k = 4: a scan of
-    # the class's rows per component would take seconds
-    stars = [(6 * s, 6 * s + leaf) for s in range(10_000) for leaf in range(1, 6)]
-    g = Graph.build(60_000, stars)
+@pytest.mark.parametrize(
+    "count, leaves, k, stats, covered",
+    [
+        # K_{1,5} searched exactly at k = 4
+        (10_000, 5, 4, (0, 10_000, 6, 3), ()),
+        # K_{1,30}, over the cap of 24, each certified by a one-vertex cover
+        (2_000, 30, 10, (0, 2_000, 31, None), ((0, 31, 1),) * 2_000),
+    ],
+    ids=["exact", "cover"],
+)
+def test_many_small_searched_components_are_walked_once(
+    count, leaves, k, stats, covered
+):
+    # disjoint stars in one colour, each searched at k: a scan of the
+    # class's rows per component would take seconds
+    side = leaves + 1
+    stars = [(side * s, side * s + i) for s in range(count) for i in range(1, side)]
+    g = Graph.build(side * count, stars)
     start = time.perf_counter()
-    report = verify_colouring(g, monochrome(g), r=1, k=4)
+    report = verify_colouring(g, monochrome(g), r=1, k=k)
     assert time.perf_counter() - start < 1.0
     assert report.verdict == "pass"
-    assert report.per_colour_stats == ((0, 10_000, 6, 3),)
+    assert report.per_colour_stats == (stats,)
+    assert report.cover_certified == covered
 
 
 def min_scan_cover(vertices, edges) -> tuple[int, ...]:
@@ -333,13 +356,18 @@ def test_greedy_cover_covers_and_is_deterministic(rnd):
     for trial in range(80):
         g = random_graph(rnd, n_max=12, density=0.4)
         vertices = tuple(sorted({v for e in g.edges for v in e}))
-        cover = greedy_vertex_cover(vertices, g.edges)
+        adjacency = local_adjacency(vertices, sorted(g.edges))
+        cover = tuple(vertices[i] for i in greedy_vertex_cover(adjacency))
         for u, v in g.edges:
             assert u in cover or v in cover
         assert cover == min_scan_cover(vertices, g.edges)
-    star = star_graph(9)
-    assert greedy_vertex_cover(tuple(range(10)), star.edges) == (0,)
-    assert greedy_vertex_cover(tuple(range(7)), path_graph(7).edges) == (1, 3, 5)
+        for neighbours in adjacency:  # the order of a list changes nothing
+            rnd.shuffle(neighbours)
+        assert tuple(vertices[i] for i in greedy_vertex_cover(adjacency)) == cover
+    star = local_adjacency(range(10), star_graph(9).edges)
+    assert greedy_vertex_cover(star) == (0,)
+    path = local_adjacency(range(7), path_graph(7).edges)
+    assert greedy_vertex_cover(path) == (1, 3, 5)
 
 
 def test_single_colour_path_fails_with_witness():
