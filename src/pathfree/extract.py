@@ -25,7 +25,9 @@ it is checked by min-label propagation over the kept rows for at most ``k - 1``
 rounds: a component on fewer than ``k`` vertices has diameter at most
 ``k - 2``, so labels that have not settled by then rule the certificate out,
 and settled labels are the components, whose sizes one ``bincount`` gives.
-Only the chosen trial becomes a ``Graph``.
+Only the chosen trial becomes a ``Graph``.  Rows and keys are selected with
+``compress``, not a boolean subscript, which on an unpredictable mask takes
+several times as long and was the largest cost of a trial.
 """
 
 from __future__ import annotations
@@ -95,15 +97,19 @@ def greedy_bin_assignment(g: Graph, owner: np.ndarray, b: np.ndarray) -> np.ndar
     a_part = owner[u + v - x]
     ab = in_b[x] & (a_part >= 0)
     stride = int(owner.max(initial=0)) + 1
-    pairs, counts = np.unique(x[ab] * stride + a_part[ab], return_counts=True)
-    x, part = np.divmod(pairs, stride)
-    # per vertex, most neighbours first; np.unique leaves each vertex's parts
-    # ascending and lexsort is stable, so a tie keeps the lowest part
-    order = np.lexsort((-counts, x))
-    x, part = x[order], part[order]
-    lead = np.diff(x, prepend=-1) != 0
+    key = x.compress(ab) * stride + a_part.compress(ab)
+    key.sort()
     best = np.where(in_b, 0, -1)
-    best[x[lead]] = part[lead]
+    if key.size:
+        # one run of equal keys per (B-vertex, part) pair, its length the count
+        start = np.flatnonzero(np.diff(key, prepend=-1))
+        counts = np.diff(start, append=key.size)
+        x, part = np.divmod(key[start], stride)
+        # per vertex, the largest score is the most neighbours and, among
+        # equal counts, the lowest part
+        lead = np.flatnonzero(np.diff(x, prepend=-1))
+        score = np.maximum.reduceat(counts * stride + (stride - 1 - part), lead)
+        best[x[lead]] = stride - 1 - score % stride
     return best
 
 
@@ -148,9 +154,11 @@ def block_partition(
     owner[a_ids] = rng.integers(0, q, size=a_ids.size)  # one draw, over sorted a
     part = np.where(in_b, greedy_bin_assignment(g, owner, in_b), owner)
     u, v = g.edge_array.T
-    keep = ((in_a[u] & in_b[v]) | (in_b[u] & in_a[v])) & (part[u] == part[v])
+    # an edge with one end in A whose ends share a part has its other end in
+    # B, as a vertex on neither side has part -1
+    keep = (in_a[u] != in_a[v]) & (part[u] == part[v])
     sizes = np.bincount(owner[a_ids], minlength=q)
-    return BlockSplit(part, in_a, sizes, g.edge_array[keep])
+    return BlockSplit(part, in_a, sizes, g.edge_array.compress(keep, axis=0))
 
 
 def _components_below(edges: np.ndarray, vertex_count: int, k: int) -> bool:

@@ -98,8 +98,17 @@ class Graph:
         return Graph(vertex_count, rows[row_order(rows)])
 
     def keep(self, rows: np.ndarray) -> "Graph":
-        """The graph on the same vertices with the edges at ``rows`` (a row mask)."""
-        return Graph(self.vertex_count, self.edge_array[rows])
+        """The graph on the same vertices with the edges at ``rows`` (a row mask).
+
+        ``rows`` must be a boolean array with one entry per row: an index
+        array could repeat or reorder rows, and a short mask would drop rows.
+        """
+        rows = np.asarray(rows)
+        if rows.shape != (self.edge_count,) or rows.dtype != bool:
+            raise ContractViolation(
+                f"the row mask must be a boolean array over {self.edge_count} rows"
+            )
+        return Graph(self.vertex_count, self.edge_array.compress(rows, axis=0))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):

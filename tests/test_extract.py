@@ -71,6 +71,24 @@ def test_greedy_assignment_ties_go_low():
     # the lowest index wins even when the A-side numbering runs the other way
     parts = greedy_bin_assignment(square, owners(4, {0: 1, 2: 0}), odd)
     assert parts.tolist() == [-1, 0, -1, 0]
+    # vertex 0 sees parts 5, 5, 2, 7, 2, 7 in row order: a three-way tie
+    # that the lowest part wins, though part 5 comes first
+    parts = greedy_bin_assignment(
+        star_graph(6), owners(7, {1: 5, 2: 5, 3: 2, 4: 7, 5: 2, 6: 7}), first(7, 1)
+    )
+    assert parts.tolist() == [2, -1, -1, -1, -1, -1, -1]
+
+
+def test_greedy_assignment_matches_the_oracle_at_scale():
+    g = uniform_edges(2000, 40000, 1)
+    rng = substream(1, "greedy-scale")
+    in_a = rng.random(2000) < 0.5
+    a = np.flatnonzero(in_a).tolist()
+    part_of = dict(zip(a, rng.integers(0, 300, size=len(a)).tolist()))
+    b = np.flatnonzero(~in_a).tolist()
+    parts = greedy_bin_assignment(g, owners(2000, part_of), ~in_a).tolist()
+    expected = greedy_bin_assignment_reference(g, part_of, b)
+    assert parts == [expected.get(x, -1) for x in range(2000)]
 
 
 def test_greedy_assignment_isolated_lands_in_part_zero():
@@ -80,6 +98,10 @@ def test_greedy_assignment_isolated_lands_in_part_zero():
     empty = Graph.build(3, [])
     parts = greedy_bin_assignment(empty, owners(3, {0: 2}), ~first(3, 1))
     assert parts.tolist() == [-1, 0, 0]
+    # edges inside A and inside B only: no B-vertex has an A-neighbour
+    g = Graph.build(6, [(0, 1), (2, 3), (3, 4)])
+    parts = greedy_bin_assignment(g, owners(6, {0: 1, 1: 2}), ~first(6, 2))
+    assert parts.tolist() == [-1, -1, 0, 0, 0, 0]
 
 
 def test_greedy_assignment_contract_errors():

@@ -63,6 +63,20 @@ def test_of_sorts_keep_masks_and_equality_compares_arrays():
         hash(g)
 
 
+def test_keep_refuses_a_mask_that_is_not_one_boolean_per_row():
+    g = Graph.build(4, [(0, 1), (1, 2), (2, 3)])
+    # an index array would repeat and reorder rows, and compress would
+    # silently truncate a short mask
+    for rows in (
+        np.array([2, 0, 0]),
+        np.array([True, False]),
+        np.array([True, False, True, False]),
+        np.array([[True, False, True]]),
+    ):
+        with pytest.raises(ContractViolation, match="boolean array over 3 rows"):
+            g.keep(rows)
+
+
 def test_build_rejects_bad_edges():
     for edges, message in [
         ([(1, 1)], "loop at vertex 1"),
