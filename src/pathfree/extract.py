@@ -14,18 +14,19 @@ Results carry a machine-checked certificate: ``part-size`` (every
 ``component-order`` (every connected component of the kept subgraph has
 fewer than ``k`` vertices).  Uncertified attempts are never promoted.
 
-Sets are masks, partitions are part arrays: a vertex set (a degree band,
-the core and its independent side, a side of a split) is a boolean mask over
-``0..n-1``, and a partition of vertices is a per-vertex int64 array holding
-each vertex's part and -1 off the partition.  Each trial works on numpy
-arrays over ``g.edge_array`` only: a side mask from the bipartition, a part
-array, the A-part sizes and the kept edge rows.  ``component-order`` is
-ruled out at once by a kept vertex of degree ``k - 1`` or more; otherwise
-it is checked by min-label propagation over the kept rows for at most ``k - 1``
-rounds: a component on fewer than ``k`` vertices has diameter at most
-``k - 2``, so labels that have not settled by then rule the certificate out,
-and settled labels are the components, whose sizes one ``bincount`` gives.
-Only the chosen trial becomes a ``Graph``.  Rows and keys are selected with
+Sets are masks, partitions are part arrays: every vertex set (a degree band,
+the core the bipartition splits, its independent side, a side of a split)
+is a boolean mask over ``0..n-1``, checked by ``graph.vertex_masks``, and a
+partition of vertices is a per-vertex int64 array holding each vertex's
+part and -1 off the partition.  Each trial works on numpy arrays over
+``g.edge_array`` only: a side mask from the bipartition, a part array, the
+A-part sizes and the kept edge rows.  ``component-order`` is ruled out at
+once by a kept vertex of degree ``k - 1`` or more; otherwise it is checked
+by min-label propagation over the kept rows for at most ``k - 1`` rounds: a
+component on fewer than ``k`` vertices has diameter at most ``k - 2``, so
+labels that have not settled by then rule the certificate out, and settled
+labels are the components, whose sizes one ``bincount`` gives.  Only the
+chosen trial becomes a ``Graph``.  Rows and keys are selected with
 ``compress``, not a boolean subscript, which on an unpredictable mask takes
 several times as long and was the largest cost of a trial.
 """
@@ -39,7 +40,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ContractViolation, InternalInvariantError, UsageError
-from .graph import Graph, random_balanced_bipartition
+from .graph import Graph, random_balanced_bipartition, vertex_masks
 from .rng import substream
 
 __all__ = [
@@ -66,15 +67,6 @@ BAND_RATIO = Fraction(math.exp(-2))
 SELECT_RATIO = Fraction(math.exp(-1))
 
 
-def _vertex_masks(g: Graph, *sets: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The given vertex sets as arrays; each must be a boolean mask over ``0..n-1``."""
-    n = g.vertex_count
-    masks = tuple(np.asarray(mask) for mask in sets)
-    if any(mask.shape != (n,) or mask.dtype != bool for mask in masks):
-        raise ContractViolation(f"vertex sets must be boolean masks over 0..{n - 1}")
-    return masks
-
-
 def greedy_bin_assignment(g: Graph, owner: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Send each vertex of ``b`` to the part with most of its neighbours.
 
@@ -83,7 +75,7 @@ def greedy_bin_assignment(g: Graph, owner: np.ndarray, b: np.ndarray) -> np.ndar
     break to the lowest part index, so the outcome does not depend on
     iteration order; a vertex with no neighbour in any part lands in part 0.
     """
-    (in_b,) = _vertex_masks(g, b)
+    (in_b,) = vertex_masks(g, b)
     owner = np.asarray(owner)
     if owner.shape != (g.vertex_count,) or owner.dtype.kind != "i":
         raise ContractViolation(
@@ -146,7 +138,7 @@ def block_partition(
     """
     if q < 1:
         raise UsageError("need at least one block")
-    in_a, in_b = _vertex_masks(g, in_a, in_b)
+    in_a, in_b = vertex_masks(g, in_a, in_b)
     if (in_a & in_b).any():
         raise ContractViolation("split sides overlap")
     a_ids = np.flatnonzero(in_a)
@@ -231,7 +223,7 @@ def extract_path_free_subgraph(
     draws its own substream of ``seed``, so results do not depend on
     execution order.
     """
-    in_core, in_indep = _vertex_masks(g, core, independent)
+    in_core, in_indep = vertex_masks(g, core, independent)
     if not in_core.any():
         raise ContractViolation("core vertex set is empty")
     if (in_core & in_indep).any():
@@ -247,19 +239,18 @@ def extract_path_free_subgraph(
         edge = tuple(g.edge_array[stray.argmax()].tolist())
         raise ContractViolation(f"edge {edge} avoids the core")
     sides = in_core | in_indep
-    pool = np.flatnonzero(in_core)
 
-    half = (pool.size + 1) // 2
+    half = (int(np.count_nonzero(in_core)) + 1) // 2
     q_raw = (6 * half) // k
     q = max(1, q_raw)
 
     kept_total = 0
-    # best trial so far, keyed by whether it is certified; on equal kept
-    # edges the earlier trial stays
-    best: dict[bool, tuple[int, BlockSplit, int, str | None]] = {}
+    # the best trial so far: a certified one beats any other, then the most
+    # kept edges; on a tie the earlier trial stays
+    best_rank, best = (False, -1), None
     for t in range(trials):
         rng = substream(seed, "extract-trial", t)
-        bp = random_balanced_bipartition(g, pool, rng)
+        bp = random_balanced_bipartition(g, in_core, rng)
         split = block_partition(g, bp.in_a, sides & ~bp.in_a, q, rng)
         kept = len(split.kept_edges)
         kept_total += kept
@@ -273,12 +264,11 @@ def extract_path_free_subgraph(
             certificate = "block-path"
         elif _components_below(split.kept_edges, g.vertex_count, k):
             certificate = "component-order"
-        certified = certificate is not None
-        held = best.get(certified)
-        if held is None or kept > len(held[1].kept_edges):
-            best[certified] = (t, split, bp.crossing_edges, certificate)
+        rank = (certificate is not None, kept)
+        if rank > best_rank:
+            best_rank, best = rank, (t, split, bp.crossing_edges, certificate)
 
-    chosen, split, crossing, certificate = best.get(True) or best[False]
+    chosen, split, crossing, certificate = best
     return ExtractionResult(
         subgraph=Graph(g.vertex_count, split.kept_edges),
         q=q,

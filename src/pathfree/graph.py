@@ -217,17 +217,27 @@ def row_ids(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def absent_edges(g: Graph, rows: np.ndarray) -> list[Edge]:
-    """The distinct rows of an ``(s, 2)`` array that are no edge of ``g``, in order."""
+    """The distinct rows of an ``(s, 2)`` array that are no edge of ``g``, in
+    order; only error messages call it, to name a stray row."""
     stray = ~repeats(np.concatenate([g.edge_array, rows]))[g.edge_count :]
     return list(map(tuple, rows[stray].tolist()))
 
 
+def vertex_masks(g: Graph, *sets: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The given vertex sets as arrays; each must be a boolean mask over ``0..n-1``."""
+    n = g.vertex_count
+    masks = tuple(np.asarray(mask) for mask in sets)
+    if any(mask.shape != (n,) or mask.dtype != bool for mask in masks):
+        raise ContractViolation(f"vertex sets must be boolean masks over 0..{n - 1}")
+    return masks
+
+
 @dataclass(frozen=True, eq=False)
 class Bipartition:
-    """One side of a split of a vertex pool, with the edges it cuts in the host graph.
+    """One side of a split of a core, with the edges it cuts in the host graph.
 
     ``in_a`` is the boolean mask of the drawn side over ``0..n-1``; the rest
-    of the pool is the other side.
+    of the core is the other side.
     """
 
     in_a: np.ndarray
@@ -455,10 +465,10 @@ def write_rows(header: str, *columns: np.ndarray) -> str:
 
 def subtract(g: Graph, h: Graph) -> Graph:
     """Remove ``h``'s edges from ``g``; removing an absent edge is a contract error."""
-    absent = absent_edges(g, h.edge_array)
-    if absent:
-        raise ContractViolation(f"cannot remove absent edges, e.g. {absent[0]}")
     removed = repeats(np.concatenate([h.edge_array, g.edge_array]))[h.edge_count :]
+    if np.count_nonzero(removed) < h.edge_count:  # h's rows are distinct
+        absent = absent_edges(g, h.edge_array)
+        raise ContractViolation(f"cannot remove absent edges, e.g. {absent[0]}")
     return g.keep(~removed)
 
 
@@ -466,25 +476,21 @@ _BIPARTITION_TRIES = 64
 
 
 def random_balanced_bipartition(
-    g: Graph, pool: np.ndarray, rng: np.random.Generator
+    g: Graph, core: np.ndarray, rng: np.random.Generator
 ) -> Bipartition:
-    """Sample ``a`` of size ``ceil(|pool|/2)`` cutting at least half of g's edges.
+    """Sample ``a`` of size ``ceil(|core|/2)`` cutting at least half of g's edges.
 
-    ``pool`` holds distinct vertex ids in increasing order; a caller that
-    splits the same pool many times builds it once.  Each try draws a uniform
-    subset of the given size; the expected number of cut edges is at least
+    ``core`` is a boolean mask over ``0..n-1``.  Each try draws a uniform
+    subset of the given size, as ``rng.choice`` over the core's ids in
+    increasing order; the expected number of cut edges is at least
     ``e(g)/2`` (each edge crosses with probability at least 1/2 whether it
-    has one or both endpoints in the pool), so a qualifying draw appears
+    has one or both endpoints in the core), so a qualifying draw appears
     within a few tries.  Exhausting ``_BIPARTITION_TRIES`` tries is treated
     as an internal failure rather than a user error.
     """
-    pool = np.asarray(pool, dtype=np.int64)
+    pool = np.flatnonzero(vertex_masks(g, core)[0])
     if not pool.size:
         raise ContractViolation("cannot bipartition an empty vertex set")
-    if pool[0] < 0 or pool[-1] >= g.vertex_count or (np.diff(pool) <= 0).any():
-        raise ContractViolation(
-            f"the pool must hold distinct ids of 0..{g.vertex_count - 1} in order"
-        )
     half = (pool.size + 1) // 2
     target = g.edge_count / 2
     u, v = g.edge_array.T

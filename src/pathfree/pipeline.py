@@ -20,7 +20,12 @@ Every class produced anywhere is path-free for the given ``k`` by
 construction, so the pipeline's only failure mode is spending more than ``r``
 colours; soundness is re-checked independently by :mod:`pathfree.verify`.
 ``k = 3`` is special: only matchings avoid 3-vertex paths, so the pipeline
-reduces to one proper colouring.
+reduces to one proper colouring and ends as ``k3-direct``.  Otherwise the
+rounds end at the first of ``degree-floor`` (tracked degree below ``r/7``),
+``edge-floor`` (``m^4 <= r^7 k^4``), ``round-budget-exhausted`` (no
+extraction affordable) and ``extraction-failed`` (a round aborted).  A round
+starts only with an edge left and an extraction affordable, so it aborts or
+spends a colour.
 
 All thresholds and budgets are tracked as exact rationals.  The shrink
 constants are fixed by the round analysis: ``ETA = 1/10`` (a round stops
@@ -36,6 +41,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import count
 
 import numpy as np
 
@@ -264,7 +270,6 @@ def run_round(
     pieces: list[tuple[EdgeColouring, int]] = []
     ratios: list[Fraction] = []
     spent = 0
-    aborted = False
     abort_reason: str | None = None
 
     for j in range(extraction_budget):
@@ -280,12 +285,10 @@ def run_round(
         )
         result = band.extraction
         if not result.certified:
-            aborted = True
             abort_reason = "uncertified-extraction"
-            break
-        if result.subgraph.edge_count == 0:
-            aborted = True
+        elif result.subgraph.edge_count == 0:
             abort_reason = "empty-extraction"
+        if abort_reason:
             break
         taken = result.subgraph.edge_array
         one_class = EdgeColouring(taken, np.zeros(len(taken), dtype=np.int64))
@@ -295,7 +298,7 @@ def run_round(
         ratios.append(band.achieved_ratio)
 
     star_used = 0
-    if not aborted and extraction_budget >= 1 and work.edge_count > 0:
+    if abort_reason is None and extraction_budget >= 1 and work.edge_count > 0:
         star = star_refinement(work, extraction_budget, k)
         pieces.append((star.colouring, colour_base + spent))
         star_used = star.colouring.colours_used
@@ -324,7 +327,7 @@ def run_round(
         degree_target=degree_target,
         degree_target_met=work.max_degree <= degree_target,
         extraction_ratios=tuple(ratios),
-        aborted=aborted,
+        aborted=abort_reason is not None,
         abort_reason=abort_reason,
     )
     return RoundOutcome(trace, _union(pieces), work)
@@ -436,9 +439,7 @@ def colour_graph(g: Graph, params: PipelineParams) -> PipelineResult:
         )
         current = star0.residual
 
-    termination: str | None = None
-    i = 0
-    while True:
+    for i in count():
         if _tracked_degree(params, i) < r / 7:
             termination = "degree-floor"
             break
@@ -450,15 +451,10 @@ def colour_graph(g: Graph, params: PipelineParams) -> PipelineResult:
             break
         outcome = run_round(current, i, params, spending.total)
         spending.round(outcome)
-        previous = current.edge_count
         current = outcome.residual
         if outcome.trace.aborted:
             termination = "extraction-failed"
             break
-        if outcome.trace.colours_spent == 0 and current.edge_count >= previous:
-            termination = "stalled"
-            break
-        i += 1
 
     endgame = "empty"
     if current.edge_count > 0:

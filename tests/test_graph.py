@@ -331,6 +331,28 @@ def test_subtract_and_induced_bipartite():
         induced_bipartite(g, {0, 1}, {1, 2})
 
 
+def test_subtract_compares_rows_once(monkeypatch):
+    g = uniform_edges(50, 300, seed=3)
+    h = g.keep(np.arange(g.edge_count) % 3 == 0)
+    calls = {"repeats": 0, "absent_edges": 0}
+
+    def counted(name):
+        real = getattr(graph, name)
+
+        def call(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(graph, name, counted(name))
+    rest = subtract(g, h)
+    # absent_edges only words the error of a failed subtraction
+    assert calls == {"repeats": 1, "absent_edges": 0}
+    assert rest.edges == g.edges - h.edges
+
+
 def test_row_comparison_is_exact_for_ids_past_the_key_wrap():
     # at n = 2**62 a u * n + v key of (4, 5) wraps onto that of (0, 5)
     n = 2**62
@@ -398,7 +420,8 @@ def test_random_balanced_bipartition_properties():
     for trial in range(40):
         g = random_graph(rnd, n_max=12, density=0.5)
         pool = sorted({v for e in g.edges for v in e} or range(g.vertex_count))
-        bp = random_balanced_bipartition(g, np.array(pool), substream(trial, "split"))
+        core = g.vertex_mask(pool)
+        bp = random_balanced_bipartition(g, core, substream(trial, "split"))
         a = np.flatnonzero(bp.in_a).tolist()
         assert bp.in_a.shape == (g.vertex_count,)
         assert len(a) == (len(pool) + 1) // 2 and set(a) <= set(pool)
@@ -408,27 +431,29 @@ def test_random_balanced_bipartition_properties():
 
 
 def test_random_balanced_bipartition_draws_as_a_sorted_choice():
-    # the side is the draw that rng.choice makes over the sorted pool
+    # the side is the draw that rng.choice makes over the core's sorted ids
     g = complete_graph(9)
-    pool = np.array([1, 2, 4, 5, 7, 8])
-    bp = random_balanced_bipartition(g, pool, substream(4, "draw"))
+    core = g.vertex_mask([8, 1, 4, 2, 7, 5])
+    bp = random_balanced_bipartition(g, core, substream(4, "draw"))
     rng = substream(4, "draw")
     drawn = []
     for _ in range(bp.tries):
-        drawn = sorted(rng.choice(pool, size=3, replace=False).tolist())
+        drawn = sorted(rng.choice(np.flatnonzero(core), size=3, replace=False).tolist())
     assert np.flatnonzero(bp.in_a).tolist() == drawn
 
 
 def test_random_balanced_bipartition_failure_is_internal():
-    # pool = an isolated vertex: no draw can ever cut half of the edges
+    # core = an isolated vertex: no draw can ever cut half of the edges
     g = Graph.build(4, [(1, 2), (1, 3), (2, 3)])
     with pytest.raises(InternalInvariantError):
-        random_balanced_bipartition(g, np.array([0]), substream(0, "hopeless"))
+        random_balanced_bipartition(g, g.vertex_mask([0]), substream(0, "hopeless"))
     with pytest.raises(ContractViolation, match="empty"):
-        random_balanced_bipartition(g, np.array([], dtype=int), substream(0, "empty"))
-    for pool in ([0, 4], [-1, 2], [2, 1], [1, 1]):
-        with pytest.raises(ContractViolation, match="in order"):
-            random_balanced_bipartition(g, np.array(pool), substream(0, "bad"))
+        random_balanced_bipartition(g, g.vertex_mask([]), substream(0, "empty"))
+    # the core is a boolean mask over exactly 0..n-1: not ids, short or 2-D
+    ids, short, flat = np.array([0, 1]), np.ones(3, dtype=bool), np.ones(4, dtype=bool)
+    for core in (ids, ids.astype(bool), short, flat.reshape(1, 4), flat.astype(int)):
+        with pytest.raises(ContractViolation, match="boolean masks"):
+            random_balanced_bipartition(g, core, substream(0, "bad"))
 
 
 def test_row_ids_number_distinct_rows_in_row_order(rnd):

@@ -2,8 +2,9 @@
 only ``graph.py`` sorts, compares or parses edge rows, no module of the
 package walks components over edge tuples, no run path copies a whole edge
 array into Python lists, every defaulted parameter of the public API is
-listed, and every exported name, and every public method and property of an
-exported class, has a reader outside the tests.
+listed, every exported name, and every public method and property of an
+exported class, has a reader outside the tests, and every termination reason
+of the pipeline is pinned by a test.
 
 All are AST scans, as no linter runs.
 """
@@ -519,3 +520,66 @@ def test_every_exported_name_has_a_reader_outside_the_tests():
         for path in paths
     }
     assert unread_exports(trees) == []
+
+
+def termination_reasons(tree: ast.Module) -> list[str]:
+    """The string constants assigned to ``termination`` or passed to
+    ``_finish`` as its fourth (termination) argument, in source order."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "termination" for t in node.targets
+        ):
+            value = node.value
+        elif (
+            isinstance(node, ast.Call)
+            and ast.unparse(node.func) == "_finish"
+            and len(node.args) > 3
+        ):
+            value = node.args[3]
+        else:
+            continue
+        if isinstance(value, ast.Constant) and isinstance(value.value, str):
+            found.append((node.lineno, value.value))
+    return [reason for _, reason in sorted(found)]
+
+
+def unpinned_reasons(source: ast.Module, tests: ast.Module) -> list[str]:
+    """The termination reasons of ``source`` that no string in ``tests`` holds."""
+    pinned = {
+        node.value
+        for node in ast.walk(tests)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+    }
+    return [reason for reason in termination_reasons(source) if reason not in pinned]
+
+
+def test_termination_scan_flags_only_unpinned_reasons():
+    source = ast.parse(
+        "termination = 'pinned'\n"
+        "if stuck:\n    termination = 'planted'\n"
+        "termination = other\n"  # not a string
+        "label = 'unset'\n"  # not a termination
+        "done = _finish(g, params, spending, 'direct', 'case')\n"
+    )
+    tests = ast.parse(
+        "assert result.termination_reason == 'pinned'\n"
+        "reasons = ['direct']  # 'planted' only in a comment\n"
+    )
+    assert termination_reasons(source) == ["pinned", "planted", "direct"]
+    assert unpinned_reasons(source, tests) == ["planted"]
+
+
+def test_every_termination_reason_is_pinned():
+    # a reason no test reaches could be unreachable, as "stalled" was: a
+    # round always extracts once, so it either aborts or spends a colour
+    source = ast.parse((ROOT / "src" / "pathfree" / "pipeline.py").read_text())
+    tests = ast.parse((ROOT / "tests" / "test_pipeline.py").read_text())
+    assert sorted(termination_reasons(source)) == [
+        "degree-floor",
+        "edge-floor",
+        "extraction-failed",
+        "k3-direct",
+        "round-budget-exhausted",
+    ]
+    assert unpinned_reasons(source, tests) == []

@@ -242,6 +242,38 @@ def test_termination_extraction_failed_still_colours_everything():
     assert verify_colouring(g, result.colouring, 12, 4).verdict == "pass"
 
 
+@pytest.mark.parametrize(
+    "n,m,r,k,trials,seed",
+    # dense-rounds' graph at five seeds, and the [extractions] case of
+    # test_desk_scale_run_succeeds_and_audits_clean
+    [(400, 8000, 36, 10, 200, seed) for seed in range(1, 6)]
+    + [(300, 6000, 30, 12, 10, 100)],
+    ids=[f"dense-{seed}" for seed in range(1, 6)] + ["extractions"],
+)
+def test_every_round_aborts_or_spends_a_colour(monkeypatch, n, m, r, k, trials, seed):
+    # why colour_graph needs no "stalled" exit: it runs a round only with an
+    # edge left and room for one extraction, so the first extraction runs and
+    # either aborts the round or takes a colour
+    seen = []
+    real_round = pipeline.run_round
+
+    def spy(g, i, params, colour_base):
+        outcome = real_round(g, i, params, colour_base)
+        seen.append((g.edge_count, i, outcome.trace))
+        return outcome
+
+    monkeypatch.setattr(pipeline, "run_round", spy)
+    params = PipelineParams(
+        r=r, k=k, beta0=0.5, seed=seed, trials_per_extraction=trials
+    )
+    result = colour_graph(uniform_edges(n, m, seed=seed), params)
+    assert seen and [trace for *_, trace in seen] == list(result.rounds)
+    for edges, i, trace in seen:
+        assert edges > 0 and RHO**i * r / 6 >= 2
+        assert trace.extractions + trace.aborted >= 1
+        assert trace.aborted or trace.colours_spent >= 1
+
+
 def test_endgame_proper_after_star_strips_the_hub():
     g = hub_and_cycle(100)
     result = colour_graph(g, PipelineParams(r=20, k=8, beta0=0.5))
