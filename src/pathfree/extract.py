@@ -359,7 +359,6 @@ class BandExtraction:
     total_edges: int
     achieved_ratio: Fraction
     reference_ratio: float
-    bands: int
 
 
 def extract_from_densest_band(
@@ -400,7 +399,7 @@ def extract_from_densest_band(
             chosen_trial=None,
             mean_edges=0.0,
         )
-        return BandExtraction(empty, "empty", None, 0, 0, Fraction(0), reference, 0)
+        return BandExtraction(empty, "empty", None, 0, 0, Fraction(0), reference)
 
     decomp = degree_class_decompose(g, Fraction(r))
     total = g.edge_count
@@ -429,5 +428,4 @@ def extract_from_densest_band(
         total_edges=total,
         achieved_ratio=Fraction(result.subgraph.edge_count, total),
         reference_ratio=reference,
-        bands=len(decomp.classes),
     )

@@ -239,8 +239,11 @@ class RoundTrace:
 
 @dataclass(frozen=True)
 class RoundOutcome:
+    """A round's trace, its parts (each coloured from 0) in colour order and
+    its residual."""
+
     trace: RoundTrace
-    colouring: EdgeColouring
+    parts: tuple[EdgeColouring, ...]
     residual: Graph
 
 
@@ -253,8 +256,9 @@ def run_round(
     count drops to ``ETA`` times the starting count or the extraction budget
     ``floor(r * RHO^i / 12)`` runs out.  The star step gets the same number
     of colours.  Total spending is at most ``r * RHO^i / 6`` by construction;
-    exceeding it would be a bug and raises.  The round's colours run from
-    ``colour_base`` up.
+    exceeding it would be a bug and raises.  The parts, the extraction classes
+    and then the star colouring, each colour from 0: the caller places them,
+    and ``colour_base`` only goes into the trace.
     """
     if params.k < 4:
         raise UsageError("rounds need k >= 4 (star classes contain P_3)")
@@ -267,9 +271,8 @@ def run_round(
     beta_round = params.beta0 * float(ZETA) ** round_index
 
     work = g
-    pieces: list[tuple[EdgeColouring, int]] = []
+    parts: list[EdgeColouring] = []
     ratios: list[Fraction] = []
-    spent = 0
     abort_reason: str | None = None
 
     for j in range(extraction_budget):
@@ -286,25 +289,19 @@ def run_round(
         result = band.extraction
         if not result.certified:
             abort_reason = "uncertified-extraction"
-        elif result.subgraph.edge_count == 0:
-            abort_reason = "empty-extraction"
-        if abort_reason:
             break
+        # never empty: a cut edge's B-end joins a part holding an A-neighbour
         taken = result.subgraph.edge_array
-        one_class = EdgeColouring(taken, np.zeros(len(taken), dtype=np.int64))
-        pieces.append((one_class, colour_base + spent))
+        parts.append(EdgeColouring(taken, np.zeros(len(taken), dtype=np.int64)))
         work = subtract(work, result.subgraph)
-        spent += 1
         ratios.append(band.achieved_ratio)
 
-    star_used = 0
     if abort_reason is None and extraction_budget >= 1 and work.edge_count > 0:
         star = star_refinement(work, extraction_budget, k)
-        pieces.append((star.colouring, colour_base + spent))
-        star_used = star.colouring.colours_used
-        spent += star_used
+        parts.append(star.colouring)
         work = star.residual
 
+    spent = sum(part.colours_used for part in parts)
     if Fraction(spent) > budget:
         raise InternalInvariantError(
             f"round {round_index} spent {spent} colours over budget {budget}"
@@ -318,7 +315,7 @@ def run_round(
         max_degree_before=degree_before,
         max_degree_after=work.max_degree,
         extractions=len(ratios),
-        star_colours=star_used,
+        star_colours=spent - len(ratios),
         colours_spent=spent,
         extraction_budget=extraction_budget,
         budget=budget,
@@ -330,7 +327,7 @@ def run_round(
         aborted=abort_reason is not None,
         abort_reason=abort_reason,
     )
-    return RoundOutcome(trace, _union(pieces), work)
+    return RoundOutcome(trace, tuple(parts), work)
 
 
 @dataclass(frozen=True)
@@ -368,34 +365,44 @@ def _preconditions(g: Graph, params: PipelineParams) -> dict:
 
 @dataclass
 class _Spending:
-    """The colours spent so far and what spent them, in colour order.  Each
-    piece is a colouring and the offset that places its colours."""
+    """The colours spent so far and what spent them: ``pieces`` holds every
+    stage's and round's parts, placed, in colour order."""
 
-    pieces: list[tuple[EdgeColouring, int]] = field(default_factory=list)
+    pieces: list[EdgeColouring] = field(default_factory=list)
     stages: list[StageRecord] = field(default_factory=list)
     rounds: list[RoundTrace] = field(default_factory=list)
     total: int = 0
+
+    def _place(self, *parts: EdgeColouring) -> int:
+        """Place the parts, each coloured from 0, in turn after the colours
+        spent so far, and return how many colours they take."""
+        base = self.total
+        for part in parts:
+            shifted = part.colours + self.total
+            self.pieces.append(EdgeColouring(part.edge_array, shifted))
+            self.total += part.colours_used
+        return self.total - base
 
     def stage(
         self, name: str, budget: Fraction, before: int, after: int,
         parts: list[EdgeColouring], **notes,
     ) -> None:
-        """End a stage that took ``before`` edges down to ``after``: its
-        parts, each coloured from 0, take the next colours in turn."""
+        """End a stage that took ``before`` edges down to ``after``."""
         base = self.total
-        for part in parts:
-            self.pieces.append((part, self.total))
-            self.total += part.colours_used
-        used = self.total - base
+        used = self._place(*parts)
         self.stages.append(
             StageRecord(name, base, used, budget, used <= budget, before, after, notes)
         )
 
     def round(self, outcome: RoundOutcome) -> None:
-        """End a round, whose colours already start at ``total``."""
-        self.pieces.append((outcome.colouring, 0))
-        self.rounds.append(outcome.trace)
-        self.total += outcome.trace.colours_spent
+        """End a round; its parts must take the colours its trace spent."""
+        used, trace = self._place(*outcome.parts), outcome.trace
+        if used != trace.colours_spent:
+            raise InternalInvariantError(
+                f"round {trace.round_index} parts use {used} colours, "
+                f"not the {trace.colours_spent} it spent"
+            )
+        self.rounds.append(trace)
 
 
 def colour_graph(g: Graph, params: PipelineParams) -> PipelineResult:
@@ -487,19 +494,6 @@ def colour_graph(g: Graph, params: PipelineParams) -> PipelineResult:
     return _finish(g, params, spending, termination, endgame)
 
 
-def _union(pieces: list[tuple[EdgeColouring, int]]) -> EdgeColouring:
-    """The pieces as one colouring, rows sorted, each piece's colours moved
-    up by its offset in the joined array."""
-    rows = [p.edge_array for p, _ in pieces] or [np.empty((0, 2), dtype=np.int64)]
-    colours = [p.colours for p, _ in pieces] or [np.empty(0, dtype=np.int64)]
-    joined = np.concatenate(colours)  # a copy: the pieces keep their colours
-    end = 0
-    for piece, offset in pieces:
-        start, end = end, end + len(piece.colours)
-        joined[start:end] += offset
-    return EdgeColouring.of(np.concatenate(rows), joined)
-
-
 def _finish(
     g: Graph,
     params: PipelineParams,
@@ -507,7 +501,10 @@ def _finish(
     termination: str | None,
     endgame: str | None,
 ) -> PipelineResult:
-    colouring = _union(spending.pieces)
+    colouring = EdgeColouring.of(  # pieces never empty: every run has a first stage
+        np.concatenate([p.edge_array for p in spending.pieces]),
+        np.concatenate([p.colours for p in spending.pieces]),
+    )
     if not np.array_equal(colouring.edge_array, g.edge_array):
         raise InternalInvariantError("stage colourings do not partition the edges")
     total = colouring.colours_used

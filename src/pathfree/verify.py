@@ -62,19 +62,24 @@ class MonochromaticComponent:
     rows: tuple[int, ...]
 
     @property
+    def neighbours(self) -> list[list[int]]:
+        """Each local vertex's neighbours, ascending, as the rows are."""
+        ascending: list[list[int]] = [[] for _ in self.vertices]
+        for u, v in zip(self.rows[::2], self.rows[1::2]):
+            ascending[u].append(v)
+            ascending[v].append(u)
+        return ascending
+
+    @property
     def adjacency(self) -> list[list[int]]:
-        """Each local vertex's neighbours, in the order the search reads them.
+        """:attr:`neighbours` in the order the search reads them.
 
         A breadth-first walk from vertex 0 over ascending neighbours takes
         each edge at its lower end, and the lists grow in that order: ``y``
         comes in ``x``'s list by the walk rank of ``min(x, y)``, then by
         ``y``.  Every witness depends on this order.
         """
-        rows = self.rows
-        ascending: list[list[int]] = [[] for _ in self.vertices]
-        for u, v in zip(rows[::2], rows[1::2]):  # rows ascending, so lists too
-            ascending[u].append(v)
-            ascending[v].append(u)
+        ascending = self.neighbours
         adj: list[list[int]] = [[] for _ in self.vertices]
         walk, seen = [0], {0}
         for x in walk:  # grows while it is walked
@@ -386,15 +391,14 @@ def verify_colouring(
         searched = view.walk(k) if orders[top] >= k else ()
         for index, comp in searched:
             order = len(comp.vertices)
-            adj = comp.adjacency
-            if order > cap:
-                size = len(greedy_vertex_cover(adj))
+            if order > cap:  # the cover reads no order, so no breadth-first lists
+                size = len(greedy_vertex_cover(comp.neighbours))
                 if 2 * size + 1 < k:
                     covered.append((colour, order, size))
                 else:
                     indeterminate.append((colour, order))
                 continue
-            length, path = _mask_path_search(adj, stop_at=k)
+            length, path = _mask_path_search(comp.adjacency, stop_at=k)
             max_found = length if max_found is None else max(max_found, length)
             if path is not None:
                 failures.append((colour, tuple(comp.vertices[i] for i in path)))

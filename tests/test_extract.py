@@ -20,6 +20,7 @@ from pathfree import (
     substream,
     uniform_edges,
 )
+from pathfree import extract
 from pathfree.extract import _components_below, _labels_below
 
 from conftest import (
@@ -447,9 +448,34 @@ def test_banded_extraction_low_degree_routes_to_residual():
     g = star_graph(5)
     banded = extract_from_densest_band(g, beta=0.5, r=8, k=4, trials=20, seed=2)
     assert banded.selection == "residual"
-    assert banded.bands == 0
     assert banded.extraction.certified
     assert 0 < banded.achieved_ratio <= 1
+
+
+def test_every_extraction_split_keeps_an_edge(monkeypatch):
+    # why a round needs no abort for an empty extraction: a bipartition of
+    # the piece cuts at least half its edges, a cut edge's other end is in
+    # B, and B's greedy assignment puts it in a part that holds one of its
+    # A-neighbours, so every trial keeps an edge
+    kept = []
+
+    def spy(*args):
+        split = block_partition(*args)
+        kept.append(len(split.kept_edges))
+        return split
+
+    monkeypatch.setattr(extract, "block_partition", spy)
+    rnd = random.Random(65)
+    for _ in range(300):
+        n = rnd.randint(4, 60)
+        m = rnd.randint(1, min(400, n * (n - 1) // 2))
+        g = uniform_edges(n, m, seed=rnd.randrange(1000))
+        r, k, trials = rnd.randint(1, 30), rnd.randint(4, 12), rnd.randint(1, 5)
+        banded = extract_from_densest_band(
+            g, beta=0.5, r=r, k=k, trials=trials, seed=rnd.randrange(1000)
+        )
+        assert banded.extraction.subgraph.edge_count > 0
+    assert len(kept) >= 300 and min(kept) > 0
 
 
 def test_banded_extraction_empty_graph():

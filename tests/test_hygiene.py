@@ -1,10 +1,10 @@
-"""Source hygiene: every imported name and every dataclass field is read,
-only ``graph.py`` sorts, compares or parses edge rows, no module of the
-package walks components over edge tuples, no run path copies a whole edge
-array into Python lists, every defaulted parameter of the public API is
-listed, every exported name, and every public method and property of an
-exported class, has a reader outside the tests, and every termination reason
-of the pipeline is pinned by a test.
+"""Source hygiene: every imported name is read, only ``graph.py`` sorts,
+compares or parses edge rows, no module of the package walks components
+over edge tuples, no run path copies a whole edge array into Python lists,
+every defaulted parameter of the public API is listed, every dataclass
+field, every exported name, and every public method and property of an
+exported class, has a reader outside the tests, and every termination and
+abort reason of the pipeline is pinned by a test.
 
 All are AST scans, as no linter runs.
 """
@@ -121,9 +121,10 @@ def test_unread_fields_scan_flags_only_unread_fields():
 
 
 def test_no_unread_dataclass_fields():
+    # a field only the tests read is a test oracle, as for exported names
     trees = {
         str(path.relative_to(ROOT)): ast.parse(path.read_text(), str(path))
-        for folder in SCANNED + ("perfbench",)
+        for folder in ("src", "demos", "perfbench")
         for path in sorted((ROOT / folder).rglob("*.py"))
     }
     assert unread_fields(trees) == []
@@ -522,36 +523,43 @@ def test_every_exported_name_has_a_reader_outside_the_tests():
     assert unread_exports(trees) == []
 
 
-def termination_reasons(tree: ast.Module) -> list[str]:
-    """The string constants assigned to ``termination`` or passed to
-    ``_finish`` as its fourth (termination) argument, in source order."""
+def assigned_strings(
+    tree: ast.Module, target: str, call: tuple[str, int] | None = None
+) -> list[str]:
+    """The string constants assigned to the name ``target`` (plainly, with an
+    annotation or as a keyword argument) or passed to ``call``, a function
+    name and the index of the argument, in source order."""
     found = []
     for node in ast.walk(tree):
-        if isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "termination" for t in node.targets
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and any(
+            isinstance(t, ast.Name) and t.id == target
+            for t in getattr(node, "targets", [getattr(node, "target", None)])
         ):
             value = node.value
+        elif isinstance(node, ast.keyword) and node.arg == target:
+            value = node.value
         elif (
-            isinstance(node, ast.Call)
-            and ast.unparse(node.func) == "_finish"
-            and len(node.args) > 3
+            call is not None
+            and isinstance(node, ast.Call)
+            and ast.unparse(node.func) == call[0]
+            and len(node.args) > call[1]
         ):
-            value = node.args[3]
+            value = node.args[call[1]]
         else:
             continue
         if isinstance(value, ast.Constant) and isinstance(value.value, str):
-            found.append((node.lineno, value.value))
-    return [reason for _, reason in sorted(found)]
+            found.append((value.lineno, value.col_offset, value.value))
+    return [reason for *_, reason in sorted(found)]
 
 
-def unpinned_reasons(source: ast.Module, tests: ast.Module) -> list[str]:
-    """The termination reasons of ``source`` that no string in ``tests`` holds."""
+def unpinned(reasons: list[str], tests: ast.Module) -> list[str]:
+    """The ``reasons`` that no string in ``tests`` holds."""
     pinned = {
         node.value
         for node in ast.walk(tests)
         if isinstance(node, ast.Constant) and isinstance(node.value, str)
     }
-    return [reason for reason in termination_reasons(source) if reason not in pinned]
+    return [reason for reason in reasons if reason not in pinned]
 
 
 def test_termination_scan_flags_only_unpinned_reasons():
@@ -561,25 +569,41 @@ def test_termination_scan_flags_only_unpinned_reasons():
         "termination = other\n"  # not a string
         "label = 'unset'\n"  # not a termination
         "done = _finish(g, params, spending, 'direct', 'case')\n"
+        "abort: str | None = 'typed'\n"
+        "trace = Trace(abort='keyword', other='not')\n"
     )
     tests = ast.parse(
         "assert result.termination_reason == 'pinned'\n"
         "reasons = ['direct']  # 'planted' only in a comment\n"
     )
-    assert termination_reasons(source) == ["pinned", "planted", "direct"]
-    assert unpinned_reasons(source, tests) == ["planted"]
+    terminations = assigned_strings(source, "termination", ("_finish", 3))
+    assert terminations == ["pinned", "planted", "direct"]
+    assert unpinned(terminations, tests) == ["planted"]
+    assert assigned_strings(source, "abort") == ["typed", "keyword"]
+
+
+PIPELINE = ROOT / "src" / "pathfree" / "pipeline.py"
+PIPELINE_TESTS = ROOT / "tests" / "test_pipeline.py"
 
 
 def test_every_termination_reason_is_pinned():
     # a reason no test reaches could be unreachable, as "stalled" was: a
     # round always extracts once, so it either aborts or spends a colour
-    source = ast.parse((ROOT / "src" / "pathfree" / "pipeline.py").read_text())
-    tests = ast.parse((ROOT / "tests" / "test_pipeline.py").read_text())
-    assert sorted(termination_reasons(source)) == [
+    source = ast.parse(PIPELINE.read_text())
+    reasons = assigned_strings(source, "termination", ("_finish", 3))
+    assert sorted(reasons) == [
         "degree-floor",
         "edge-floor",
         "extraction-failed",
         "k3-direct",
         "round-budget-exhausted",
     ]
-    assert unpinned_reasons(source, tests) == []
+    assert unpinned(reasons, ast.parse(PIPELINE_TESTS.read_text())) == []
+
+
+def test_every_abort_reason_is_pinned():
+    # "empty-extraction" was unreachable: every trial of a piece with an
+    # edge keeps an edge (tests/test_extract.py)
+    reasons = assigned_strings(ast.parse(PIPELINE.read_text()), "abort_reason")
+    assert reasons == ["uncertified-extraction"]
+    assert unpinned(reasons, ast.parse(PIPELINE_TESTS.read_text())) == []

@@ -147,8 +147,12 @@ def test_run_round_respects_scale_budget():
     assert trace.edges_after < trace.edges_before
     assert len(trace.extraction_ratios) == trace.extractions
     assert outcome.residual.edge_count == trace.edges_after
-    coloured = set(outcome.colouring.assignments.values())
-    assert coloured == set(range(trace.colours_spent))
+    # the extraction classes, then the star colouring, each coloured from 0
+    used = [part.colours_used for part in outcome.parts]
+    assert used == [1] * trace.extractions + [trace.star_colours]
+    for part, colours in zip(outcome.parts, used):
+        assert set(part.colours.tolist()) == set(range(colours))
+    assert sum(used) == trace.colours_spent
     with pytest.raises(UsageError):
         run_round(g, 0, PipelineParams(r=16, k=3), colour_base=0)
 
@@ -158,7 +162,7 @@ def test_run_round_is_deterministic():
     params = PipelineParams(r=30, k=9, beta0=0.5, seed=11)
     first = run_round(g, 0, params, colour_base=4)
     second = run_round(g, 0, params, colour_base=4)
-    assert first.colouring.assignments == second.colouring.assignments
+    assert first.parts and first.parts == second.parts
     assert first.trace == second.trace
 
 
@@ -272,6 +276,20 @@ def test_every_round_aborts_or_spends_a_colour(monkeypatch, n, m, r, k, trials, 
         assert edges > 0 and RHO**i * r / 6 >= 2
         assert trace.extractions + trace.aborted >= 1
         assert trace.aborted or trace.colours_spent >= 1
+
+
+def test_round_parts_must_take_the_colours_the_round_spent(monkeypatch):
+    real_round = pipeline.run_round
+
+    def short(g, i, params, colour_base):
+        outcome = real_round(g, i, params, colour_base)
+        assert outcome.parts[0].colours_used == 1  # an extraction class
+        return dataclasses.replace(outcome, parts=outcome.parts[1:])
+
+    monkeypatch.setattr(pipeline, "run_round", short)
+    params = PipelineParams(r=30, k=12, beta0=0.5, seed=100, trials_per_extraction=10)
+    with pytest.raises(InternalInvariantError, match="round 0 parts use"):
+        colour_graph(uniform_edges(300, 6000, seed=100), params)
 
 
 def test_endgame_proper_after_star_strips_the_hub():

@@ -140,6 +140,9 @@ def assert_labels_match_walk(g: Graph, col: EdgeColouring) -> None:
         assert [c.vertices for c in view] == [vs for vs, _ in walk]
         assert [vertex_rows(c) for c in view] == [sorted(es) for _, es in walk]
         assert [c.adjacency for c in view] == [local_adjacency(*c) for c in walk]
+        assert [c.neighbours for c in view] == [
+            list(map(sorted, local_adjacency(*c))) for c in walk
+        ]
         orders = [len(vs) for vs, _ in walk]
         assert view.orders.tolist() == orders
         holder = {v: i for i, (vs, _) in enumerate(walk) for v in vs}
@@ -335,6 +338,27 @@ def test_many_small_searched_components_are_walked_once(
     assert report.verdict == "pass"
     assert report.per_colour_stats == (stats,)
     assert report.cover_certified == covered
+
+
+def test_over_cap_components_take_the_cover_without_breadth_first_lists(monkeypatch):
+    # the cover reads the ascending lists: only the exact search needs the
+    # breadth-first order
+    star = star_graph(30)
+    unpatched = verify_colouring(star, monochrome(star), r=1, k=10)
+    reads = []
+    breadth_first = verify.MonochromaticComponent.adjacency
+
+    def counted(comp):
+        reads.append(comp.vertices)
+        return breadth_first.fget(comp)
+
+    monkeypatch.setattr(verify.MonochromaticComponent, "adjacency", property(counted))
+    report = verify_colouring(star, monochrome(star), r=1, k=10)
+    assert reads == []
+    assert report == unpatched and report.cover_certified == ((0, 31, 1),)
+    path = path_graph(12)  # under the cap: searched, so read once
+    assert verify_colouring(path, monochrome(path), r=1, k=10).verdict == "fail"
+    assert reads == [tuple(range(12))]
 
 
 def min_scan_cover(vertices, edges) -> tuple[int, ...]:
