@@ -15,20 +15,21 @@ Results carry a machine-checked certificate: ``part-size`` (every
 fewer than ``k`` vertices).  Uncertified attempts are never promoted.
 
 Sets are masks, partitions are part arrays: every vertex set (a degree band,
-the core the bipartition splits, its independent side, a side of a split)
-is a boolean mask over ``0..n-1``, checked by ``graph.vertex_masks``, and a
-partition of vertices is a per-vertex int64 array holding each vertex's
-part and -1 off the partition.  Each trial works on numpy arrays over
-``g.edge_array`` only: a side mask from the bipartition, a part array, the
-A-part sizes and the kept edge rows.  ``component-order`` is ruled out at
-once by a kept vertex of degree ``k - 1`` or more; otherwise it is checked
-by min-label propagation over the kept rows for at most ``k - 1`` rounds: a
-component on fewer than ``k`` vertices has diameter at most ``k - 2``, so
-labels that have not settled by then rule the certificate out, and settled
-labels are the components, whose sizes one ``bincount`` gives.  Only the
-chosen trial becomes a ``Graph``.  Rows and keys are selected with
-``compress``, not a boolean subscript, which on an unpredictable mask takes
-several times as long and was the largest cost of a trial.
+the core the bipartition splits, the A side of a split) is a boolean mask
+over ``0..n-1``, checked by ``graph.checked_mask``, and a partition of
+vertices is a per-vertex int64 array holding each vertex's part and -1 off
+the partition.  Side B is every vertex off A; an isolated one lands in part
+0, on no edge.  Each trial works on numpy arrays over ``g.edge_array`` only:
+the A mask from the bipartition, a part array, the A-part sizes and the kept
+edge rows.  ``component-order`` is ruled out at once by a kept vertex of
+degree ``k - 1`` or more; otherwise it is checked by min-label propagation
+over the kept rows for at most ``k - 1`` rounds: a component on fewer than
+``k`` vertices has diameter at most ``k - 2``, so labels that have not
+settled by then rule the certificate out, and settled labels are the
+components, whose sizes one ``bincount`` gives.  Only the chosen trial
+becomes a ``Graph``.  Rows and keys are selected with ``compress``, not a
+boolean subscript, which on an unpredictable mask takes several times as
+long and was the largest cost of a trial.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ContractViolation, InternalInvariantError, UsageError
-from .graph import Graph, random_balanced_bipartition, vertex_masks
+from .graph import Graph, checked_mask, random_balanced_bipartition
 from .rng import substream
 
 __all__ = [
@@ -67,23 +68,20 @@ BAND_RATIO = Fraction(math.exp(-2))
 SELECT_RATIO = Fraction(math.exp(-1))
 
 
-def greedy_bin_assignment(g: Graph, owner: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Send each vertex of ``b`` to the part with most of its neighbours.
+def greedy_bin_assignment(g: Graph, owner: np.ndarray) -> np.ndarray:
+    """Send each vertex off A to the part with most of its neighbours.
 
-    ``owner`` holds each A-vertex's part and -1 off A, and ``b`` is a mask;
-    the result holds the part of each vertex of ``b`` and -1 off ``b``.  Ties
+    ``owner`` holds each A-vertex's part and -1 off A, and B is every vertex
+    off A; the result holds the part of each B-vertex and -1 on A.  Ties
     break to the lowest part index, so the outcome does not depend on
     iteration order; a vertex with no neighbour in any part lands in part 0.
     """
-    (in_b,) = vertex_masks(g, b)
     owner = np.asarray(owner)
     if owner.shape != (g.vertex_count,) or owner.dtype.kind != "i":
         raise ContractViolation(
             f"owner must be a signed int array over 0..{g.vertex_count - 1}"
         )
-    both = in_b & (owner >= 0)
-    if both.any():
-        raise ContractViolation(f"vertex {both.argmax()} is on both sides of the split")
+    in_b = owner < 0
     u, v = g.edge_array.T
     x = np.where(in_b[u], u, v)  # the B-end of each A-B edge
     a_part = owner[u + v - x]
@@ -109,9 +107,9 @@ def greedy_bin_assignment(g: Graph, owner: np.ndarray, b: np.ndarray) -> np.ndar
 class BlockSplit:
     """One random block structure over the vertices and edge rows of a graph.
 
-    ``part`` holds each vertex's block (-1 for a vertex on neither side),
-    ``in_a`` marks the A-side, ``sizes`` counts the A-vertices of each block
-    and ``kept_edges`` holds the kept rows of ``edge_array``, in order.
+    ``part`` holds each vertex's block, ``in_a`` marks the A-side (B is the
+    rest), ``sizes`` counts the A-vertices of each block and ``kept_edges``
+    holds the kept rows of ``edge_array``, in order.
     """
 
     part: np.ndarray
@@ -128,26 +126,23 @@ class BlockSplit:
 
 
 def block_partition(
-    g: Graph, in_a: np.ndarray, in_b: np.ndarray, q: int, rng: np.random.Generator
+    g: Graph, in_a: np.ndarray, q: int, rng: np.random.Generator
 ) -> BlockSplit:
-    """Scatter side A into ``q`` uniform parts, assign side B greedily, keep blocks.
+    """Scatter side A into ``q`` uniform parts, assign the rest greedily, keep blocks.
 
-    ``in_a`` and ``in_b`` are disjoint boolean masks over ``0..n-1``.  The
-    kept edges are exactly those running between ``A_i`` and ``B_i`` for some
-    shared ``i``; edges inside B or across blocks are dropped.
+    ``in_a`` is a boolean mask over ``0..n-1`` and side B is every other
+    vertex.  The kept edges are exactly those running between ``A_i`` and
+    ``B_i`` for some shared ``i``; edges inside a side or across blocks are
+    dropped.
     """
     if q < 1:
         raise UsageError("need at least one block")
-    in_a, in_b = vertex_masks(g, in_a, in_b)
-    if (in_a & in_b).any():
-        raise ContractViolation("split sides overlap")
+    in_a = checked_mask(g, in_a)
     a_ids = np.flatnonzero(in_a)
     owner = np.full(g.vertex_count, -1, dtype=np.int64)
     owner[a_ids] = rng.integers(0, q, size=a_ids.size)  # one draw, over sorted a
-    part = np.where(in_b, greedy_bin_assignment(g, owner, in_b), owner)
+    part = np.where(in_a, owner, greedy_bin_assignment(g, owner))
     u, v = g.edge_array.T
-    # an edge with one end in A whose ends share a part has its other end in
-    # B, as a vertex on neither side has part -1
     keep = (in_a[u] != in_a[v]) & (part[u] == part[v])
     sizes = np.bincount(owner[a_ids], minlength=q)
     return BlockSplit(part, in_a, sizes, g.edge_array.compress(keep, axis=0))
@@ -210,35 +205,31 @@ class ExtractionResult:
 def extract_path_free_subgraph(
     g: Graph,
     core: np.ndarray,
-    independent: np.ndarray,
     k: int,
     trials: int,
     seed: int,
 ) -> ExtractionResult:
     """Run the block-split extraction and return the best certified attempt.
 
-    Preconditions: ``core`` and ``independent`` are disjoint boolean masks
-    over ``0..n-1``, every edge of ``g`` has at least one endpoint in
-    ``core``, ``independent`` spans no edge, and ``k >= 4``.  Each trial
-    draws its own substream of ``seed``, so results do not depend on
-    execution order.
+    Preconditions: ``core`` is a boolean mask over ``0..n-1``, every edge of
+    ``g`` has at least one endpoint in ``core`` (so each trial's bipartition
+    cuts at least half of them), and ``k >= 4``.  Each trial splits the core
+    and scatters its A half; every vertex off A is that split's B side.
+    Each trial draws its own substream of ``seed``, so results do not depend
+    on execution order.
     """
-    in_core, in_indep = vertex_masks(g, core, independent)
+    in_core = checked_mask(g, core)
     if not in_core.any():
         raise ContractViolation("core vertex set is empty")
-    if (in_core & in_indep).any():
-        raise ContractViolation("core and independent sets overlap")
     if k < 4:
         raise UsageError("extraction certificates need k >= 4")
     if trials < 1:
         raise UsageError("need at least one trial")
-    # an edge inside ``independent`` also avoids the core: the sets are disjoint
     u, v = g.edge_array.T
     stray = ~(in_core[u] | in_core[v])
     if stray.any():
         edge = tuple(g.edge_array[stray.argmax()].tolist())
         raise ContractViolation(f"edge {edge} avoids the core")
-    sides = in_core | in_indep
 
     half = (int(np.count_nonzero(in_core)) + 1) // 2
     q_raw = (6 * half) // k
@@ -251,7 +242,7 @@ def extract_path_free_subgraph(
     for t in range(trials):
         rng = substream(seed, "extract-trial", t)
         bp = random_balanced_bipartition(g, in_core, rng)
-        split = block_partition(g, bp.in_a, sides & ~bp.in_a, q, rng)
+        split = block_partition(g, bp.in_a, q, rng)
         kept = len(split.kept_edges)
         kept_total += kept
         certificate = None
@@ -415,11 +406,7 @@ def extract_from_densest_band(
             raise InternalInvariantError(
                 "neither a dense band nor a dense residual exists"
             )
-    # the ends of the piece's edges outside its core: none for the residual
-    independent = (piece.degrees > 0) & ~core
-    result = extract_path_free_subgraph(
-        piece, core=core, independent=independent, k=k, trials=trials, seed=seed
-    )
+    result = extract_path_free_subgraph(piece, core=core, k=k, trials=trials, seed=seed)
     return BandExtraction(
         extraction=result,
         selection=selection,

@@ -223,13 +223,13 @@ def absent_edges(g: Graph, rows: np.ndarray) -> list[Edge]:
     return list(map(tuple, rows[stray].tolist()))
 
 
-def vertex_masks(g: Graph, *sets: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The given vertex sets as arrays; each must be a boolean mask over ``0..n-1``."""
+def checked_mask(g: Graph, mask: np.ndarray) -> np.ndarray:
+    """``mask`` as an array; it must be a boolean mask over ``0..n-1``."""
     n = g.vertex_count
-    masks = tuple(np.asarray(mask) for mask in sets)
-    if any(mask.shape != (n,) or mask.dtype != bool for mask in masks):
+    mask = np.asarray(mask)
+    if mask.shape != (n,) or mask.dtype != bool:
         raise ContractViolation(f"vertex sets must be boolean masks over 0..{n - 1}")
-    return masks
+    return mask
 
 
 @dataclass(frozen=True, eq=False)
@@ -488,7 +488,7 @@ def random_balanced_bipartition(
     within a few tries.  Exhausting ``_BIPARTITION_TRIES`` tries is treated
     as an internal failure rather than a user error.
     """
-    pool = np.flatnonzero(vertex_masks(g, core)[0])
+    pool = np.flatnonzero(checked_mask(g, core))
     if not pool.size:
         raise ContractViolation("cannot bipartition an empty vertex set")
     half = (pool.size + 1) // 2

@@ -529,7 +529,11 @@ def audit_round_budgets(result: PipelineResult) -> list[str]:
     """Re-check every round's spending against ``r * RHO^i / 6``, exactly.
 
     Returns human-readable violation strings; any entry means an internal
-    invariant was broken (the command line maps that to exit code 3).
+    invariant was broken (the command line maps that to exit code 3).  On
+    any result of :func:`colour_graph` both checks hold by construction:
+    ``run_round`` raises before a round spends over its budget, and sets
+    ``star_colours`` to ``colours_spent - extractions``.  They catch a
+    tampered or hand-built trace.
     """
     violations: list[str] = []
     r = result.params.r

@@ -99,9 +99,9 @@ class ColourClass:
 
     ``rows`` are the class's edges and ``vertices`` the vertices they touch,
     both ascending.  ``labels`` gives each vertex the index of its component
-    and ``orders`` each component's vertex count, so ``len`` counts the
-    components.  :meth:`walk` cuts the components of ``k`` or more
-    vertices from these arrays; iterating cuts them all.
+    and ``orders`` each component's vertex count, one entry per component.
+    :meth:`walk` cuts the components of ``k`` or more vertices from these
+    arrays; iterating cuts them all.
     """
 
     rows: np.ndarray
@@ -142,9 +142,6 @@ class ColourClass:
             yield index, MonochromaticComponent(
                 tuple(islice(vertices, order)), tuple(islice(row_ends, width))
             )
-
-    def __len__(self) -> int:
-        return len(self.orders)
 
     def __iter__(self) -> Iterator[MonochromaticComponent]:
         for _, component in self.walk(0):

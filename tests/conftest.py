@@ -184,18 +184,18 @@ def induced_bipartite(g: Graph, a: Iterable[int], b: Iterable[int]) -> Graph:
 
 
 def greedy_bin_assignment_reference(
-    g: Graph, part_of: dict[int, int], b: Iterable[int]
+    g: Graph, part_of: dict[int, int]
 ) -> dict[int, int]:
     """Reference oracle: count each B-vertex's neighbours per part in a loop.
 
-    Most neighbours wins, ties go to the lowest part, no neighbour in A
-    means part 0.
+    B is every vertex that ``part_of`` does not place.  Most neighbours
+    wins, ties go to the lowest part, no neighbour in A means part 0.
     """
     adj = edge_adjacency(g.edges)
     out: dict[int, int] = {}
-    for x in b:
+    for x in range(g.vertex_count):
         if x in part_of:
-            raise ContractViolation(f"vertex {x} is on both sides of the split")
+            continue
         counts: dict[int, int] = {}
         for w in adj.get(x, ()):
             i = part_of.get(w)
@@ -206,16 +206,16 @@ def greedy_bin_assignment_reference(
 
 
 def block_partition_reference(
-    g: Graph, in_a: np.ndarray, in_b: np.ndarray, q: int, rng: np.random.Generator
+    g: Graph, in_a: np.ndarray, q: int, rng: np.random.Generator
 ) -> BlockSplit:
     """Reference oracle for ``block_partition`` with dicts and adjacency scans.
 
-    Takes the sides as masks and makes the same single draw over the
-    ascending ids of A; input checks are left to the package.
+    Takes side A as a mask, B being the rest, and makes the same single draw
+    over the ascending ids of A; input checks are left to the package.
     """
     a = np.flatnonzero(in_a).tolist()
     part_of = dict(zip(a, rng.integers(0, q, size=len(a)).tolist()))
-    b_part = greedy_bin_assignment_reference(g, part_of, np.flatnonzero(in_b).tolist())
+    b_part = greedy_bin_assignment_reference(g, part_of)
     adj = edge_adjacency(g.edges)
     kept = sorted(
         (x, w) if x < w else (w, x)

@@ -162,9 +162,8 @@ def test_criterion_08_block_split_keeps_enough_edges():
         cross = sum(1 for u, v in g.edges if in_a[u] != in_a[v])
         delta = g.max_degree
         bound = cross * exact_max_load_expectation(q, delta) / delta
-        in_b = ~in_a
         counts = [
-            len(block_partition(g, in_a, in_b, q, substream(5150, "obsH", tag, t)).kept_edges)
+            len(block_partition(g, in_a, q, substream(5150, "obsH", tag, t)).kept_edges)
             for t in range(trials)
         ]
         mean = statistics.fmean(counts)

@@ -54,28 +54,25 @@ def first(n: int, count: int) -> np.ndarray:
 
 def test_greedy_assignment_follows_neighbour_counts():
     g = star_graph(5)
-    parts = greedy_bin_assignment(g, owners(6, {0: 0}), ~first(6, 1))
+    parts = greedy_bin_assignment(g, owners(6, {0: 0}))
     assert parts.tolist() == [-1, 0, 0, 0, 0, 0]
     # vertex 0 sees parts 3, 3, 1, 1, 0: the most neighbours, then the lowest
-    parts = greedy_bin_assignment(
-        g, owners(6, {1: 3, 2: 3, 3: 1, 4: 1, 5: 0}), first(6, 1)
-    )
+    parts = greedy_bin_assignment(g, owners(6, {1: 3, 2: 3, 3: 1, 4: 1, 5: 0}))
     assert parts.tolist() == [1, -1, -1, -1, -1, -1]
 
 
 def test_greedy_assignment_ties_go_low():
     square = Graph.build(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
-    odd = square.vertex_mask([1, 3])
-    parts = greedy_bin_assignment(square, owners(4, {0: 0, 2: 1}), odd)
+    parts = greedy_bin_assignment(square, owners(4, {0: 0, 2: 1}))
     # 1 and 3 each see one neighbour per part; the tie lands in part 0
     assert parts.tolist() == [-1, 0, -1, 0]
     # the lowest index wins even when the A-side numbering runs the other way
-    parts = greedy_bin_assignment(square, owners(4, {0: 1, 2: 0}), odd)
+    parts = greedy_bin_assignment(square, owners(4, {0: 1, 2: 0}))
     assert parts.tolist() == [-1, 0, -1, 0]
     # vertex 0 sees parts 5, 5, 2, 7, 2, 7 in row order: a three-way tie
     # that the lowest part wins, though part 5 comes first
     parts = greedy_bin_assignment(
-        star_graph(6), owners(7, {1: 5, 2: 5, 3: 2, 4: 7, 5: 2, 6: 7}), first(7, 1)
+        star_graph(6), owners(7, {1: 5, 2: 5, 3: 2, 4: 7, 5: 2, 6: 7})
     )
     assert parts.tolist() == [2, -1, -1, -1, -1, -1, -1]
 
@@ -86,37 +83,30 @@ def test_greedy_assignment_matches_the_oracle_at_scale():
     in_a = rng.random(2000) < 0.5
     a = np.flatnonzero(in_a).tolist()
     part_of = dict(zip(a, rng.integers(0, 300, size=len(a)).tolist()))
-    b = np.flatnonzero(~in_a).tolist()
-    parts = greedy_bin_assignment(g, owners(2000, part_of), ~in_a).tolist()
-    expected = greedy_bin_assignment_reference(g, part_of, b)
+    parts = greedy_bin_assignment(g, owners(2000, part_of)).tolist()
+    expected = greedy_bin_assignment_reference(g, part_of)
     assert parts == [expected.get(x, -1) for x in range(2000)]
 
 
 def test_greedy_assignment_isolated_lands_in_part_zero():
     g = Graph.build(5, [(0, 1)])
-    parts = greedy_bin_assignment(g, owners(5, {0: 1, 2: 1}), g.vertex_mask([4, 1]))
-    assert parts.tolist() == [-1, 1, -1, -1, 0]
+    parts = greedy_bin_assignment(g, owners(5, {0: 1, 2: 1}))
+    assert parts.tolist() == [-1, 1, -1, 0, 0]
     empty = Graph.build(3, [])
-    parts = greedy_bin_assignment(empty, owners(3, {0: 2}), ~first(3, 1))
+    parts = greedy_bin_assignment(empty, owners(3, {0: 2}))
     assert parts.tolist() == [-1, 0, 0]
     # edges inside A and inside B only: no B-vertex has an A-neighbour
     g = Graph.build(6, [(0, 1), (2, 3), (3, 4)])
-    parts = greedy_bin_assignment(g, owners(6, {0: 1, 1: 2}), ~first(6, 2))
+    parts = greedy_bin_assignment(g, owners(6, {0: 1, 1: 2}))
     assert parts.tolist() == [-1, -1, 0, 0, 0, 0]
 
 
 def test_greedy_assignment_contract_errors():
     g = star_graph(3)
-    with pytest.raises(ContractViolation, match="both sides"):
-        greedy_bin_assignment(g, owners(4, {0: 0}), first(4, 2))
-    with pytest.raises(ContractViolation, match="boolean masks"):
-        greedy_bin_assignment(g, owners(4, {0: 0}), first(5, 2))
-    with pytest.raises(ContractViolation, match="boolean masks"):
-        greedy_bin_assignment(g, owners(4, {0: 0}), np.array([0, 1, 1, 1]))
     # a short owner array and a float one are refused before any indexing
     for owner in (np.full(3, -1), owners(4, {0: 0}).astype(float)):
         with pytest.raises(ContractViolation, match="signed int array over 0..3"):
-            greedy_bin_assignment(g, owner, g.vertex_mask([3]))
+            greedy_bin_assignment(g, owner)
 
 
 def reference_part(g: Graph, a_owner: dict, x: int, q: int) -> int:
@@ -134,7 +124,7 @@ def test_block_partition_keeps_only_matched_blocks(rnd):
         cut = rnd.randint(1, max(1, g.vertex_count - 1))
         in_a = first(g.vertex_count, cut)
         q = rnd.randint(1, 4)
-        split = block_partition(g, in_a, ~in_a, q, substream(trial, "block"))
+        split = block_partition(g, in_a, q, substream(trial, "block"))
         assert len(split.a_parts) == len(split.sizes) == q
         assert [len(part) for part in split.a_parts] == split.sizes.tolist()
         owner_a = {v: i for i, part in enumerate(split.a_parts) for v in part.tolist()}
@@ -154,21 +144,13 @@ def test_block_partition_keeps_only_matched_blocks(rnd):
 
 def test_block_partition_validation():
     g = star_graph(3)
-    a, b = g.vertex_mask({0}), g.vertex_mask({1})
+    a = g.vertex_mask({0})
     with pytest.raises(UsageError):
-        block_partition(g, a, b, 0, substream(0, "x"))
-    with pytest.raises(ContractViolation, match="overlap"):
-        block_partition(g, g.vertex_mask({0, 1}), b, 2, substream(0, "x"))
+        block_partition(g, a, 0, substream(0, "x"))
     with pytest.raises(ContractViolation, match="boolean masks"):
-        block_partition(g, a, b[:3], 2, substream(0, "x"))
+        block_partition(g, a[:3], 2, substream(0, "x"))
     with pytest.raises(ContractViolation, match="boolean masks"):
-        block_partition(g, a.astype(int), b, 2, substream(0, "x"))
-
-
-def role_split(rnd: random.Random, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Disjoint A and B masks, with some vertices in neither."""
-    roles = np.array([rnd.choice("aab.") for _ in range(n)])
-    return roles == "a", roles == "b"
+        block_partition(g, a.astype(int), 2, substream(0, "x"))
 
 
 def test_block_partition_matches_reference_oracle():
@@ -179,12 +161,12 @@ def test_block_partition_matches_reference_oracle():
         m = rnd.randint(0, 4 * n) if n > 1 else 0
         pairs = {tuple(sorted(rnd.sample(range(n), 2))) for _ in range(m)}
         g = Graph.build(n, pairs)
-        in_a, in_b = role_split(rnd, n)
-        a, b = np.flatnonzero(in_a).tolist(), np.flatnonzero(in_b).tolist()
+        in_a = np.array([rnd.random() < 0.5 for _ in range(n)], dtype=bool)
+        a, b = np.flatnonzero(in_a).tolist(), np.flatnonzero(~in_a).tolist()
         q = rnd.choice([1, 2, rnd.randint(1, 40)])
-        split = block_partition(g, in_a, in_b, q, substream(trial, "oracle"))
-        oracle = block_partition_reference(g, in_a, in_b, q, substream(trial, "oracle"))
-        # the part of every A and B vertex (-1 elsewhere) and the kept rows
+        split = block_partition(g, in_a, q, substream(trial, "oracle"))
+        oracle = block_partition_reference(g, in_a, q, substream(trial, "oracle"))
+        # the part of every vertex and the kept rows
         assert split.part.tolist() == oracle.part.tolist()
         assert split.in_a.tolist() == oracle.in_a.tolist()
         assert split.sizes.tolist() == oracle.sizes.tolist()
@@ -192,10 +174,10 @@ def test_block_partition_matches_reference_oracle():
         assert [p.tolist() for p in split.a_parts] == [
             [v for v in a if oracle.part[v] == i] for i in range(q)
         ]
-        # the assignment alone: each B-vertex's part, -1 elsewhere
+        # the assignment alone: each B-vertex's part, -1 on A
         part_of = {v: rnd.randrange(q) for v in a}
-        parts = greedy_bin_assignment(g, owners(n, part_of), in_b).tolist()
-        expected = greedy_bin_assignment_reference(g, part_of, b)
+        parts = greedy_bin_assignment(g, owners(n, part_of)).tolist()
+        expected = greedy_bin_assignment_reference(g, part_of)
         assert parts == [expected.get(x, -1) for x in range(n)]
         # tally the cases the oracle comparison must have covered
         adj = edge_adjacency(g.edges)
@@ -204,8 +186,10 @@ def test_block_partition_matches_reference_oracle():
             top = max(counts.values(), default=0)
             seen["tie"] += sum(1 for c in counts.values() if c == top) > 1
             seen["no A-neighbour"] += not counts
-        seen["neither side"] += not (in_a | in_b).all()
-        seen["edge inside b"] += any(in_b[u] and in_b[v] for u, v in g.edges)
+            if x not in adj:  # an isolated vertex off A lands in part 0
+                assert split.part[x] == parts[x] == 0
+                seen["isolated off A"] += 1
+        seen["edge inside b"] += any(not (in_a[u] or in_a[v]) for u, v in g.edges)
         seen["q=1"] += q == 1
     assert min(seen.values()) > 0 and len(seen) == 5, seen
 
@@ -215,9 +199,7 @@ def test_matching_extraction_is_lossless():
     # exactly its own matched edges, every trial, under any part count
     g = matching_graph(6)
     core = first(12, 6)
-    result = extract_path_free_subgraph(
-        g, core=core, independent=~core, k=4, trials=50, seed=3
-    )
+    result = extract_path_free_subgraph(g, core=core, k=4, trials=50, seed=3)
     assert result.q == 4  # floor(6 * ceil(6/2) / 4)
     assert not result.q_clamped
     assert result.certified
@@ -243,14 +225,14 @@ def test_extraction_deterministic():
         14, [(i, j) for i in range(7) for j in range(7, 14) if (i + j) % 3]
     )
     core = first(14, 7)
-    one = extract_path_free_subgraph(g, core, ~core, k=5, trials=30, seed=8)
-    two = extract_path_free_subgraph(g, core, ~core, k=5, trials=30, seed=8)
+    one = extract_path_free_subgraph(g, core, k=5, trials=30, seed=8)
+    two = extract_path_free_subgraph(g, core, k=5, trials=30, seed=8)
     assert two.subgraph == one.subgraph
     assert two.chosen_trial == one.chosen_trial
     assert two.certificate == one.certificate
     assert two.mean_edges == one.mean_edges
     assert selection(one) == (15, True, "component-order", 9, 322 / 30)
-    different = extract_path_free_subgraph(g, core, ~core, k=5, trials=30, seed=9)
+    different = extract_path_free_subgraph(g, core, k=5, trials=30, seed=9)
     assert different.chosen_trial is not None
 
 
@@ -258,11 +240,25 @@ def test_extraction_selection_is_pinned():
     # the most kept edges among certified trials, the earliest on a tie;
     # the best uncertified trial only when no trial certifies
     g = uniform_edges(60, 600, 2)
-    core, none = first(60, 60), first(60, 0)
-    uncertified = extract_path_free_subgraph(g, core, none, k=4, trials=40, seed=5)
+    core = first(60, 60)
+    uncertified = extract_path_free_subgraph(g, core, k=4, trials=40, seed=5)
     assert selection(uncertified) == (29, False, None, 60, 49.9)
-    certified = extract_path_free_subgraph(g, core, none, k=6, trials=40, seed=5)
+    certified = extract_path_free_subgraph(g, core, k=6, trials=40, seed=5)
     assert selection(certified) == (22, True, "block-path", 44, 55.65)
+
+
+def test_isolated_vertices_off_the_core_change_no_extraction():
+    # B is every vertex off A, so padding joins B; a padded vertex sits on
+    # no edge, lands in part 0 and moves neither draw nor any kept edge
+    g = uniform_edges(60, 600, 2)
+    padded = Graph.of(80, g.edge_array)
+    for k in (4, 6):
+        plain = extract_path_free_subgraph(g, first(60, 60), k=k, trials=40, seed=5)
+        wide = extract_path_free_subgraph(padded, first(80, 60), k=k, trials=40, seed=5)
+        assert wide.subgraph.vertex_count == 80
+        assert same_value(wide.subgraph.edge_array, plain.subgraph.edge_array)
+        assert selection(wide) == selection(plain)
+        assert wide.crossing_edges == plain.crossing_edges
 
 
 def component_oracle(edges, k: int) -> bool:
@@ -321,7 +317,7 @@ def test_degree_shortcut_agrees_with_the_propagation(rnd):
         in_a = np.zeros(g.vertex_count, dtype=bool)
         in_a[rnd.sample(range(g.vertex_count), g.vertex_count // 2)] = True
         q = max(1, 3 * g.vertex_count // k)
-        kept = block_partition(g, in_a, ~in_a, q, substream(trial, "kept")).kept_edges
+        kept = block_partition(g, in_a, q, substream(trial, "kept")).kept_edges
         shortcuts += check(kept, g.vertex_count, k)
     assert 10 < shortcuts < 110  # both paths are taken
 
@@ -334,9 +330,7 @@ def test_certified_extractions_have_no_long_path(rnd):
             continue
         k = rnd.choice([4, 5, 6])
         n = g.vertex_count
-        result = extract_path_free_subgraph(
-            g, core=first(n, n), independent=first(n, 0), k=k, trials=25, seed=trial
-        )
+        result = extract_path_free_subgraph(g, core=first(n, n), k=k, trials=25, seed=trial)
         expected_q = max(1, (6 * ((g.vertex_count + 1) // 2)) // k)
         assert result.q == expected_q
         assert result.q_clamped == ((6 * ((g.vertex_count + 1) // 2)) // k < 1)
@@ -351,40 +345,28 @@ def test_certified_extractions_have_no_long_path(rnd):
 def test_extraction_validation():
     extract = partial(extract_path_free_subgraph, trials=200, seed=0)
     g = star_graph(4)
-    none = g.vertex_mask([])
     with pytest.raises(ContractViolation, match="empty"):
-        extract(g, core=none, independent=none, k=4)
-    with pytest.raises(ContractViolation, match="overlap"):
-        extract(
-            g, core=g.vertex_mask([0, 1]), independent=g.vertex_mask([1]), k=4
-        )
+        extract(g, core=g.vertex_mask([]), k=4)
     hub = g.vertex_mask([0])
     with pytest.raises(UsageError):
-        extract(g, core=hub, independent=none, k=3)
+        extract(g, core=hub, k=3)
     with pytest.raises(UsageError):
-        extract(g, core=hub, independent=none, k=4, trials=0)
+        extract(g, core=hub, k=4, trials=0)
     two = Graph.build(3, [(0, 1), (1, 2)])
     with pytest.raises(ContractViolation):
         # edge (1, 2) avoids the core
-        extract(
-            two, core=two.vertex_mask([0]), independent=two.vertex_mask([]), k=4
-        )
+        extract(two, core=two.vertex_mask([0]), k=4)
     with pytest.raises(ContractViolation, match=r"edge \(0, 1\) avoids the core"):
-        # an edge inside the "independent" set also avoids the core
-        extract(
-            two, core=two.vertex_mask([2]), independent=two.vertex_mask([0, 1]), k=4
-        )
+        extract(two, core=two.vertex_mask([2]), k=4)
     # the first offending edge in sorted order is named
     strays = Graph.build(6, [(4, 5), (0, 1), (2, 3), (1, 2)])
-    core, none = strays.vertex_mask([0, 1]), strays.vertex_mask([])
+    core = strays.vertex_mask([0, 1])
     with pytest.raises(ContractViolation, match=r"edge \(2, 3\) avoids the core"):
-        extract(strays, core=core, independent=none, k=4)
-    # sets are boolean masks over exactly 0..n-1
+        extract(strays, core=core, k=4)
+    # the core is a boolean mask over exactly 0..n-1
     for bad in (first(7, 2), core.astype(np.int64), [0, 1]):
         with pytest.raises(ContractViolation, match="boolean masks"):
-            extract(strays, core=bad, independent=none, k=4)
-        with pytest.raises(ContractViolation, match="boolean masks"):
-            extract(strays, core=core, independent=bad, k=4)
+            extract(strays, core=bad, k=4)
 
 
 def test_decompose_high_floor_leaves_everything_residual():

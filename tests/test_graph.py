@@ -393,10 +393,10 @@ def test_vertex_mask_marks_ids_and_refuses_others():
 
 def test_block_partition_on_edgeless_graph():
     g = Graph.build(6, [])
-    a, b = g.vertex_mask({0, 1, 2}), g.vertex_mask({3, 4})
-    split = block_partition(g, a, b, 2, substream(0, "edgeless"))
+    a = g.vertex_mask({0, 1, 2})
+    split = block_partition(g, a, 2, substream(0, "edgeless"))
     assert split.kept_edges.shape == (0, 2)
-    assert split.part[[3, 4, 5]].tolist() == [0, 0, -1]  # no neighbours: part 0
+    assert split.part[[3, 4, 5]].tolist() == [0, 0, 0]  # no neighbours: part 0
     assert split.sizes.sum() == 3 and len(split.a_parts) == 2
     assert sorted(v for part in split.a_parts for v in part.tolist()) == [0, 1, 2]
 

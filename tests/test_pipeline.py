@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import json
 import math
 from fractions import Fraction
 
@@ -348,8 +349,6 @@ def test_preconditions_reported_not_enforced():
 
 
 def test_result_record_is_json_friendly():
-    import json
-
     g = uniform_edges(30, 60, seed=9)
     result = colour_graph(g, PipelineParams(r=10, k=6, beta0=0.5, seed=9))
     record = result.to_record()
@@ -373,6 +372,24 @@ def test_colouring_output_is_pinned(seed, colours, digest):
     assert result.total_colours == colours
     rows_and_counts = text.replace(" r=24 k=8", "", 1)  # the digest omits r and k
     assert hashlib.sha256(rows_and_counts.encode("utf-8")).hexdigest() == digest
+
+
+@pytest.mark.slow
+def test_400k_rung_output_is_pinned():
+    # the ladder's largest rung, colour, write, parse and verify (about
+    # 10 s and 250 MiB); run it with ``pytest -m slow``
+    g = uniform_edges(20000, 400000, 1)
+    result = colour_graph(g, PipelineParams(r=120, k=16, beta0=0.5, seed=1))
+    text = serialize_colouring(g, result.colouring, r=120, k=16)
+    parsed, colouring, _ = parse_colouring(text)
+    report = verify_colouring(parsed, colouring, 120, 16)
+    record = json.dumps(report.to_record(), sort_keys=True)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
+        "c565e83d02c7fde62eef1ee38f96f425627d97faeca211bfeeef10b4c6f75e34"
+    )
+    assert hashlib.sha256(record.encode("utf-8")).hexdigest() == (
+        "e7258f81c89629fdc7f952bf711e8160629cd1e0b3992c732840d022314387f0"
+    )
 
 
 @pytest.mark.parametrize("k", [8, 3])
