@@ -48,7 +48,6 @@ from .errors import (
 from .extract import (
     BandExtraction,
     Decomposition,
-    DegreeClass,
     ExtractionResult,
     block_partition,
     degree_class_decompose,
@@ -95,7 +94,6 @@ __all__ = [
     "CheckResult",
     "ContractViolation",
     "Decomposition",
-    "DegreeClass",
     "EdgeColouring",
     "ExtractionResult",
     "GENERATOR_MODELS",

@@ -14,12 +14,15 @@ Results carry a machine-checked certificate: ``part-size`` (every
 ``component-order`` (every connected component of the kept subgraph has
 fewer than ``k`` vertices).  Uncertified attempts are never promoted.
 
-Sets are masks, partitions are part arrays: every vertex set (a degree band,
-the core the bipartition splits, the A side of a split) is a boolean mask
-over ``0..n-1``, checked by ``graph.checked_mask``, and a partition of
-vertices is a per-vertex int64 array holding each vertex's part and -1 off
-the partition.  Side B is every vertex off A; an isolated one lands in part
-0, on no edge.  Each trial works on numpy arrays over ``g.edge_array`` only:
+Sets are masks, partitions are part arrays: every vertex set (the core the
+bipartition splits, the A side of a split) is a boolean mask over
+``0..n-1``, checked by ``graph.checked_mask``.  A partition is an int64
+array: the blocks of a split hold each vertex's part, and -1 off the
+partition; the degree bands hold each vertex's and each edge row's band
+level, and 0 for the residual, so the chosen piece is one ``Graph.keep`` of
+its rows and its core one comparison.  Side B is every vertex off A; an
+isolated one lands in part 0, on no edge.  Each trial works on numpy arrays
+over ``g.edge_array`` only:
 the A mask from the bipartition, a part array, the A-part sizes and the kept
 edge rows.  ``component-order`` is ruled out at once by a kept vertex of
 degree ``k - 1`` or more; otherwise it is checked by min-label propagation
@@ -50,7 +53,6 @@ __all__ = [
     "block_partition",
     "ExtractionResult",
     "extract_path_free_subgraph",
-    "DegreeClass",
     "Decomposition",
     "degree_class_decompose",
     "BandExtraction",
@@ -274,19 +276,16 @@ def extract_path_free_subgraph(
 
 
 @dataclass(frozen=True, eq=False)
-class DegreeClass:
-    """One degree band: the mask of the vertices peeled at ``level`` and their edges."""
-
-    level: int
-    vertices: np.ndarray
-    graph: Graph  # every edge here touches ``vertices``
-
-
-@dataclass(frozen=True, eq=False)
 class Decomposition:
-    classes: tuple[DegreeClass, ...]
-    residual: Graph
-    residual_vertices: np.ndarray  # the mask of the vertices in no band
+    """The degree bands as part arrays over the vertices and the edge rows.
+
+    ``vertex_band`` holds the level ``j >= 1`` of the band that peeled each
+    vertex, and ``row_band`` that of each row of ``g.edge_array``: the first
+    band to peel one of its ends.  Level 0 is the residual in both.
+    """
+
+    vertex_band: np.ndarray
+    row_band: np.ndarray
 
 
 def degree_class_decompose(g: Graph, degree_floor: Fraction | int) -> Decomposition:
@@ -310,33 +309,30 @@ def degree_class_decompose(g: Graph, degree_floor: Fraction | int) -> Decomposit
         bound *= BAND_RATIO
         bands += 1
 
-    remaining = g
-    classified = np.zeros(g.vertex_count, dtype=bool)
-    classes: list[DegreeClass] = []
+    edges = g.edge_array
+    u, v = edges.T
+    vertex_band = np.zeros(g.vertex_count, dtype=np.int64)
+    row_band = np.zeros(g.edge_count, dtype=np.int64)
+    deg = g.degrees  # over the rows no band has taken yet
     for j in range(1, bands + 1):
         upper = BAND_RATIO ** (j - 1) * delta
         lower = BAND_RATIO**j * delta
-        deg = remaining.degrees
-        members = ~classified & (deg >= math.ceil(lower))
+        members = (vertex_band == 0) & (deg >= math.ceil(lower))
         over = members & (deg > math.floor(upper))
         if over.any():
             raise InternalInvariantError(
                 f"band {j} saw degree {deg[over.argmax()]} above {upper}"
             )
-        taken = members[remaining.edge_array].any(axis=1)
-        classes.append(DegreeClass(j, members, remaining.keep(taken)))
-        remaining = remaining.keep(~taken)
-        classified |= members
+        vertex_band[members] = j
+        taken = (row_band == 0) & (members[u] | members[v])
+        row_band[taken] = j
+        deg = deg - np.bincount(
+            edges.compress(taken, axis=0).ravel(), minlength=g.vertex_count
+        )
 
-    if (remaining.degrees[~classified] > math.floor(floor)).any():
+    if (deg[vertex_band == 0] > math.floor(floor)).any():
         raise InternalInvariantError("residual degree above the floor")
-    if sum(c.graph.edge_count for c in classes) + remaining.edge_count != g.edge_count:
-        raise InternalInvariantError("decomposition lost or duplicated edges")
-    return Decomposition(
-        classes=tuple(classes),
-        residual=remaining,
-        residual_vertices=~classified,
-    )
+    return Decomposition(vertex_band, row_band)
 
 
 @dataclass(frozen=True)
@@ -377,7 +373,10 @@ def extract_from_densest_band(
         raise UsageError("extraction certificates need k >= 4")
     if trials < 1:
         raise UsageError("need at least one trial")
-    reference = 60.0 / (beta**0.9 * r)
+    try:
+        reference = 60.0 / (beta**0.9 * r)
+    except OverflowError:  # r itself is beyond float range
+        raise UsageError("colour budget r must be within float range") from None
     if g.edge_count == 0:
         empty = ExtractionResult(
             subgraph=g,
@@ -394,23 +393,19 @@ def extract_from_densest_band(
 
     decomp = degree_class_decompose(g, Fraction(r))
     total = g.edge_count
-    for band in decomp.classes:
-        if band.graph.edge_count >= SELECT_RATIO**band.level * total:
-            piece, core, level = band.graph, band.vertices, band.level
-            selection = "band"
-            break
-    else:
-        piece, core, level = decomp.residual, decomp.residual_vertices, None
-        selection = "residual"
-        if 3 * piece.edge_count < total:
-            raise InternalInvariantError(
-                "neither a dense band nor a dense residual exists"
-            )
+    counts = np.bincount(decomp.row_band).tolist()
+    level = next(
+        (j for j in range(1, len(counts)) if counts[j] >= SELECT_RATIO**j * total), 0
+    )
+    if level == 0 and 3 * counts[0] < total:
+        raise InternalInvariantError("neither a dense band nor a dense residual exists")
+    piece = g.keep(decomp.row_band == level)
+    core = decomp.vertex_band == level
     result = extract_path_free_subgraph(piece, core=core, k=k, trials=trials, seed=seed)
     return BandExtraction(
         extraction=result,
-        selection=selection,
-        band_level=level,
+        selection="band" if level else "residual",
+        band_level=level or None,
         selected_edges=piece.edge_count,
         total_edges=total,
         achieved_ratio=Fraction(result.subgraph.edge_count, total),

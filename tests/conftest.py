@@ -21,12 +21,13 @@ from pathfree import (
     Graph,
     InternalInvariantError,
     SizeCapError,
+    degree_class_decompose,
     max_load_fraction_lower_bound,
     substream,
 )
 from pathfree.bins import MonteCarloEstimate, _require_counts
 from pathfree.checks import GUARD
-from pathfree.extract import BlockSplit
+from pathfree.extract import BAND_RATIO, BlockSplit
 
 
 def random_graph(rnd: random.Random, n_max: int = 10, density: float = 0.4) -> Graph:
@@ -235,6 +236,53 @@ def block_partition_reference(
         sizes=np.array(sizes, dtype=np.int64),
         kept_edges=np.array(kept, dtype=np.int64).reshape(-1, 2),
     )
+
+
+def degree_bands_reference(
+    g: Graph, degree_floor
+) -> tuple[list[tuple[int, np.ndarray, Graph]], np.ndarray, Graph]:
+    """Reference oracle for ``degree_class_decompose``: the band-by-band peel.
+
+    Each band is a ``(level, vertex mask, Graph)`` triple whose graph is a
+    ``keep`` of the rows no earlier band took, and the rest is kept as the
+    next remainder.  Returns every band (empty ones too), the mask of the
+    vertices in no band and the residual graph.
+    """
+    floor = Fraction(degree_floor)
+    delta = g.max_degree
+    bands = 0
+    bound = Fraction(delta)
+    while bound > floor:
+        bound *= BAND_RATIO
+        bands += 1
+    remaining = g
+    classified = np.zeros(g.vertex_count, dtype=bool)
+    out = []
+    for j in range(1, bands + 1):
+        deg = remaining.degrees
+        members = ~classified & (deg >= math.ceil(BAND_RATIO**j * delta))
+        assert not (members & (deg > math.floor(BAND_RATIO ** (j - 1) * delta))).any()
+        taken = members[remaining.edge_array].any(axis=1)
+        out.append((j, members, remaining.keep(taken)))
+        remaining = remaining.keep(~taken)
+        classified |= members
+    assert not (remaining.degrees[~classified] > math.floor(floor)).any()
+    assert sum(band.edge_count for *_, band in out) + remaining.edge_count == g.edge_count
+    return out, ~classified, remaining
+
+
+def assert_bands_match_reference(g: Graph, degree_floor) -> None:
+    """The part arrays of ``degree_class_decompose`` hold the oracle's bands:
+    each level's vertices and rows are the oracle's mask and graph, the
+    residual at level 0, and no level lies past the oracle's last band."""
+    decomp = degree_class_decompose(g, degree_floor)
+    bands, residual_vertices, residual = degree_bands_reference(g, degree_floor)
+    assert decomp.vertex_band.dtype == decomp.row_band.dtype == np.int64
+    for level, vertices, piece in [(0, residual_vertices, residual), *bands]:
+        assert same_value(decomp.vertex_band == level, vertices)
+        assert g.keep(decomp.row_band == level) == piece
+    assert decomp.vertex_band.max(initial=0) <= len(bands)
+    assert decomp.row_band.max(initial=0) <= len(bands)
 
 
 def uniform_edges_reference(n: int, m: int, seed: int) -> Graph:

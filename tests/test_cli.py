@@ -320,6 +320,17 @@ def test_extract_rejects_small_k_and_no_trials_without_edges(tmp_path, capsys, r
     assert captured.out == "" and captured.err.startswith("error:")
 
 
+def test_extract_rejects_a_budget_beyond_float_range(desk_graph_file, capsys):
+    # 60 / (beta^0.9 * r) once raised an uncaught OverflowError: exit 1
+    # with a traceback, where colour already exits 2
+    argv = ["extract", "--input", desk_graph_file, "--r", "1" + "0" * 400,
+            "--k", "5", "--beta", "0.5"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "float range" in captured.err
+
+
 def test_extract_uncertified_exit_1(tmp_path, capsys):
     graph_path = tmp_path / "dense.txt"
     graph_path.write_text(serialize_edge_list(uniform_edges(42, 320, seed=2)))

@@ -19,9 +19,9 @@ from pathfree import (
     star_refinement,
 )
 from pathfree.colouring import RefinementResult
-from pathfree.extract import BAND_RATIO, Decomposition, DegreeClass
+from pathfree.extract import BAND_RATIO, Decomposition
 
-from conftest import same_value
+from conftest import assert_bands_match_reference, same_value
 
 # degrees 4, 4, 2, 2, 2, 2, 1, 1
 MIXED = Graph.build(
@@ -106,31 +106,21 @@ def test_band_edges_split_degrees_just_above_and_just_below():
     # D = 37: the first band starts at 37 e^-2 = 5.007, just above degree 5
     assert 5 < BAND_RATIO * 37 < 6
     below = _star_and_small_star(37, 5)
-    hub = Graph.build(44, [(0, i) for i in range(1, 38)])
+    # band 1 is the hub and its 37 rows, band 2 the small star, whose leaves
+    # still have degree 1; the hub's leaves are left with none
     expected = Decomposition(
-        classes=(
-            DegreeClass(1, below.vertex_mask({0}), hub),
-            DegreeClass(
-                2,
-                below.vertex_mask(range(38, 44)),
-                Graph.build(44, [(38, i) for i in range(39, 44)]),
-            ),
-        ),
-        residual=Graph.build(44, []),
-        residual_vertices=below.vertex_mask(range(1, 38)),
+        vertex_band=np.array([1] + [0] * 37 + [2] * 6, dtype=np.int64),
+        row_band=np.array([1] * 37 + [2] * 5, dtype=np.int64),
     )
     assert same_value(degree_class_decompose(below, Fraction(1)), expected)
+    assert_bands_match_reference(below, Fraction(1))
     # D = 59: the first band starts at 59 e^-2 = 7.985, just below degree 8
     assert 7 < BAND_RATIO * 59 < 8
     above = _star_and_small_star(59, 8)
-    empty = Graph.build(69, [])
+    # both centres and every row in band 1; bands 2 and 3 are empty
     expected = Decomposition(
-        classes=(
-            DegreeClass(1, above.vertex_mask({0, 60}), above),
-            DegreeClass(2, above.vertex_mask(()), empty),
-            DegreeClass(3, above.vertex_mask(()), empty),
-        ),
-        residual=empty,
-        residual_vertices=~above.vertex_mask({0, 60}),
+        vertex_band=above.vertex_mask({0, 60}).astype(np.int64),
+        row_band=np.ones(67, dtype=np.int64),
     )
     assert same_value(degree_class_decompose(above, Fraction(1)), expected)
+    assert_bands_match_reference(above, Fraction(1))

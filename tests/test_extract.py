@@ -24,6 +24,7 @@ from pathfree import extract
 from pathfree.extract import _components_below, _labels_below
 
 from conftest import (
+    assert_bands_match_reference,
     block_partition_reference,
     components,
     edge_adjacency,
@@ -372,40 +373,31 @@ def test_extraction_validation():
 def test_decompose_high_floor_leaves_everything_residual():
     g = star_graph(5)
     decomp = degree_class_decompose(g, degree_floor=8)
-    assert decomp.classes == ()
-    assert decomp.residual == g
-    assert same_value(decomp.residual_vertices, first(6, 6))
+    assert same_value(decomp.vertex_band, np.zeros(6, dtype=np.int64))
+    assert same_value(decomp.row_band, np.zeros(5, dtype=np.int64))
 
 
 def test_decompose_peels_the_hub_first():
     g = star_graph(20)
     decomp = degree_class_decompose(g, degree_floor=1)
-    assert same_value(decomp.classes[0].vertices, first(21, 1))
-    assert decomp.classes[0].graph.edge_count == 20
-    assert decomp.residual.edge_count == 0
-    total = sum(c.graph.edge_count for c in decomp.classes)
-    assert total + decomp.residual.edge_count == g.edge_count
+    assert same_value(decomp.vertex_band, first(21, 1).astype(np.int64))
+    assert same_value(decomp.row_band, np.ones(20, dtype=np.int64))
 
 
 def test_decompose_regular_graph_is_one_band():
     square = Graph.build(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
     decomp = degree_class_decompose(square, degree_floor=1)
-    assert len(decomp.classes) == 1
-    assert same_value(decomp.classes[0].vertices, first(4, 4))
-    assert decomp.classes[0].graph == square
+    assert same_value(decomp.vertex_band, np.ones(4, dtype=np.int64))
+    assert same_value(decomp.row_band, np.ones(4, dtype=np.int64))
 
 
 def test_decompose_partitions_edges(rnd):
+    # the part arrays against the band-by-band peel with a graph per band,
+    # whose pieces partition the edges
     for trial in range(50):
         g = random_graph(rnd, n_max=14, density=0.5)
-        decomp = degree_class_decompose(g, degree_floor=rnd.randint(1, 4))
-        pieces = [c.graph.edges for c in decomp.classes] + [decomp.residual.edges]
-        assert sum(len(p) for p in pieces) == g.edge_count
-        combined: set = set()
-        for p in pieces:
-            assert not (combined & p)
-            combined |= p
-        assert combined == g.edges
+        for floor in range(1, 5):
+            assert_bands_match_reference(g, degree_floor=floor)
 
 
 def test_decompose_validation():
@@ -414,22 +406,50 @@ def test_decompose_validation():
         degree_class_decompose(g, degree_floor=0)
 
 
-def test_banded_extraction_star_selects_band_and_keeps_all():
+def handed_on(monkeypatch) -> list:
+    """Spy on the extraction a banded one runs: the piece and core it gets."""
+    seen = []
+    real = extract.extract_path_free_subgraph
+
+    def spy(piece, core, k, trials, seed):
+        seen.append((piece, core))
+        return real(piece, core, k, trials, seed)
+
+    monkeypatch.setattr(extract, "extract_path_free_subgraph", spy)
+    return seen
+
+
+def test_banded_extraction_star_selects_band_and_keeps_all(monkeypatch):
+    seen = handed_on(monkeypatch)
     g = star_graph(20)
     banded = extract_from_densest_band(g, beta=0.5, r=2, k=4, trials=10, seed=1)
     assert banded.selection == "band"
     assert banded.band_level == 1
+    # the piece is the band's rows and its core the band's vertices
+    decomp = degree_class_decompose(g, 2)
+    [(piece, core)] = seen
+    assert piece == g.keep(decomp.row_band == 1) and same_value(
+        core, decomp.vertex_band == 1
+    )
     assert banded.extraction.certified
     assert banded.extraction.q == 1
     assert banded.achieved_ratio == 1  # a star has no 4-vertex path to break
     assert banded.selected_edges == 20
 
 
-def test_banded_extraction_low_degree_routes_to_residual():
+def test_banded_extraction_low_degree_routes_to_residual(monkeypatch):
+    seen = handed_on(monkeypatch)
     # degree floor r = 8 swallows a 5-star whole: no bands form
     g = star_graph(5)
     banded = extract_from_densest_band(g, beta=0.5, r=8, k=4, trials=20, seed=2)
     assert banded.selection == "residual"
+    assert banded.band_level is None
+    # the residual goes down the same path, at level 0
+    decomp = degree_class_decompose(g, 8)
+    [(piece, core)] = seen
+    assert piece == g.keep(decomp.row_band == 0) and same_value(
+        core, decomp.vertex_band == 0
+    )
     assert banded.extraction.certified
     assert 0 < banded.achieved_ratio <= 1
 
