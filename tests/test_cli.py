@@ -12,6 +12,7 @@ import pathfree.checks as checks
 import pathfree.cli as cli
 from pathfree import (
     EdgeColouring,
+    Graph,
     InternalInvariantError,
     PipelineParams,
     colour_graph,
@@ -305,6 +306,99 @@ def test_extract_certified_star(tmp_path, capsys):
     assert record["kept_edges"] == 20
     sub = parse_edge_list(out_path.read_text())
     assert sub.edge_count == record["kept_edges"]
+
+
+def hub_graph() -> Graph:
+    """A 40-star on ``uniform_edges(60, 120, 2)``: band 1 holds 130 of its 156 edges."""
+    rows = set(map(tuple, uniform_edges(60, 120, seed=2).edge_array.tolist()))
+    return Graph.build(60, sorted(rows | {(0, v) for v in range(1, 41)}))
+
+
+EXTRACT_PINS = {
+    "band": (
+        lambda: serialize_edge_list(hub_graph()),
+        ["--r", "4", "--k", "6", "--beta", "0.5", "--trials", "50", "--seed", "1"],
+        {
+            "achieved_ratio": "17/52",
+            "achieved_ratio_float": 0.3269230769230769,
+            "band_level": 1,
+            "certificate": "block-path",
+            "certified": True,
+            "chosen_trial": 6,
+            "crossing_edges": 84,
+            "kept_edges": 51,
+            "mean_edges": 48.48,
+            "q": 10,
+            "q_clamped": False,
+            "reference_ratio": 27.990989746104223,
+            "selected_edges": 130,
+            "total_edges": 156,
+        },
+    ),
+    "residual": (
+        lambda: serialize_edge_list(uniform_edges(120, 360, seed=1)),
+        ["--r", "16", "--k", "8", "--beta", "0.5"],
+        {
+            "achieved_ratio": "17/90",
+            "achieved_ratio_float": 0.18888888888888888,
+            "band_level": None,
+            "certificate": "component-order",
+            "certified": True,
+            "chosen_trial": 111,
+            "crossing_edges": 184,
+            "kept_edges": 68,
+            "mean_edges": 62.61,
+            "q": 45,
+            "q_clamped": False,
+            "reference_ratio": 6.997747436526056,
+            "selected_edges": 360,
+            "total_edges": 360,
+        },
+    ),
+    "empty": (
+        lambda: "# n=5\n",
+        ["--r", "4", "--k", "5", "--beta", "2.5"],
+        {
+            "achieved_ratio": "0",
+            "achieved_ratio_float": 0.0,
+            "band_level": None,
+            "certificate": "empty",
+            "certified": True,
+            "chosen_trial": None,
+            "crossing_edges": 0,
+            "kept_edges": 0,
+            "mean_edges": 0.0,
+            "q": 1,
+            "q_clamped": False,
+            "reference_ratio": 6.575749358311303,
+            "selected_edges": 0,
+            "total_edges": 0,
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EXTRACT_PINS))
+def test_extract_record_is_pinned(tmp_path, capsys, case):
+    # every key and value of the printed record, the reference ratio and the
+    # edge total included, on a band pick, a residual pick and no edges
+    text, args, record = EXTRACT_PINS[case]
+    graph_path = tmp_path / "g.txt"
+    graph_path.write_text(text())
+    assert main(["extract", "--input", str(graph_path), *args]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == json.dumps(record, indent=2, sort_keys=True) + "\n"
+    assert captured.err == ""
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_extract_refuses_a_density_that_is_not_positive(desk_graph_file, capsys, value):
+    # nan and inf are refused with colour's in the test above
+    argv = ["extract", "--input", desk_graph_file, "--r", "16", "--k", "8", "--beta", value]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: density parameter beta must be positive and finite\n"
 
 
 @pytest.mark.parametrize("rows", ["", "0 1\n"])
