@@ -17,10 +17,12 @@ g = uniform_edges(60, 480, seed=3)
 k = 10
 print(f"graph: {g.vertex_count} vertices, {g.edge_count} edges, k = {k}")
 
-banded = extract_from_densest_band(g, beta=0.5, r=16, k=k, trials=200, seed=3)
+# r is the peel's degree floor; a band level of None means the residual
+banded = extract_from_densest_band(g, r=16, k=k, trials=200, seed=3)
 ex = banded.extraction
-print(f"\nband selection: {banded.selection} at level {banded.band_level}, "
-      f"{banded.selected_edges}/{banded.total_edges} edges "
+selection = "residual" if banded.band_level is None else "band"
+print(f"\nband selection: {selection} at level {banded.band_level}, "
+      f"{banded.selected_edges}/{g.edge_count} edges "
       f"(achieved ratio {banded.achieved_ratio})")
 print(f"extraction: q={ex.q} blocks, certified={ex.certified} "
       f"via {ex.certificate!r} on trial {ex.chosen_trial}")

@@ -280,18 +280,15 @@ def check_schur_transforms(samples: int, seed: int) -> CheckResult:
 def check_two_bin_monotone() -> CheckResult:
     """E max(X, n-X) for X ~ Bin(n, p) is non-increasing as p rises to 1/2.
 
-    Runs over ``n <= 10`` and ``p`` in steps of 1/20; each value is an
-    integer sum over ``20^n``.
+    Runs over ``n <= 10`` and ``p`` in steps of 1/20; each value is the
+    exact two-bin multinomial expectation.
     """
     tally = _Tally("two-bin-monotone")
     for n in range(1, 11):
         values = []
         for step in range(11):  # p = 0, 1/20, ..., 1/2
-            count = sum(
-                math.comb(n, k) * step**k * (20 - step) ** (n - k) * max(k, n - k)
-                for k in range(n + 1)
-            )
-            values.append((Fraction(step, 20), Fraction(count, 20**n)))
+            p = Fraction(step, 20)
+            values.append((p, multinomial_max_expectation((p, 1 - p), n)))
         for a in range(len(values)):
             for b in range(a + 1, len(values)):
                 pa, va = values[a]

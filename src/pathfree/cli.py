@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .bins import _exact_grid, _refuse_over_cap, compute_bins_stats
@@ -114,7 +115,8 @@ def _build_parser() -> argparse.ArgumentParser:
     ext.add_argument("--input", default="-")
     ext.add_argument("--r", type=int, required=True)
     ext.add_argument("--k", type=int, required=True)
-    ext.add_argument("--beta", type=float, required=True, help="density scale for this round")
+    ext.add_argument("--beta", type=float, required=True,
+                     help="density scale; sets only the printed reference_ratio")
     ext.add_argument("--seed", type=int, default=PipelineParams.seed)
     ext.add_argument("--trials", type=int, default=PipelineParams.trials_per_extraction)
     ext.add_argument("--output", default=None, help="write the extracted subgraph here")
@@ -183,24 +185,23 @@ def _cmd_colour(args: argparse.Namespace) -> int:
 
 def _cmd_extract(args: argparse.Namespace) -> int:
     g = _read_graph(args.input)
-    banded = extract_from_densest_band(
-        g,
-        beta=args.beta,
-        r=args.r,
-        k=args.k,
-        trials=args.trials,
-        seed=args.seed,
-    )
+    if not (math.isfinite(args.beta) and args.beta > 0):
+        raise UsageError("density parameter beta must be positive and finite")
+    banded = extract_from_densest_band(g, args.r, args.k, args.trials, args.seed)
+    try:
+        reference = 60.0 / (args.beta**0.9 * args.r)
+    except OverflowError:  # r itself is beyond float range
+        raise UsageError("colour budget r must be within float range") from None
     extraction = banded.extraction
     record = {
         "certified": extraction.certified,
         "certificate": extraction.certificate,
         "band_level": banded.band_level,
         "selected_edges": banded.selected_edges,
-        "total_edges": banded.total_edges,
+        "total_edges": g.edge_count,
         "achieved_ratio": str(banded.achieved_ratio),
         "achieved_ratio_float": float(banded.achieved_ratio),
-        "reference_ratio": banded.reference_ratio,
+        "reference_ratio": reference,
         "q": extraction.q,
         "q_clamped": extraction.q_clamped,
         "crossing_edges": extraction.crossing_edges,

@@ -340,43 +340,28 @@ class BandExtraction:
     """Outcome of extracting from the densest degree band (or the residual)."""
 
     extraction: ExtractionResult
-    selection: str  # "band", "residual", or "empty"
-    band_level: int | None
+    band_level: int | None  # None for the residual and for no edges
     selected_edges: int
-    total_edges: int
     achieved_ratio: Fraction
-    reference_ratio: float
 
 
 def extract_from_densest_band(
-    g: Graph,
-    beta: float,
-    r: int,
-    k: int,
-    trials: int,
-    seed: int,
+    g: Graph, r: int, k: int, trials: int, seed: int
 ) -> BandExtraction:
     """Decompose by degree bands, pick a dense piece, extract path-free edges.
 
+    ``r`` is the band peel's degree floor; no density scale ``beta`` is read.
     Band ``j`` is selected if it holds at least a ``SELECT_RATIO^j`` share of
     the edges (first such ``j``); otherwise the residual, which then holds at
     least a third of the edges.  One of the two always fires because the
-    geometric shares plus a third sum below 1.  ``reference_ratio`` records
-    the asymptotic yardstick ``60 / (beta^0.9 * r)`` for e(H)/e(G); it is
-    informational and not a promise at small scale.
+    geometric shares plus a third sum below 1.
     """
-    if not (math.isfinite(beta) and beta > 0):
-        raise UsageError("density parameter beta must be positive and finite")
     if r < 1:
         raise UsageError("colour budget r must be positive")
     if k < 4:
         raise UsageError("extraction certificates need k >= 4")
     if trials < 1:
         raise UsageError("need at least one trial")
-    try:
-        reference = 60.0 / (beta**0.9 * r)
-    except OverflowError:  # r itself is beyond float range
-        raise UsageError("colour budget r must be within float range") from None
     if g.edge_count == 0:
         empty = ExtractionResult(
             subgraph=g,
@@ -389,7 +374,7 @@ def extract_from_densest_band(
             chosen_trial=None,
             mean_edges=0.0,
         )
-        return BandExtraction(empty, "empty", None, 0, 0, Fraction(0), reference)
+        return BandExtraction(empty, None, 0, Fraction(0))
 
     decomp = degree_class_decompose(g, Fraction(r))
     total = g.edge_count
@@ -404,10 +389,7 @@ def extract_from_densest_band(
     result = extract_path_free_subgraph(piece, core=core, k=k, trials=trials, seed=seed)
     return BandExtraction(
         extraction=result,
-        selection="band" if level else "residual",
         band_level=level or None,
         selected_edges=piece.edge_count,
-        total_edges=total,
         achieved_ratio=Fraction(result.subgraph.edge_count, total),
-        reference_ratio=reference,
     )

@@ -141,6 +141,8 @@ class PipelineParams:
             )
         if self.trials_per_extraction < 1:
             raise UsageError("need at least one extraction trial")
+        if self.seed < 0:
+            raise UsageError(f"seed must be non-negative, got {self.seed}")
         if self.strict and not self.k >= 100 * math.log(self.r):
             raise UsageError("strict mode requires k >= 100 log r")
 
@@ -268,7 +270,6 @@ def run_round(
     edges_before = g.edge_count
     degree_before = g.max_degree
     edge_target = ETA * edges_before
-    beta_round = params.beta0 * float(ZETA) ** round_index
 
     work = g
     parts: list[EdgeColouring] = []
@@ -280,7 +281,6 @@ def run_round(
             break
         band = extract_from_densest_band(
             work,
-            beta=beta_round,
             r=r,
             k=k,
             trials=params.trials_per_extraction,

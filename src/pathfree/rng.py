@@ -1,6 +1,6 @@
 """Seed management.
 
-Every randomized operation in the package takes an integer ``seed`` and
+Every randomized operation in the package takes an integer ``seed >= 0`` and
 derives independent substreams with :func:`substream`.  A substream is
 identified by a label path (stage name, trial index, ...) hashed into
 ``numpy.random.SeedSequence`` via ``spawn_key``, so
@@ -14,6 +14,8 @@ identified by a label path (stage name, trial index, ...) hashed into
 from __future__ import annotations
 
 import numpy as np
+
+from .errors import UsageError
 
 __all__ = ["substream", "subseed"]
 
@@ -32,12 +34,18 @@ def _encode(part: int | str) -> tuple[int, ...]:
     return tuple(words)
 
 
+def _sequence(seed: int, key: tuple[int, ...]) -> np.random.SeedSequence:
+    if seed < 0:  # SeedSequence would raise a bare ValueError
+        raise UsageError(f"seed must be non-negative, got {seed}")
+    return np.random.SeedSequence(seed, spawn_key=key)
+
+
 def substream(seed: int, *path: int | str) -> np.random.Generator:
     """Return the generator for the substream of ``seed`` named by ``path``."""
     key: tuple[int, ...] = ()
     for part in path:
         key = key + _encode(part)
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
+    return np.random.default_rng(_sequence(seed, key))
 
 
 def subseed(seed: int, *path: int | str) -> int:
@@ -50,5 +58,5 @@ def subseed(seed: int, *path: int | str) -> int:
     key = _encode("subseed")
     for part in path:
         key = key + _encode(part)
-    state = np.random.SeedSequence(seed, spawn_key=key).generate_state(2, np.uint64)
+    state = _sequence(seed, key).generate_state(2, np.uint64)
     return (int(state[0]) ^ (int(state[1]) << 32)) & (2**63 - 1)

@@ -129,10 +129,11 @@ def test_colour_text_format(desk_graph_file, capsys):
     assert "total_colours:" in out and "success: True" in out
 
 
-@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
 def test_colour_and_extract_reject_a_non_finite_density(desk_graph_file, capsys, value):
     # nan once crashed inside Fraction() with exit 1, and extract printed
-    # "reference_ratio": NaN, which is not JSON
+    # "reference_ratio": NaN, which is not JSON; a density of 0 or below is
+    # refused with the same message
     for argv in (
         ["colour", "--input", desk_graph_file, "--r", "48", "--k", "8", "--beta0", value],
         ["extract", "--input", desk_graph_file, "--r", "16", "--k", "8", "--beta", value],
@@ -391,16 +392,6 @@ def test_extract_record_is_pinned(tmp_path, capsys, case):
     assert captured.err == ""
 
 
-@pytest.mark.parametrize("value", ["0", "-1"])
-def test_extract_refuses_a_density_that_is_not_positive(desk_graph_file, capsys, value):
-    # nan and inf are refused with colour's in the test above
-    argv = ["extract", "--input", desk_graph_file, "--r", "16", "--k", "8", "--beta", value]
-    assert main(argv) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "error: density parameter beta must be positive and finite\n"
-
-
 @pytest.mark.parametrize("rows", ["", "0 1\n"])
 def test_extract_rejects_small_k_and_no_trials_without_edges(tmp_path, capsys, rows):
     graph_path = tmp_path / "g.txt"
@@ -635,6 +626,28 @@ def test_check_inequalities_rejects_a_grid_without_two_bins(monkeypatch, capsys)
     monkeypatch.setattr(checks, "check_solver_floor", floor_ran)
     assert main(["check-inequalities", "--grid", "1..1", "1..1"]) == 2
     assert "two bins" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["extract", "--r", "16", "--k", "8", "--beta", "0.5"],
+        ["generate", "--n", "30", "--m", "60"],
+        ["bins", "--q", "2", "--n", "3", "--trials", "10"],
+        ["check-inequalities", "--grid", "2..3", "1..4", "--samples", "20",
+         "--mc-seeds", "1", "--mc-trials", "200"],
+        ["colour", "--r", "36", "--k", "10", "--beta0", "0.5"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_a_negative_seed_is_a_usage_error(desk_graph_file, capsys, argv):
+    # it once reached numpy's SeedSequence: exit 1 with a ValueError traceback
+    if argv[0] in ("extract", "colour"):
+        argv = argv + ["--input", desk_graph_file]
+    assert main(argv + ["--seed", "-3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: seed must be non-negative, got -3\n"
 
 
 def test_help_and_bad_usage(capsys):

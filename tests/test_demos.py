@@ -1,6 +1,11 @@
-"""Every demo script runs to completion against the package in ``src/``."""
+"""Every demo script runs to completion against the package in ``src/``, and
+README's Python snippets show the values their comments state."""
 
+import ast
+import contextlib
+import io
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -22,3 +27,24 @@ def test_demo_runs(demo, tmp_path):
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_snippets_show_the_values_in_their_comments():
+    # each expression statement is checked against its trailing comment: a
+    # print by its output, any other expression by its repr
+    readme = (ROOT / "README.md").read_text()
+    blocks = re.findall(r"```python\n(.*?)```", readme, re.S)
+    assert len(blocks) == 2
+    shown, stated = [], []
+    for block in blocks:
+        lines, scope = block.splitlines(), {}
+        for node in ast.parse(block).body:
+            if not isinstance(node, ast.Expr):
+                exec(compile(ast.Module([node], []), "README.md", "exec"), scope)
+                continue
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                value = eval(compile(ast.Expression(node.value), "README.md", "eval"), scope)
+            shown.append(out.getvalue().strip() if value is None else repr(value))
+            stated.append(lines[node.end_lineno - 1].rpartition("#")[2].strip())
+    assert shown == stated == ["32 True", "pass", "Fraction(17, 8)"]

@@ -1,6 +1,5 @@
 """Block extraction: greedy assignment, certificates, degree bands."""
 
-import math
 import random
 from collections import Counter
 from functools import partial
@@ -422,8 +421,7 @@ def handed_on(monkeypatch) -> list:
 def test_banded_extraction_star_selects_band_and_keeps_all(monkeypatch):
     seen = handed_on(monkeypatch)
     g = star_graph(20)
-    banded = extract_from_densest_band(g, beta=0.5, r=2, k=4, trials=10, seed=1)
-    assert banded.selection == "band"
+    banded = extract_from_densest_band(g, r=2, k=4, trials=10, seed=1)
     assert banded.band_level == 1
     # the piece is the band's rows and its core the band's vertices
     decomp = degree_class_decompose(g, 2)
@@ -441,9 +439,9 @@ def test_banded_extraction_low_degree_routes_to_residual(monkeypatch):
     seen = handed_on(monkeypatch)
     # degree floor r = 8 swallows a 5-star whole: no bands form
     g = star_graph(5)
-    banded = extract_from_densest_band(g, beta=0.5, r=8, k=4, trials=20, seed=2)
-    assert banded.selection == "residual"
+    banded = extract_from_densest_band(g, r=8, k=4, trials=20, seed=2)
     assert banded.band_level is None
+    assert banded.extraction.certificate != "empty"
     # the residual goes down the same path, at level 0
     decomp = degree_class_decompose(g, 8)
     [(piece, core)] = seen
@@ -474,34 +472,30 @@ def test_every_extraction_split_keeps_an_edge(monkeypatch):
         g = uniform_edges(n, m, seed=rnd.randrange(1000))
         r, k, trials = rnd.randint(1, 30), rnd.randint(4, 12), rnd.randint(1, 5)
         banded = extract_from_densest_band(
-            g, beta=0.5, r=r, k=k, trials=trials, seed=rnd.randrange(1000)
+            g, r=r, k=k, trials=trials, seed=rnd.randrange(1000)
         )
         assert banded.extraction.subgraph.edge_count > 0
     assert len(kept) >= 300 and min(kept) > 0
 
 
 def test_banded_extraction_empty_graph():
-    banded = extract_from_densest_band(
-        Graph.build(5, []), beta=0.5, r=4, k=5, trials=200, seed=0
-    )
-    assert banded.selection == "empty"
+    banded = extract_from_densest_band(Graph.build(5, []), r=4, k=5, trials=200, seed=0)
+    assert banded.band_level is None
+    assert banded.extraction.certificate == "empty"
     assert banded.extraction.certified
     assert banded.achieved_ratio == 0
 
 
-def test_banded_extraction_reference_ratio_and_validation():
+def test_banded_extraction_validation():
+    # the density scale and its reference ratio belong to the command line,
+    # whose extract record tests pin them
     band = partial(extract_from_densest_band, trials=200, seed=0)
     g = star_graph(6)
-    banded = extract_from_densest_band(g, beta=0.5, r=10, k=4, trials=5, seed=0)
-    assert banded.reference_ratio == pytest.approx(60 / (0.5**0.9 * 10))
-    for beta in (0.0, math.nan, math.inf):
-        with pytest.raises(UsageError):
-            band(g, beta=beta, r=10, k=4)
-    with pytest.raises(UsageError):
-        band(g, beta=0.5, r=0, k=4)
-    # k and trials are checked before the edgeless shortcut too
+    # r, k and trials are checked before the edgeless shortcut too
     for graph in (g, Graph.build(5, [])):
+        with pytest.raises(UsageError, match="r must be positive"):
+            band(graph, r=0, k=4)
         with pytest.raises(UsageError, match="k >= 4"):
-            band(graph, beta=0.5, r=10, k=3)
+            band(graph, r=10, k=3)
         with pytest.raises(UsageError, match="trial"):
-            band(graph, beta=0.5, r=10, k=4, trials=0)
+            band(graph, r=10, k=4, trials=0)

@@ -29,7 +29,7 @@ def pinned(band) -> tuple:
 
 def test_banded_extraction_on_a_dense_band_is_pinned():
     g = uniform_edges(400, 8000, 3)
-    band = extract_from_densest_band(g, beta=0.5, r=36, k=10, trials=200, seed=3)
+    band = extract_from_densest_band(g, r=36, k=10, trials=200, seed=3)
     assert pinned(band) == (
         98,
         "block-path",
@@ -69,7 +69,7 @@ def test_component_order_extraction_is_pinned():
     # a sparse band where most trials break the block-path limit: about a
     # tenth of them certify by component order, and one of those wins
     g = uniform_edges(1000, 3000, 3)
-    band = extract_from_densest_band(g, beta=0.5, r=6, k=8, trials=200, seed=3)
+    band = extract_from_densest_band(g, r=6, k=8, trials=200, seed=3)
     assert pinned(band) == (
         74,
         "component-order",

@@ -1,8 +1,9 @@
 """Seed-splitting guarantees: substreams are stable, labelled, independent."""
 
 import numpy as np
+import pytest
 
-from pathfree import substream, subseed
+from pathfree import UsageError, substream, subseed
 
 
 def test_same_path_same_stream():
@@ -32,3 +33,10 @@ def test_draw_order_does_not_leak_between_substreams():
     fresh = substream(11, "x", 1).integers(0, 1 << 30, size=8)
     again = substream(11, "x", 1).integers(0, 1 << 30, size=8)
     assert np.array_equal(fresh, again)
+
+
+def test_a_negative_seed_is_refused():
+    # numpy's SeedSequence would raise a bare ValueError
+    for split in (substream, subseed):
+        with pytest.raises(UsageError, match="seed must be non-negative"):
+            split(-3, "trial", 0)
