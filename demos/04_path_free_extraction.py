@@ -31,7 +31,9 @@ print(f"kept {ex.subgraph.edge_count} edges out of {ex.crossing_edges} crossing"
 # independent check: the kept subgraph really has no path on k vertices
 from pathfree import verify_colouring, EdgeColouring
 
-one_colour = EdgeColouring.of(ex.subgraph.edge_array, [0] * ex.subgraph.edge_count)
+# a graph's rows are sorted, so they are a colouring's rows as they stand
+zeros = np.zeros(ex.subgraph.edge_count, dtype=np.int64)
+one_colour = EdgeColouring(ex.subgraph.edge_array, zeros)
 report = verify_colouring(ex.subgraph, one_colour, r=1, k=k)
 print(f"verifier agrees: verdict={report.verdict} "
       f"(largest component spans {report.largest_component[1]} vertices, "

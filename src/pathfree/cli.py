@@ -287,6 +287,8 @@ def main(argv: list[str] | None = None) -> int:
         # argparse exits 2 on bad usage and 0 on --help; keep both.
         return int(exc.code or 0)
     try:
+        if getattr(args, "exact_cap", 0) < 0:  # before any input is read
+            raise UsageError("component cap must be non-negative")
         return _COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

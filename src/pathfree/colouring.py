@@ -1,7 +1,6 @@
 """Edge-colouring primitives.
 
-Three building blocks, each of which colours some edges of its input and
-leaves the rest as an explicitly returned residual graph:
+Three building blocks, each of which colours some edges of its input:
 
 * :func:`proper_edge_colouring` properly colours all edges with at most
   ``max_degree + 1`` colours (Misra-Gries fan rotation).  Classes are
@@ -19,13 +18,15 @@ leaves the rest as an explicitly returned residual graph:
 
 Colour indices in every result are compact: each primitive uses exactly
 ``0 .. colours_used - 1``, and the pipeline places each stage's range after
-the colours spent before it.  A result is an
-:class:`EdgeColouring`, the sorted rows of a row mask of its input with each
-row's colour in an aligned array; masks come from vertex masks over the
-degree array, each threshold the exact integer floor or ceiling of its rational.
-Sets are masks, partitions are part arrays: a refinement reports the vertices
-it removed as a boolean mask over ``0..n-1``, and the star centres' colours
-as a per-vertex int64 array with -1 off the centres.
+the colours spent before it.  A result is colours aligned to its input's
+rows: the proper colouring is a total :class:`EdgeColouring` over
+``g.edge_array``, and a refinement's ``colours`` holds one int64 entry per
+input row, -1 on the rows it leaves to later stages, so what is left is
+``g.keep(colours < 0)``.  The coloured rows come from vertex masks over the
+degree array, each threshold the exact integer floor or ceiling of its
+rational.  Sets are masks, partitions are part arrays: a refinement reports
+the vertices it removed as a boolean mask over ``0..n-1``, and the star
+centres' colours as a per-vertex int64 array with -1 off the centres.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
-from typing import Sequence
 
 import numpy as np
 
@@ -64,26 +64,16 @@ __all__ = [
 class EdgeColouring:
     """Colours of some edges: sorted, distinct ``(m, 2)`` int64 rows and the
     aligned int64 ``colours``, both read-only; equal by value, unhashable.  The
-    constructor trusts its rows to be sorted; :meth:`of` sorts any pairs."""
+    constructor trusts its rows to be sorted."""
 
     edge_array: np.ndarray
     colours: np.ndarray
 
     def __post_init__(self) -> None:
+        if self.colours.shape != (len(self.edge_array),):
+            raise ContractViolation("a colouring needs one colour per edge")
         self.edge_array.flags.writeable = False
         self.colours.flags.writeable = False
-
-    @staticmethod
-    def of(
-        pairs: Sequence[Edge] | np.ndarray, colours: Sequence[int] | np.ndarray
-    ) -> "EdgeColouring":
-        """Each pair with its colour, in any order; sorted, not canonicalised."""
-        rows = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-        colours = np.asarray(colours, dtype=np.int64)
-        if colours.shape != (len(rows),):
-            raise ContractViolation("a colouring needs one colour per edge")
-        order = row_order(rows)
-        return EdgeColouring(rows[order], colours[order])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, EdgeColouring):
@@ -236,18 +226,17 @@ def proper_edge_colouring(g: Graph) -> EdgeColouring:
 
 @dataclass(frozen=True, eq=False)
 class RefinementResult:
-    """Partial colouring plus the residual left for later stages.
+    """Each input row's colour, from 0, and -1 on the rows left to later stages.
 
     ``vertices_removed`` masks the vertices whose incident edges were
     coloured (low-degree set or star centres).  For star refinements,
     ``parts`` holds each centre's colour, and -1 for every other vertex,
     including a centre whose edges an earlier set claimed; it is None
-    otherwise.  ``degree_bound_ok`` records whether the residual met the
+    otherwise.  ``degree_bound_ok`` records whether the rows left met the
     stage's degree target.
     """
 
-    colouring: EdgeColouring
-    residual: Graph
+    colours: np.ndarray
     threshold: Fraction
     vertices_removed: np.ndarray
     degree_bound_ok: bool
@@ -255,7 +244,7 @@ class RefinementResult:
 
 
 def low_degree_refinement(g: Graph, r: int) -> RefinementResult:
-    """Colour all edges at vertices of degree <= r/7; residual is the rest.
+    """Colour all edges at vertices of degree <= r/7, and leave the rest.
 
     Inside the low-degree set a proper colouring takes at most
     ``floor(r/7) + 1`` colours.  Edges from a low vertex to a high one get
@@ -271,8 +260,8 @@ def low_degree_refinement(g: Graph, r: int) -> RefinementResult:
     low = g.degrees <= math.floor(threshold)
     low_u, low_v = low[g.edge_array.T]
 
-    inner, leaving, coloured = low_u & low_v, low_u != low_v, low_u | low_v
-    colours = np.empty(g.edge_count, dtype=np.int64)
+    inner, leaving = low_u & low_v, low_u != low_v
+    colours = np.full(g.edge_count, -1, dtype=np.int64)
     proper = proper_edge_colouring(g.keep(inner))
     colours[inner] = proper.colours
     first_range = proper.colours_used
@@ -285,8 +274,7 @@ def low_degree_refinement(g: Graph, r: int) -> RefinementResult:
     rank = np.arange(len(rows)) - np.searchsorted(low_end, low_end)
     colours[np.flatnonzero(leaving)[order]] = first_range + rank
     return RefinementResult(
-        colouring=EdgeColouring(g.edge_array[coloured], colours[coloured]),
-        residual=g.keep(~coloured),
+        colours=colours,
         threshold=threshold,
         vertices_removed=low,
         degree_bound_ok=True,
@@ -299,8 +287,8 @@ def star_refinement(g: Graph, s: int, k: int) -> RefinementResult:
     Vertices of degree at least ``8 e / (k s)`` are packed, in decreasing
     degree order, into ``s`` centre sets of size at most ``floor(k/3)``; each
     edge touching a centre set is claimed by the first such set and takes its
-    colour.  Vertices beyond the packing capacity stay in the residual, which
-    then misses the degree target and is reported via ``degree_bound_ok``.
+    colour.  Vertices beyond the packing capacity keep their unclaimed edges,
+    which then miss the degree target, as ``degree_bound_ok`` reports.
     """
     if s < 1:
         raise UsageError("need at least one star colour")
@@ -319,19 +307,16 @@ def star_refinement(g: Graph, s: int, k: int) -> RefinementResult:
     owner[centres] = [i // capacity for i in range(len(centres))]  # k may pass int64
     first = owner[g.edge_array].min(axis=1)
     claimed = first < unclaimed
-    used_ids, colours = np.unique(first[claimed], return_inverse=True)
-    offset = np.full(unclaimed + 1, -1, dtype=np.int64)  # by set index
-    offset[used_ids] = np.arange(len(used_ids))
-
-    residual = g.keep(~claimed)
+    used_ids = np.unique(first[claimed])
     if len(used_ids) > s:
         raise InternalInvariantError("star refinement exceeded its colour count")
+    offset = np.full(unclaimed + 1, -1, dtype=np.int64)  # by set index
+    offset[used_ids] = np.arange(len(used_ids))
     return RefinementResult(
-        colouring=EdgeColouring(g.edge_array[claimed], colours),
-        residual=residual,
+        colours=offset[first],
         threshold=threshold,
         vertices_removed=owner < unclaimed,
-        degree_bound_ok=residual.max_degree < least,
+        degree_bound_ok=g.keep(~claimed).max_degree < least,
         parts=offset[owner],
     )
 

@@ -463,13 +463,13 @@ def write_rows(header: str, *columns: np.ndarray) -> str:
     return "".join(chunks)
 
 
-def subtract(g: Graph, h: Graph) -> Graph:
-    """Remove ``h``'s edges from ``g``; removing an absent edge is a contract error."""
+def subtract(g: Graph, h: Graph) -> np.ndarray:
+    """The mask of ``g``'s rows not in ``h``; an absent ``h`` edge is a contract error."""
     removed = repeats(np.concatenate([h.edge_array, g.edge_array]))[h.edge_count :]
     if np.count_nonzero(removed) < h.edge_count:  # h's rows are distinct
         absent = absent_edges(g, h.edge_array)
         raise ContractViolation(f"cannot remove absent edges, e.g. {absent[0]}")
-    return g.keep(~removed)
+    return ~removed
 
 
 _BIPARTITION_TRIES = 64

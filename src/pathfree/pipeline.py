@@ -19,6 +19,11 @@ residual for the next:
 Every class produced anywhere is path-free for the given ``k`` by
 construction, so the pipeline's only failure mode is spending more than ``r``
 colours; soundness is re-checked independently by :mod:`pathfree.verify`.
+Each stage colours its input's rows from 0, -1 on the rows it leaves.
+:func:`colour_graph` places them: it holds one colour array over
+``g.edge_array``, writes each stage's colours after those spent so far into
+the rows still at -1, and owns the residual, ``g.keep(colour < 0)``.
+
 ``k = 3`` is special: only matchings avoid 3-vertex paths, so the pipeline
 reduces to one proper colouring and ends as ``k3-direct``.  Otherwise the
 rounds end at the first of ``degree-floor`` (tracked degree below ``r/7``),
@@ -241,12 +246,11 @@ class RoundTrace:
 
 @dataclass(frozen=True)
 class RoundOutcome:
-    """A round's trace, its parts (each coloured from 0) in colour order and
-    its residual."""
+    """A round's trace and its colours, one per input row and -1 on the rows
+    it leaves: extraction ``j`` is colour ``j``, the star colours follow."""
 
     trace: RoundTrace
-    parts: tuple[EdgeColouring, ...]
-    residual: Graph
+    colours: np.ndarray
 
 
 def run_round(
@@ -258,9 +262,8 @@ def run_round(
     count drops to ``ETA`` times the starting count or the extraction budget
     ``floor(r * RHO^i / 12)`` runs out.  The star step gets the same number
     of colours.  Total spending is at most ``r * RHO^i / 6`` by construction;
-    exceeding it would be a bug and raises.  The parts, the extraction classes
-    and then the star colouring, each colour from 0: the caller places them,
-    and ``colour_base`` only goes into the trace.
+    exceeding it would be a bug and raises.  The round's colours start at 0:
+    the caller places them, and ``colour_base`` only goes into the trace.
     """
     if params.k < 4:
         raise UsageError("rounds need k >= 4 (star classes contain P_3)")
@@ -272,7 +275,7 @@ def run_round(
     edge_target = ETA * edges_before
 
     work = g
-    parts: list[EdgeColouring] = []
+    placed = _Spending(np.full(g.edge_count, -1, dtype=np.int64))
     ratios: list[Fraction] = []
     abort_reason: str | None = None
 
@@ -291,17 +294,15 @@ def run_round(
             abort_reason = "uncertified-extraction"
             break
         # never empty: a cut edge's B-end joins a part holding an A-neighbour
-        taken = result.subgraph.edge_array
-        parts.append(EdgeColouring(taken, np.zeros(len(taken), dtype=np.int64)))
-        work = subtract(work, result.subgraph)
+        placed._place(np.where(subtract(work, result.subgraph), -1, 0))
+        work = g.keep(placed.colour < 0)
         ratios.append(band.achieved_ratio)
 
     if abort_reason is None and extraction_budget >= 1 and work.edge_count > 0:
-        star = star_refinement(work, extraction_budget, k)
-        parts.append(star.colouring)
-        work = star.residual
+        placed._place(star_refinement(work, extraction_budget, k).colours)
+        work = g.keep(placed.colour < 0)
 
-    spent = sum(part.colours_used for part in parts)
+    spent = placed.total
     if Fraction(spent) > budget:
         raise InternalInvariantError(
             f"round {round_index} spent {spent} colours over budget {budget}"
@@ -327,7 +328,7 @@ def run_round(
         aborted=abort_reason is not None,
         abort_reason=abort_reason,
     )
-    return RoundOutcome(trace, tuple(parts), work)
+    return RoundOutcome(trace, placed.colour)
 
 
 @dataclass(frozen=True)
@@ -365,41 +366,44 @@ def _preconditions(g: Graph, params: PipelineParams) -> dict:
 
 @dataclass
 class _Spending:
-    """The colours spent so far and what spent them: ``pieces`` holds every
-    stage's and round's parts, placed, in colour order."""
+    """The colours spent so far and what spent them: ``colour`` holds each
+    input row's colour, -1 until placed."""
 
-    pieces: list[EdgeColouring] = field(default_factory=list)
+    colour: np.ndarray
     stages: list[StageRecord] = field(default_factory=list)
     rounds: list[RoundTrace] = field(default_factory=list)
     total: int = 0
 
-    def _place(self, *parts: EdgeColouring) -> int:
-        """Place the parts, each coloured from 0, in turn after the colours
-        spent so far, and return how many colours they take."""
-        base = self.total
-        for part in parts:
-            shifted = part.colours + self.total
-            self.pieces.append(EdgeColouring(part.edge_array, shifted))
-            self.total += part.colours_used
-        return self.total - base
+    def _place(self, part: np.ndarray) -> int:
+        """Write a part, coloured from 0 with -1 on the rows it leaves, into
+        the rows still at -1 after the colours spent so far, and return how
+        many colours it takes."""
+        open_rows = self.colour < 0
+        if len(part) != np.count_nonzero(open_rows):
+            raise InternalInvariantError(
+                f"a part of {len(part)} rows for {open_rows.sum()} uncoloured rows"
+            )
+        self.colour[open_rows] = np.where(part < 0, -1, part + self.total)
+        used = len(np.unique(part[part >= 0]))
+        self.total += used
+        return used
 
     def stage(
-        self, name: str, budget: Fraction, before: int, after: int,
-        parts: list[EdgeColouring], **notes,
+        self, name: str, budget: Fraction, base: int, before: int, **notes
     ) -> None:
-        """End a stage that took ``before`` edges down to ``after``."""
-        base = self.total
-        used = self._place(*parts)
+        """End a stage that placed colours from ``base`` on ``before`` edges."""
+        used = self.total - base
+        after = int(np.count_nonzero(self.colour < 0))
         self.stages.append(
             StageRecord(name, base, used, budget, used <= budget, before, after, notes)
         )
 
     def round(self, outcome: RoundOutcome) -> None:
-        """End a round; its parts must take the colours its trace spent."""
-        used, trace = self._place(*outcome.parts), outcome.trace
+        """End a round; its colours must be the ones its trace spent."""
+        used, trace = self._place(outcome.colours), outcome.trace
         if used != trace.colours_spent:
             raise InternalInvariantError(
-                f"round {trace.round_index} parts use {used} colours, "
+                f"round {trace.round_index} placed {used} colours, "
                 f"not the {trace.colours_spent} it spent"
             )
         self.rounds.append(trace)
@@ -413,38 +417,43 @@ def colour_graph(g: Graph, params: PipelineParams) -> PipelineResult:
     per stage so a failed run explains where the colours went.
     """
     r, k = params.r, params.k
-    spending = _Spending()
+    spending = _Spending(np.full(g.edge_count, -1, dtype=np.int64))
 
     if k == 3:
+        spending._place(proper_edge_colouring(g).colours)
         spending.stage(
-            "proper-only", Fraction(r), g.edge_count, 0, [proper_edge_colouring(g)],
+            "proper-only", Fraction(r), 0, g.edge_count,
             reason="k=3 admits only matchings as classes",
         )
         return _finish(g, params, spending, "k3-direct", "proper-only")
 
     low = low_degree_refinement(g, r)
+    spending._place(low.colours)
+    current = g.keep(spending.colour < 0)
     low_count = int(low.vertices_removed.sum())
-    current = low.residual
     spending.stage(
-        "low-degree", Fraction(r, 3), g.edge_count, current.edge_count, [low.colouring],
+        "low-degree", Fraction(r, 3), 0, g.edge_count,
         degree_threshold=str(low.threshold),
         low_vertices=low_count,
         high_vertices=g.vertex_count - low_count,
         residual_active_vertices=int((current.degrees > 0).sum()),
     )
+    del low  # no stage result outlives its placement
 
     initial_star_colours = r // 6
     if initial_star_colours >= 1 and current.edge_count > 0:
         star0 = star_refinement(current, initial_star_colours, k)
+        base, before = spending.total, current.edge_count
+        spending._place(star0.colours)
+        current = g.keep(spending.colour < 0)
         spending.stage(
-            "initial-star", Fraction(r, 6), current.edge_count,
-            star0.residual.edge_count, [star0.colouring],
+            "initial-star", Fraction(r, 6), base, before,
             degree_threshold=str(star0.threshold),
             degree_goal=params.degree_goal,
-            degree_goal_met=star0.residual.max_degree <= params.degree_goal,
+            degree_goal_met=current.max_degree <= params.degree_goal,
             packing_ok=star0.degree_bound_ok,
         )
-        current = star0.residual
+        del star0
 
     for i in count():
         if _tracked_degree(params, i) < r / 7:
@@ -456,10 +465,9 @@ def colour_graph(g: Graph, params: PipelineParams) -> PipelineResult:
         if _round_budget(r, i) < 2:  # floor(budget / 2) = 0 extractions
             termination = "round-budget-exhausted"
             break
-        outcome = run_round(current, i, params, spending.total)
-        spending.round(outcome)
-        current = outcome.residual
-        if outcome.trace.aborted:
+        spending.round(run_round(current, i, params, spending.total))
+        current = g.keep(spending.colour < 0)
+        if spending.rounds[-1].aborted:
             termination = "extraction-failed"
             break
 
@@ -471,22 +479,24 @@ def colour_graph(g: Graph, params: PipelineParams) -> PipelineResult:
             endgame = "star+proper"
         else:
             endgame = "fallback-star+proper"
-        before, star, star_note = current.edge_count, [], {}
+        base, before, star_note = spending.total, current.edge_count, {}
         if endgame != "proper":
             wide = math.ceil(56 * r**0.75)
             star_end = star_refinement(current, wide, k)
-            star = [star_end.colouring]
-            current = star_end.residual
             star_note = {
                 "star_colour_cap": wide,
-                "star_colours": star_end.colouring.colours_used,
+                "star_colours": spending._place(star_end.colours),
                 "packing_ok": star_end.degree_bound_ok,
             }
-        proper = [proper_edge_colouring(current)] if current.edge_count > 0 else []
+            del star_end
+            current = g.keep(spending.colour < 0)
+        proper_colours = 0
+        if current.edge_count > 0:
+            proper_colours = spending._place(proper_edge_colouring(current).colours)
         spending.stage(
-            "endgame", Fraction(r, 6), before, 0, star + proper,
+            "endgame", Fraction(r, 6), base, before,
             case=endgame,
-            proper_colours=sum(p.colours_used for p in proper),
+            proper_colours=proper_colours,
             proper_cap=math.ceil(Fraction(r, 7)) + 1,
             **star_note,
         )
@@ -501,12 +511,12 @@ def _finish(
     termination: str | None,
     endgame: str | None,
 ) -> PipelineResult:
-    colouring = EdgeColouring.of(  # pieces never empty: every run has a first stage
-        np.concatenate([p.edge_array for p in spending.pieces]),
-        np.concatenate([p.colours for p in spending.pieces]),
-    )
-    if not np.array_equal(colouring.edge_array, g.edge_array):
-        raise InternalInvariantError("stage colourings do not partition the edges")
+    left = np.count_nonzero(spending.colour < 0)
+    if left:
+        raise InternalInvariantError(
+            f"the stages left {left} of {g.edge_count} edges uncoloured"
+        )
+    colouring = EdgeColouring(g.edge_array, spending.colour)
     total = colouring.colours_used
     if total != spending.total:
         raise InternalInvariantError(

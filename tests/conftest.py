@@ -28,6 +28,22 @@ from pathfree import (
 from pathfree.bins import MonteCarloEstimate, _require_counts
 from pathfree.checks import GUARD
 from pathfree.extract import BAND_RATIO, BlockSplit
+from pathfree.graph import row_order
+
+
+def colouring_of(pairs, colours) -> EdgeColouring:
+    """Each pair with its colour, in any order, as a colouring over the pairs
+    sorted by ``row_order``; the pairs are not canonicalised."""
+    rows = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    order = row_order(rows)
+    return EdgeColouring(rows[order], np.asarray(colours, dtype=np.int64)[order])
+
+
+def split_refinement(g: Graph, result) -> tuple[EdgeColouring, Graph]:
+    """A refinement's coloured rows of ``g`` as a colouring, and the graph of
+    the rows it left."""
+    taken = result.colours >= 0
+    return EdgeColouring(g.edge_array[taken], result.colours[taken]), g.keep(~taken)
 
 
 def random_graph(rnd: random.Random, n_max: int = 10, density: float = 0.4) -> Graph:
@@ -390,7 +406,7 @@ def proper_edge_colouring_reference(g: Graph) -> EdgeColouring:
         raise InternalInvariantError("proper colouring missed edges")
     used = sorted(set(colour_of.values()))
     remap = {c: i for i, c in enumerate(used)}
-    return EdgeColouring.of(list(colour_of), [remap[c] for c in colour_of.values()])
+    return colouring_of(list(colour_of), [remap[c] for c in colour_of.values()])
 
 
 def longest_path_brute(g: Graph) -> int:

@@ -21,7 +21,6 @@ import pytest
 
 import pathfree.cli as cli
 from pathfree import (
-    EdgeColouring,
     Graph,
     PipelineParams,
     audit_round_budgets,
@@ -50,7 +49,14 @@ from pathfree.graph import serialize_edge_list
 from pathfree.pipeline import RHO
 from pathfree.rng import substream
 
-from conftest import colour_classes, edge_adjacency, has_path_on, random_graph
+from conftest import (
+    colour_classes,
+    colouring_of,
+    edge_adjacency,
+    has_path_on,
+    random_graph,
+    split_refinement,
+)
 
 
 def _verdict(n: int, detail: str) -> None:
@@ -277,17 +283,18 @@ def test_criterion_10_star_and_proper_postconditions():
         k = rnd.choice(k_choices)
 
         star = star_refinement(g, s, k)
-        assert star.colouring.colours_used <= s
+        coloured, residual = split_refinement(g, star)
+        assert coloured.colours_used <= s
         for v in range(g.vertex_count):
-            assert star.residual.degree(v) * k * s <= 8 * g.edge_count
+            assert residual.degree(v) * k * s <= 8 * g.edge_count
         assert star.degree_bound_ok
         # each class must be a union of at most floor(k/3) stars: its centre
         # set has that size and touches every edge (stars may share leaves)
-        if star.colouring.colours_used:
+        if coloured.colours_used:
             parts = star.parts  # each centre's colour, -1 elsewhere
             assert parts is not None
-            assert len(set(parts[parts >= 0].tolist())) == star.colouring.colours_used
-            for colour, edges in colour_classes(star.colouring).items():
+            assert len(set(parts[parts >= 0].tolist())) == coloured.colours_used
+            for colour, edges in colour_classes(coloured).items():
                 part = parts == colour
                 assert 1 <= part.sum() <= k // 3
                 for u, v in edges:
@@ -318,7 +325,7 @@ def test_criterion_11_verifier_matches_bruteforce():
         g = random_graph(rnd, n_max=7, density=rnd.uniform(0.1, 0.9))
         k = rnd.randint(3, 7)
         assignments = {e: rnd.randint(0, 1) for e in g.edges}
-        colouring = EdgeColouring.of(list(assignments), list(assignments.values()))
+        colouring = colouring_of(list(assignments), list(assignments.values()))
         report = verify_colouring(g, colouring, 2, k)
         assert report.verdict in ("pass", "fail")  # exact below the cap
 

@@ -436,13 +436,24 @@ def test_verify_needs_budget_and_bound(tmp_path, capsys):
     assert main(["verify", "--input", str(bare), "--r", "4", "--k", "3"]) == 0
 
 
-def test_a_negative_exact_cap_is_refused(desk_graph_file, tmp_path, capsys):
+def test_a_negative_exact_cap_is_refused(desk_graph_file, tmp_path, capsys, monkeypatch):
     out = tmp_path / "colouring.txt"
     colour = ["colour", "--input", desk_graph_file, "--r", "48", "--k", "8", "--beta0", "0.5"]
-    assert main(colour + ["--exact-cap", "-3", "--output", str(out)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == "" and "cap must be non-negative" in captured.err
-    assert not out.exists()
+
+    def unreachable(*args):
+        raise AssertionError("the cap must be refused before any graph work")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(cli, "colour_graph", unreachable)
+        patched.setattr(cli, "parse_colouring", unreachable)
+        assert main(colour + ["--exact-cap", "-3", "--output", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "cap must be non-negative" in captured.err
+        assert not out.exists()
+        # refused before the file, which does not exist yet, is read
+        assert main(["verify", "--input", str(out), "--exact-cap", "-3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "cap must be non-negative" in captured.err
     assert main(colour + ["--exact-cap", "0", "--output", str(out)]) == 0
     capsys.readouterr()
     assert main(["verify", "--input", str(out), "--exact-cap", "-3"]) == 2

@@ -25,11 +25,13 @@ from pathfree import (
 
 from conftest import (
     colour_classes,
+    colouring_of,
     complete_graph,
     cycle_graph,
     path_graph,
     proper_edge_colouring_reference,
     random_graph,
+    split_refinement,
     star_graph,
 )
 
@@ -133,11 +135,12 @@ def test_low_degree_refinement_large_low_set_matches_reference():
     # 575 of 600 vertices are low, so Misra-Gries colours nearly every edge
     g = uniform_edges(600, 3000, 5)
     result = low_degree_refinement(g, r=105)
+    colouring, residual = split_refinement(g, result)
     low = result.vertices_removed
-    assert low.sum() == 575 and result.residual.edge_count > 0
+    assert low.sum() == 575 and residual.edge_count > 0
     inner = Graph.build(g.vertex_count, [e for e in g.edges if low[e[0]] and low[e[1]]])
     expected = proper_edge_colouring_reference(inner).assignments
-    coloured = result.colouring.assignments
+    coloured = colouring.assignments
     assert {e: coloured[e] for e in inner.edges} == expected
     first_range = len(set(expected.values()))
     assert all(
@@ -150,17 +153,19 @@ def test_low_degree_refinement_split(rnd):
         g = random_graph(rnd, n_max=16, density=0.5)
         r = rnd.randint(1, 60)
         result = low_degree_refinement(g, r)
+        colouring, residual = split_refinement(g, result)
         low = result.vertices_removed
         assert low.dtype == bool
         assert low.tolist() == [7 * g.degree(v) <= r for v in range(g.vertex_count)]
         # residual = edges entirely among high vertices, everything else coloured
-        assert result.residual.edges == {
+        assert result.colours.shape == (g.edge_count,)
+        assert residual.edges == {
             e for e in g.edges if not low[e[0]] and not low[e[1]]
         }
-        coloured = result.colouring.assignments
-        assert coloured.keys() == g.edges - result.residual.edges
+        coloured = colouring.assignments
+        assert coloured.keys() == g.edges - residual.edges
         assert result.threshold == Fraction(r, 7)
-        assert result.colouring.colours_used <= 2 * (r // 7) + 1
+        assert colouring.colours_used <= 2 * (r // 7) + 1
 
 
 def test_low_degree_refinement_class_shapes(rnd):
@@ -171,7 +176,7 @@ def test_low_degree_refinement_class_shapes(rnd):
         r = rnd.randint(7, 40)
         result = low_degree_refinement(g, r)
         low = result.vertices_removed
-        for colour, edges in colour_classes(result.colouring).items():
+        for colour, edges in colour_classes(split_refinement(g, result)[0]).items():
             inner = [e for e in edges if low[e[0]] and low[e[1]]]
             outward = [e for e in edges if low[e[0]] != low[e[1]]]
             assert len(inner) + len(outward) == len(edges)
@@ -188,10 +193,9 @@ def test_low_degree_refinement_class_shapes(rnd):
 
 def test_low_degree_refinement_extremes():
     whole = low_degree_refinement(path_graph(5), r=50)
-    assert whole.residual.edge_count == 0
+    assert (whole.colours >= 0).all()
     nothing = low_degree_refinement(complete_graph(5), r=1)
-    assert nothing.colouring.assignments == {}
-    assert nothing.residual.edge_count == 10
+    assert nothing.colours.tolist() == [-1] * 10
     with pytest.raises(UsageError):
         low_degree_refinement(path_graph(3), r=0)
 
@@ -203,9 +207,9 @@ def test_star_refinement_validation():
     with pytest.raises(UsageError):
         star_refinement(g, s=2, k=3)
     empty = star_refinement(Graph.build(4, []), s=3, k=6)
-    assert empty.colouring.colours_used == 0 and empty.degree_bound_ok
+    assert empty.degree_bound_ok
     assert empty.vertices_removed.tolist() == [False] * 4
-    assert empty.parts.tolist() == [-1] * 4 and empty.colouring.colours.size == 0
+    assert empty.parts.tolist() == [-1] * 4 and empty.colours.size == 0
 
 
 def test_star_refinement_postconditions(rnd):
@@ -216,8 +220,10 @@ def test_star_refinement_postconditions(rnd):
         s = rnd.randint(1, 6)
         k = rnd.choice([4, 6, 7, 8, 9, 12])
         result = star_refinement(g, s, k)
+        colouring, residual = split_refinement(g, result)
         e = g.edge_count
-        assert result.colouring.colours_used <= s
+        assert result.colours.shape == (e,)
+        assert colouring.colours_used <= s
         assert result.threshold == Fraction(8 * e, k * s)
         # each centre holds one colour (so centre sets are disjoint),
         # and each colour's centres number 1 to k//3 and touch all its edges
@@ -225,17 +231,17 @@ def test_star_refinement_postconditions(rnd):
         assert parts is not None and parts.dtype == np.int64
         assert (result.vertices_removed | (parts == -1)).all()
         offsets = sorted(set(parts[parts >= 0].tolist()))
-        assert offsets == list(range(result.colouring.colours_used))
-        for colour, edges in colour_classes(result.colouring).items():
+        assert offsets == list(range(colouring.colours_used))
+        for colour, edges in colour_classes(colouring).items():
             part = parts == colour
             assert 1 <= part.sum() <= k // 3
             for u, v in edges:
                 assert part[u] or part[v]
-        assert result.colouring.assignments.keys() | result.residual.edges == g.edges
-        assert not (result.colouring.assignments.keys() & result.residual.edges)
+        assert colouring.assignments.keys() | residual.edges == g.edges
+        assert not (colouring.assignments.keys() & residual.edges)
         expected_ok = all(
-            result.residual.degree(v) * k * s < 8 * e
-            for v in {x for e in result.residual.edges for x in e}
+            residual.degree(v) * k * s < 8 * e
+            for v in {x for e in residual.edges for x in e}
         )
         assert result.degree_bound_ok == expected_ok
         if k != 5:
@@ -256,19 +262,21 @@ def test_star_overflow_when_capacity_is_one():
     assert tight.vertices_removed.tolist() == [True] * 8 + [False] * 8
     # every edge at centre 7 is claimed by a lower centre first
     assert tight.parts.tolist() == list(range(7)) + [-1] * 9
-    assert tight.residual.max_degree == tight.residual.degree(8) == 7
+    residual = split_refinement(g, tight)[1]
+    assert residual.max_degree == residual.degree(8) == 7
     assert not tight.degree_bound_ok
     relaxed = star_refinement(g, s=8, k=6)
     assert relaxed.vertices_removed[8]
-    assert relaxed.residual.edge_count == 0
+    assert (relaxed.colours >= 0).all()
     assert relaxed.degree_bound_ok
 
 
 def test_star_refinement_colours_contiguous():
     g = complete_graph(9)
     result = star_refinement(g, s=3, k=6)
-    used = sorted(set(result.colouring.assignments.values()))
-    assert used == list(range(result.colouring.colours_used))
+    colouring = split_refinement(g, result)[0]
+    used = sorted(set(colouring.assignments.values()))
+    assert used == list(range(colouring.colours_used))
 
 
 def traced_peak(call):
@@ -318,14 +326,14 @@ def test_serialize_round_trip(rnd):
 
 def test_serialize_header_shape():
     g = path_graph(3)
-    col = EdgeColouring.of([(0, 1), (1, 2)], [0, 1])
+    col = colouring_of([(0, 1), (1, 2)], [0, 1])
     text = serialize_colouring(g, col, r=4, k=3)
     assert text.splitlines()[0] == "# n=3 r=4 k=3 colours_used=2"
     # a file written without r and k still parses; the reader supplies them
     _, parsed, header = parse_colouring(text.replace(" r=4 k=3", ""))
     assert parsed == col and header == {"n": 3, "colours_used": 2}
     with pytest.raises(ContractViolation):
-        serialize_colouring(g, EdgeColouring.of([(0, 1)], [0]), r=4, k=3)
+        serialize_colouring(g, colouring_of([(0, 1)], [0]), r=4, k=3)
 
 
 def test_parse_colouring_rejects_bad_rows():

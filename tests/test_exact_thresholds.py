@@ -12,7 +12,6 @@ from itertools import combinations
 import numpy as np
 
 from pathfree import (
-    EdgeColouring,
     Graph,
     degree_class_decompose,
     low_degree_refinement,
@@ -29,19 +28,17 @@ MIXED = Graph.build(
 )
 
 
-def parts(*offsets: int) -> np.ndarray:
-    """A star refinement's part array: each vertex's colour, or -1."""
-    return np.array(offsets, dtype=np.int64)
+def ints(*values: int) -> np.ndarray:
+    """A refinement's row colours or a star refinement's part array: each
+    row's or vertex's colour, or -1."""
+    return np.array(values, dtype=np.int64)
 
 
 def test_low_degree_takes_a_vertex_with_seven_times_degree_equal_to_r():
     # r = 14: vertices of degree 2 sit exactly on r/7 and are low
+    # every row but (0, 1), the first, is coloured
     expected = RefinementResult(
-        colouring=EdgeColouring.of(
-            [(0, 2), (0, 3), (0, 4), (1, 2), (1, 5), (1, 6), (3, 4), (5, 7)],
-            [1, 1, 1, 2, 1, 1, 0, 0],
-        ),
-        residual=Graph.build(8, [(0, 1)]),
+        colours=ints(-1, 1, 1, 1, 2, 1, 1, 0, 0),
         threshold=Fraction(2),
         vertices_removed=MIXED.vertex_mask({2, 3, 4, 5, 6, 7}),
         degree_bound_ok=True,
@@ -55,27 +52,24 @@ def test_star_refinement_takes_a_vertex_with_degree_k_s_equal_to_8e():
     two_stars = Graph.build(
         13, [(0, i) for i in range(1, 6)] + [(6, i) for i in range(7, 11)] + [(11, 12)]
     )
+    # the five rows at 0 take colour 0; those at 6 and (11, 12) are left
     expected = RefinementResult(
-        colouring=EdgeColouring.of([(0, i) for i in range(1, 6)], [0] * 5),
-        residual=Graph.build(13, [(6, 7), (6, 8), (6, 9), (6, 10), (11, 12)]),
+        colours=ints(*[0] * 5, *[-1] * 5),
         threshold=Fraction(5),
         vertices_removed=two_stars.vertex_mask({0}),
         degree_bound_ok=True,
-        parts=parts(0, *[-1] * 12),
+        parts=ints(0, *[-1] * 12),
     )
     assert same_value(star_refinement(two_stars, 2, 8), expected)
     # K5 with k = 5, s = 4: all five degrees equal 8e/(ks) = 4, and the
     # capacity s * floor(k/3) = 4 leaves the last one out
     k5 = Graph.build(5, combinations(range(5), 2))
     expected = RefinementResult(
-        colouring=EdgeColouring.of(
-            list(combinations(range(5), 2)), [0, 0, 0, 0, 1, 1, 1, 2, 2, 3]
-        ),
-        residual=Graph.build(5, []),
+        colours=ints(0, 0, 0, 0, 1, 1, 1, 2, 2, 3),
         threshold=Fraction(4),
         vertices_removed=k5.vertex_mask({0, 1, 2, 3}),
         degree_bound_ok=True,
-        parts=parts(0, 1, 2, 3, -1),
+        parts=ints(0, 1, 2, 3, -1),
     )
     assert same_value(star_refinement(k5, 4, 5), expected)
 
@@ -85,12 +79,11 @@ def test_star_refinement_threshold_survives_a_product_beyond_int64():
     # is heavy, and floor(k/3) = 10^18 puts them all in the first centre set
     k = 3 * 10**18
     expected = RefinementResult(
-        colouring=EdgeColouring.of(MIXED.edge_array, [0] * MIXED.edge_count),
-        residual=Graph.build(8, []),
+        colours=ints(*[0] * MIXED.edge_count),
         threshold=Fraction(8 * 9, k),
         vertices_removed=MIXED.vertex_mask(range(8)),
         degree_bound_ok=True,
-        parts=parts(*[0] * 8),
+        parts=ints(*[0] * 8),
     )
     assert same_value(star_refinement(MIXED, 1, k), expected)
 

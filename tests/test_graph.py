@@ -10,7 +10,6 @@ import pytest
 
 from pathfree import (
     ContractViolation,
-    EdgeColouring,
     Graph,
     InternalInvariantError,
     UsageError,
@@ -34,6 +33,7 @@ from pathfree.graph import (
 )
 
 from conftest import (
+    colouring_of,
     complete_graph,
     components,
     induced_bipartite,
@@ -301,7 +301,7 @@ def test_clean_text_is_read_without_the_line_loop(monkeypatch, rnd):
     for text in texts:
         parse_edge_list(text)
     g = complete_graph(5)
-    colouring = EdgeColouring.of(g.edge_array, np.arange(g.edge_count))
+    colouring = colouring_of(g.edge_array, np.arange(g.edge_count))
     assert parse_colouring(serialize_colouring(g, colouring, 10, 3))[1] == colouring
 
 
@@ -317,7 +317,10 @@ def test_float_read_as_an_integer_takes_the_line_loop(monkeypatch):
 
 def test_subtract_and_induced_bipartite():
     g = complete_graph(4)
-    smaller = subtract(g, Graph.build(4, [(0, 1), (2, 3)]))
+    # the mask of g's rows (0, 1) (0, 2) (0, 3) (1, 2) (1, 3) (2, 3) left
+    left = subtract(g, Graph.build(4, [(0, 1), (2, 3)]))
+    assert left.tolist() == [False, True, True, True, True, False]
+    smaller = g.keep(left)
     assert smaller == Graph.build(4, [(0, 2), (0, 3), (1, 2), (1, 3)])
     # the least absent edge is named
     with pytest.raises(ContractViolation, match=r"absent edges, e\.g\. \(0, 1\)"):
@@ -350,7 +353,7 @@ def test_subtract_compares_rows_once(monkeypatch):
     rest = subtract(g, h)
     # absent_edges only words the error of a failed subtraction
     assert calls == {"repeats": 1, "absent_edges": 0}
-    assert rest.edges == g.edges - h.edges
+    assert g.keep(rest).edges == g.edges - h.edges
 
 
 def test_row_comparison_is_exact_for_ids_past_the_key_wrap():
@@ -363,7 +366,7 @@ def test_row_comparison_is_exact_for_ids_past_the_key_wrap():
         subtract(g, Graph.build(n, [(4, 5)]))
     absent = r"absent from the graph, e\.g\. \(4, 5\)"
     with pytest.raises(ContractViolation, match=absent):
-        verify_colouring(g, EdgeColouring.of(stray, [0]), r=1, k=3)
+        verify_colouring(g, colouring_of(stray, [0]), r=1, k=3)
 
 
 def test_edge_array_is_sorted_read_only_and_cached(rnd):

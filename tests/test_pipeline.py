@@ -147,13 +147,13 @@ def test_run_round_respects_scale_budget():
     assert trace.colours_spent == trace.extractions + trace.star_colours
     assert trace.edges_after < trace.edges_before
     assert len(trace.extraction_ratios) == trace.extractions
-    assert outcome.residual.edge_count == trace.edges_after
-    # the extraction classes, then the star colouring, each coloured from 0
-    used = [part.colours_used for part in outcome.parts]
-    assert used == [1] * trace.extractions + [trace.star_colours]
-    for part, colours in zip(outcome.parts, used):
-        assert set(part.colours.tolist()) == set(range(colours))
-    assert sum(used) == trace.colours_spent
+    # one colour per input row, -1 on the rows the round leaves; the
+    # extraction classes, then the star colours, all from 0
+    colours = outcome.colours
+    assert colours.shape == (g.edge_count,)
+    assert np.count_nonzero(colours < 0) == trace.edges_after
+    used = np.unique(colours[colours >= 0]).tolist()
+    assert used == list(range(trace.colours_spent))
     with pytest.raises(UsageError):
         run_round(g, 0, PipelineParams(r=16, k=3), colour_base=0)
 
@@ -163,7 +163,8 @@ def test_run_round_is_deterministic():
     params = PipelineParams(r=30, k=9, beta0=0.5, seed=11)
     first = run_round(g, 0, params, colour_base=4)
     second = run_round(g, 0, params, colour_base=4)
-    assert first.parts and first.parts == second.parts
+    assert (first.colours >= 0).any()
+    assert np.array_equal(first.colours, second.colours)
     assert first.trace == second.trace
 
 
@@ -284,12 +285,14 @@ def test_round_parts_must_take_the_colours_the_round_spent(monkeypatch):
 
     def short(g, i, params, colour_base):
         outcome = real_round(g, i, params, colour_base)
-        assert outcome.parts[0].colours_used == 1  # an extraction class
-        return dataclasses.replace(outcome, parts=outcome.parts[1:])
+        assert outcome.trace.extractions >= 1
+        colours = outcome.colours.copy()
+        colours[colours == 0] = -1  # leave the first extraction class uncoloured
+        return dataclasses.replace(outcome, colours=colours)
 
     monkeypatch.setattr(pipeline, "run_round", short)
     params = PipelineParams(r=30, k=12, beta0=0.5, seed=100, trials_per_extraction=10)
-    with pytest.raises(InternalInvariantError, match="round 0 parts use"):
+    with pytest.raises(InternalInvariantError, match="round 0 placed"):
         colour_graph(uniform_edges(300, 6000, seed=100), params)
 
 
@@ -416,23 +419,38 @@ def test_colour_write_parse_verify_never_build_the_edge_set(monkeypatch, k):
         assert result.rounds and result.rounds[0].extractions > 0
 
 
-@pytest.mark.parametrize("fault", ["overlap", "gap"])
-def test_stage_colourings_must_partition_the_edges(monkeypatch, fault):
+def test_colouring_is_over_the_input_rows():
+    # the stages write into one colour array over g's rows, so no row is
+    # copied or sorted again after the stages
+    g = uniform_edges(120, 360, seed=1)
+    result = colour_graph(g, PipelineParams(r=48, k=8, beta0=0.5, seed=1))
+    assert result.colouring.edge_array is g.edge_array
+
+
+@pytest.mark.parametrize("fault", ["short", "long"])
+def test_a_stage_must_colour_the_rows_still_uncoloured(monkeypatch, fault):
     g = uniform_edges(120, 360, seed=1)
     real = pipeline.low_degree_refinement
 
-    def faulty(graph, r):
+    def misaligned(graph, r):
         low = real(graph, r)
-        rows, colours = low.colouring.edge_array, low.colouring.colours
-        kept = low.residual.edge_array[:1]
-        assert len(rows) and len(kept)
-        if fault == "overlap":  # also colour an edge that a later stage colours
-            both = np.vstack([rows, kept])
-            bad = EdgeColouring.of(both, np.append(colours, colours[0]))
-        else:  # drop an edge without leaving it in the residual
-            bad = EdgeColouring(rows[1:], colours[1:])
-        return dataclasses.replace(low, colouring=bad)
+        colours = low.colours[1:] if fault == "short" else np.append(low.colours, 0)
+        return dataclasses.replace(low, colours=colours)
 
-    monkeypatch.setattr(pipeline, "low_degree_refinement", faulty)
-    with pytest.raises(InternalInvariantError, match="partition"):
+    monkeypatch.setattr(pipeline, "low_degree_refinement", misaligned)
+    with pytest.raises(InternalInvariantError, match="for 360 uncoloured rows"):
         colour_graph(g, PipelineParams(r=48, k=8, beta0=0.5, seed=1))
+
+
+def test_every_row_must_be_coloured_after_the_endgame(monkeypatch):
+    g = hub_and_cycle(100)
+    real = pipeline.proper_edge_colouring
+
+    def partial(graph):
+        colours = real(graph).colours.copy()
+        colours[0] = -1
+        return EdgeColouring(graph.edge_array, colours)
+
+    monkeypatch.setattr(pipeline, "proper_edge_colouring", partial)
+    with pytest.raises(InternalInvariantError, match="1 of 200 edges uncoloured"):
+        colour_graph(g, PipelineParams(r=20, k=8, beta0=0.5))

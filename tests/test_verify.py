@@ -6,6 +6,7 @@ import random
 import time
 
 import networkx as nx
+import numpy as np
 import pytest
 
 from pathfree import (
@@ -25,6 +26,7 @@ from pathfree.verify import _reconstruct
 
 from conftest import (
     colour_classes,
+    colouring_of,
     complete_graph,
     components,
     cycle_graph,
@@ -45,7 +47,7 @@ def from_networkx(gx) -> Graph:
 
 
 def monochrome(g: Graph, colour: int = 0) -> EdgeColouring:
-    return EdgeColouring.of(g.edge_array, [colour] * g.edge_count)
+    return colouring_of(g.edge_array, [colour] * g.edge_count)
 
 
 def assert_longest_path(g: Graph, longest: int) -> None:
@@ -107,7 +109,7 @@ def vertex_rows(comp) -> list[tuple[int, int]]:
 
 def test_monochromatic_components_by_colour():
     g = Graph.build(6, [(0, 1), (1, 2), (3, 4), (0, 2)])
-    col = EdgeColouring.of([(0, 1), (1, 2), (3, 4), (0, 2)], [0, 0, 0, 1])
+    col = colouring_of([(0, 1), (1, 2), (3, 4), (0, 2)], [0, 0, 0, 1])
     comps = monochromatic_components(g, col)
     assert {c.vertices for c in comps[0]} == {(0, 1, 2), (3, 4)}
     assert [c.vertices for c in comps[1]] == [(0, 2)]
@@ -117,14 +119,14 @@ def test_monochromatic_components_by_colour():
         own = [e for c in comps[colour] for e in vertex_rows(c)]
         assert sorted(own) == edges
     with pytest.raises(ContractViolation):
-        monochromatic_components(path_graph(3), EdgeColouring.of([(4, 5)], [0]))
+        monochromatic_components(path_graph(3), colouring_of([(4, 5)], [0]))
 
 
 def random_colouring(rnd: random.Random) -> tuple[Graph, EdgeColouring]:
     """A sparse random graph, most of its edges given one of a few colours."""
     g = random_graph(rnd, n_max=30, density=rnd.choice([0.05, 0.1, 0.2]))
     kept = [e for e in sorted(g.edges) if rnd.random() < 0.9]
-    return g, EdgeColouring.of(kept, [rnd.randint(0, 4) for _ in kept])
+    return g, colouring_of(kept, [rnd.randint(0, 4) for _ in kept])
 
 
 def assert_labels_match_walk(g: Graph, col: EdgeColouring) -> None:
@@ -183,7 +185,7 @@ def test_array_labels_agree_with_the_walk(rnd):
             for h in (g, shuffled(g, rnd), shuffled(g, rnd)):
                 assert_labels_match_walk(h, monochrome(h))
                 halves = [rnd.randint(0, 1) for _ in range(h.edge_count)]
-                assert_labels_match_walk(h, EdgeColouring.of(sorted(h.edges), halves))
+                assert_labels_match_walk(h, colouring_of(sorted(h.edges), halves))
 
 
 def test_paths_on_k_minus_one_vertices_are_decided_and_on_k_searched():
@@ -243,7 +245,7 @@ def test_fail_verdict_keeps_the_per_colour_break():
     p8 = [(i, i + 1) for i in range(10, 17)]
     p4 = [(i, i + 1) for i in range(20, 23)]
     g = Graph.build(24, p5 + p8 + p4)
-    col = EdgeColouring.of(p5 + p8 + p4, [0] * 11 + [1] * 3)
+    col = colouring_of(p5 + p8 + p4, [0] * 11 + [1] * 3)
     report = verify_colouring(g, col, r=2, k=5)
     assert report.verdict == "fail" and report.witness_colour == 0
     assert report.per_colour_stats == ((0, 2, 5, 5), (1, 1, 4, None))
@@ -414,7 +416,7 @@ def test_triangle_and_small_stars():
     assert verify_colouring(star, monochrome(star), r=1, k=4).verdict == "pass"
     # 3-0-1-2 is a path on 4 vertices only if the colours are mixed
     mixed = Graph.build(4, [(0, 1), (0, 2), (0, 3), (1, 2)])
-    col = EdgeColouring.of([(0, 1), (0, 2), (0, 3), (1, 2)], [0, 0, 0, 1])
+    col = colouring_of([(0, 1), (0, 2), (0, 3), (1, 2)], [0, 0, 0, 1])
     assert verify_colouring(mixed, col, r=2, k=4).verdict == "pass"
 
 
@@ -422,7 +424,7 @@ def test_witness_paths_are_real_and_monochromatic(rnd):
     for trial in range(120):
         g = random_graph(rnd, n_max=9, density=0.5)
         drawn = {e: rnd.randint(0, 2) for e in g.edges}
-        col = EdgeColouring.of(list(drawn), list(drawn.values()))
+        col = colouring_of(list(drawn), list(drawn.values()))
         k = rnd.randint(3, 6)
         report = verify_colouring(g, col, r=3, k=k)
         for colour, path in report.failures:
@@ -436,7 +438,7 @@ def test_verdict_agrees_with_reference_oracle(rnd):
     for trial in range(400):
         g = random_graph(rnd, n_max=7, density=rnd.choice([0.3, 0.6]))
         drawn = {e: rnd.randint(0, 1) for e in g.edges}
-        col = EdgeColouring.of(list(drawn), list(drawn.values()))
+        col = colouring_of(list(drawn), list(drawn.values()))
         k = rnd.randint(3, 7)
         report = verify_colouring(g, col, r=2, k=k)
         assert report.verdict in ("pass", "fail")
@@ -468,7 +470,7 @@ def test_fail_outranks_indeterminate():
     big = [(i, i + 1) for i in range(59)]
     small = [(100 + i, 101 + i) for i in range(5)]
     g = Graph.build(106, big + small)
-    col = EdgeColouring.of(big + small, [0] * len(big) + [1] * len(small))
+    col = colouring_of(big + small, [0] * len(big) + [1] * len(small))
     report = verify_colouring(g, col, r=2, k=6, cap=24)
     assert report.verdict == "fail"
     assert report.witness_colour == 1
@@ -476,7 +478,7 @@ def test_fail_outranks_indeterminate():
 
 def test_partial_colourings_are_reported_not_rejected():
     g = path_graph(5)
-    partial = EdgeColouring.of([(0, 1), (1, 2)], [0, 0])
+    partial = colouring_of([(0, 1), (1, 2)], [0, 0])
     report = verify_colouring(g, partial, r=2, k=5)
     assert not report.covers_all_edges
     assert report.verdict == "pass"  # only 3 vertices carry colour 0
@@ -486,7 +488,7 @@ def test_partial_colourings_are_reported_not_rejected():
 
 def test_budget_flag_and_stats():
     g = path_graph(4)
-    col = EdgeColouring.of([(0, 1), (1, 2), (2, 3)], [0, 1, 2])
+    col = colouring_of([(0, 1), (1, 2), (2, 3)], [0, 1, 2])
     report = verify_colouring(g, col, r=2, k=4)
     assert report.verdict == "pass"
     assert report.colours_used == 3
@@ -519,19 +521,19 @@ def test_verify_validation():
 def test_repeated_or_unpaired_rows_are_refused():
     # a repeated row would let a colouring with a gap pass as total
     g = path_graph(3)
-    twice = EdgeColouring.of([(0, 1), (0, 1)], [0, 1])
+    twice = colouring_of([(0, 1), (0, 1)], [0, 1])
     with pytest.raises(ContractViolation, match="more than once"):
         verify_colouring(g, twice, r=2, k=3)
     with pytest.raises(ContractViolation, match="one colour per edge"):
-        EdgeColouring.of([(0, 1), (1, 2)], [0])
+        EdgeColouring(g.edge_array, np.zeros(1, dtype=np.int64))
 
 
 def test_stray_edges_are_refused_naming_the_least():
     g = Graph.build(10, [(1, 5), (2, 3), (4, 9)])
-    inside = EdgeColouring.of([(1, 5), (2, 3), (4, 9), (6, 8), (3, 7)], [0, 0, 1, 1, 0])
+    inside = colouring_of([(1, 5), (2, 3), (4, 9), (6, 8), (3, 7)], [0, 0, 1, 1, 0])
     with pytest.raises(ContractViolation, match=r"e\.g\. \(3, 7\)$"):
         verify_colouring(g, inside, r=2, k=3)
     # (0, 15) would key as 0 * 10 + 15 = 1 * 10 + 5, the real edge (1, 5)
-    beyond = EdgeColouring.of([(0, 15), (2, 3), (4, 9)], [0, 0, 1])
+    beyond = colouring_of([(0, 15), (2, 3), (4, 9)], [0, 0, 1])
     with pytest.raises(ContractViolation, match=r"e\.g\. \(0, 15\)$"):
         verify_colouring(g, beyond, r=2, k=3)
