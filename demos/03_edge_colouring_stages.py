@@ -55,7 +55,7 @@ print(f"  residual keeps {residual.edge_count} edges between high vertices")
 # plant a hub into a sparse background to watch it work
 hub_edges = [(0, v) for v in range(1, 30)]
 background = uniform_edges(30, 45, seed=2)
-hubbed = Graph.build(  # the rows of both, an edge in both once
+hubbed = Graph.build(  # checks the pairs; np.unique keeps an edge in both once
     30, np.unique(np.concatenate([background.edge_array, hub_edges]), axis=0)
 )
 s, k = 3, 9

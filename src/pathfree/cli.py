@@ -289,6 +289,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if getattr(args, "exact_cap", 0) < 0:  # before any input is read
             raise UsageError("component cap must be non-negative")
+        if (getattr(args, "seed", None) or 0) < 0:  # rng's check, before any input
+            raise UsageError(f"seed must be non-negative, got {args.seed}")
         return _COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -312,11 +312,13 @@ def star_refinement(g: Graph, s: int, k: int) -> RefinementResult:
         raise InternalInvariantError("star refinement exceeded its colour count")
     offset = np.full(unclaimed + 1, -1, dtype=np.int64)  # by set index
     offset[used_ids] = np.arange(len(used_ids))
+    claimed_ends = g.edge_array.compress(claimed, axis=0).ravel()  # rows left uncopied
+    left = g.degrees - np.bincount(claimed_ends, minlength=g.vertex_count)
     return RefinementResult(
         colours=offset[first],
         threshold=threshold,
         vertices_removed=owner < unclaimed,
-        degree_bound_ok=g.keep(~claimed).max_degree < least,
+        degree_bound_ok=int(left.max(initial=0)) < least,
         parts=offset[owner],
     )
 

@@ -46,7 +46,7 @@ def uniform_edges(n: int, m: int, seed: int) -> Graph:
         drawn = np.sort(drawn[drawn[:, 0] != drawn[:, 1]], axis=1)
         pairs = np.concatenate([pairs, drawn])
         fresh = np.flatnonzero(~repeats(pairs))
-    return Graph.of(n, pairs[fresh[:m]])
+    return Graph.build(n, pairs[fresh[:m]])
 
 
 def regular_graph(n: int, d: int, seed: int) -> Graph:
@@ -63,7 +63,7 @@ def regular_graph(n: int, d: int, seed: int) -> Graph:
     if (n * d) % 2 != 0:
         raise UsageError("n * d must be even for a d-regular graph")
     if d == 0 or n == 0:
-        return Graph.of(n, ())
+        return Graph.build(n, ())
 
     rng = substream(seed, "regular")
     stubs = np.repeat(np.arange(n), d)
@@ -131,7 +131,7 @@ def regular_graph(n: int, d: int, seed: int) -> Graph:
 
     if len({canon(p) for p in pairs if p[0] != p[1]}) != len(pairs):
         raise InternalInvariantError("edge-swap repair did not converge")
-    g = Graph.of(n, map(canon, pairs))
+    g = Graph.build(n, pairs)
     if (g.degrees != d).any():
         raise InternalInvariantError("repair broke regularity")
     return g
@@ -147,7 +147,7 @@ def star_forest_graph(n: int, d: int, seed: int) -> Graph:
         raise UsageError("need non-negative n and at least one leaf per star")
     block = d + 1
     starts = range(0, n - block + 1, block)
-    return Graph.of(n, [(s, leaf) for s in starts for leaf in range(s + 1, s + block)])
+    return Graph.build(n, [(s, s + i) for s in starts for i in range(1, block)])
 
 
 def path_union_graph(n: int, d: int, seed: int) -> Graph:
@@ -159,7 +159,7 @@ def path_union_graph(n: int, d: int, seed: int) -> Graph:
     if n < 0 or d < 2:
         raise UsageError("need non-negative n and paths on at least 2 vertices")
     starts = range(0, n - d + 1, d)
-    return Graph.of(n, [(v, v + 1) for s in starts for v in range(s, s + d - 1)])
+    return Graph.build(n, [(v, v + 1) for s in starts for v in range(s, s + d - 1)])
 
 
 GENERATOR_MODELS = {

@@ -1,15 +1,15 @@
 """Simple undirected graphs on vertices ``0..n-1``.
 
 A :class:`Graph` is one thing: its sorted, read-only ``(m, 2)`` edge array of
-canonical ``u < v`` rows.  A derived graph, such as a stage's residual, is
-``g.keep(row_mask)`` over its parent's rows, so it needs no sort.  The
-frozenset ``edges`` is built only when read; the colouring run path never does.
+canonical ``u < v`` rows.  :meth:`Graph.build` is the one constructor from
+pairs; ``Graph(n, rows)`` and ``g.keep(row_mask)`` take rows already sorted.
+The frozenset ``edges`` is built only when read; the colouring run path never does.
 
-The module also owns how edge rows are sorted (:func:`row_order`),
-compared (:func:`repeats`) and numbered (:func:`row_ids`), exactly for
-every int64 id; the one row reader of the text formats
-(:func:`read_edge_rows`); and the one rule that turns a result dataclass
-into its JSON record (:func:`plain_record`).
+The module also owns how edge rows are checked (:func:`_checked_rows`, for
+``Graph.build`` and the row reader), sorted (:func:`row_order`), compared
+(:func:`repeats`) and numbered (:func:`row_ids`), exactly for every int64 id;
+the one row reader of the text formats (:func:`read_edge_rows`); and the one
+rule that turns a result dataclass into its JSON record (:func:`plain_record`).
 
 The row sort packs each row and its index into one int64 key,
 ``((u - min u) * span + (v - min v)) * m + index`` with
@@ -20,7 +20,7 @@ could pass ``2**63 - 1``, that is when
 
 A parse splits its text into lines once; the header and the rows are read
 from that one list.  The row reader takes the data rows through numpy's C
-reader and checks them with array passes; on any fault it replays the
+reader and checks them with the one row check; on any fault it replays the
 lines through a per-line loop, so every error names the first bad line as
 that loop words it.  It returns the rows already sorted, so a parsed graph
 or colouring needs no second sort.
@@ -28,12 +28,12 @@ or colouring needs no second sort.
 
 from __future__ import annotations
 
+import operator
 import warnings
 from array import array
 from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
 from typing import Iterable
 
 import numpy as np
@@ -63,39 +63,37 @@ class Graph:
         self.edge_array.flags.writeable = False
 
     @staticmethod
-    def build(vertex_count: int, edges: Iterable[tuple[int, int]]) -> "Graph":
-        """The graph of outside input: loops, duplicates and stray ids are errors.
-
-        The error names the first bad pair in input order.
-        """
+    def build(vertex_count: int, edges: Iterable[Edge] | np.ndarray) -> "Graph":
+        """The one constructor from pairs: pairs of two int ends or the rows of
+        an ``(m, 2)`` integer array, in any order and orientation.  Bad input,
+        loops, duplicates and stray ids are errors naming the first bad pair in
+        input order."""
         if vertex_count < 0:
             raise ContractViolation("vertex_count must be non-negative")
-        try:
-            pairs = np.fromiter(chain.from_iterable(edges), dtype=np.int64)
-        except OverflowError:
-            raise ContractViolation("an endpoint lies outside int64") from None
-        rows = np.sort(pairs.reshape(-1, 2), axis=1)
-        loop = rows[:, 0] == rows[:, 1]
-        outside = (rows[:, 0] < 0) | (rows[:, 1] >= vertex_count)
-        bad = np.flatnonzero(loop | outside | repeats(rows))
-        if bad.size:
-            e = tuple(rows[bad[0]].tolist())
-            if loop[bad[0]]:
-                raise ContractViolation(f"loop at vertex {e[0]}")
-            if outside[bad[0]]:
+        if isinstance(edges, np.ndarray):
+            ints = edges.dtype.kind in "iu" and np.can_cast(edges.dtype, np.int64)
+            if not ints or edges.ndim != 2 or edges.shape[1] != 2:
+                raise ContractViolation("edge arrays must be (m, 2) ints within int64")
+            pairs = edges.astype(np.int64, copy=False)
+        else:
+            try:
+                ends = [(operator.index(u), operator.index(v)) for u, v in edges]
+                pairs = np.array(ends, dtype=np.int64).reshape(-1, 2)
+            except OverflowError:
+                raise ContractViolation("an endpoint lies outside int64") from None
+            except (TypeError, ValueError):  # not a pair, or an end not an int
+                raise ContractViolation("each edge must be two integer ends") from None
+        _, rows, bad = _checked_rows(pairs, vertex_count)
+        if bad.any():
+            u, v = e = tuple(sorted(pairs[bad.argmax()].tolist()))
+            if u == v:
+                raise ContractViolation(f"loop at vertex {u}")
+            if u < 0 or v >= vertex_count:
                 raise ContractViolation(
                     f"edge {e} has an endpoint outside 0..{vertex_count - 1}"
                 )
             raise ContractViolation(f"duplicate edge {e}")
-        return Graph.of(vertex_count, rows)
-
-    @staticmethod
-    def of(vertex_count: int, pairs: Iterable[Edge] | np.ndarray) -> "Graph":
-        """The graph of trusted pairs: canonical and distinct, in any order."""
-        if not isinstance(pairs, np.ndarray):
-            pairs = np.fromiter(chain.from_iterable(pairs), dtype=np.int64)
-        rows = pairs.reshape(-1, 2)
-        return Graph(vertex_count, rows[row_order(rows)])
+        return Graph(vertex_count, rows)
 
     def keep(self, rows: np.ndarray) -> "Graph":
         """The graph on the same vertices with the edges at ``rows`` (a row mask).
@@ -188,6 +186,21 @@ def _ranked(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     u, v = ranked[:, 0], ranked[:, 1]
     same[1:] = (u[1:] == u[:-1]) & (v[1:] == v[:-1])
     return order, ranked, same
+
+
+def _checked_rows(pairs: np.ndarray, limit: int) -> tuple[np.ndarray, ...]:
+    """The one check of edge rows: the :func:`row_order` of the ``(m, 2)``
+    int64 pairs with their ends put in order, the rows in that order, and
+    the mask, in input order, of loops, ends outside ``0..limit-1`` and
+    repeats of an earlier row."""
+    rows = np.empty((len(pairs), 2), dtype=np.int64)
+    lo, hi = rows.T  # filled in place: cheaper than a sort per row or a stack
+    np.minimum(pairs[:, 0], pairs[:, 1], out=lo)
+    np.maximum(pairs[:, 0], pairs[:, 1], out=hi)
+    bad = (lo == hi) | (lo < 0) | (hi >= limit)
+    order, ranked, same = _ranked(rows)
+    bad[order[same]] = True
+    return order, ranked, bad
 
 
 def repeats(rows: np.ndarray) -> np.ndarray:
@@ -297,27 +310,21 @@ def read_edge_rows(
     duplicate row, or an extra value past int64, raises :class:`UsageError`
     naming the 1-based number of the first bad line.
 
-    numpy's C reader reads the rows of an all-ASCII text, and array passes
-    check their width, loops, signs, endpoint range and duplicates.  When
-    the reader refuses the text or a pass finds a fault, the text is read
-    again one line at a time (:func:`_read_rows_by_line`), which names the
-    first bad line.  So that replay alone words every error, and it alone
+    numpy's C reader reads the rows of an all-ASCII text; array passes check
+    their width and the extras' signs, and :func:`_checked_rows` the rows.
+    When the reader refuses the text or a check finds a fault, the text is
+    read again one line at a time (:func:`_read_rows_by_line`), which names
+    the first bad line.  So that replay alone words every error, and it alone
     reads what the C reader does not take but ``int`` does, such as ``1_0``
     or non-ASCII digits.
     """
     limit = _id_limit(vertex_count)
     table = _c_table(lines, 2 + len(extra))
     if table is not None:
-        rows = np.sort(table[:, :2], axis=1)
-        if (
-            table.min(initial=0) >= 0
-            and rows[:, 1].max(initial=-1) < limit
-            and (rows[:, 0] != rows[:, 1]).all()
-        ):
-            order, ranked, same = _ranked(rows)
-            if not same.any():
-                return _sorted_rows(vertex_count, order, ranked, table)
-    return _read_rows_by_line(lines, vertex_count, extra)
+        order, ranked, bad = _checked_rows(table[:, :2], limit)
+        if not bad.any() and table[:, 2:].min(initial=0) >= 0:
+            return _sorted_rows(vertex_count, order, ranked, table)
+    return _read_rows_by_line(lines, vertex_count, limit, extra)
 
 
 def _c_table(lines: list[str], width: int) -> np.ndarray | None:
@@ -342,10 +349,9 @@ def _c_table(lines: list[str], width: int) -> np.ndarray | None:
 
 
 def _read_rows_by_line(
-    lines: list[str], vertex_count: int | None, extra: tuple[str, ...]
+    lines: list[str], vertex_count: int | None, limit: int, extra: tuple[str, ...]
 ) -> tuple[int, np.ndarray, np.ndarray]:
-    """:func:`read_edge_rows`, one line at a time."""
-    limit = _id_limit(vertex_count)
+    """:func:`read_edge_rows`, one line at a time, ends below ``limit``."""
     names = ("vertex id", "vertex id") + extra
     shape = f"'u v {' '.join(extra)}'" if extra else "two integers"
     flat, linenos = array("q"), array("q")  # each row's values and line number
@@ -379,11 +385,10 @@ def _read_rows_by_line(
     except UsageError as err:
         failure = err
     table = np.frombuffer(flat, dtype=np.int64).reshape(-1, len(names))
-    rows = np.sort(table[:, :2], axis=1)
-    order, ranked, same = _ranked(rows)
-    if same.any():
-        first = order[same].min()  # the stable sort marks later copies only
-        e = tuple(rows[first].tolist())
+    order, ranked, bad = _checked_rows(table[:, :2], limit)
+    if bad.any():  # every row read is a checked pair, so this is a repeat
+        first = bad.argmax()
+        e = tuple(sorted(table[first, :2].tolist()))
         raise UsageError(f"line {linenos[first]}: duplicate edge {e}")
     if failure:
         raise failure

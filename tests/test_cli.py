@@ -648,13 +648,20 @@ def test_check_inequalities_rejects_a_grid_without_two_bins(monkeypatch, capsys)
         ["check-inequalities", "--grid", "2..3", "1..4", "--samples", "20",
          "--mc-seeds", "1", "--mc-trials", "200"],
         ["colour", "--r", "36", "--k", "10", "--beta0", "0.5"],
+        # these never draw, so they once took the seed and exited 0
+        ["bins", "--q", "3", "--n", "4"],
+        ["bins", "--grid", "2..3", "1..2"],
+        ["generate", "--model", "star-forest", "--n", "10", "--d", "3"],
+        ["generate", "--model", "path-union", "--n", "10", "--d", "3"],
     ],
-    ids=lambda argv: argv[0],
+    ids=["extract", "generate", "bins", "check-inequalities", "colour",
+         "bins-exact", "bins-grid", "star-forest", "path-union"],
 )
-def test_a_negative_seed_is_a_usage_error(desk_graph_file, capsys, argv):
-    # it once reached numpy's SeedSequence: exit 1 with a ValueError traceback
+def test_a_negative_seed_is_a_usage_error(tmp_path, capsys, argv):
+    # it once reached numpy's SeedSequence: exit 1 with a ValueError
+    # traceback; now it is refused before the input (absent here) is read
     if argv[0] in ("extract", "colour"):
-        argv = argv + ["--input", desk_graph_file]
+        argv = argv + ["--input", str(tmp_path / "absent.txt")]
     assert main(argv + ["--seed", "-3"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -251,7 +251,7 @@ def test_isolated_vertices_off_the_core_change_no_extraction():
     # B is every vertex off A, so padding joins B; a padded vertex sits on
     # no edge, lands in part 0 and moves neither draw nor any kept edge
     g = uniform_edges(60, 600, 2)
-    padded = Graph.of(80, g.edge_array)
+    padded = Graph.build(80, g.edge_array)
     for k in (4, 6):
         plain = extract_path_free_subgraph(g, first(60, 60), k=k, trials=40, seed=5)
         wide = extract_path_free_subgraph(padded, first(80, 60), k=k, trials=40, seed=5)

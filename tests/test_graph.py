@@ -49,8 +49,8 @@ def test_build_canonicalizes_orientation():
     assert g.edge_array.tolist() == [[0, 2], [1, 3]]
 
 
-def test_of_sorts_keep_masks_and_equality_compares_arrays():
-    g = Graph.of(5, [(2, 4), (0, 3), (0, 1), (1, 2)])
+def test_build_sorts_keep_masks_and_equality_compares_arrays():
+    g = Graph.build(5, [(2, 4), (0, 3), (0, 1), (1, 2)])
     assert g.edge_array.tolist() == [[0, 1], [0, 3], [1, 2], [2, 4]]
     assert g == Graph.build(5, [(1, 2), (4, 2), (3, 0), (1, 0)])
     assert g != Graph.build(6, [(1, 2), (4, 2), (3, 0), (1, 0)])
@@ -91,6 +91,102 @@ def test_build_rejects_bad_edges():
         with pytest.raises(ContractViolation) as err:
             Graph.build(3, edges)
         assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "edges",
+    [
+        [(0, 1, 2), (0,)],  # flattened and re-paired: (0, 1) and (2, 0)
+        [(0, 1, 2, 3)],  # re-paired: (0, 1) and (2, 3)
+        [(0.5, 1.7)],  # truncated: (0, 1)
+        [(0, 2.9)],  # truncated: (0, 2)
+        [("1", "2")],  # parsed: (1, 2)
+        [(0,)],  # once numpy's bare ValueError
+        [3],
+        np.array([[0.0, 1.0]]),
+        np.array([0, 1]),
+        np.array([[0, 1, 2]]),
+        np.array([[[0, 1]]]),
+        np.array([[0, 1]], dtype=np.uint64),  # could hold ends past int64
+        np.array([[True, False]]),
+        np.array([["0", "1"]]),
+    ],
+)
+def test_build_refuses_anything_but_pairs_of_two_integer_ends(edges):
+    with pytest.raises(ContractViolation):
+        Graph.build(4, edges)
+
+
+def test_build_takes_pairs_of_any_integer_type():
+    want = Graph.build(4, [(0, 1), (2, 3)])
+    assert Graph.build(4, np.array([[1, 0], [3, 2]], dtype=np.int32)) == want
+    assert Graph.build(4, [(np.int64(1), 0), [3, np.uint8(2)]]) == want
+    assert Graph.build(4, iter(np.array([[0, 1], [2, 3]]))) == want
+
+
+def test_build_sorts_its_rows_once(monkeypatch):
+    real, calls = graph.row_order, []
+    monkeypatch.setattr(graph, "row_order", lambda rows: calls.append(1) or real(rows))
+    g = Graph.build(6, [(4, 1), (0, 5), (2, 3), (1, 0)])
+    assert g.edge_array.tolist() == [[0, 1], [0, 5], [1, 4], [2, 3]]
+    assert calls == [1]
+
+
+def _first_fault(n, pairs):
+    """The index of the first loop, stray id or repeat in ``pairs``, or None."""
+    seen = set()
+    for i, (u, v) in enumerate(pairs):
+        e = (min(u, v), max(u, v))
+        if u == v or e[1] >= n or e in seen:
+            return i
+        seen.add(e)
+    return None
+
+
+def test_build_and_the_text_reader_check_rows_alike():
+    # one row check: the same lists pass, giving equal graphs, and a refused
+    # list is refused at the pair Graph.build names, on that pair's line
+    rnd = random.Random(34)
+    refused = 0
+    for _ in range(600):
+        n = rnd.randint(2, 8)
+        distinct = list(combinations(range(n), 2))
+        picked = rnd.sample(distinct, rnd.randint(0, min(6, len(distinct))))
+        pairs = [rnd.sample(p, 2) for p in picked]
+        for _ in range(rnd.choice((0, 0, 1, 1, 2))):
+            at = rnd.randint(0, len(pairs))
+            u, v = rnd.choice(pairs) if pairs else (0, 1)
+            pairs.insert(at, rnd.choice((
+                [u, v], [v, u],  # a repeat, maybe reversed
+                [u, u],  # a loop
+                [u, n + rnd.randrange(3)],  # an id of n or more
+            )))
+        text = f"# n={n}\n" + "".join(f"{u} {v}\n" for u, v in pairs)
+        first = _first_fault(n, pairs)
+        if first is None:
+            assert parse_edge_list(text) == Graph.build(n, pairs)
+            continue
+        refused += 1
+        with pytest.raises(ContractViolation) as built:
+            Graph.build(n, pairs)
+        with pytest.raises(UsageError) as read:
+            parse_edge_list(text)
+        u, v = e = tuple(sorted(pairs[first]))
+        line = f"line {first + 2}: "  # the header is line 1
+        if u == v:
+            assert (str(built.value), str(read.value)) == (
+                f"loop at vertex {u}", f"{line}loop at vertex {u}"
+            )
+        elif v >= n:
+            assert (str(built.value), str(read.value)) == (
+                f"edge {e} has an endpoint outside 0..{n - 1}",
+                f"{line}endpoint outside 0..{n - 1}",
+            )
+        else:
+            assert (str(built.value), str(read.value)) == (
+                f"duplicate edge {e}", f"{line}duplicate edge {e}"
+            )
+    assert 150 < refused < 450
 
 
 def test_degrees_and_neighbours():
@@ -254,6 +350,9 @@ def test_row_reader_matches_its_line_loop_on_fuzzed_texts(monkeypatch):
     line_loop = graph._read_rows_by_line
     replays = []
 
+    def by_line(lines, count, extra):  # the replay alone, with its limit
+        return line_loop(lines, count, graph._id_limit(count), extra)
+
     def counted(*args):
         replays.append(args)
         return line_loop(*args)
@@ -278,7 +377,7 @@ def test_row_reader_matches_its_line_loop_on_fuzzed_texts(monkeypatch):
         lines = text.splitlines()
         before = len(replays)
         outcome = _read_outcome(read_edge_rows, lines, count, extra)
-        assert outcome == _read_outcome(line_loop, lines, count, extra), text
+        assert outcome == _read_outcome(by_line, lines, count, extra), text
         ok = not isinstance(outcome[0], type)
         assert ok or outcome[0] is UsageError
         accepted += ok and len(replays) == before
@@ -537,7 +636,7 @@ def test_workload_graphs_sort_and_parse_without_lexsort(monkeypatch):
         monkeypatch.setattr(np, "lexsort", refuse)
         g = uniform_edges(4000, 60000, seed)
         shuffled = g.edge_array[np.random.default_rng(seed).permutation(g.edge_count)]
-        assert Graph.of(g.vertex_count, shuffled) == g
+        assert Graph.build(g.vertex_count, shuffled) == g
         assert parse_edge_list(serialize_edge_list(g)) == g
         monkeypatch.undo()
         assert_row_order_is_lexsort(shuffled)

@@ -1,10 +1,11 @@
 """Source hygiene: every imported name is read, only ``graph.py`` sorts,
 compares or parses edge rows, no module of the package walks components
 over edge tuples, no run path copies a whole edge array into Python lists,
-every defaulted parameter of the public API is listed, every dataclass
-field, every exported name, and every public method and property of an
-exported class, has a reader outside the tests, and every termination and
-abort reason of the pipeline is pinned by a test.
+every direct ``Graph(...)`` outside ``graph.py`` and every defaulted
+parameter of the public API are listed, every dataclass field, every
+exported name, and every public method and property of an exported class,
+has a reader outside the tests, and every termination and abort reason of
+the pipeline is pinned by a test.
 
 All are AST scans, as no linter runs.
 """
@@ -313,14 +314,9 @@ def test_no_module_reads_the_component_walk():
     assert found == {}
 
 
-def whole_row_copies(tree: ast.Module) -> list[str]:
-    """Where a whole edge array, or its ``.T``, is turned into Python lists by
-    ``.tolist()``, as the enclosing ``Class.method``, ``function`` or
-    ``<module>``, once per call.
-
-    An edge array is any name or attribute called ``edge_array``; a row
-    mask, a slice or a single column of one is not whole.
-    """
+def scoped_calls(tree: ast.Module, matches) -> list[str]:
+    """The enclosing ``Class.method``, ``function`` or ``<module>`` of each
+    call for which ``matches(call)`` holds, once per call."""
     found = []
 
     def visit(node: ast.AST, scope: str) -> None:
@@ -328,17 +324,27 @@ def whole_row_copies(tree: ast.Module) -> list[str]:
             if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
                 visit(child, f"{scope}.{child.name}" if scope else child.name)
                 continue
-            if (
-                isinstance(child, ast.Call)
-                and isinstance(child.func, ast.Attribute)
-                and child.func.attr == "tolist"
-                and re.fullmatch(r"(.+\.)?edge_array(\.T)?", ast.unparse(child.func.value))
-            ):
+            if isinstance(child, ast.Call) and matches(child):
                 found.append(scope or "<module>")
             visit(child, scope)
 
     visit(tree, "")
     return found
+
+
+def whole_row_copies(tree: ast.Module) -> list[str]:
+    """Where a whole edge array, or its ``.T``, is turned into Python lists by
+    ``.tolist()``, by :func:`scoped_calls`.
+
+    An edge array is any name or attribute called ``edge_array``; a row
+    mask, a slice or a single column of one is not whole.
+    """
+    return scoped_calls(
+        tree,
+        lambda call: isinstance(call.func, ast.Attribute)
+        and call.func.attr == "tolist"
+        and re.fullmatch(r"(.+\.)?edge_array(\.T)?", ast.unparse(call.func.value)),
+    )
 
 
 def test_whole_row_copy_scan_flags_only_whole_arrays():
@@ -372,6 +378,49 @@ def test_no_run_path_copies_a_whole_edge_array_into_lists():
         for scope in whole_row_copies(ast.parse(path.read_text(), str(path)))
     ]
     assert [site for site in found if site not in ROW_COPY_VIEWS] == []
+
+
+def direct_graphs(tree: ast.Module) -> list[str]:
+    """Where ``Graph(...)`` is called by its bare name, by :func:`scoped_calls`."""
+    return scoped_calls(
+        tree, lambda call: isinstance(call.func, ast.Name) and call.func.id == "Graph"
+    )
+
+
+def test_direct_graph_scan_flags_only_bare_graph_calls():
+    tree = ast.parse(
+        "g = Graph(3, rows)\n"
+        "class C:\n"
+        "    def m(self):\n"
+        "        return Graph(n, self.rows)\n"
+        "def f(rows):\n"
+        "    a = Graph.build(3, rows)\n"  # checked
+        "    b = nx.Graph(rows)\n"  # another library's graph
+        "    c = g.keep(mask)\n"
+        "    return Graph(4, rows[order])\n"
+    )
+    assert direct_graphs(tree) == ["<module>", "C.m", "f"]
+
+
+# Graph(n, rows) checks nothing: each of these trusts that its rows are
+# sorted, canonical and distinct.  Any other caller goes through Graph.build,
+# the one constructor from pairs, or Graph.keep.
+DIRECT_GRAPHS = [
+    "colouring.py: parse_colouring",  # the row reader's checked, sorted rows
+    "extract.py: extract_path_free_subgraph",  # kept rows of its input, in order
+    "generators.py: uniform_edges",  # sorted triu_indices picks
+]
+
+
+def test_every_direct_graph_outside_graph_py_is_listed():
+    found = [
+        f"{path.name}: {scope}"
+        for folder in SCANNED
+        for path in sorted((ROOT / folder).rglob("*.py"))
+        if path != ROOT / "src" / "pathfree" / "graph.py"
+        for scope in direct_graphs(ast.parse(path.read_text(), str(path)))
+    ]
+    assert found == DIRECT_GRAPHS
 
 
 def defaulted_parameters(module: str, tree: ast.Module) -> list[str]:
